@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import _modelio, convergence, corpus
-from .cogmap import Model, simulate
+from .cogmap import Model, Trajectory, simulate
 from .dynamics import Classification, classify
 from .errors import (
     GreycogError,
@@ -129,7 +129,7 @@ def _verdict_dict(v: convergence.Verdict) -> dict:
 
 
 def _report(model: Model, model_label: str, steps: int, eps: float,
-            max_period: int) -> tuple[dict, Classification]:
+            max_period: int) -> tuple[dict, Trajectory, Classification]:
     traj = simulate(model, steps, model_id=model_label)
     cls = classify(traj, epsilon=eps, max_period=max_period)
     report = {
@@ -152,7 +152,7 @@ def _report(model: Model, model_label: str, steps: int, eps: float,
             "kernel_converged": full.kernel_converged,
         }
         report["overall"] = full.overall
-    return report, cls
+    return report, traj, cls
 
 
 def _cmd_simulate(args) -> int:
@@ -178,7 +178,7 @@ def _cmd_check(args) -> int:
     model = _load(args)
     label = Path(args.model).stem
     try:
-        report, _ = _report(model, label, args.steps, args.eps, args.max_period)
+        report, _, _ = _report(model, label, args.steps, args.eps, args.max_period)
     except MixedSignWeightError as exc:
         print(json.dumps({
             "error": "MixedSignWeight",
@@ -209,6 +209,13 @@ def _cmd_sweep(args) -> int:
         return _usage_error(f"--lambdas contains a non-number: {args.lambdas!r}")
     if any(not lam > 0.0 for lam in lams):
         return _usage_error("every lambda must be > 0")
+    # Files and summary rows are tagged f"{lam:g}"; two lambdas sharing a
+    # tag would overwrite each other's files.
+    tags = [f"{lam:g}" for lam in lams]
+    shared = sorted({t for t in tags if tags.count(t) > 1})
+    if shared:
+        given = ", ".join(s.strip() for s, t in zip(raw, tags) if t in shared)
+        return _usage_error(f"--lambdas {given} share the file tags {', '.join(shared)}")
 
     base = _modelio.load_model(args.model)
     label = Path(args.model).stem
@@ -217,13 +224,11 @@ def _cmd_sweep(args) -> int:
 
     worst = 0
     rows = []
-    for lam in lams:
+    for lam, tag in zip(lams, tags):
         model = dataclasses.replace(base, lam=lam)
-        tag = f"{lam:g}"
         try:
-            traj = simulate(model, args.steps, model_id=f"{label}@{tag}")
-            cls = classify(traj, epsilon=args.eps, max_period=args.max_period)
-            report, _ = _report(model, label, args.steps, args.eps, args.max_period)
+            report, traj, cls = _report(model, label, args.steps, args.eps,
+                                        args.max_period)
         except MixedSignWeightError as exc:
             rows.append([tag, "", "", f"error(MixedSignWeight {exc.i},{exc.j})", ""])
             worst = max(worst, 4)

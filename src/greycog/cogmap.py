@@ -78,8 +78,8 @@ class Model:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
-        if not (isinstance(self.lam, (int, float)) and self.lam > 0.0
-                and math.isfinite(self.lam)):
+        if not (isinstance(self.lam, (int, float)) and not isinstance(self.lam, bool)
+                and self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValidationError(f"lambda must be a positive number, got {self.lam}")
         object.__setattr__(self, "lam", float(self.lam))
         names = tuple(str(s) for s in self.node_names)

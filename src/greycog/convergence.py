@@ -17,10 +17,9 @@ says nothing", never "diverges".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from ._core import dot_lr, sigmoid
 from .cogmap import Model, Trajectory
@@ -77,11 +76,22 @@ def _verdict(value: float, threshold: float) -> Verdict:
 
 
 def frobenius_norm(m) -> float:
-    """Square root of the sum of squared entries."""
-    arr = np.asarray(m, dtype=float)
-    if arr.size == 0:
+    """Square root of the sum of squared entries of a 2-D nested sequence.
+
+    fsum rounds the sum of squares once, so the value does not depend on
+    the order of the entries. An empty, ragged or non-2-D input raises
+    DimensionError.
+    """
+    try:
+        rows = [tuple(row) for row in m]
+    except TypeError:
+        raise DimensionError("matrix must be a sequence of rows") from None
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise DimensionError(f"ragged matrix: row lengths {sorted(widths)}")
+    if not rows or not rows[0]:
         raise DimensionError("empty matrix")
-    return float(np.sqrt(np.sum(arr * arr)))
+    return math.sqrt(math.fsum(x * x for row in rows for x in row))
 
 
 def w_star(w):
@@ -90,16 +100,17 @@ def w_star(w):
     Nonpositive intervals contribute |lo|, nonnegative ones hi. An
     interval straddling zero has no single dominant endpoint, which makes
     the interval criterion inapplicable; that raises MixedSignWeightError
-    with 1-based indices.
+    with 1-based indices. Returns a tuple of row tuples.
     """
-    n = len(w)
-    out = np.empty((n, len(w[0])), dtype=float)
+    out = []
     for i, row in enumerate(w):
+        out_row = []
         for j, cell in enumerate(row):
             if cell.lo < 0.0 < cell.hi:
                 raise MixedSignWeightError(i + 1, j + 1)
-            out[i, j] = abs(cell.lo) if cell.hi <= 0.0 else cell.hi
-    return out
+            out_row.append(abs(cell.lo) if cell.hi <= 0.0 else cell.hi)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def check_fcm(w, lam: float) -> Verdict:
@@ -116,6 +127,23 @@ def check_fgcm(w, lam: float) -> Verdict:
     return _verdict(lam * frobenius_norm(w_star(w)), 4.0)
 
 
+def _activity_shares(row, a, i, n):
+    """Row i's activity shares |k_ij * a_j| and their left-to-right sum.
+
+    A row of the wrong length raises DimensionError; a row with no kernel
+    activity raises DegenerateRowError with its 1-based index.
+    """
+    if len(row) != n:
+        raise DimensionError("matrix must be square")
+    shares = [abs(cell.kernel * a[j]) for j, cell in enumerate(row)]
+    denom = 0.0
+    for share in shares:
+        denom += share
+    if denom <= 0.0:
+        raise DegenerateRowError(i + 1)
+    return shares, denom
+
+
 def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     """Gated greyness condition matrix at a given kernel/greyness state.
 
@@ -127,35 +155,30 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     image of row i's kernel dot product, and theta is the unit step with
     theta(0) = 1. The gate keeps only columns whose state greyness still
     dominates the weight greyness; those are the terms through which state
-    uncertainty propagates to the next step.
+    uncertainty propagates to the next step. Returns a tuple of row tuples.
     """
     if not lam > 0.0:
         raise InvalidParameterError(f"lambda must be > 0, got {lam}")
     n = len(w)
     if len(a_hat) != n or len(a_grey) != n:
         raise DimensionError("state vectors must match matrix dimension")
-    out = np.zeros((n, n), dtype=float)
+    out = []
     for i, row in enumerate(w):
-        if len(row) != n:
-            raise DimensionError("matrix must be square")
-        prods = [cell.kernel * a_hat[j] for j, cell in enumerate(row)]
-        denom = 0.0
-        for p in prods:
-            denom += abs(p)
-        if denom <= 0.0:
-            raise DegenerateRowError(i + 1)
+        shares, denom = _activity_shares(row, a_hat, i, n)
         a_prime = sigmoid(dot_lr([c.kernel for c in row], a_hat), lam)
-        for j, cell in enumerate(row):
-            if a_grey[j] - cell.greyness >= 0.0:
-                out[i, j] = a_prime * abs(prods[j]) / denom
-    return out
+        out.append(tuple(
+            a_prime * shares[j] / denom if a_grey[j] - cell.greyness >= 0.0 else 0.0
+            for j, cell in enumerate(row)
+        ))
+    return tuple(out)
 
 
 class Corollary3Result(NamedTuple):
-    """Ungated condition matrix, its norm, and whether the ungated form is
-    valid (state greyness dominates weight greyness everywhere)."""
+    """Ungated condition matrix (a tuple of row tuples), its norm, and
+    whether the ungated form is valid (state greyness dominates weight
+    greyness everywhere)."""
 
-    matrix: np.ndarray
+    matrix: tuple
     norm: float
     applicable: bool
 
@@ -173,22 +196,15 @@ def corollary3_check(w, a_t, a_t1, grey_t) -> Corollary3Result:
     n = len(w)
     if len(a_t) != n or len(a_t1) != n or len(grey_t) != n:
         raise DimensionError("state vectors must match matrix dimension")
-    out = np.zeros((n, n), dtype=float)
+    rows = []
     applicable = True
     for i, row in enumerate(w):
-        if len(row) != n:
-            raise DimensionError("matrix must be square")
-        prods = [cell.kernel * a_t[j] for j, cell in enumerate(row)]
-        denom = 0.0
-        for p in prods:
-            denom += abs(p)
-        if denom <= 0.0:
-            raise DegenerateRowError(i + 1)
-        for j, cell in enumerate(row):
-            out[i, j] = a_t1[i] * abs(prods[j]) / denom
-            if grey_t[j] < cell.greyness:
-                applicable = False
-    return Corollary3Result(out, frobenius_norm(out), applicable)
+        shares, denom = _activity_shares(row, a_t, i, n)
+        rows.append(tuple(a_t1[i] * share / denom for share in shares))
+        if any(grey_t[j] < cell.greyness for j, cell in enumerate(row)):
+            applicable = False
+    matrix = tuple(rows)
+    return Corollary3Result(matrix, frobenius_norm(matrix), applicable)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._core import dot_lr, sigmoid
+from ._core import sigmoid
 from .errors import DimensionError, InvalidParameterError, MalformedInputError
 
 __all__ = [
@@ -143,8 +143,3 @@ def ggn_row_update(w_row, a, lam: float) -> Ggn:
     k = sigmoid(s, lam)
     grey = k * (num / denom) if denom > 0.0 else 0.0
     return Ggn(k, grey)
-
-
-def _kernel_dot(w_row, a) -> float:
-    """Crisp dot product of the kernels of two GGN sequences."""
-    return dot_lr([w.kernel for w in w_row], [x.kernel for x in a])

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import greycog as gc
+from greycog import cli
 from greycog.cli import main
 
 
@@ -169,6 +172,32 @@ def test_sweep_rejects_malformed_lambda_list(tmp_path):
                  "--out-dir", out]) == 2
 
 
+def test_sweep_rejects_lambdas_sharing_a_file_tag(tmp_path, capsys):
+    # All three print as "1" under the :g tag and would overwrite each other.
+    model = export(tmp_path, "web_fcm")
+    out = tmp_path / "s"
+    rc = main(["sweep", "--model", model, "--lambdas", "1.0000001,1.0000002,1.0000001",
+               "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "1.0000001, 1.0000002, 1.0000001 share the file tags 1" in err
+    assert not out.exists()
+
+
+def test_sweep_simulates_once_per_lambda(tmp_path, monkeypatch):
+    model = export(tmp_path, "web_fggcm")
+    calls = []
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(args[0].lam)
+        return gc.simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", counting_simulate)
+    assert main(["sweep", "--model", model, "--lambdas", "0.5,1,2",
+                 "--out-dir", str(tmp_path / "s")]) == 0
+    assert calls == [0.5, 1.0, 2.0]
+
+
 def test_sweep_records_inapplicable_lambda_and_exits_four(tmp_path):
     doc = {
         "family": "fgcm",
@@ -203,3 +232,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import greycog.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()

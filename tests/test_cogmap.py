@@ -1,5 +1,6 @@
 """Model validation and the three update engines."""
 
+import dataclasses
 import math
 
 import pytest
@@ -102,6 +103,14 @@ def test_model_rejects_unknown_family():
 def test_model_rejects_name_count_mismatch():
     with pytest.raises(gc.ValidationError):
         gc.Model("fcm", 2, ("a",), ((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0), 1.0)
+
+
+def test_model_rejects_bool_lambda(web_fcm_05):
+    # bool is an int subclass; True must not pass as steepness 1.0.
+    with pytest.raises(gc.ValidationError):
+        gc.Model("fcm", 1, ("a",), ((0.0,),), (0.0,), True)
+    with pytest.raises(gc.ValidationError):
+        dataclasses.replace(web_fcm_05, lam=True)
 
 
 def test_degenerate_interval_run_matches_crisp_bitwise(web_fcm_05):

@@ -22,15 +22,31 @@ def test_frobenius_norm_crisp_web():
 
 
 def test_frobenius_norm_rejects_empty():
+    for m in ((), ((),), [[], []]):
+        with pytest.raises(gc.DimensionError):
+            gc.frobenius_norm(m)
+
+
+@pytest.mark.parametrize("m", [[[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]], [[1.0], []],
+                               [3.0, 4.0]])
+def test_frobenius_norm_rejects_ragged_or_flat(m):
     with pytest.raises(gc.DimensionError):
-        gc.frobenius_norm(())
+        gc.frobenius_norm(m)
+
+
+def test_frobenius_norm_is_order_independent():
+    # Summed left to right, 1e16 + 1 + 1 rounds to 1e16 but 1 + 1 + 1e16
+    # is exact; fsum rounds the exact sum once, whatever the order.
+    exact = math.sqrt(1e16 + 2.0)
+    assert gc.frobenius_norm([[1e8, 1.0, 1.0]]) == exact
+    assert gc.frobenius_norm([[1.0], [1.0], [1e8]]) == exact
 
 
 def test_w_star_takes_largest_endpoint_magnitude():
     w = ((gc.Ign(-0.91, -0.89), gc.Ign(0.2, 0.4)),
          (gc.Ign(0.0, 0.0), gc.Ign(-0.5, -0.1)))
     ws = gc.w_star(w)
-    assert ws.tolist() == [[0.91, 0.4], [0.0, 0.5]]
+    assert ws == ((0.91, 0.4), (0.0, 0.5))
 
 
 def test_w_star_rejects_sign_straddling_weight():
