@@ -1,9 +1,12 @@
 """Shared scalar kernels.
 
-All three engines funnel their arithmetic through these two helpers so that
-degenerate cases coincide bitwise: a kernel/greyness map with zero greyness,
-an interval map with zero-width intervals, and the crisp map all produce
-identical floating point trajectories.
+Every engine's arithmetic lives here, one float-only row kernel per family:
+`dot_lr` for crisp rows, `interval_dot_lr` for interval rows and
+`kernel_grey_row` for kernel/greyness rows. Callers unpack cells into float
+planes, run a kernel and box the result. All three accumulate left to right
+in the same order, so degenerate cases coincide bitwise: a kernel/greyness
+map with zero greyness, an interval map with zero-width intervals, and the
+crisp map all produce identical floating point trajectories.
 """
 
 import math
@@ -32,3 +35,56 @@ def dot_lr(weights, values):
     for w, v in zip(weights, values):
         s += w * v
     return s
+
+
+def interval_dot_lr(w_lo, w_hi, x_lo, x_hi):
+    """Interval dot product over endpoint planes, returned as (lo, hi).
+
+    Each term is the four-product interval multiplication. The strict
+    comparison chains in order p1..p4 keep the first extreme on ties, as
+    the builtin min/max do, and the sums run left to right as in `dot_lr`.
+    """
+    lo = 0.0
+    hi = 0.0
+    for wl, wh, xl, xh in zip(w_lo, w_hi, x_lo, x_hi):
+        p1 = wl * xl
+        p2 = wl * xh
+        p3 = wh * xl
+        p4 = wh * xh
+        mn = mx = p1
+        if p2 < mn:
+            mn = p2
+        if p3 < mn:
+            mn = p3
+        if p4 < mn:
+            mn = p4
+        if p2 > mx:
+            mx = p2
+        if p3 > mx:
+            mx = p3
+        if p4 > mx:
+            mx = p4
+        lo += mn
+        hi += mx
+    return lo, hi
+
+
+def kernel_grey_row(w_k, w_g, x_k, x_g, lam):
+    """One kernel/greyness node update over float planes, as (kernel, greyness).
+
+    The kernel sum reads only the kernel planes and accumulates exactly as
+    `dot_lr`. The greyness is the activated kernel times the
+    |kernel product|-weighted average of max(weight greyness, state
+    greyness); with zero kernel mass it is 0.
+    """
+    s = 0.0
+    denom = 0.0
+    num = 0.0
+    for wk, wg, xk, xg in zip(w_k, w_g, x_k, x_g):
+        p = wk * xk
+        s += p
+        ap = abs(p)
+        denom += ap
+        num += (xg if xg > wg else wg) * ap
+    k = sigmoid(s, lam)
+    return k, (k * (num / denom) if denom > 0.0 else 0.0)

@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -209,6 +210,8 @@ def _cmd_sweep(args) -> int:
         return _usage_error(f"--lambdas contains a non-number: {args.lambdas!r}")
     if any(not lam > 0.0 for lam in lams):
         return _usage_error("every lambda must be > 0")
+    if any(not math.isfinite(lam) for lam in lams):
+        return _usage_error("every lambda must be finite")
     # Files and summary rows are tagged f"{lam:g}"; two lambdas sharing a
     # tag would overwrite each other's files.
     tags = [f"{lam:g}" for lam in lams]

@@ -9,6 +9,11 @@ flowing through the update:
   fcm    crisp floats
   fgcm   intervals, endpoint arithmetic
   fggcm  kernel/greyness pairs, separated updates
+
+The arithmetic of each family is one float-only row kernel in `_core`.
+The grey engines split weights and state into float planes (lo/hi or
+kernel/greyness), iterate those, and build `Ign`/`Ggn` cells only for the
+states they record.
 """
 
 from __future__ import annotations
@@ -16,10 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._core import dot_lr, sigmoid
-from .errors import DimensionError, InvalidParameterError, ValidationError
-from .grey_num import Ggn, ggn_row_update
-from .interval_num import Ign, ign_dot_row, ign_sigmoid
+from ._core import dot_lr, interval_dot_lr, kernel_grey_row, sigmoid
+from .errors import (
+    DimensionError,
+    InvalidParameterError,
+    MalformedInputError,
+    ValidationError,
+)
+from .grey_num import Ggn
+from .interval_num import Ign
 
 __all__ = [
     "FAMILIES",
@@ -136,32 +146,79 @@ class Trajectory:
         return len(self.states) - 1
 
 
-def fcm_step(w, a, lam: float):
-    """One synchronous crisp update: out_i = sigmoid(sum_j w_ij a_j)."""
+def _check_step(w, a, lam):
     if not lam > 0.0:
         raise InvalidParameterError(f"lambda must be > 0, got {lam}")
     if any(len(row) != len(a) for row in w):
         raise DimensionError("weight row length does not match state length")
+
+
+def _crisp_next(w, a, lam):
     return tuple(sigmoid(dot_lr(row, a), lam) for row in w)
+
+
+def _interval_next(w_lo, w_hi, x_lo, x_hi, lam):
+    lo_out = []
+    hi_out = []
+    for wl, wh in zip(w_lo, w_hi):
+        lo, hi = interval_dot_lr(wl, wh, x_lo, x_hi)
+        # An overflowed dot product is not an interval; the sigmoid would
+        # silently clip it to [0, 1].
+        if not (-math.inf < lo and hi < math.inf):
+            raise MalformedInputError("interval endpoints must be finite")
+        lo_out.append(sigmoid(lo, lam))
+        hi_out.append(sigmoid(hi, lam))
+    return lo_out, hi_out
+
+
+def _kernel_grey_next(w_k, w_g, x_k, x_g, lam):
+    k_out = []
+    g_out = []
+    for wk, wg in zip(w_k, w_g):
+        k, g = kernel_grey_row(wk, wg, x_k, x_g, lam)
+        k_out.append(k)
+        g_out.append(g)
+    return k_out, g_out
+
+
+# Grey families: cell type, the float fields it splits into, and the
+# update over those float planes.
+_PLANES = {
+    "fgcm": (Ign, ("lo", "hi"), _interval_next),
+    "fggcm": (Ggn, ("kernel", "greyness"), _kernel_grey_next),
+}
+
+
+def _unpack(fields, w, a):
+    """Split weight rows and a state into per-field float planes."""
+    w_planes = [[[getattr(c, f) for c in row] for row in w] for f in fields]
+    x_planes = [[getattr(c, f) for c in a] for f in fields]
+    return w_planes, x_planes
+
+
+def _grey_step(family, w, a, lam):
+    _check_step(w, a, lam)
+    if w and not a:
+        raise DimensionError("empty row")
+    box, fields, advance = _PLANES[family]
+    w_planes, x_planes = _unpack(fields, w, a)
+    return tuple(map(box, *advance(*w_planes, *x_planes, lam)))
+
+
+def fcm_step(w, a, lam: float):
+    """One synchronous crisp update: out_i = sigmoid(sum_j w_ij a_j)."""
+    _check_step(w, a, lam)
+    return _crisp_next(w, a, lam)
 
 
 def fgcm_step(w, a, lam: float):
     """One synchronous interval update through the interval dot product."""
-    if not lam > 0.0:
-        raise InvalidParameterError(f"lambda must be > 0, got {lam}")
-    if any(len(row) != len(a) for row in w):
-        raise DimensionError("weight row length does not match state length")
-    return tuple(ign_sigmoid(ign_dot_row(row, a), lam) for row in w)
+    return _grey_step("fgcm", w, a, lam)
 
 
 def fggcm_step(w, a, lam: float):
     """One synchronous kernel/greyness update, row by row."""
-    if any(len(row) != len(a) for row in w):
-        raise DimensionError("weight row length does not match state length")
-    return tuple(ggn_row_update(row, a, lam) for row in w)
-
-
-_STEPPERS = {"fcm": fcm_step, "fgcm": fgcm_step, "fggcm": fggcm_step}
+    return _grey_step("fggcm", w, a, lam)
 
 
 def simulate(m: Model, steps: int, model_id: str | None = None) -> Trajectory:
@@ -169,13 +226,21 @@ def simulate(m: Model, steps: int, model_id: str | None = None) -> Trajectory:
 
     Returns the full state history: steps + 1 states, the initial one
     first. Deterministic; identical inputs give bitwise identical output.
+    Grey families iterate float planes and box each recorded state into
+    cells, so every recorded cell passes its constructor's checks.
     """
     if not isinstance(steps, int) or steps < 1:
         raise InvalidParameterError(f"steps must be an integer >= 1, got {steps}")
-    step = _STEPPERS[m.family]
     states = [m.initial]
-    a = m.initial
-    for _ in range(steps):
-        a = step(m.weights, a, m.lam)
-        states.append(a)
+    if m.family == "fcm":
+        a = m.initial
+        for _ in range(steps):
+            a = _crisp_next(m.weights, a, m.lam)
+            states.append(a)
+    else:
+        box, fields, advance = _PLANES[m.family]
+        w_planes, x_planes = _unpack(fields, m.weights, m.initial)
+        for _ in range(steps):
+            x_planes = advance(*w_planes, *x_planes, m.lam)
+            states.append(tuple(map(box, *x_planes)))
     return Trajectory(m.family, tuple(states), m.lam, model_id or m.family)

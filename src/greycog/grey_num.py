@@ -1,5 +1,6 @@
 """General grey numbers: multi-interval unions, kernel/greyness reduction,
-and the activation rules used by the kernel/greyness map engine.
+and the activation rules of the kernel/greyness map engine (the node
+update boxes the engine's row kernel `_core.kernel_grey_row`).
 
 A general grey number is known only to lie in a finite union of closed
 intervals inside the value domain [-1, 1]. For computation it is reduced to
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._core import sigmoid
+from ._core import kernel_grey_row, sigmoid
 from .errors import DimensionError, InvalidParameterError, MalformedInputError
 
 __all__ = [
@@ -129,17 +130,5 @@ def ggn_row_update(w_row, a, lam: float) -> Ggn:
         raise DimensionError(f"row length {len(w_row)} != state length {len(a)}")
     if len(a) == 0:
         raise DimensionError("empty row")
-    # Single left-to-right pass; the kernel sum must stay bitwise identical
-    # to dot_lr so the crisp engine and this one coincide at zero greyness.
-    s = 0.0
-    denom = 0.0
-    num = 0.0
-    for w, x in zip(w_row, a):
-        p = w.kernel * x.kernel
-        s += p
-        ap = abs(p)
-        denom += ap
-        num += max(w.greyness, x.greyness) * ap
-    k = sigmoid(s, lam)
-    grey = k * (num / denom) if denom > 0.0 else 0.0
-    return Ggn(k, grey)
+    return Ggn(*kernel_grey_row([w.kernel for w in w_row], [w.greyness for w in w_row],
+                                [x.kernel for x in a], [x.greyness for x in a], lam))

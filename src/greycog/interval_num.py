@@ -1,6 +1,6 @@
-"""Interval grey numbers and the endpoint arithmetic used by the interval
-map engine: addition, four-product multiplication, monotone sigmoid, and
-the interval dot product.
+"""Interval grey numbers and their endpoint arithmetic: addition,
+four-product multiplication, monotone sigmoid, and the interval dot
+product, which boxes the engine's row kernel `_core.interval_dot_lr`.
 
 Plain floating point, no outward rounding. At the scale this package
 targets (desk-size maps, |values| <= a few units) the representation error
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._core import sigmoid
+from ._core import interval_dot_lr, sigmoid
 from .errors import DimensionError, InvalidParameterError, MalformedInputError
 
 __all__ = ["Ign", "ign_add", "ign_dot_row", "ign_mul", "ign_sigmoid"]
@@ -66,15 +66,6 @@ def ign_dot_row(w_row, a) -> Ign:
         raise DimensionError(f"row length {len(w_row)} != state length {len(a)}")
     if len(a) == 0:
         raise DimensionError("empty row")
-    # Scalar accumulators, same operation sequence as the crisp dot product
-    # when every interval is degenerate.
-    lo = 0.0
-    hi = 0.0
-    for w, x in zip(w_row, a):
-        p1 = w.lo * x.lo
-        p2 = w.lo * x.hi
-        p3 = w.hi * x.lo
-        p4 = w.hi * x.hi
-        lo += min(p1, p2, p3, p4)
-        hi += max(p1, p2, p3, p4)
+    lo, hi = interval_dot_lr([w.lo for w in w_row], [w.hi for w in w_row],
+                             [x.lo for x in a], [x.hi for x in a])
     return Ign(lo, hi)

@@ -172,6 +172,17 @@ def test_sweep_rejects_malformed_lambda_list(tmp_path):
                  "--out-dir", out]) == 2
 
 
+@pytest.mark.parametrize("lambdas", ["0.5,inf,1", "1,1e400"])
+def test_sweep_rejects_non_finite_lambda_before_writing(tmp_path, capsys, lambdas):
+    model = export(tmp_path, "web_fcm")
+    out = tmp_path / "s"
+    out.mkdir()
+    rc = main(["sweep", "--model", model, "--lambdas", lambdas, "--out-dir", str(out)])
+    assert rc == 2
+    assert "every lambda must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_rejects_lambdas_sharing_a_file_tag(tmp_path, capsys):
     # All three print as "1" under the :g tag and would overwrite each other.
     model = export(tmp_path, "web_fcm")

@@ -1,7 +1,10 @@
 """Model validation and the three update engines."""
 
 import dataclasses
+import hashlib
 import math
+import random
+import struct
 
 import pytest
 
@@ -80,6 +83,17 @@ def test_simulate_rejects_zero_steps(web_fcm_05):
         gc.simulate(web_fcm_05, 0)
 
 
+def test_interval_run_rejects_an_overflowing_dot_product():
+    # The sigmoid would map the infinite sum to a valid-looking [1, 1].
+    big = gc.Ign(1e308, 1e308)
+    one = gc.Ign(1.0, 1.0)
+    m = gc.Model("fgcm", 2, ("a", "b"), ((one, one), (one, one)), (big, big), 1.0)
+    with pytest.raises(gc.MalformedInputError):
+        gc.simulate(m, 1)
+    with pytest.raises(gc.MalformedInputError):
+        gc.fgcm_step(m.weights, m.initial, 1.0)
+
+
 def test_model_rejects_out_of_range_crisp_weight():
     with pytest.raises(gc.ValidationError):
         gc.Model("fcm", 1, ("a",), ((1.5,),), (0.0,), 1.0)
@@ -153,3 +167,85 @@ def test_ggn_kernel_track_ignores_greyness_track(web_fggcm_05):
     for fs, bs in zip(full.states, bare.states):
         for fc, bc in zip(fs, bs):
             assert fc.kernel == bc.kernel
+
+
+def _cell_fields(family, cell):
+    if family == "fcm":
+        return (cell,)
+    if family == "fgcm":
+        return (cell.lo, cell.hi)
+    return (cell.kernel, cell.greyness)
+
+
+def trajectory_digest(traj):
+    """sha256 over the little-endian double bits of every recorded field."""
+    h = hashlib.sha256()
+    for state in traj.states:
+        for cell in state:
+            for v in _cell_fields(traj.family, cell):
+                h.update(struct.pack("<d", v))
+    return h.hexdigest()
+
+
+def seeded_map(family, seed, n=20, lam=1.5):
+    """Dense map whose weights and initial cells take both signs, so every
+    branch of the interval min/max and the greyness max runs."""
+    rng = random.Random(seed)
+
+    def cell():
+        if family == "fgcm":
+            a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            return gc.Ign(min(a, b), max(a, b))
+        return gc.Ggn(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 0.3))
+
+    weights = tuple(tuple(cell() for _ in range(n)) for _ in range(n))
+    initial = tuple(cell() for _ in range(n))
+    names = tuple(f"c{i}" for i in range(n))
+    return gc.Model(family, n, names, weights, initial, lam)
+
+
+# Digests of trajectories computed by the object-level engines these
+# replaced; any drift in accumulation order or min/max tie handling shows.
+GOLDEN_CORPUS = {
+    ("web_fcm", 0.5): "83b27e9407092bd156bbb476d983b59f06da40fd88b890fbe9a5580f79f2c683",
+    ("web_fcm", 1.0): "86077d2429921641793807c2df310e0424ad2b0da8c94dbbf63cfd54bebc304f",
+    ("web_fcm", 2.0): "e615d71c251ec26e2311244a8e68a23dc03a43348485de5a404a6e7d03196283",
+    ("web_fcm", 4.0): "56086ec5d7fd5c21adffe0e7def3fb16fc8c89d8296cc230823bd3100fc69fbd",
+    ("web_fgcm", 0.5): "9ead599326b784c09bc58db6718b3fe5166c404822361cb3e64b7f29187aee76",
+    ("web_fgcm", 1.0): "1fad7ccb212398d1237592b07c202b89231654f5e1d41e6f93dd020a77ecdad3",
+    ("web_fgcm", 2.0): "b484af4ae7f21aa722de963678684a30e0b441c8524cafec493220039743d934",
+    ("web_fgcm", 4.0): "020e8d43267f591d3ce444be3f5aecf0b79403b86df18819bf1e0a879781f353",
+    ("web_fggcm", 0.5): "17d430aee976e2234c49cc4b8a8a9ffbe0ec5ec7bace35550048022af83769f8",
+    ("web_fggcm", 1.0): "d08b37b821162c12d1aa9c946e76d2bb60ebfad8ecd4ab8cb89f4ac68975a5d0",
+    ("web_fggcm", 2.0): "8767ef55c9a5c7ad625a50d92ab88c2017e803e67835ced445cb8c16905823b5",
+    ("web_fggcm", 4.0): "269fe4c9a4589c8bb1a64a00d4dff33ba735f2ed3f052915249374b4f734750e",
+    ("web_case1_fgcm", 0.5): "3fcf8d42f6c400abbb94402f6d298b3b68f7c28680156658d257f11d4901faf1",
+    ("web_case1_fgcm", 1.0): "6b9c52bd1fe1cebe6904718b56127e5054c2e00ed281154942294fd080d8b55b",
+    ("web_case1_fgcm", 2.0): "3f30e6215fc8a4ff6428faebd1ae2c886838eee671b777dd774b2f8eff0b8f7a",
+    ("web_case1_fgcm", 4.0): "c836f262142e1fe896f7c9bddfce9731be39212a156ed2daa247920024046f9b",
+    ("web_case1_fggcm", 0.5): "17d430aee976e2234c49cc4b8a8a9ffbe0ec5ec7bace35550048022af83769f8",
+    ("web_case1_fggcm", 1.0): "d08b37b821162c12d1aa9c946e76d2bb60ebfad8ecd4ab8cb89f4ac68975a5d0",
+    ("web_case1_fggcm", 2.0): "8767ef55c9a5c7ad625a50d92ab88c2017e803e67835ced445cb8c16905823b5",
+    ("web_case1_fggcm", 4.0): "269fe4c9a4589c8bb1a64a00d4dff33ba735f2ed3f052915249374b4f734750e",
+    ("web_case2_fggcm", 0.5): "34bae93d2f8499daf42c4ffad521e17b3d632e3b6c7cfd49db7743528a5b9e8a",
+    ("web_case2_fggcm", 1.0): "5683eec4581d14de4aa51fe62b4a7d7f94985b72b93cccaeefc73a2f3e5c4deb",
+    ("web_case2_fggcm", 2.0): "b223e811ef12db15175f014553781cf666cfb8ed30093ddc5cd65a4a54d4434b",
+    ("web_case2_fggcm", 4.0): "9d789701849c4e80098f31964d361507b171f3d9cea73837c55bdbd8b768b5ad",
+}
+
+GOLDEN_SEEDED = {
+    ("fgcm", 11): "1c3429aa78f48d22ce670ba2487a52ac1040d1969d9c7b40cafd613b5cdd57bd",
+    ("fggcm", 12): "8bd54f97ad6624b9ba63b351cb76bfc18cf9f669f31cb4ad07d2d9b897054500",
+}
+
+
+@pytest.mark.parametrize("variant,lam", sorted(GOLDEN_CORPUS))
+def test_corpus_trajectories_are_pinned_bitwise(variant, lam):
+    traj = gc.simulate(gc.build(variant, lam), 200)
+    assert trajectory_digest(traj) == GOLDEN_CORPUS[variant, lam]
+
+
+@pytest.mark.parametrize("family,seed", sorted(GOLDEN_SEEDED))
+def test_seeded_dense_trajectories_are_pinned_bitwise(family, seed):
+    traj = gc.simulate(seeded_map(family, seed), 100)
+    assert trajectory_digest(traj) == GOLDEN_SEEDED[family, seed]

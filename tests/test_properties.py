@@ -6,6 +6,7 @@ land inside interval results exactly, because float rounding is monotone.
 """
 
 import math
+import struct
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,8 @@ unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
 frac = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=64)
 lam_s = st.floats(min_value=0.1, max_value=8.0, allow_nan=False, width=64)
 grey_s = st.floats(min_value=0.0, max_value=0.5, allow_nan=False, width=64)
+steep_s = st.floats(min_value=0.1, max_value=10.0, allow_nan=False, width=64)
+member_s = st.one_of(st.sampled_from([0.0, 1.0]), frac)
 
 
 def interval_s():
@@ -28,6 +31,24 @@ def ggn_s():
 
 def vec(strategy, n):
     return st.lists(strategy, min_size=n, max_size=n).map(tuple)
+
+
+def mat(strategy, n):
+    return vec(vec(strategy, n), n)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def run(family, w, a, lam, steps):
+    n = len(a)
+    m = gc.Model(family, n, tuple(f"c{i}" for i in range(n)), w, a, lam)
+    return gc.simulate(m, steps).states
+
+
+def member(cell, f):
+    return min(max(cell.lo + f * (cell.hi - cell.lo), cell.lo), cell.hi)
 
 
 @given(st.lists(st.tuples(interval_s(), interval_s(), frac, frac),
@@ -168,3 +189,52 @@ def test_crisp_model_doc_round_trip(n, data):
     names = tuple(f"n{i}" for i in range(n))
     m = gc.Model("fcm", n, names, w, init, 1.5)
     assert gc.parse_model(gc.model_to_doc(m)) == m
+
+
+@given(st.integers(1, 8), st.data(), steep_s)
+def test_degenerate_grey_runs_reproduce_the_crisp_run_bitwise(n, data, lam):
+    """Contract 1 through whole trajectories of random maps."""
+    w = data.draw(mat(unit, n))
+    a = data.draw(vec(unit, n))
+    crisp = run("fcm", w, a, lam, 30)
+    ivl = run("fgcm", tuple(tuple(gc.Ign(v, v) for v in row) for row in w),
+              tuple(gc.Ign(v, v) for v in a), lam, 30)
+    ggn = run("fggcm", tuple(tuple(gc.Ggn(v, 0.0) for v in row) for row in w),
+              tuple(gc.Ggn(v, 0.0) for v in a), lam, 30)
+    for cs, iss, gs in zip(crisp, ivl, ggn):
+        for c, i, g in zip(cs, iss, gs):
+            assert bits(i.lo) == bits(c) == bits(i.hi) == bits(g.kernel)
+            assert g.greyness == 0.0
+
+
+@given(st.integers(1, 8), st.data(), steep_s)
+def test_greyness_planes_never_move_a_kernel(n, data, lam):
+    """Contract 2 through whole trajectories: two unrelated greyness
+    assignments over the same kernels give bitwise equal kernel tracks."""
+    k = data.draw(mat(unit, n))
+    k0 = data.draw(vec(unit, n))
+
+    def grey_run():
+        g = data.draw(mat(frac, n))
+        g0 = data.draw(vec(frac, n))
+        w = tuple(tuple(map(gc.Ggn, kr, gr)) for kr, gr in zip(k, g))
+        return run("fggcm", w, tuple(map(gc.Ggn, k0, g0)), lam, 30)
+
+    for s1, s2 in zip(grey_run(), grey_run()):
+        assert [bits(c.kernel) for c in s1] == [bits(c.kernel) for c in s2]
+
+
+@given(st.integers(1, 8), st.data(), steep_s)
+def test_interval_trajectory_encloses_member_trajectories(n, data, lam):
+    """Crisp runs of member weights and initial values (endpoints
+    included) stay inside the interval run at every step, without outward
+    rounding."""
+    w = data.draw(mat(interval_s(), n))
+    a = data.draw(vec(interval_s(), n))
+    fw = data.draw(mat(member_s, n))
+    fa = data.draw(vec(member_s, n))
+    crisp = run("fcm", tuple(tuple(map(member, wr, fr)) for wr, fr in zip(w, fw)),
+                tuple(map(member, a, fa)), lam, 60)
+    for cs, iss in zip(crisp, run("fgcm", w, a, lam, 60)):
+        for c, i in zip(cs, iss):
+            assert i.lo <= c <= i.hi

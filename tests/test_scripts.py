@@ -1,0 +1,42 @@
+"""Smoke tests: the two scripts run end to end as separate processes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def verdict_row(out, steps, variant):
+    section = out.split(f"verdicts over {steps} steps")[1]
+    row = next(line for line in section.splitlines() if line.startswith(variant + " "))
+    return row.split()[1:]
+
+
+def test_reproduce_tables_prints_the_verdict_tables():
+    proc = run_script("reproduce_tables.py", "--steps", "100", "--long", "200")
+    assert proc.returncode == 0, proc.stderr
+    # The lambda 2 transient locks in at t=154, past the 100-step window.
+    assert verdict_row(proc.stdout, 100, "web_fcm") == [
+        "FixedPoint(t=26)", "FixedPoint(t=88)", "Chaotic", "LimitCycle(P=2,t=24)"]
+    assert verdict_row(proc.stdout, 200, "web_fcm") == [
+        "FixedPoint(t=26)", "FixedPoint(t=88)", "LimitCycle(P=2,t=154)",
+        "LimitCycle(P=2,t=24)"]
+
+
+def test_run_web_sweeps_writes_a_summary_per_variant(tmp_path):
+    proc = run_script("run_web_sweeps.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for vid in ("web_fcm", "web_fgcm", "web_fggcm"):
+        assert f"--- {vid} ---" in proc.stdout
+        rows = (tmp_path / vid / "summary.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4
