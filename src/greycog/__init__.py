@@ -51,7 +51,6 @@ from .errors import (
     ValidationError,
 )
 from .grey_num import (
-    DomainMeasure,
     Ggn,
     GreyUnion,
     ggn_from_union,
@@ -70,7 +69,6 @@ __all__ = [
     "CorpusVariant",
     "DegenerateRowError",
     "DimensionError",
-    "DomainMeasure",
     "FAMILIES",
     "FggcmReport",
     "Ggn",

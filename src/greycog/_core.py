@@ -11,13 +11,18 @@ crisp map all produce identical floating point trajectories.
 
 import math
 
+from .errors import MalformedInputError
+
 
 def sigmoid(x, lam):
     """Logistic activation 1 / (1 + exp(-lam * x)).
 
     Two-branch form: never exponentiates a large positive argument, so it
-    cannot overflow for any finite x.
+    cannot overflow for any finite x. A non-finite x is an overflowed row
+    sum, which the logistic would silently clip to 0 or 1, so it raises.
     """
+    if not math.isfinite(x):
+        raise MalformedInputError(f"activation input must be finite, got {x}")
     z = lam * x
     if z >= 0.0:
         return 1.0 / (1.0 + math.exp(-z))

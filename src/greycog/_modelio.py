@@ -122,13 +122,6 @@ def parse_model(doc) -> Model:
 
 def model_to_doc(m: Model) -> dict:
     """Document for an existing Model, full double precision."""
-    doc = {
-        "family": m.family,
-        "lambda": m.lam,
-        "nodes": list(m.node_names),
-        "weights": [],
-        "initial": [],
-    }
 
     def enc(cell):
         if m.family == "fcm":
@@ -137,10 +130,13 @@ def model_to_doc(m: Model) -> dict:
             return {"interval": [cell.lo, cell.hi]}
         return {"kernel": cell.kernel, "greyness": cell.greyness}
 
-    for row in m.weights:
-        doc["weights"].append([enc(c) for c in row])
-    doc["initial"] = [enc(c) for c in m.initial]
-    return doc
+    return {
+        "family": m.family,
+        "lambda": m.lam,
+        "nodes": list(m.node_names),
+        "weights": [[enc(c) for c in row] for row in m.weights],
+        "initial": [enc(c) for c in m.initial],
+    }
 
 
 def load_model(path) -> Model:

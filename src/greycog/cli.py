@@ -156,11 +156,27 @@ def _report(model: Model, model_label: str, steps: int, eps: float,
     return report, traj, cls
 
 
+def _run_args_error(steps, lams, eps=None, max_period=None):
+    """The first run argument of simulate, check or sweep that is out of
+    range, as a message, or None. lams is empty when the model file's
+    lambda is kept; eps and max_period are None for simulate."""
+    if steps < 1:
+        return f"--steps must be >= 1, got {steps}"
+    if eps is not None and not eps > 0.0:
+        return f"--eps must be > 0, got {eps}"
+    if max_period is not None and max_period < 2:
+        return f"--max-period must be >= 2, got {max_period}"
+    if any(not lam > 0.0 for lam in lams):
+        return "every lambda must be > 0"
+    if any(not math.isfinite(lam) for lam in lams):
+        return "every lambda must be finite"
+    return None
+
+
 def _cmd_simulate(args) -> int:
-    if args.steps < 1:
-        return _usage_error(f"--steps must be >= 1, got {args.steps}")
-    if args.lam is not None and not args.lam > 0.0:
-        return _usage_error(f"--lambda must be > 0, got {args.lam}")
+    error = _run_args_error(args.steps, () if args.lam is None else (args.lam,))
+    if error:
+        return _usage_error(error)
     model = _load(args)
     traj = simulate(model, args.steps, model_id=Path(args.model).stem)
     _write_trajectory(args.out, model, traj)
@@ -168,14 +184,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.steps < 1:
-        return _usage_error(f"--steps must be >= 1, got {args.steps}")
-    if args.lam is not None and not args.lam > 0.0:
-        return _usage_error(f"--lambda must be > 0, got {args.lam}")
-    if not args.eps > 0.0:
-        return _usage_error(f"--eps must be > 0, got {args.eps}")
-    if args.max_period < 2:
-        return _usage_error(f"--max-period must be >= 2, got {args.max_period}")
+    error = _run_args_error(args.steps, () if args.lam is None else (args.lam,),
+                            args.eps, args.max_period)
+    if error:
+        return _usage_error(error)
     model = _load(args)
     label = Path(args.model).stem
     try:
@@ -195,12 +207,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.steps < 1:
-        return _usage_error(f"--steps must be >= 1, got {args.steps}")
-    if not args.eps > 0.0:
-        return _usage_error(f"--eps must be > 0, got {args.eps}")
-    if args.max_period < 2:
-        return _usage_error(f"--max-period must be >= 2, got {args.max_period}")
     raw = [s for s in args.lambdas.split(",") if s.strip()]
     if not raw:
         return _usage_error("--lambdas must list at least one value")
@@ -208,10 +214,9 @@ def _cmd_sweep(args) -> int:
         lams = [float(s) for s in raw]
     except ValueError:
         return _usage_error(f"--lambdas contains a non-number: {args.lambdas!r}")
-    if any(not lam > 0.0 for lam in lams):
-        return _usage_error("every lambda must be > 0")
-    if any(not math.isfinite(lam) for lam in lams):
-        return _usage_error("every lambda must be finite")
+    error = _run_args_error(args.steps, lams, args.eps, args.max_period)
+    if error:
+        return _usage_error(error)
     # Files and summary rows are tagged f"{lam:g}"; two lambdas sharing a
     # tag would overwrite each other's files.
     tags = [f"{lam:g}" for lam in lams]

@@ -25,7 +25,6 @@ from ._core import dot_lr, interval_dot_lr, kernel_grey_row, sigmoid
 from .errors import (
     DimensionError,
     InvalidParameterError,
-    MalformedInputError,
     ValidationError,
 )
 from .grey_num import Ggn
@@ -162,10 +161,6 @@ def _interval_next(w_lo, w_hi, x_lo, x_hi, lam):
     hi_out = []
     for wl, wh in zip(w_lo, w_hi):
         lo, hi = interval_dot_lr(wl, wh, x_lo, x_hi)
-        # An overflowed dot product is not an interval; the sigmoid would
-        # silently clip it to [0, 1].
-        if not (-math.inf < lo and hi < math.inf):
-            raise MalformedInputError("interval endpoints must be finite")
         lo_out.append(sigmoid(lo, lam))
         hi_out.append(sigmoid(hi, lam))
     return lo_out, hi_out
@@ -227,7 +222,8 @@ def simulate(m: Model, steps: int, model_id: str | None = None) -> Trajectory:
     Returns the full state history: steps + 1 states, the initial one
     first. Deterministic; identical inputs give bitwise identical output.
     Grey families iterate float planes and box each recorded state into
-    cells, so every recorded cell passes its constructor's checks.
+    cells, so every recorded cell passes its constructor's checks. A row
+    sum that overflows raises MalformedInputError.
     """
     if not isinstance(steps, int) or steps < 1:
         raise InvalidParameterError(f"steps must be an integer >= 1, got {steps}")

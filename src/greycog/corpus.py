@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._modelio import model_to_doc
 from .cogmap import Model
 from .errors import InvalidParameterError, MalformedInputError
 from .grey_num import Ggn, GreyUnion, ggn_from_union
@@ -175,33 +176,8 @@ def export_variant(variant: str, lam: float = 1.0) -> dict:
     file preserves the full uncertainty structure; importing reduces them
     back to the identical kernel/greyness pairs.
     """
-    m = build(variant, lam)
-    doc = {
-        "family": m.family,
-        "lambda": m.lam,
-        "nodes": list(m.node_names),
-        "weights": [],
-        "initial": [],
-    }
-    for i, row in enumerate(m.weights):
-        cells = []
-        for j, cell in enumerate(row):
-            if variant == "web_case2_fggcm" and (i, j) in CASE2_UNIONS:
-                cells.append(
-                    {"union": [[lo, hi] for lo, hi in CASE2_UNIONS[(i, j)].intervals]}
-                )
-            elif m.family == "fcm":
-                cells.append(cell)
-            elif m.family == "fgcm":
-                cells.append({"interval": [cell.lo, cell.hi]})
-            else:
-                cells.append({"kernel": cell.kernel, "greyness": cell.greyness})
-        doc["weights"].append(cells)
-    for cell in m.initial:
-        if m.family == "fcm":
-            doc["initial"].append(cell)
-        elif m.family == "fgcm":
-            doc["initial"].append({"interval": [cell.lo, cell.hi]})
-        else:
-            doc["initial"].append({"kernel": cell.kernel, "greyness": cell.greyness})
+    doc = model_to_doc(build(variant, lam))
+    if variant == "web_case2_fggcm":
+        for (i, j), union in CASE2_UNIONS.items():
+            doc["weights"][i][j] = {"union": [[lo, hi] for lo, hi in union.intervals]}
     return doc

@@ -92,8 +92,11 @@ def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> C
     P in [2, max_period] has distance(states[t+P], states[t]) <= epsilon
     from a minimal t_alpha through the end. Otherwise chaotic.
 
-    A fixed point is a period-1 cycle, so the fixed-point test runs first
-    and wins; the period search starts at 2.
+    A fixed point is a period-1 cycle, so lag 1 is tested first and wins;
+    the period search starts at 2. Each lag's tail is scanned backwards
+    from the end and stops at the first gap above epsilon, so only the
+    tail is measured. A NaN gap never stops the backward scan, and a NaN
+    last gap never starts one.
     """
     if not epsilon > 0.0:
         raise InvalidParameterError(f"epsilon must be > 0, got {epsilon}")
@@ -106,28 +109,17 @@ def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> C
             f"{max_period}, got {len(states)}"
         )
     fam = traj.family
+    end = len(states) - 1
 
-    succ = [state_distance(fam, states[t], states[t + 1]) for t in range(len(states) - 1)]
-    if succ[-1] <= epsilon:
-        t_alpha = 0
-        for t in range(len(succ) - 1, -1, -1):
-            if succ[t] > epsilon:
-                t_alpha = t + 1
-                break
-        return Classification("FixedPoint", t_alpha, None, states[-1], epsilon, max_period)
-
-    for period in range(2, max_period + 1):
-        gaps = [
-            state_distance(fam, states[t], states[t + period])
-            for t in range(len(states) - period)
-        ]
-        if gaps[-1] <= epsilon:
-            t_alpha = 0
-            for t in range(len(gaps) - 1, -1, -1):
-                if gaps[t] > epsilon:
-                    t_alpha = t + 1
-                    break
-            return Classification("LimitCycle", t_alpha, period, None, epsilon, max_period)
+    for lag in range(1, max_period + 1):
+        if not state_distance(fam, states[end - lag], states[end]) <= epsilon:
+            continue
+        t = end - lag - 1
+        while t >= 0 and not state_distance(fam, states[t], states[t + lag]) > epsilon:
+            t -= 1
+        if lag == 1:
+            return Classification("FixedPoint", t + 1, None, states[-1], epsilon, max_period)
+        return Classification("LimitCycle", t + 1, lag, None, epsilon, max_period)
 
     return Classification("Chaotic", None, None, None, epsilon, max_period)
 

@@ -6,7 +6,7 @@ A general grey number is known only to lie in a finite union of closed
 intervals inside the value domain [-1, 1]. For computation it is reduced to
 a kernel (representative crisp value: mean of the interval midpoints) and a
 greyness (normalized uncertainty mass: total interval width divided by the
-domain measure). The two components evolve separately under inference: the
+domain width 2). The two components evolve separately under inference: the
 kernel ignores greyness entirely, the greyness is dragged along as a
 kernel-weighted average of uncertainty contributions.
 """
@@ -20,27 +20,12 @@ from ._core import kernel_grey_row, sigmoid
 from .errors import DimensionError, InvalidParameterError, MalformedInputError
 
 __all__ = [
-    "DomainMeasure",
     "GreyUnion",
     "Ggn",
     "ggn_from_union",
     "ggn_row_update",
     "ggn_sigmoid",
 ]
-
-
-@dataclass(frozen=True)
-class DomainMeasure:
-    """Width of the value domain, the normalization constant for greyness.
-
-    The activation/weight domain here is [-1, 1], so the default is 2.
-    """
-
-    width: float = 2.0
-
-    def __post_init__(self):
-        if not (self.width > 0.0) or not math.isfinite(self.width):
-            raise InvalidParameterError(f"domain width must be > 0, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -90,18 +75,19 @@ class Ggn:
             raise MalformedInputError(f"greyness must be >= 0, got {self.greyness}")
 
 
-def ggn_from_union(u: GreyUnion, m: DomainMeasure = DomainMeasure()) -> Ggn:
+def ggn_from_union(u: GreyUnion) -> Ggn:
     """Reduce a union of intervals to kernel and greyness.
 
     Kernel is the unweighted mean of interval midpoints (a point counts as
-    its own midpoint). Greyness is the total width over the domain measure.
+    its own midpoint). Greyness is the total width over the width 2 of the
+    value domain [-1, 1], the only domain `GreyUnion` admits.
     """
     mid_sum = 0.0
     width_sum = 0.0
     for lo, hi in u.intervals:
         mid_sum += (lo + hi) / 2.0
         width_sum += hi - lo
-    return Ggn(mid_sum / len(u.intervals), width_sum / m.width)
+    return Ggn(mid_sum / len(u.intervals), width_sum / 2.0)
 
 
 def ggn_sigmoid(g: Ggn, lam: float) -> Ggn:

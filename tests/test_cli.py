@@ -183,6 +183,19 @@ def test_sweep_rejects_non_finite_lambda_before_writing(tmp_path, capsys, lambda
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("lam", ["inf", "1e400"])
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_non_finite_lambda_is_usage_error(tmp_path, capsys, command, lam):
+    model = export(tmp_path, "web_fcm")
+    out = tmp_path / "t.csv"
+    argv = [command, "--model", model, "--lambda", lam]
+    if command == "simulate":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert "every lambda must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_lambdas_sharing_a_file_tag(tmp_path, capsys):
     # All three print as "1" under the :g tag and would overwrite each other.
     model = export(tmp_path, "web_fcm")

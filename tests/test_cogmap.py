@@ -93,6 +93,20 @@ def test_interval_run_rejects_an_overflowing_dot_product():
     with pytest.raises(gc.MalformedInputError):
         gc.fgcm_step(m.weights, m.initial, 1.0)
 
+    # The crisp and kernel engines follow the same rule. Row 1 overflows;
+    # clipped, it would read 1.0 (and greyness 0). Row 2 cancels to 0.
+    kg = gc.Ggn
+    for family, w, a, step in (
+        ("fcm", ((1.0, 1.0), (-1.0, 1.0)), (1e308, 1e308), gc.fcm_step),
+        ("fggcm", ((kg(1.0, 0.0), kg(1.0, 0.0)), (kg(-1.0, 0.0), kg(1.0, 0.0))),
+         (kg(1e308, 0.0), kg(1e308, 0.0)), gc.fggcm_step),
+    ):
+        m = gc.Model(family, 2, ("a", "b"), w, a, 1.0)
+        with pytest.raises(gc.MalformedInputError):
+            gc.simulate(m, 1)
+        with pytest.raises(gc.MalformedInputError):
+            step(m.weights, m.initial, 1.0)
+
 
 def test_model_rejects_out_of_range_crisp_weight():
     with pytest.raises(gc.ValidationError):

@@ -1,5 +1,8 @@
 """Bundled benchmark variants against their published matrices."""
 
+import hashlib
+import json
+
 import pytest
 
 import greycog as gc
@@ -117,3 +120,20 @@ def test_export_preserves_union_cells():
     doc = gc.export_variant("web_case2_fggcm")
     cell = doc["weights"][0][0]
     assert isinstance(cell, dict) and "union" in cell
+
+
+# sha256 of json.dumps(export_variant(v)): the exported bytes, pinned.
+EXPORT_SHA256 = {
+    "web_case1_fgcm": "bfd160ea3094a7e7dccddfb87040bdfa4135476bca5364ec4e0710d5d768921a",
+    "web_case1_fggcm": "30f7b65ea3880fcd8ad204a2e8e4c412be9b4a37dc98457f3b2711adfea23344",
+    "web_case2_fggcm": "7e617465780a085aa0345a9f9f909edef9a6b0b609072478f0e88d43f341141b",
+    "web_fcm": "27ed48b2e13f312ecfd7bb910929549892b975502235afc708b29a39e1673114",
+    "web_fgcm": "f73e1ae6a62cd493e05a39b2e8e9bea62a5663dd172eb78d839d31d8e3ce3a5b",
+    "web_fggcm": "933bc53734c4bf3298adbeac0cbe09207eff1b59a9231f214edae76876994210",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(EXPORT_SHA256))
+def test_exported_documents_are_pinned(variant):
+    text = json.dumps(gc.export_variant(variant))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[variant]

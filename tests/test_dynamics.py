@@ -1,6 +1,9 @@
 """Trajectory metrics and verdicts."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import greycog as gc
 from conftest import (
@@ -135,3 +138,63 @@ def test_web_ggn_tail_contracts(web_fggcm_05):
             assert d[t + 1] == 0.0
         else:
             assert d[t + 1] < d[t]
+
+
+def reference_classify(traj, epsilon, max_period):
+    """The full-gap classifier: every gap of a lag is built, then the tail
+    is scanned backwards. `classify` must agree with it on every input."""
+    if len(traj.states) < max_period + 2:
+        raise gc.InsufficientDataError("too few states")
+    states, fam = traj.states, traj.family
+    succ = [gc.state_distance(fam, states[t], states[t + 1]) for t in range(len(states) - 1)]
+    if succ[-1] <= epsilon:
+        t_alpha = 0
+        for t in range(len(succ) - 1, -1, -1):
+            if succ[t] > epsilon:
+                t_alpha = t + 1
+                break
+        return ("FixedPoint", t_alpha, None, states[-1])
+    for period in range(2, max_period + 1):
+        gaps = [gc.state_distance(fam, states[t], states[t + period])
+                for t in range(len(states) - period)]
+        if gaps[-1] <= epsilon:
+            t_alpha = 0
+            for t in range(len(gaps) - 1, -1, -1):
+                if gaps[t] > epsilon:
+                    t_alpha = t + 1
+                    break
+            return ("LimitCycle", t_alpha, period, None)
+    return ("Chaotic", None, None, None)
+
+
+# Near-equal values and NaN sit beside random ones: a NaN gap is neither
+# "<= epsilon" nor "> epsilon", the edge the two scans must agree on.
+cell_value = st.one_of(st.sampled_from([0.0, 0.5, 0.5 + 1e-9, 1.0, math.nan]),
+                       st.floats(min_value=0.0, max_value=1.0, width=64))
+
+
+@st.composite
+def crisp_runs(draw):
+    dim = draw(st.integers(1, 2))
+    cell = st.lists(cell_value, min_size=dim, max_size=dim).map(tuple)
+    prefix = draw(st.lists(cell, max_size=20))
+    kind = draw(st.sampled_from(["constant", "cycle", "noise"]))
+    if kind == "noise":
+        return prefix + draw(st.lists(cell, min_size=1, max_size=40))
+    k = 1 if kind == "constant" else draw(st.integers(2, 6))
+    base = draw(st.lists(cell, min_size=k, max_size=k))
+    return prefix + [base[i % k] for i in range(draw(st.integers(1, 40)))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(crisp_runs(), st.sampled_from([1e-12, 1e-8, 1e-3, 0.3]), st.integers(2, 12))
+def test_classify_matches_the_full_gap_reference(states, eps, max_period):
+    traj = crisp_trajectory(states)
+    try:
+        want = reference_classify(traj, eps, max_period)
+    except gc.InsufficientDataError:
+        with pytest.raises(gc.InsufficientDataError):
+            gc.classify(traj, eps, max_period)
+        return
+    got = gc.classify(traj, eps, max_period)
+    assert repr((got.verdict, got.t_alpha, got.period, got.final_state)) == repr(want)

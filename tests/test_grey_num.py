@@ -5,7 +5,6 @@ import math
 import pytest
 
 from greycog import (
-    DomainMeasure,
     Ggn,
     GreyUnion,
     InvalidParameterError,
@@ -62,17 +61,6 @@ def test_union_rejects_out_of_domain_endpoint():
 def test_union_rejects_empty():
     with pytest.raises(MalformedInputError):
         GreyUnion(())
-
-
-def test_domain_measure_must_be_positive():
-    with pytest.raises(InvalidParameterError):
-        DomainMeasure(0.0)
-
-
-def test_custom_domain_measure_scales_greyness():
-    # Same union, half the measure: greyness doubles.
-    u = GreyUnion(((0.0, 0.5),))
-    assert ggn_from_union(u, DomainMeasure(1.0)).greyness == pytest.approx(0.5)
 
 
 def test_ggn_greyness_must_be_nonnegative():
