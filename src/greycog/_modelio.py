@@ -18,12 +18,15 @@ Cell encodings by family:
             {"kernel": k, "greyness": g},
             or {"union": [[lo, hi], ...]} reduced on load
 
-Unknown keys or encodings that do not match the family are parse errors.
+Unknown keys, encodings that do not match the family, and numbers that do
+not convert to a finite float (an integer literal beyond the float range,
+`1e400`, `Infinity`, `NaN`) are parse errors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .cogmap import Model
 from .errors import MalformedInputError
@@ -37,13 +40,25 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _finite(x, where):
+    """A number that passed `_is_number`, as a finite float."""
+    try:
+        v = float(x)
+    except OverflowError:
+        raise MalformedInputError(f"{where}: integer too large for a float") from None
+    if not math.isfinite(v):
+        raise MalformedInputError(f"{where}: non-finite number {v}")
+    return v
+
+
 def _parse_cell(family, raw, where):
     if _is_number(raw):
+        v = _finite(raw, where)
         if family == "fcm":
-            return float(raw)
+            return v
         if family == "fgcm":
-            return Ign(raw, raw)
-        return Ggn(raw, 0.0)
+            return Ign(v, v)
+        return Ggn(v, 0.0)
     if family == "fcm":
         raise MalformedInputError(f"{where}: fcm cells must be plain numbers")
     if not isinstance(raw, dict):
@@ -55,15 +70,17 @@ def _parse_cell(family, raw, where):
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(_is_number(v) for v in pair)):
             raise MalformedInputError(f"{where}: 'interval' must be [lo, hi]")
+        lo, hi = (_finite(v, where) for v in pair)
         try:
-            return Ign(pair[0], pair[1])
+            return Ign(lo, hi)
         except MalformedInputError as exc:
             raise MalformedInputError(f"{where}: {exc}") from exc
     if set(raw) == {"kernel", "greyness"}:
         if not (_is_number(raw["kernel"]) and _is_number(raw["greyness"])):
             raise MalformedInputError(f"{where}: kernel and greyness must be numbers")
+        k, g = (_finite(raw[f], where) for f in ("kernel", "greyness"))
         try:
-            return Ggn(raw["kernel"], raw["greyness"])
+            return Ggn(k, g)
         except MalformedInputError as exc:
             raise MalformedInputError(f"{where}: {exc}") from exc
     if set(raw) == {"union"}:
@@ -72,8 +89,9 @@ def _parse_cell(family, raw, where):
                 and all(isinstance(p, list) and len(p) == 2
                         and all(_is_number(v) for v in p) for p in ivs)):
             raise MalformedInputError(f"{where}: 'union' must be a list of [lo, hi]")
+        ivs = tuple((_finite(p[0], where), _finite(p[1], where)) for p in ivs)
         try:
-            return ggn_from_union(GreyUnion(tuple((p[0], p[1]) for p in ivs)))
+            return ggn_from_union(GreyUnion(ivs))
         except MalformedInputError as exc:
             raise MalformedInputError(f"{where}: {exc}") from exc
     raise MalformedInputError(
@@ -98,6 +116,7 @@ def parse_model(doc) -> Model:
         raise MalformedInputError(f"unknown family {family!r}")
     if not _is_number(doc["lambda"]):
         raise MalformedInputError("'lambda' must be a number")
+    lam = _finite(doc["lambda"], "'lambda'")
     nodes = doc["nodes"]
     if not (isinstance(nodes, list) and nodes
             and all(isinstance(s, str) for s in nodes)):
@@ -117,7 +136,7 @@ def parse_model(doc) -> Model:
         _parse_cell(family, cell, f"initial[{i + 1}]")
         for i, cell in enumerate(initial_raw)
     )
-    return Model(family, len(nodes), tuple(nodes), rows, initial, doc["lambda"])
+    return Model(family, len(nodes), tuple(nodes), rows, initial, lam)
 
 
 def model_to_doc(m: Model) -> dict:
@@ -145,7 +164,9 @@ def load_model(path) -> Model:
             doc = json.load(fh)
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past the interpreter's
+        # digit limit for int().
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
     return parse_model(doc)
 

@@ -9,7 +9,11 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage or parse failure, 3 model or parameter
 validation failure, 4 criterion structurally inapplicable (mixed-sign
-interval weight).
+interval weight). A library error maps to its code by type: 2 for
+MalformedInputError, 4 for MixedSignWeightError, 3 for any other. `sweep`
+records a lambda whose run raises as an `error(...)` summary row, goes on
+with the next lambda, and exits with the largest code among its rows (0
+when none failed).
 """
 
 from __future__ import annotations
@@ -85,6 +89,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model file path to write")
 
     return parser
+
+
+# Exit code and message prefix of each library error type, most specific
+# first; GreycogError catches the rest.
+_ERRORS = (
+    (MalformedInputError, 2, "parse error: "),
+    (MixedSignWeightError, 4, "criterion inapplicable: "),
+    (InsufficientDataError, 3, ""),
+    (GreycogError, 3, "validation error: "),
+)
+
+
+def _error_code(exc: GreycogError) -> tuple[int, str]:
+    return next((code, prefix) for cls, code, prefix in _ERRORS if isinstance(exc, cls))
 
 
 def _usage_error(message: str) -> int:
@@ -243,7 +261,7 @@ def _cmd_sweep(args) -> int:
             continue
         except GreycogError as exc:
             rows.append([tag, "", "", f"error({type(exc).__name__})", ""])
-            worst = max(worst, 3)
+            worst = max(worst, _error_code(exc)[0])
             continue
         _write_trajectory(out_dir / f"trajectory_lam{tag}.csv", model, traj)
         with open(out_dir / f"report_lam{tag}.json", "w", encoding="utf-8") as fh:
@@ -293,18 +311,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except MalformedInputError as exc:
-        print(f"greycog: parse error: {exc}", file=sys.stderr)
-        return 2
-    except MixedSignWeightError as exc:
-        print(f"greycog: criterion inapplicable: {exc}", file=sys.stderr)
-        return 4
-    except InsufficientDataError as exc:
-        print(f"greycog: {exc}", file=sys.stderr)
-        return 3
     except GreycogError as exc:
-        print(f"greycog: validation error: {exc}", file=sys.stderr)
-        return 3
+        code, prefix = _error_code(exc)
+        print(f"greycog: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

@@ -156,6 +156,11 @@ def _crisp_next(w, a, lam):
     return tuple(sigmoid(dot_lr(row, a), lam) for row in w)
 
 
+def _crisp_planes(w, a, lam):
+    """The crisp update over one float plane, in the grey engines' shape."""
+    return (_crisp_next(w, a, lam),)
+
+
 def _interval_next(w_lo, w_hi, x_lo, x_hi, lam):
     lo_out = []
     hi_out = []
@@ -221,22 +226,34 @@ def simulate(m: Model, steps: int, model_id: str | None = None) -> Trajectory:
 
     Returns the full state history: steps + 1 states, the initial one
     first. Deterministic; identical inputs give bitwise identical output.
-    Grey families iterate float planes and box each recorded state into
-    cells, so every recorded cell passes its constructor's checks. A row
+    Grey families iterate float planes and box each computed state into
+    cells, so every computed cell passes its constructor's checks. A row
     sum that overflows raises MalformedInputError.
+
+    Computing stops at the first exact repeat: the update is a pure
+    function of the float planes, so once a computed state equals the one
+    P steps back, the P-cycle of recorded states is copied up to the
+    horizon and the trajectory is unchanged. Only computed states are
+    matched; they are sigmoid outputs, finite and never -0.0, so float
+    equality is bit equality there, while the initial state may hold -0.0.
     """
     if not isinstance(steps, int) or steps < 1:
         raise InvalidParameterError(f"steps must be an integer >= 1, got {steps}")
-    states = [m.initial]
     if m.family == "fcm":
-        a = m.initial
-        for _ in range(steps):
-            a = _crisp_next(m.weights, a, m.lam)
-            states.append(a)
+        box, advance = None, _crisp_planes
+        w_planes, x_planes = (m.weights,), (m.initial,)
     else:
         box, fields, advance = _PLANES[m.family]
         w_planes, x_planes = _unpack(fields, m.weights, m.initial)
-        for _ in range(steps):
-            x_planes = advance(*w_planes, *x_planes, m.lam)
-            states.append(tuple(map(box, *x_planes)))
+    states = [m.initial]
+    seen = {}
+    for t in range(1, steps + 1):
+        x_planes = advance(*w_planes, *x_planes, m.lam)
+        first = seen.setdefault(tuple(map(tuple, x_planes)), t)
+        if first != t:
+            period = t - first
+            while len(states) <= steps:
+                states.append(states[-period])
+            break
+        states.append(x_planes[0] if box is None else tuple(map(box, *x_planes)))
     return Trajectory(m.family, tuple(states), m.lam, model_id or m.family)

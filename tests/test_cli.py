@@ -267,3 +267,67 @@ def test_cli_import_does_not_load_numpy():
         capture_output=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+BIG = "9" * 401  # an integer literal no float can hold
+
+
+@pytest.mark.parametrize("family", ["fcm", "fgcm", "fggcm"])
+def test_check_oversized_initial_integer_is_a_parse_error(tmp_path, capsys, family):
+    path = tmp_path / "big.json"
+    path.write_text('{"family": "%s", "lambda": 1, "nodes": ["a", "b"], '
+                    '"weights": [[0.5, 0], [0, 0.5]], "initial": [%s, 0]}' % (family, BIG))
+    assert main(["check", "--model", str(path)]) == 2
+    assert "initial[1]: integer too large for a float" in capsys.readouterr().err
+
+
+def test_simulate_oversized_lambda_integer_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"family": "fcm", "lambda": %s, "nodes": ["a"], '
+                    '"weights": [[0.5]], "initial": [0.5]}' % BIG)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--model", str(path), "--out", str(out)]) == 2
+    assert "'lambda': integer too large for a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_exit_code_follows_the_error_type(tmp_path, capsys):
+    # Row 1 of the first step overflows to inf: a MalformedInputError,
+    # which exits 2 under simulate and check too.
+    doc = {"family": "fcm", "nodes": ["a", "b"], "weights": [[1, 1], [-1, 1]],
+           "initial": [1e308, 1e308], "lambda": 1.0}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--model", str(path)]) == 2
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--model", str(path), "--lambdas", "1,2",
+                 "--out-dir", str(out)]) == 2
+    rows = read_csv(out / "summary.csv")
+    assert [r[3] for r in rows[1:]] == ["error(MalformedInputError)"] * 2
+
+
+@pytest.mark.parametrize("errors,code", [
+    ((gc.MalformedInputError("x"), None, gc.ValidationError("x")), 3),
+    ((None, gc.MalformedInputError("x"), None), 2),
+    ((gc.MixedSignWeightError(1, 1), gc.InsufficientDataError("x"),
+      gc.MalformedInputError("x")), 4),
+], ids=["parse-ok-validation", "ok-parse-ok", "mixedsign-data-parse"])
+def test_sweep_exits_with_the_largest_code_of_its_rows(tmp_path, monkeypatch, errors, code):
+    model = export(tmp_path, "web_fcm")
+    by_lam = dict(zip((1.0, 2.0, 3.0), errors))
+
+    def failing_simulate(m, *args, **kwargs):
+        if by_lam[m.lam] is not None:
+            raise by_lam[m.lam]
+        return gc.simulate(m, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", failing_simulate)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--model", model, "--lambdas", "1,2,3",
+                 "--out-dir", str(out)]) == code
+    rows = read_csv(out / "summary.csv")
+    assert [r[3].startswith("error(") for r in rows[1:]] == [e is not None for e in errors]
+    for tag, e in zip("123", errors):
+        if e is None:
+            report = json.loads((out / f"report_lam{tag}.json").read_text())
+            assert report["model"] == "web_fcm"

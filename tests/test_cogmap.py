@@ -9,6 +9,7 @@ import struct
 import pytest
 
 import greycog as gc
+from greycog import cogmap
 from conftest import (
     FCM_FIRST_05,
     FGCM_FIRST_05_HI,
@@ -81,6 +82,31 @@ def test_simulate_returns_initial_plus_steps(web_fcm_05):
 def test_simulate_rejects_zero_steps(web_fcm_05):
     with pytest.raises(gc.InvalidParameterError):
         gc.simulate(web_fcm_05, 0)
+
+
+ROW_KERNELS = {"fcm": "dot_lr", "fgcm": "interval_dot_lr", "fggcm": "kernel_grey_row"}
+
+
+@pytest.mark.parametrize("variant", ["web_fcm", "web_fgcm", "web_fggcm"])
+def test_simulate_stops_computing_at_the_first_exact_repeat(variant, monkeypatch):
+    # At lambda 0.5 the web map is a contraction in every family, so the
+    # float iteration lands on an exact fixed point long before T=1000.
+    m = gc.build(variant, 0.5)
+    name = ROW_KERNELS[m.family]
+    kernel = getattr(cogmap, name)
+    rows = []
+
+    def counting(*args):
+        rows.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(cogmap, name, counting)
+    traj = gc.simulate(m, 1000)
+    updates = len(rows) // m.n
+    assert len(rows) == updates * m.n
+    assert updates < 100
+    assert len(traj.states) == 1001
+    assert traj.states[updates:] == (traj.states[updates - 1],) * (1001 - updates)
 
 
 def test_interval_run_rejects_an_overflowing_dot_product():

@@ -1,8 +1,10 @@
 """JSON model files: parsing, lifting, rejection."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import greycog as gc
 
@@ -110,3 +112,104 @@ def test_saved_doc_is_plain_json(tmp_path):
     doc = json.loads(p.read_text())
     assert doc["family"] == "fggcm"
     assert len(doc["weights"]) == 7
+
+
+# Numbers a JSON document can hold that are no finite float: integer
+# literals past the float range, and what json reads for 1e400, Infinity
+# and NaN.
+NOT_FINITE = [10 ** 400, -(10 ** 400), math.inf, -math.inf, math.nan]
+
+# Every place the parser reads a number, as (family, cell built from x).
+NUMBER_SITES = {
+    "fcm number": ("fcm", lambda x: x),
+    "fgcm number": ("fgcm", lambda x: x),
+    "fgcm interval lo": ("fgcm", lambda x: {"interval": [x, 1.0]}),
+    "fgcm interval hi": ("fgcm", lambda x: {"interval": [-1.0, x]}),
+    "fggcm number": ("fggcm", lambda x: x),
+    "fggcm kernel": ("fggcm", lambda x: {"kernel": x, "greyness": 0.0}),
+    "fggcm greyness": ("fggcm", lambda x: {"kernel": 0.0, "greyness": x}),
+    "fggcm union lo": ("fggcm", lambda x: {"union": [[x, 0.5]]}),
+    "fggcm union hi": ("fggcm", lambda x: {"union": [[-0.5, 0.0], [0.5, x]]}),
+}
+
+
+@pytest.mark.parametrize("place", ["weights", "initial"])
+@pytest.mark.parametrize("site", sorted(NUMBER_SITES))
+def test_number_that_is_no_finite_float_is_malformed(site, place):
+    family, cell = NUMBER_SITES[site]
+    for x in NOT_FINITE:
+        doc = doc_fcm()
+        doc["family"] = family
+        if place == "weights":
+            doc["weights"][1][0] = cell(x)
+        else:
+            doc["initial"][1] = cell(x)
+        with pytest.raises(gc.MalformedInputError, match=rf"{place}\[2\]"):
+            gc.parse_model(doc)
+
+
+def test_lambda_that_is_no_finite_float_is_malformed():
+    for x in NOT_FINITE:
+        doc = doc_fcm()
+        doc["lambda"] = x
+        with pytest.raises(gc.MalformedInputError, match="'lambda'"):
+            gc.parse_model(doc)
+
+
+def test_integer_past_the_digit_limit_is_malformed(tmp_path):
+    # json itself refuses an int literal this long (ValueError, not a
+    # JSONDecodeError) under the interpreter's int digit limit.
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(doc_fcm()).replace("0.5", "9" * 5000))
+    with pytest.raises(gc.MalformedInputError):
+        gc.load_model(str(p))
+
+
+json_number = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.integers(-1, 1),
+    st.integers(10 ** 300, 10 ** 400).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(),
+)
+json_leaf = st.one_of(json_number, st.none(), st.booleans(), st.text(max_size=3))
+json_cell = st.one_of(
+    json_number,
+    st.fixed_dictionaries({"interval": st.lists(json_number, max_size=3)}),
+    st.fixed_dictionaries({"kernel": json_number, "greyness": json_number}),
+    st.fixed_dictionaries({"union": st.lists(st.lists(json_number, max_size=3), max_size=3)}),
+    st.dictionaries(st.text(max_size=2), json_leaf, max_size=2),
+    st.lists(json_leaf, max_size=2),
+    json_leaf,
+)
+
+
+@st.composite
+def model_docs(draw):
+    """Documents near the model-file shape, holding any JSON value now and
+    then: most reach the cell and lambda parsers."""
+    n = draw(st.integers(0, 3))
+
+    def mostly(good):
+        junk = st.one_of(json_leaf, st.lists(json_cell, max_size=3))
+        return draw(good if draw(st.integers(0, 4)) else junk)
+
+    doc = {
+        "family": mostly(st.sampled_from(gc.FAMILIES)),
+        "lambda": mostly(st.one_of(st.floats(0.1, 5.0), json_number)),
+        "nodes": mostly(st.just([f"c{i}" for i in range(n)])),
+        "weights": mostly(st.lists(st.lists(json_cell, min_size=n, max_size=n),
+                                   min_size=n, max_size=n)),
+        "initial": mostly(st.lists(json_cell, min_size=n, max_size=n)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=1)):
+        del doc[key]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_docs())
+def test_parse_model_raises_only_its_documented_errors(doc):
+    try:
+        gc.parse_model(doc)
+    except (gc.MalformedInputError, gc.ValidationError):
+        pass

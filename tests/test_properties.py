@@ -238,3 +238,57 @@ def test_interval_trajectory_encloses_member_trajectories(n, data, lam):
     for cs, iss in zip(crisp, run("fgcm", w, a, lam, 60)):
         for c, i in zip(cs, iss):
             assert i.lo <= c <= i.hi
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+STEP = {"fcm": gc.fcm_step, "fgcm": gc.fgcm_step, "fggcm": gc.fggcm_step}
+
+
+def cell_bits(family, cell):
+    if family == "fcm":
+        return bits(cell)
+    if family == "fgcm":
+        return bits(cell.lo) + bits(cell.hi)
+    return bits(cell.kernel) + bits(cell.greyness)
+
+
+@st.composite
+def repeating_runs(draw):
+    """Maps that reach an exact float fixed point (small lambda) or an
+    exact cycle (lambda 5; with inhibitory weights mostly a 2-cycle), with
+    initial cells of both zero signs, over horizons up to 400."""
+    family = draw(st.sampled_from(gc.FAMILIES))
+    regime = draw(st.sampled_from(["contract", "inhibit", "steep"]))
+    if regime == "contract":
+        n, lam, weight = draw(st.integers(1, 6)), draw(st.floats(0.01, 1.0)), unit
+    else:
+        n, lam = draw(st.integers(1, 12)), 5.0
+        weight = st.floats(-1.0, 0.0) if regime == "inhibit" else unit
+    value = st.one_of(signed_zero, unit)
+
+    def cell(x):
+        if family == "fcm":
+            return x
+        if family == "fgcm":
+            return gc.Ign(*sorted((x, draw(value))))
+        return gc.Ggn(x, draw(st.one_of(signed_zero, grey_s)))
+
+    w = tuple(tuple(cell(draw(weight)) for _ in range(n)) for _ in range(n))
+    a = tuple(cell(draw(value)) for _ in range(n))
+    m = gc.Model(family, n, tuple(f"c{i}" for i in range(n)), w, a, lam)
+    return m, draw(st.one_of(st.integers(1, 400), st.integers(200, 400)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeating_runs())
+def test_simulate_equals_the_step_by_step_run_bitwise(case):
+    """Stopping at the first exact repeat and copying the cycle gives the
+    trajectory that calling the family's one-step update T times gives."""
+    m, steps = case
+    ref = [m.initial]
+    for _ in range(steps):
+        ref.append(STEP[m.family](m.weights, ref[-1], m.lam))
+    got = gc.simulate(m, steps).states
+    assert len(got) == len(ref) == steps + 1
+    for s, r in zip(got, ref):
+        assert [cell_bits(m.family, c) for c in s] == [cell_bits(m.family, c) for c in r]
