@@ -8,13 +8,12 @@ the two components separately. The package adds trajectory classification
 each family, a built-in seven-node benchmark corpus, and a CLI.
 """
 
+from ._family import Ggn, GreyUnion, Ign, ggn_from_union
 from .cogmap import (
     FAMILIES,
     Model,
     Trajectory,
     fcm_step,
-    fgcm_step,
-    fggcm_step,
     simulate,
 )
 from .convergence import (
@@ -36,9 +35,7 @@ from .corpus import VARIANTS, CorpusVariant, build, export_variant, inject_greyn
 from .dynamics import (
     Classification,
     classify,
-    ggn_metric,
     state_distance,
-    successive_distances,
 )
 from .errors import (
     DegenerateRowError,
@@ -50,14 +47,6 @@ from .errors import (
     MixedSignWeightError,
     ValidationError,
 )
-from .grey_num import (
-    Ggn,
-    GreyUnion,
-    ggn_from_union,
-    ggn_row_update,
-    ggn_sigmoid,
-)
-from .interval_num import Ign, ign_add, ign_dot_row, ign_mul, ign_sigmoid
 from ._modelio import load_model, model_to_doc, parse_model, save_doc
 
 __version__ = "0.1.0"
@@ -94,18 +83,9 @@ __all__ = [
     "corollary3_check",
     "export_variant",
     "fcm_step",
-    "fgcm_step",
-    "fggcm_step",
     "frobenius_norm",
     "ggn_from_union",
-    "ggn_metric",
-    "ggn_row_update",
-    "ggn_sigmoid",
     "grey_condition_matrix",
-    "ign_add",
-    "ign_dot_row",
-    "ign_mul",
-    "ign_sigmoid",
     "inject_greyness",
     "load_model",
     "model_to_doc",
@@ -113,6 +93,5 @@ __all__ = [
     "save_doc",
     "simulate",
     "state_distance",
-    "successive_distances",
     "w_star",
 ]

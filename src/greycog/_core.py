@@ -2,11 +2,13 @@
 
 Every engine's arithmetic lives here, one float-only row kernel per family:
 `dot_lr` for crisp rows, `interval_dot_lr` for interval rows and
-`kernel_grey_row` for kernel/greyness rows. Callers unpack cells into float
-planes, run a kernel and box the result. All three accumulate left to right
-in the same order, so degenerate cases coincide bitwise: a kernel/greyness
-map with zero greyness, an interval map with zero-width intervals, and the
-crisp map all produce identical floating point trajectories.
+`kernel_grey_row` for kernel/greyness rows. One state update per family
+(`crisp_next`, `interval_next`, `kernel_grey_next`) runs its kernel over
+every weight row, from float planes to float planes. All three kernels
+accumulate left to right in the same order, so degenerate cases
+coincide bitwise: a kernel/greyness map with zero greyness, an interval
+map with zero-width intervals, and the crisp map all produce identical
+floating point trajectories.
 """
 
 import math
@@ -93,3 +95,31 @@ def kernel_grey_row(w_k, w_g, x_k, x_g, lam):
         num += (xg if xg > wg else wg) * ap
     k = sigmoid(s, lam)
     return k, (k * (num / denom) if denom > 0.0 else 0.0)
+
+
+def crisp_next(w, a, lam):
+    """One crisp update of every node, as one tuple plane: out_i =
+    sigmoid(w_i . a)."""
+    return (tuple(sigmoid(dot_lr(row, a), lam) for row in w),)
+
+
+def interval_next(w_lo, w_hi, x_lo, x_hi, lam):
+    """One interval update of every node over endpoint planes, as (lo, hi)."""
+    lo_out = []
+    hi_out = []
+    for wl, wh in zip(w_lo, w_hi):
+        lo, hi = interval_dot_lr(wl, wh, x_lo, x_hi)
+        lo_out.append(sigmoid(lo, lam))
+        hi_out.append(sigmoid(hi, lam))
+    return lo_out, hi_out
+
+
+def kernel_grey_next(w_k, w_g, x_k, x_g, lam):
+    """One kernel/greyness update of every node, as (kernels, greyness)."""
+    k_out = []
+    g_out = []
+    for wk, wg in zip(w_k, w_g):
+        k, g = kernel_grey_row(wk, wg, x_k, x_g, lam)
+        k_out.append(k)
+        g_out.append(g)
+    return k_out, g_out

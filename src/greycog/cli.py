@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 from . import _modelio, convergence, corpus
+from ._family import FAMILY
 from .cogmap import Model, Trajectory, simulate
 from .dynamics import Classification, classify
 from .errors import (
@@ -37,20 +38,6 @@ from .errors import (
 )
 
 __all__ = ["entrypoint", "main"]
-
-_FIELDS = {
-    "fcm": ("value",),
-    "fgcm": ("lo", "hi"),
-    "fggcm": ("kernel", "greyness"),
-}
-
-
-def _cell_values(family, cell):
-    if family == "fcm":
-        return (cell,)
-    if family == "fgcm":
-        return (cell.lo, cell.hi)
-    return (cell.kernel, cell.greyness)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,13 +105,13 @@ def _load(args) -> Model:
 
 
 def _write_trajectory(path, model: Model, traj) -> None:
-    fields = _FIELDS[model.family]
+    fam = FAMILY[model.family]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "node", "field", "value"])
         for t, state in enumerate(traj.states):
-            for name, cell in zip(model.node_names, state):
-                for field, value in zip(fields, _cell_values(model.family, cell)):
+            for name, values in zip(model.node_names, zip(*fam.split(state))):
+                for field, value in zip(fam.fields, values):
                     writer.writerow([t, name, field, repr(float(value))])
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._family import Ggn, GreyUnion, Ign, ggn_from_union
 from ._modelio import model_to_doc
 from .cogmap import Model
 from .errors import InvalidParameterError, MalformedInputError
-from .grey_num import Ggn, GreyUnion, ggn_from_union
-from .interval_num import Ign
 
 __all__ = [
     "CorpusVariant",

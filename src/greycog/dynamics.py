@@ -8,61 +8,25 @@ operational chaos criterion here beyond "neither of the other two".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from ._family import FAMILY
 from .cogmap import Trajectory
 from .errors import DimensionError, InsufficientDataError, InvalidParameterError
 
 __all__ = [
     "Classification",
     "classify",
-    "ggn_metric",
     "state_distance",
-    "successive_distances",
 ]
 
 
-def ggn_metric(a, b) -> float:
-    """Euclidean distance over (kernel, greyness) pairs."""
-    if len(a) != len(b):
-        raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
-    s = 0.0
-    for x, y in zip(a, b):
-        dk = x.kernel - y.kernel
-        dg = x.greyness - y.greyness
-        s += dk * dk + dg * dg
-    return math.sqrt(s)
-
-
-def _crisp_dist(a, b) -> float:
-    s = 0.0
-    for x, y in zip(a, b):
-        d = x - y
-        s += d * d
-    return math.sqrt(s)
-
-
-def _interval_dist(a, b) -> float:
-    s = 0.0
-    for x, y in zip(a, b):
-        dl = x.lo - y.lo
-        dh = x.hi - y.hi
-        s += dl * dl + dh * dh
-    return math.sqrt(s)
-
-
 def state_distance(family: str, a, b) -> float:
-    """Family metric: plain Euclidean for crisp states, Euclidean over
-    (lo, hi) endpoint pairs for intervals, kernel/greyness metric for
-    general grey states."""
+    """Family metric: Euclidean over every float field of the cells (the
+    value; lo and hi; kernel and greyness)."""
     if len(a) != len(b):
         raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
-    if family == "fcm":
-        return _crisp_dist(a, b)
-    if family == "fgcm":
-        return _interval_dist(a, b)
-    return ggn_metric(a, b)
+    return FAMILY[family].distance(a, b)
 
 
 @dataclass(frozen=True)
@@ -108,28 +72,18 @@ def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> C
             f"need at least {max_period + 2} states to search periods up to "
             f"{max_period}, got {len(states)}"
         )
-    fam = traj.family
+    # Trajectory states all have one length, so the metric runs unchecked.
+    dist = FAMILY[traj.family].distance
     end = len(states) - 1
 
     for lag in range(1, max_period + 1):
-        if not state_distance(fam, states[end - lag], states[end]) <= epsilon:
+        if not dist(states[end - lag], states[end]) <= epsilon:
             continue
         t = end - lag - 1
-        while t >= 0 and not state_distance(fam, states[t], states[t + lag]) > epsilon:
+        while t >= 0 and not dist(states[t], states[t + lag]) > epsilon:
             t -= 1
         if lag == 1:
             return Classification("FixedPoint", t + 1, None, states[-1], epsilon, max_period)
         return Classification("LimitCycle", t + 1, lag, None, epsilon, max_period)
 
     return Classification("Chaotic", None, None, None, epsilon, max_period)
-
-
-def successive_distances(traj: Trajectory):
-    """Distances between consecutive states under the family metric."""
-    states = traj.states
-    if len(states) < 2:
-        raise InsufficientDataError("need at least two states")
-    return [
-        state_distance(traj.family, states[t], states[t + 1])
-        for t in range(len(states) - 1)
-    ]

@@ -13,6 +13,7 @@ is asserted where two long horizons agree on it, and the 100-step
 verdict is asserted to be exactly what a window that short can see.
 """
 
+import dataclasses
 import math
 import random
 
@@ -288,7 +289,7 @@ def test_criterion_6_greyness_stationarity():
             continue
         fixed_points += 1
         final = traj.states[-1]
-        nxt = gc.fggcm_step(m.weights, final, m.lam)
+        nxt = gc.simulate(dataclasses.replace(m, initial=final), 1).states[1]
         resid = math.sqrt(sum((a.greyness - b.greyness) ** 2
                               for a, b in zip(nxt, final)))
         assert resid <= 1e-8, f"greyness residual {resid} for {m.lam}"
@@ -316,7 +317,7 @@ def test_criterion_7_interval_containment():
     order as the interval engine; rounding is monotone, so containment
     must be exact rather than approximate.
     """
-    from greycog._core import sigmoid
+    from greycog._core import interval_dot_lr, sigmoid
 
     rnd = random.Random(7119)
 
@@ -329,9 +330,13 @@ def test_criterion_7_interval_containment():
         n = rnd.randint(1, 5)
         w = tuple(iv() for _ in range(n))
         a = tuple(iv() for _ in range(n))
-        box = gc.ign_dot_row(w, a)
+        box = gc.Ign(*interval_dot_lr([c.lo for c in w], [c.hi for c in w],
+                                      [c.lo for c in a], [c.hi for c in a]))
         lam = rnd.uniform(0.1, 8.0)
-        sbox = gc.ign_sigmoid(box, lam)
+        # The engine's activation of the box: a one-step run of the
+        # one-node map whose weight is [1, 1], so the row sum is the box.
+        unit = gc.Model("fgcm", 1, ("a",), ((gc.Ign(1.0, 1.0),),), (box,), lam)
+        sbox = gc.simulate(unit, 1).states[1][0]
         for _ in range(20):
             ws = [rnd.uniform(c.lo, c.hi) for c in w]
             As = [rnd.uniform(c.lo, c.hi) for c in a]

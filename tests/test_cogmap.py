@@ -9,7 +9,7 @@ import struct
 import pytest
 
 import greycog as gc
-from greycog import cogmap
+from greycog import _core
 from conftest import (
     FCM_FIRST_05,
     FGCM_FIRST_05_HI,
@@ -58,14 +58,14 @@ def test_web_first_iterate_crisp(web_fcm_05):
 
 def test_web_first_iterate_interval():
     m = gc.build("web_fgcm", 0.5)
-    out = gc.fgcm_step(m.weights, m.initial, 0.5)
+    out = gc.simulate(m, 1).states[1]
     for cell, lo, hi in zip(out, FGCM_FIRST_05_LO, FGCM_FIRST_05_HI):
         assert cell.lo == pytest.approx(lo, abs=1e-7)
         assert cell.hi == pytest.approx(hi, abs=1e-7)
 
 
 def test_web_first_iterate_ggn(web_fggcm_05):
-    out = gc.fggcm_step(web_fggcm_05.weights, web_fggcm_05.initial, 0.5)
+    out = gc.simulate(web_fggcm_05, 1).states[1]
     for cell, k, g in zip(out, FGGCM_FIRST_05_K, FGGCM_FIRST_05_G):
         assert cell.kernel == pytest.approx(k, abs=1e-7)
         assert cell.greyness == pytest.approx(g, abs=1e-7)
@@ -93,14 +93,14 @@ def test_simulate_stops_computing_at_the_first_exact_repeat(variant, monkeypatch
     # float iteration lands on an exact fixed point long before T=1000.
     m = gc.build(variant, 0.5)
     name = ROW_KERNELS[m.family]
-    kernel = getattr(cogmap, name)
+    kernel = getattr(_core, name)
     rows = []
 
     def counting(*args):
         rows.append(None)
         return kernel(*args)
 
-    monkeypatch.setattr(cogmap, name, counting)
+    monkeypatch.setattr(_core, name, counting)
     traj = gc.simulate(m, 1000)
     updates = len(rows) // m.n
     assert len(rows) == updates * m.n
@@ -116,22 +116,20 @@ def test_interval_run_rejects_an_overflowing_dot_product():
     m = gc.Model("fgcm", 2, ("a", "b"), ((one, one), (one, one)), (big, big), 1.0)
     with pytest.raises(gc.MalformedInputError):
         gc.simulate(m, 1)
-    with pytest.raises(gc.MalformedInputError):
-        gc.fgcm_step(m.weights, m.initial, 1.0)
 
     # The crisp and kernel engines follow the same rule. Row 1 overflows;
     # clipped, it would read 1.0 (and greyness 0). Row 2 cancels to 0.
     kg = gc.Ggn
-    for family, w, a, step in (
-        ("fcm", ((1.0, 1.0), (-1.0, 1.0)), (1e308, 1e308), gc.fcm_step),
+    for family, w, a in (
+        ("fcm", ((1.0, 1.0), (-1.0, 1.0)), (1e308, 1e308)),
         ("fggcm", ((kg(1.0, 0.0), kg(1.0, 0.0)), (kg(-1.0, 0.0), kg(1.0, 0.0))),
-         (kg(1e308, 0.0), kg(1e308, 0.0)), gc.fggcm_step),
+         (kg(1e308, 0.0), kg(1e308, 0.0))),
     ):
         m = gc.Model(family, 2, ("a", "b"), w, a, 1.0)
         with pytest.raises(gc.MalformedInputError):
             gc.simulate(m, 1)
-        with pytest.raises(gc.MalformedInputError):
-            step(m.weights, m.initial, 1.0)
+    with pytest.raises(gc.MalformedInputError):
+        gc.fcm_step(((1.0, 1.0), (-1.0, 1.0)), (1e308, 1e308), 1.0)
 
 
 def test_model_rejects_out_of_range_crisp_weight():
@@ -165,6 +163,36 @@ def test_model_rejects_bool_lambda(web_fcm_05):
         gc.Model("fcm", 1, ("a",), ((0.0,),), (0.0,), True)
     with pytest.raises(gc.ValidationError):
         dataclasses.replace(web_fcm_05, lam=True)
+
+
+def test_model_rejects_bool_n_and_simulate_rejects_bool_steps(web_fcm_05):
+    with pytest.raises(gc.ValidationError):
+        gc.Model("fcm", True, ("a",), ((0.0,),), (0.0,), 1.0)
+    with pytest.raises(gc.InvalidParameterError):
+        gc.simulate(web_fcm_05, True)
+
+
+# Each constructor that turns a number into a float, with the error it
+# raises for inf; an integer no float can hold must raise the same.
+OVERFLOW_SITES = {
+    "Ign": (lambda x: gc.Ign(x, x), gc.MalformedInputError),
+    "Ggn": (lambda x: gc.Ggn(x, 0.0), gc.MalformedInputError),
+    "GreyUnion": (lambda x: gc.GreyUnion(((x, 1.0),)), gc.MalformedInputError),
+    "Model fcm cell": (lambda x: gc.Model("fcm", 1, ("a",), ((0.0,),), (x,), 1.0),
+                       gc.MalformedInputError),
+    "Model lambda": (lambda x: gc.Model("fcm", 1, ("a",), ((0.0,),), (0.0,), x),
+                     gc.ValidationError),
+}
+
+
+@pytest.mark.parametrize("x", [10 ** 400, -(10 ** 400)], ids=["+1e400", "-1e400"])
+@pytest.mark.parametrize("site", sorted(OVERFLOW_SITES))
+def test_integer_too_large_for_a_float_raises_the_site_error(site, x):
+    build, error = OVERFLOW_SITES[site]
+    with pytest.raises(error):
+        build(math.inf)
+    with pytest.raises(error):
+        build(x)
 
 
 def test_degenerate_interval_run_matches_crisp_bitwise(web_fcm_05):

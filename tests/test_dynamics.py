@@ -16,10 +16,16 @@ from conftest import (
 )
 
 
+def successive_distances(traj):
+    """Distances between consecutive states under the family metric."""
+    s = traj.states
+    return [gc.state_distance(traj.family, a, b) for a, b in zip(s, s[1:])]
+
+
 def test_ggn_metric_is_euclidean_over_both_tracks():
     a = (gc.Ggn(0.0, 0.0),)
     b = (gc.Ggn(0.3, 0.4),)
-    assert gc.ggn_metric(a, b) == pytest.approx(0.5, abs=1e-15)
+    assert gc.state_distance("fggcm", a, b) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_state_distance_dispatches_by_family():
@@ -31,7 +37,7 @@ def test_state_distance_dispatches_by_family():
 
 def test_successive_distances_length(web_fcm_05):
     traj = gc.simulate(web_fcm_05, 20)
-    d = gc.successive_distances(traj)
+    d = successive_distances(traj)
     assert len(d) == 20
     assert all(x >= 0.0 for x in d)
 
@@ -130,7 +136,7 @@ def test_web_ggn_fixed_point_values(lam):
 
 def test_web_ggn_tail_contracts(web_fggcm_05):
     traj = gc.simulate(web_fggcm_05, 100)
-    d = gc.successive_distances(traj)
+    d = successive_distances(traj)
     # Past the transient the step sizes shrink monotonically until the
     # state locks bitwise, after which they stay at exactly zero.
     for t in range(30, len(d) - 1):

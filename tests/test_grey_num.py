@@ -1,21 +1,20 @@
-"""Kernel/greyness scalar arithmetic."""
+"""Kernel/greyness numbers and the kernel/greyness row kernel."""
 
 import math
 
 import pytest
 
-from greycog import (
-    Ggn,
-    GreyUnion,
-    InvalidParameterError,
-    MalformedInputError,
-    ggn_from_union,
-    ggn_row_update,
-    ggn_sigmoid,
-)
+from greycog import Ggn, GreyUnion, MalformedInputError, ggn_from_union
+from greycog._core import kernel_grey_row
 from conftest import CASE2_REDUCED
 
 from greycog.corpus import CASE2_UNIONS
+
+
+def row_update(w_row, a, lam):
+    """The engine's update of one node, from cells to a cell."""
+    return Ggn(*kernel_grey_row([w.kernel for w in w_row], [w.greyness for w in w_row],
+                                [x.kernel for x in a], [x.greyness for x in a], lam))
 
 
 def test_union_single_interval_reduces_to_midpoint_and_half_width():
@@ -68,24 +67,8 @@ def test_ggn_greyness_must_be_nonnegative():
         Ggn(0.0, -0.01)
 
 
-def test_sigmoid_of_unit_kernel():
-    out = ggn_sigmoid(Ggn(1.0, 0.01), 1.0)
-    assert out.kernel == pytest.approx(0.7310585786300049, abs=1e-15)
-    assert out.greyness == pytest.approx(0.007310585786300049, abs=1e-15)
-
-
-def test_sigmoid_greyness_is_exactly_kernel_times_input_greyness():
-    out = ggn_sigmoid(Ggn(-0.3, 0.25), 2.0)
-    assert out.greyness == out.kernel * 0.25
-
-
-def test_sigmoid_rejects_nonpositive_steepness():
-    with pytest.raises(InvalidParameterError):
-        ggn_sigmoid(Ggn(0.0, 0.0), 0.0)
-
-
 def test_row_update_single_term():
-    out = ggn_row_update((Ggn(0.5, 0.1),), (Ggn(1.0, 0.0),), 1.0)
+    out = row_update((Ggn(0.5, 0.1),), (Ggn(1.0, 0.0),), 1.0)
     k = 1.0 / (1.0 + math.exp(-0.5))
     assert out.kernel == pytest.approx(k, abs=1e-15)
     # Single term: the activity-weighted average collapses to max(0.1, 0.0).
@@ -96,7 +79,7 @@ def test_row_update_cancelling_terms_keep_greyness():
     # Kernels cancel to zero but the magnitudes still carry greyness.
     w = (Ggn(1.0, 0.01), Ggn(-1.0, 0.01))
     a = (Ggn(0.5, 0.02), Ggn(0.5, 0.02))
-    out = ggn_row_update(w, a, 1.0)
+    out = row_update(w, a, 1.0)
     assert out.kernel == 0.5
     assert out.greyness == pytest.approx(0.01, abs=1e-15)
 
@@ -105,12 +88,12 @@ def test_row_update_zero_denominator_gives_zero_greyness():
     # All products vanish, so no activity to average over.
     w = (Ggn(0.0, 0.3), Ggn(0.7, 0.1))
     a = (Ggn(0.9, 0.2), Ggn(0.0, 0.5))
-    out = ggn_row_update(w, a, 1.0)
+    out = row_update(w, a, 1.0)
     assert out.kernel == 0.5
     assert out.greyness == 0.0
 
 
 def test_row_update_greyness_ignores_kernel_sign():
-    pos = ggn_row_update((Ggn(0.6, 0.05),), (Ggn(0.8, 0.02),), 1.0)
-    neg = ggn_row_update((Ggn(-0.6, 0.05),), (Ggn(0.8, 0.02),), 1.0)
+    pos = row_update((Ggn(0.6, 0.05),), (Ggn(0.8, 0.02),), 1.0)
+    neg = row_update((Ggn(-0.6, 0.05),), (Ggn(0.8, 0.02),), 1.0)
     assert pos.greyness / pos.kernel == pytest.approx(neg.greyness / neg.kernel, abs=1e-15)

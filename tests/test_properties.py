@@ -5,13 +5,15 @@ evaluated with the same left-to-right accumulation as the engines must
 land inside interval results exactly, because float rounding is monotone.
 """
 
+import dataclasses
+import json
 import math
 import struct
 
 from hypothesis import given, settings, strategies as st
 
 import greycog as gc
-from greycog._core import dot_lr, sigmoid
+from greycog._core import dot_lr, interval_dot_lr, kernel_grey_row, sigmoid
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
 frac = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=64)
@@ -51,46 +53,52 @@ def member(cell, f):
     return min(max(cell.lo + f * (cell.hi - cell.lo), cell.lo), cell.hi)
 
 
+def activate(cell, lam):
+    """The interval engine's activation of one cell: a one-step run of the
+    one-node map whose weight is [1, 1], so the row sum is the cell."""
+    return run("fgcm", ((gc.Ign(1.0, 1.0),),), (cell,), lam, 1)[1][0]
+
+
+def row_update(w, a, lam):
+    """The kernel/greyness engine's update of one node, from cells to a cell."""
+    return gc.Ggn(*kernel_grey_row([c.kernel for c in w], [c.greyness for c in w],
+                                   [c.kernel for c in a], [c.greyness for c in a], lam))
+
+
 @given(st.lists(st.tuples(interval_s(), interval_s(), frac, frac),
                 min_size=1, max_size=5))
 def test_interval_dot_contains_every_member_dot(pairs):
     w = tuple(p[0] for p in pairs)
     a = tuple(p[1] for p in pairs)
-    box = gc.ign_dot_row(w, a)
+    lo, hi = interval_dot_lr([c.lo for c in w], [c.hi for c in w],
+                             [c.lo for c in a], [c.hi for c in a])
     # Member picks, then the same accumulation order as the engine.
     ws = [c.lo + f * (c.hi - c.lo) for c, f in zip(w, (p[2] for p in pairs))]
     As = [c.lo + f * (c.hi - c.lo) for c, f in zip(a, (p[3] for p in pairs))]
     ws = [min(max(x, c.lo), c.hi) for x, c in zip(ws, w)]
     As = [min(max(x, c.lo), c.hi) for x, c in zip(As, a)]
     d = dot_lr(ws, As)
-    assert box.lo <= d <= box.hi
+    assert lo <= d <= hi
 
 
 @given(interval_s(), frac, lam_s)
 def test_interval_sigmoid_contains_every_member_value(cell, f, lam):
-    out = gc.ign_sigmoid(cell, lam)
+    out = activate(cell, lam)
     t = min(max(cell.lo + f * (cell.hi - cell.lo), cell.lo), cell.hi)
     assert out.lo <= sigmoid(t, lam) <= out.hi
 
 
 @given(interval_s(), lam_s)
 def test_interval_sigmoid_width_contraction(cell, lam):
-    out = gc.ign_sigmoid(cell, lam)
+    out = activate(cell, lam)
     assert out.width <= lam / 4.0 * cell.width + 1e-12
-
-
-@given(ggn_s(), lam_s)
-def test_ggn_sigmoid_range_and_greyness_product(g, lam):
-    out = gc.ggn_sigmoid(g, lam)
-    assert 0.0 < out.kernel <= 1.0
-    assert out.greyness == out.kernel * g.greyness
 
 
 @given(st.integers(1, 5), st.data(), lam_s)
 def test_row_update_kernel_is_the_crisp_update(n, data, lam):
     w = data.draw(vec(ggn_s(), n))
     a = data.draw(vec(ggn_s(), n))
-    out = gc.ggn_row_update(w, a, lam)
+    out = row_update(w, a, lam)
     crisp = sigmoid(dot_lr([c.kernel for c in w], [c.kernel for c in a]), lam)
     assert out.kernel == crisp
 
@@ -99,7 +107,7 @@ def test_row_update_kernel_is_the_crisp_update(n, data, lam):
 def test_row_update_greyness_bounded_by_largest_component(n, data, lam):
     w = data.draw(vec(ggn_s(), n))
     a = data.draw(vec(ggn_s(), n))
-    out = gc.ggn_row_update(w, a, lam)
+    out = row_update(w, a, lam)
     cap = max(max(wc.greyness, ac.greyness) for wc, ac in zip(w, a))
     assert 0.0 <= out.greyness <= cap + 1e-12
 
@@ -108,11 +116,11 @@ def test_row_update_greyness_bounded_by_largest_component(n, data, lam):
 def test_row_update_greyness_independent_of_kernel_track_greyness(n, data, lam):
     w = data.draw(vec(ggn_s(), n))
     a = data.draw(vec(ggn_s(), n))
-    out = gc.ggn_row_update(w, a, lam)
+    out = row_update(w, a, lam)
     # Replace every greyness with zero: kernel must not move.
     w0 = tuple(gc.Ggn(c.kernel, 0.0) for c in w)
     a0 = tuple(gc.Ggn(c.kernel, 0.0) for c in a)
-    bare = gc.ggn_row_update(w0, a0, lam)
+    bare = row_update(w0, a0, lam)
     assert bare.kernel == out.kernel
     assert bare.greyness == 0.0
 
@@ -122,10 +130,13 @@ def test_ggn_metric_is_a_metric(n, data):
     a = data.draw(vec(ggn_s(), n))
     b = data.draw(vec(ggn_s(), n))
     c = data.draw(vec(ggn_s(), n))
-    dab = gc.ggn_metric(a, b)
-    assert gc.ggn_metric(a, a) == 0.0
-    assert dab == gc.ggn_metric(b, a)
-    assert gc.ggn_metric(a, c) <= dab + gc.ggn_metric(b, c) + 1e-12
+
+    def d(x, y):
+        return gc.state_distance("fggcm", x, y)
+
+    assert d(a, a) == 0.0
+    assert d(a, b) == d(b, a)
+    assert d(a, c) <= d(a, b) + d(b, c) + 1e-12
 
 
 @settings(max_examples=50)
@@ -191,6 +202,57 @@ def test_crisp_model_doc_round_trip(n, data):
     assert gc.parse_model(gc.model_to_doc(m)) == m
 
 
+signed_zero = st.sampled_from([0.0, -0.0])
+tiny_s = st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308])
+
+
+@st.composite
+def any_models(draw):
+    """Models of every family with n 1..5: weights within [-1, 1], initial
+    values up to +-1e308, signed zeros, subnormals, degenerate intervals
+    and zero greyness."""
+    family = draw(st.sampled_from(gc.FAMILIES))
+    n = draw(st.integers(1, 5))
+    weight = st.one_of(signed_zero, tiny_s, unit)
+    value = st.one_of(signed_zero, tiny_s, st.floats(-1e308, 1e308))
+    grey = st.one_of(signed_zero, tiny_s.map(abs), st.floats(0.0, 1e308))
+
+    def cell(strategy):
+        x = draw(strategy)
+        if family == "fcm":
+            return x
+        if family == "fgcm":
+            return gc.Ign(*sorted((x, draw(st.one_of(st.just(x), strategy)))))
+        return gc.Ggn(x, draw(grey))
+
+    w = tuple(tuple(cell(weight) for _ in range(n)) for _ in range(n))
+    a = tuple(cell(value) for _ in range(n))
+    lam = draw(st.one_of(tiny_s.map(abs), st.floats(0.0, 1e308, exclude_min=True)))
+    return gc.Model(family, n, tuple(f"n{i}" for i in range(n)), w, a, lam)
+
+
+def cell_bits(family, cell):
+    if family == "fcm":
+        return bits(cell)
+    if family == "fgcm":
+        return bits(cell.lo) + bits(cell.hi)
+    return bits(cell.kernel) + bits(cell.greyness)
+
+
+def model_bits(m):
+    cells = [c for row in m.weights for c in row] + list(m.initial)
+    return (m.family, m.node_names, bits(m.lam), [cell_bits(m.family, c) for c in cells])
+
+
+@settings(max_examples=150)
+@given(any_models())
+def test_model_doc_round_trips_through_json_bitwise(m):
+    """model_to_doc, JSON text and parse_model give back every double, the
+    sign of a zero included, which == would not tell apart."""
+    again = gc.parse_model(json.loads(json.dumps(gc.model_to_doc(m))))
+    assert model_bits(again) == model_bits(m)
+
+
 @given(st.integers(1, 8), st.data(), steep_s)
 def test_degenerate_grey_runs_reproduce_the_crisp_run_bitwise(n, data, lam):
     """Contract 1 through whole trajectories of random maps."""
@@ -240,18 +302,6 @@ def test_interval_trajectory_encloses_member_trajectories(n, data, lam):
             assert i.lo <= c <= i.hi
 
 
-signed_zero = st.sampled_from([0.0, -0.0])
-STEP = {"fcm": gc.fcm_step, "fgcm": gc.fgcm_step, "fggcm": gc.fggcm_step}
-
-
-def cell_bits(family, cell):
-    if family == "fcm":
-        return bits(cell)
-    if family == "fgcm":
-        return bits(cell.lo) + bits(cell.hi)
-    return bits(cell.kernel) + bits(cell.greyness)
-
-
 @st.composite
 def repeating_runs(draw):
     """Maps that reach an exact float fixed point (small lambda) or an
@@ -283,11 +333,12 @@ def repeating_runs(draw):
 @given(repeating_runs())
 def test_simulate_equals_the_step_by_step_run_bitwise(case):
     """Stopping at the first exact repeat and copying the cycle gives the
-    trajectory that calling the family's one-step update T times gives."""
+    trajectory that T chained one-step runs give. A one-step run records a
+    single computed state, so it never reaches the cycle copy."""
     m, steps = case
     ref = [m.initial]
     for _ in range(steps):
-        ref.append(STEP[m.family](m.weights, ref[-1], m.lam))
+        ref.append(gc.simulate(dataclasses.replace(m, initial=ref[-1]), 1).states[1])
     got = gc.simulate(m, steps).states
     assert len(got) == len(ref) == steps + 1
     for s, r in zip(got, ref):
