@@ -1,14 +1,14 @@
 """Shared scalar kernels.
 
-Every engine's arithmetic lives here, one float-only row kernel per family:
-`dot_lr` for crisp rows, `interval_dot_lr` for interval rows and
-`kernel_grey_row` for kernel/greyness rows. One state update per family
-(`crisp_next`, `interval_next`, `kernel_grey_next`) runs its kernel over
-every weight row, from float planes to float planes. All three kernels
-accumulate left to right in the same order, so degenerate cases
-coincide bitwise: a kernel/greyness map with zero greyness, an interval
-map with zero-width intervals, and the crisp map all produce identical
-floating point trajectories.
+Every engine's arithmetic lives here, one float-only state update per
+family, from float planes to float planes: `crisp_next` runs the row
+kernel `dot_lr` over every weight row, `interval_next` runs
+`interval_dot_lr`, and `kernel_grey_next` does its kernel and greyness
+sums in one loop of its own, with no per-row call. All three accumulate
+left to right in the same order, so degenerate cases coincide bitwise: a
+kernel/greyness map with zero greyness, an interval map with zero-width
+intervals, and the crisp map all produce identical floating point
+trajectories.
 """
 
 import math
@@ -76,27 +76,6 @@ def interval_dot_lr(w_lo, w_hi, x_lo, x_hi):
     return lo, hi
 
 
-def kernel_grey_row(w_k, w_g, x_k, x_g, lam):
-    """One kernel/greyness node update over float planes, as (kernel, greyness).
-
-    The kernel sum reads only the kernel planes and accumulates exactly as
-    `dot_lr`. The greyness is the activated kernel times the
-    |kernel product|-weighted average of max(weight greyness, state
-    greyness); with zero kernel mass it is 0.
-    """
-    s = 0.0
-    denom = 0.0
-    num = 0.0
-    for wk, wg, xk, xg in zip(w_k, w_g, x_k, x_g):
-        p = wk * xk
-        s += p
-        ap = abs(p)
-        denom += ap
-        num += (xg if xg > wg else wg) * ap
-    k = sigmoid(s, lam)
-    return k, (k * (num / denom) if denom > 0.0 else 0.0)
-
-
 def crisp_next(w, a, lam):
     """One crisp update of every node, as one tuple plane: out_i =
     sigmoid(w_i . a)."""
@@ -115,11 +94,29 @@ def interval_next(w_lo, w_hi, x_lo, x_hi, lam):
 
 
 def kernel_grey_next(w_k, w_g, x_k, x_g, lam):
-    """One kernel/greyness update of every node, as (kernels, greyness)."""
+    """One kernel/greyness update of every node, as (kernels, greyness).
+
+    Each kernel sum reads only the kernel planes and accumulates exactly
+    as `dot_lr`. Each greyness is the activated kernel times the
+    |kernel product|-weighted average of max(weight greyness, state
+    greyness); with zero kernel mass it is 0. The sign flip stands in for
+    abs(p): it leaves -0.0 as it is, but the mass sums start at +0.0 and
+    add only terms >= 0 or -0.0, so they come out the same.
+    """
     k_out = []
     g_out = []
-    for wk, wg in zip(w_k, w_g):
-        k, g = kernel_grey_row(wk, wg, x_k, x_g, lam)
+    for wk_row, wg_row in zip(w_k, w_g):
+        s = 0.0
+        denom = 0.0
+        num = 0.0
+        for wk, wg, xk, xg in zip(wk_row, wg_row, x_k, x_g):
+            p = wk * xk
+            s += p
+            if p < 0.0:
+                p = -p
+            denom += p
+            num += (xg if xg > wg else wg) * p
+        k = sigmoid(s, lam)
         k_out.append(k)
-        g_out.append(g)
+        g_out.append(k * (num / denom) if denom > 0.0 else 0.0)
     return k_out, g_out

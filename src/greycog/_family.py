@@ -18,7 +18,7 @@ is far below every tolerance in use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -58,36 +58,68 @@ def located(take, values, where):
     return tuple(cells)
 
 
-# Ign and Ggn convert inline rather than through `finite`: simulate builds
-# one for every computed cell it records.
+class _Cell:
+    """An immutable cell of float fields that compares, hashes, prints and
+    pickles as a frozen dataclass would. A subclass names its fields in
+    `__slots__` and its `__init__` sets each one once through the slot's
+    own setter, since assignment raises.
+
+    Not dataclasses, and the constructors convert inline rather than
+    through `finite`: simulate builds one cell for every computed cell it
+    records, and a frozen dataclass cell cost about three times as much
+    to build.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Ign:
+class Ign(_Cell):
     """Closed interval [lo, hi], lo <= hi, both finite."""
 
-    lo: float
-    hi: float
+    __slots__ = __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
+    def __init__(self, lo, hi):
         try:
-            lo, hi = float(self.lo), float(self.hi)
+            lo, hi = float(lo), float(hi)
         except OverflowError:
             raise MalformedInputError("integer too large for a float") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise MalformedInputError("interval endpoints must be finite")
         if lo > hi:
             raise MalformedInputError(f"interval [{lo}, {hi}] has lo > hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     @property
     def width(self) -> float:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class Ggn:
+class Ggn(_Cell):
     """Reduced general grey number: kernel plus nonnegative greyness.
 
     The kernel is a representative crisp value, the greyness a normalized
@@ -96,20 +128,23 @@ class Ggn:
     uncertainty contributions.
     """
 
-    kernel: float
-    greyness: float
+    __slots__ = __match_args__ = ("kernel", "greyness")
 
-    def __post_init__(self):
+    def __init__(self, kernel, greyness):
         try:
-            k, g = float(self.kernel), float(self.greyness)
+            k, g = float(kernel), float(greyness)
         except OverflowError:
             raise MalformedInputError("integer too large for a float") from None
         if not math.isfinite(k):
             raise MalformedInputError("kernel must be finite")
         if not math.isfinite(g) or g < 0.0:
             raise MalformedInputError(f"greyness must be >= 0, got {g}")
-        object.__setattr__(self, "kernel", k)
-        object.__setattr__(self, "greyness", g)
+        _set_kernel(self, k)
+        _set_greyness(self, g)
+
+
+_set_lo, _set_hi = Ign.lo.__set__, Ign.hi.__set__
+_set_kernel, _set_greyness = Ggn.kernel.__set__, Ggn.greyness.__set__
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,12 @@ import json
 
 from ._family import FAMILIES, FAMILY, finite, is_number, located
 from .cogmap import Model
-from .errors import MalformedInputError
+from .errors import MalformedInputError, ValidationError
 
 __all__ = ["load_model", "model_to_doc", "parse_model", "save_doc"]
 
 
-def parse_model(doc) -> Model:
+def parse_model(doc, lam=None) -> Model:
     """Parse a model document into a validated Model.
 
     Structural problems raise MalformedInputError; a structurally sound
@@ -42,6 +42,10 @@ def parse_model(doc) -> Model:
     the Model constructor. Only the JSON shape is checked here: the cell
     constructors, and `Model` for crisp cells, make each number a finite
     float. A non-finite `lambda` is checked here too, as a parse error.
+
+    A lam given overrides the document's `lambda`, so the Model is built
+    and checked once. The document's own value must still be a positive
+    finite number.
     """
     if not isinstance(doc, dict):
         raise MalformedInputError("model file must contain a JSON object")
@@ -53,7 +57,7 @@ def parse_model(doc) -> Model:
         raise MalformedInputError(f"unknown family {family!r}")
     if not is_number(doc["lambda"]):
         raise MalformedInputError("'lambda' must be a number")
-    lam = finite(doc["lambda"], MalformedInputError, "'lambda'")
+    file_lam = finite(doc["lambda"], MalformedInputError, "'lambda'")
     nodes = doc["nodes"]
     if not (isinstance(nodes, list) and nodes
             and all(isinstance(s, str) for s in nodes)):
@@ -67,7 +71,11 @@ def parse_model(doc) -> Model:
     if not isinstance(doc["initial"], list):
         raise MalformedInputError("'initial' must be a list")
     initial = located(parse, doc["initial"], "initial[{}]")
-    return Model(family, len(nodes), tuple(nodes), rows, initial, lam)
+    m = Model(family, len(nodes), tuple(nodes), rows, initial,
+              file_lam if lam is None else lam)
+    if not file_lam > 0.0:
+        raise ValidationError(f"lambda must be a positive number, got {file_lam}")
+    return m
 
 
 def model_to_doc(m: Model) -> dict:
@@ -82,7 +90,8 @@ def model_to_doc(m: Model) -> dict:
     }
 
 
-def load_model(path) -> Model:
+def load_model(path, lam=None) -> Model:
+    """The model in a model file; lam as in `parse_model`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -92,7 +101,7 @@ def load_model(path) -> Model:
         # JSONDecodeError, or an integer literal past the interpreter's
         # digit limit for int().
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_model(doc)
+    return parse_model(doc, lam)
 
 
 def save_doc(doc: dict, path) -> None:

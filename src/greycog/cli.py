@@ -97,13 +97,6 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _load(args) -> Model:
-    m = _modelio.load_model(args.model)
-    if args.lam is not None:
-        m = dataclasses.replace(m, lam=args.lam)
-    return m
-
-
 def _write_trajectory(path, model: Model, traj) -> None:
     fam = FAMILY[model.family]
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -182,7 +175,7 @@ def _cmd_simulate(args) -> int:
     error = _run_args_error(args.steps, () if args.lam is None else (args.lam,))
     if error:
         return _usage_error(error)
-    model = _load(args)
+    model = _modelio.load_model(args.model, args.lam)
     traj = simulate(model, args.steps, model_id=Path(args.model).stem)
     _write_trajectory(args.out, model, traj)
     return 0
@@ -193,7 +186,7 @@ def _cmd_check(args) -> int:
                             args.eps, args.max_period)
     if error:
         return _usage_error(error)
-    model = _load(args)
+    model = _modelio.load_model(args.model, args.lam)
     label = Path(args.model).stem
     try:
         report, _, _ = _report(model, label, args.steps, args.eps, args.max_period)
@@ -230,7 +223,7 @@ def _cmd_sweep(args) -> int:
         given = ", ".join(s.strip() for s, t in zip(raw, tags) if t in shared)
         return _usage_error(f"--lambdas {given} share the file tags {', '.join(shared)}")
 
-    base = _modelio.load_model(args.model)
+    model = _modelio.load_model(args.model, lams[0])
     label = Path(args.model).stem
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,7 +231,9 @@ def _cmd_sweep(args) -> int:
     worst = 0
     rows = []
     for lam, tag in zip(lams, tags):
-        model = dataclasses.replace(base, lam=lam)
+        # The model was built at the first lambda; each later one replaces it.
+        if lam != model.lam:
+            model = dataclasses.replace(model, lam=lam)
         try:
             report, traj, cls = _report(model, label, args.steps, args.eps,
                                         args.max_period)

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 from ._family import FAMILY
 from .cogmap import Trajectory
-from .errors import DimensionError, InsufficientDataError, InvalidParameterError
+from .errors import (
+    DimensionError,
+    InsufficientDataError,
+    InvalidParameterError,
+    ValidationError,
+)
 
 __all__ = [
     "Classification",
@@ -24,9 +29,12 @@ __all__ = [
 def state_distance(family: str, a, b) -> float:
     """Family metric: Euclidean over every float field of the cells (the
     value; lo and hi; kernel and greyness)."""
+    fam = FAMILY.get(family)
+    if fam is None:
+        raise ValidationError(f"unknown family {family!r}")
     if len(a) != len(b):
         raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
-    return FAMILY[family].distance(a, b)
+    return fam.distance(a, b)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ from greycog import cli
 from greycog.cli import main
 
 
+BIG = "9" * 401  # an integer literal no float can hold
+
+
 def export(tmp_path, variant):
     path = tmp_path / f"{variant}.json"
     assert main(["corpus", variant, "--out", str(path)]) == 0
@@ -222,6 +225,46 @@ def test_sweep_simulates_once_per_lambda(tmp_path, monkeypatch):
     assert calls == [0.5, 1.0, 2.0]
 
 
+def lambda_argv(command, lambdas, model, out):
+    """Arguments that run command on model at the given lambdas, writing
+    to out: `--lambdas` for sweep, `--lambda` otherwise."""
+    if command == "sweep":
+        return ["sweep", "--model", model, "--lambdas", lambdas, "--out-dir", str(out)]
+    argv = [command, "--model", model, "--lambda", lambdas]
+    return argv + ["--out", str(out)] if command == "simulate" else argv
+
+
+@pytest.mark.parametrize("command, lambdas", [
+    ("simulate", "0.5"), ("check", "0.5"), ("sweep", "0.5,1,2"),
+])
+def test_lambda_override_builds_each_model_once(tmp_path, monkeypatch, command, lambdas):
+    model = export(tmp_path, "web_fcm")
+    post_init = gc.Model.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self.lam)
+        post_init(self)
+
+    monkeypatch.setattr(gc.Model, "__post_init__", counting)
+    assert main(lambda_argv(command, lambdas, model, tmp_path / "out")) == 0
+    assert calls == [float(x) for x in lambdas.split(",")]
+
+
+@pytest.mark.parametrize("file_lam, code", [('"abc"', 2), (BIG, 2), ("-1", 3), ("0", 3)])
+@pytest.mark.parametrize("command", ["simulate", "check", "sweep"])
+def test_lambda_override_keeps_the_file_lambda_checked(tmp_path, capsys, command,
+                                                       file_lam, code):
+    path = tmp_path / "m.json"
+    path.write_text('{"family": "fcm", "lambda": %s, "nodes": ["a"], '
+                    '"weights": [[0.5]], "initial": [0.5]}' % file_lam)
+    out = tmp_path / "out"
+    lambdas = "0.5,1" if command == "sweep" else "0.5"
+    assert main(lambda_argv(command, lambdas, str(path), out)) == code
+    assert "lambda" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_records_inapplicable_lambda_and_exits_four(tmp_path):
     doc = {
         "family": "fgcm",
@@ -248,28 +291,28 @@ def test_check_output_is_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+# The environment of a child interpreter that imports this checkout's
+# package, installed or not.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "m.json"
     proc = subprocess.run(
         [sys.executable, "-m", "greycog", "corpus", "web_fcm", "--out", str(out)],
-        capture_output=True,
+        capture_output=True, env=SRC_ENV,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr.decode()
     assert out.exists()
 
 
 def test_cli_import_does_not_load_numpy():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import greycog.cli, sys; assert 'numpy' not in sys.modules"],
-        capture_output=True, env=env,
+        capture_output=True, env=SRC_ENV,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-
-
-BIG = "9" * 401  # an integer literal no float can hold
 
 
 @pytest.mark.parametrize("family", ["fcm", "fgcm", "fggcm"])

@@ -84,7 +84,9 @@ def test_simulate_rejects_zero_steps(web_fcm_05):
         gc.simulate(web_fcm_05, 0)
 
 
-ROW_KERNELS = {"fcm": "dot_lr", "fgcm": "interval_dot_lr", "fggcm": "kernel_grey_row"}
+# Every row update activates its sums through `_core.sigmoid`: once in
+# fcm and fggcm, once per endpoint in fgcm.
+SIGMOIDS_PER_ROW = {"fcm": 1, "fgcm": 2, "fggcm": 1}
 
 
 @pytest.mark.parametrize("variant", ["web_fcm", "web_fgcm", "web_fggcm"])
@@ -92,16 +94,18 @@ def test_simulate_stops_computing_at_the_first_exact_repeat(variant, monkeypatch
     # At lambda 0.5 the web map is a contraction in every family, so the
     # float iteration lands on an exact fixed point long before T=1000.
     m = gc.build(variant, 0.5)
-    name = ROW_KERNELS[m.family]
-    kernel = getattr(_core, name)
-    rows = []
+    sigmoid = _core.sigmoid
+    calls = []
 
     def counting(*args):
-        rows.append(None)
-        return kernel(*args)
+        calls.append(None)
+        return sigmoid(*args)
 
-    monkeypatch.setattr(_core, name, counting)
+    monkeypatch.setattr(_core, "sigmoid", counting)
     traj = gc.simulate(m, 1000)
+    per_row = SIGMOIDS_PER_ROW[m.family]
+    assert len(calls) % per_row == 0
+    rows = calls[::per_row]
     updates = len(rows) // m.n
     assert len(rows) == updates * m.n
     assert updates < 100

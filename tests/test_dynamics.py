@@ -35,6 +35,11 @@ def test_state_distance_dispatches_by_family():
     assert gc.state_distance("fgcm", a, b) == pytest.approx(0.5)
 
 
+def test_state_distance_rejects_an_unknown_family():
+    with pytest.raises(gc.ValidationError, match="unknown family 'x'"):
+        gc.state_distance("x", (1.0,), (1.0,))
+
+
 def test_successive_distances_length(web_fcm_05):
     traj = gc.simulate(web_fcm_05, 20)
     d = successive_distances(traj)

@@ -1,11 +1,13 @@
-"""Kernel/greyness numbers and the kernel/greyness row kernel."""
+"""Kernel/greyness numbers and the kernel/greyness update."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
-from greycog import Ggn, GreyUnion, MalformedInputError, ggn_from_union
-from greycog._core import kernel_grey_row
+from greycog import Ggn, GreyUnion, Ign, MalformedInputError, ggn_from_union
+from greycog._core import kernel_grey_next
 from conftest import CASE2_REDUCED
 
 from greycog.corpus import CASE2_UNIONS
@@ -13,8 +15,46 @@ from greycog.corpus import CASE2_UNIONS
 
 def row_update(w_row, a, lam):
     """The engine's update of one node, from cells to a cell."""
-    return Ggn(*kernel_grey_row([w.kernel for w in w_row], [w.greyness for w in w_row],
-                                [x.kernel for x in a], [x.greyness for x in a], lam))
+    (k,), (g,) = kernel_grey_next([[w.kernel for w in w_row]], [[w.greyness for w in w_row]],
+                                  [x.kernel for x in a], [x.greyness for x in a], lam)
+    return Ggn(k, g)
+
+
+def test_cells_equal_only_within_their_class():
+    assert Ign(0, 1) != Ggn(0, 1)
+    assert Ggn(0, 1) != Ign(0, 1)
+    assert Ggn(0.5, 0.01) != (0.5, 0.01)
+    assert Ggn(0.5, 0.01) != Ggn(0.5, 0.02)
+    assert Ign(0, 1) == Ign(0.0, 1.0)
+    assert hash(Ign(0, 1)) == hash(Ign(0.0, 1.0))
+    assert hash(Ggn(0.5, 0.01)) == hash(Ggn(0.5, 0.01))
+    assert len({Ign(0, 1), Ign(0.0, 1.0), Ggn(0, 1), Ggn(0.0, 1.0)}) == 2
+
+
+CELLS = [
+    (Ign(-0.25, 0.75), ("lo", "hi"), "Ign(lo=-0.25, hi=0.75)"),
+    (Ggn(0.5, 0.01), ("kernel", "greyness"), "Ggn(kernel=0.5, greyness=0.01)"),
+]
+
+
+@pytest.mark.parametrize("cell, fields, text", CELLS)
+def test_cell_fields_are_read_only(cell, fields, text):
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(cell, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(cell, name)
+    assert repr(cell) == text
+
+
+@pytest.mark.parametrize("cell, fields, text", CELLS)
+def test_cells_survive_pickle_and_copy(cell, fields, text):
+    copies = [pickle.loads(pickle.dumps(cell, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies + [copy.copy(cell), copy.deepcopy(cell)]:
+        assert type(twin) is type(cell)
+        assert twin == cell
+        assert repr(twin) == text
 
 
 def test_union_single_interval_reduces_to_midpoint_and_half_width():

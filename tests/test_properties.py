@@ -13,7 +13,7 @@ import struct
 from hypothesis import given, settings, strategies as st
 
 import greycog as gc
-from greycog._core import dot_lr, interval_dot_lr, kernel_grey_row, sigmoid
+from greycog._core import dot_lr, interval_dot_lr, kernel_grey_next, sigmoid
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
 frac = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=64)
@@ -61,8 +61,9 @@ def activate(cell, lam):
 
 def row_update(w, a, lam):
     """The kernel/greyness engine's update of one node, from cells to a cell."""
-    return gc.Ggn(*kernel_grey_row([c.kernel for c in w], [c.greyness for c in w],
-                                   [c.kernel for c in a], [c.greyness for c in a], lam))
+    (k,), (g,) = kernel_grey_next([[c.kernel for c in w]], [[c.greyness for c in w]],
+                                  [c.kernel for c in a], [c.greyness for c in a], lam)
+    return gc.Ggn(k, g)
 
 
 @given(st.lists(st.tuples(interval_s(), interval_s(), frac, frac),
@@ -123,6 +124,38 @@ def test_row_update_greyness_independent_of_kernel_track_greyness(n, data, lam):
     bare = row_update(w0, a0, lam)
     assert bare.kernel == out.kernel
     assert bare.greyness == 0.0
+
+
+def kernel_grey_reference(w_k, w_g, x_k, x_g, lam):
+    """The kernel/greyness update written out row by row, with abs and max."""
+    kernels, greyness = [], []
+    for wk_row, wg_row in zip(w_k, w_g):
+        s = denom = num = 0.0
+        for wk, wg, xk, xg in zip(wk_row, wg_row, x_k, x_g):
+            s += wk * xk
+            denom += abs(wk * xk)
+            num += max(wg, xg) * abs(wk * xk)
+        k = sigmoid(s, lam)
+        kernels.append(k)
+        greyness.append(k * (num / denom) if denom > 0.0 else 0.0)
+    return kernels, greyness
+
+
+# Signed zeros in every plane, and greyness drawn often from a few values
+# so that weight and state greyness tie (0.0 against -0.0 too).
+zero_or_unit = st.one_of(st.sampled_from([0.0, -0.0]), unit)
+tied_grey = st.one_of(st.sampled_from([0.0, -0.0, 0.25]), grey_s)
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.data(), lam_s)
+def test_kernel_grey_update_equals_the_row_by_row_reference(rows, cols, data, lam):
+    planes = (data.draw(vec(vec(zero_or_unit, cols), rows)),
+              data.draw(vec(vec(tied_grey, cols), rows)),
+              data.draw(vec(zero_or_unit, cols)),
+              data.draw(vec(tied_grey, cols)))
+    got = kernel_grey_next(*planes, lam)
+    want = kernel_grey_reference(*planes, lam)
+    assert [list(map(bits, p)) for p in got] == [list(map(bits, p)) for p in want]
 
 
 @given(st.integers(1, 4), st.data())
