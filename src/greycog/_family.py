@@ -8,7 +8,18 @@ codec, `Model`, `simulate`, the CLI's trajectory writer and `classify`.
 
 The cell constructors own the conversion of a number to a finite float, so
 each number is converted and checked once; crisp cells are plain floats,
-which `Model` converts through the family's `cell` entry.
+which `Model` converts through the family's `cell` entry. `finite` and
+`positive_lambda` are the number and steepness rules every module applies.
+
+`Ign` and `Ggn` are frozen dataclasses: equality, hash, repr and
+read-only fields come from `dataclasses`. `simulate` builds one per
+computed cell, so `__init__` is written by hand (`init=False`): it
+converts inline and sets each slot through its own setter, at less than
+half the cost of a generated frozen `__init__`. `__slots__` is declared,
+not `slots=True`, whose rebuilt class on CPython 3.11 raises TypeError,
+not AttributeError, on assigning a name that is not a field. `__reduce__`
+rebuilds a cell through its constructor, since default unpickling
+assigns through the frozen `__setattr__` and raises.
 
 Plain floating point, no outward rounding. At the scale this package
 targets (desk-size maps, |values| <= a few units) the representation error
@@ -18,7 +29,7 @@ is far below every tolerance in use.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -45,6 +56,15 @@ def finite(x, error, where=None):
     raise error(problem if where is None else f"{where}: {problem}")
 
 
+def positive_lambda(lam, error) -> float:
+    """lam as a float if it is a finite number > 0 (see `is_number`), else raises error."""
+    if is_number(lam):
+        v = finite(lam, error, "lambda")
+        if v > 0.0:
+            return v
+    raise error(f"lambda must be a positive finite number, got {lam!r}")
+
+
 def located(take, values, where):
     """take(v) for every v in values, as a tuple. A value take rejects
     raises its error again, same type, prefixed with where.format(j), j
@@ -58,49 +78,13 @@ def located(take, values, where):
     return tuple(cells)
 
 
-class _Cell:
-    """An immutable cell of float fields that compares, hashes, prints and
-    pickles as a frozen dataclass would. A subclass names its fields in
-    `__slots__` and its `__init__` sets each one once through the slot's
-    own setter, since assignment raises.
-
-    Not dataclasses, and the constructors convert inline rather than
-    through `finite`: simulate builds one cell for every computed cell it
-    records, and a frozen dataclass cell cost about three times as much
-    to build.
-    """
-
-    __slots__ = ()
-
-    def _astuple(self):
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._astuple()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class Ign(_Cell):
+@dataclass(frozen=True, init=False)
+class Ign:
     """Closed interval [lo, hi], lo <= hi, both finite."""
 
-    __slots__ = __match_args__ = ("lo", "hi")
+    __slots__ = ("lo", "hi")
+    lo: float
+    hi: float
 
     def __init__(self, lo, hi):
         try:
@@ -114,12 +98,16 @@ class Ign(_Cell):
         _set_lo(self, lo)
         _set_hi(self, hi)
 
+    def __reduce__(self):
+        return Ign, (self.lo, self.hi)
+
     @property
     def width(self) -> float:
         return self.hi - self.lo
 
 
-class Ggn(_Cell):
+@dataclass(frozen=True, init=False)
+class Ggn:
     """Reduced general grey number: kernel plus nonnegative greyness.
 
     The kernel is a representative crisp value, the greyness a normalized
@@ -128,7 +116,9 @@ class Ggn(_Cell):
     uncertainty contributions.
     """
 
-    __slots__ = __match_args__ = ("kernel", "greyness")
+    __slots__ = ("kernel", "greyness")
+    kernel: float
+    greyness: float
 
     def __init__(self, kernel, greyness):
         try:
@@ -141,6 +131,9 @@ class Ggn(_Cell):
             raise MalformedInputError(f"greyness must be >= 0, got {g}")
         _set_kernel(self, k)
         _set_greyness(self, g)
+
+    def __reduce__(self):
+        return Ggn, (self.kernel, self.greyness)
 
 
 _set_lo, _set_hi = Ign.lo.__set__, Ign.hi.__set__

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 
-from ._family import FAMILIES, FAMILY, finite, is_number, located
+from ._family import FAMILIES, FAMILY, finite, is_number, located, positive_lambda
 from .cogmap import Model
 from .errors import MalformedInputError, ValidationError
 
@@ -73,8 +73,7 @@ def parse_model(doc, lam=None) -> Model:
     initial = located(parse, doc["initial"], "initial[{}]")
     m = Model(family, len(nodes), tuple(nodes), rows, initial,
               file_lam if lam is None else lam)
-    if not file_lam > 0.0:
-        raise ValidationError(f"lambda must be a positive number, got {file_lam}")
+    positive_lambda(file_lam, ValidationError)
     return m
 
 

@@ -7,13 +7,13 @@ Subcommands:
     sweep      run several lambdas, write per-run files plus a summary CSV
     corpus     export a built-in benchmark variant as a model file
 
-Exit codes: 0 success, 2 usage or parse failure, 3 model or parameter
-validation failure, 4 criterion structurally inapplicable (mixed-sign
-interval weight). A library error maps to its code by type: 2 for
-MalformedInputError, 4 for MixedSignWeightError, 3 for any other. `sweep`
-records a lambda whose run raises as an `error(...)` summary row, goes on
-with the next lambda, and exits with the largest code among its rows (0
-when none failed).
+Exit codes: 0 success, 2 usage or parse failure or an output path that
+cannot be written, 3 model or parameter validation failure, 4 criterion
+structurally inapplicable (mixed-sign interval weight). A library error
+maps to its code by type: 2 for MalformedInputError, 4 for
+MixedSignWeightError, 3 for any other. `sweep` records a lambda whose run
+raises as an `error(...)` summary row, goes on with the next lambda, and
+exits with the largest code among its rows (0 when none failed).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import _modelio, convergence, corpus
 from ._family import FAMILY
-from .cogmap import Model, Trajectory, simulate
+from .cogmap import Model, simulate
 from .dynamics import Classification, classify
 from .errors import (
     GreycogError,
@@ -127,8 +127,9 @@ def _verdict_dict(v: convergence.Verdict) -> dict:
     }
 
 
-def _report(model: Model, model_label: str, steps: int, eps: float,
-            max_period: int) -> tuple[dict, Trajectory, Classification]:
+def _report(model: Model, model_label: str, steps: int, eps: float, max_period: int):
+    """A run's check report, trajectory, classification and criterion
+    verdicts (the family's one, or fggcm's kernel and greyness ones)."""
     traj = simulate(model, steps, model_id=model_label)
     cls = classify(traj, epsilon=eps, max_period=max_period)
     report = {
@@ -137,12 +138,9 @@ def _report(model: Model, model_label: str, steps: int, eps: float,
         "lambda": model.lam,
         "classification": _classification_dict(cls),
     }
-    if model.family == "fcm":
-        report.update(_verdict_dict(convergence.check_fcm(model.weights, model.lam)))
-    elif model.family == "fgcm":
-        report.update(_verdict_dict(convergence.check_fgcm(model.weights, model.lam)))
-    else:
+    if model.family == "fggcm":
         full = convergence.check_fggcm(model, traj, cls)
+        verdicts = (full.kernel_verdict, full.greyness_verdict)
         report["kernel"] = _verdict_dict(full.kernel_verdict)
         report["greyness"] = _verdict_dict(full.greyness_verdict)
         report["evaluation_state"] = {
@@ -151,7 +149,11 @@ def _report(model: Model, model_label: str, steps: int, eps: float,
             "kernel_converged": full.kernel_converged,
         }
         report["overall"] = full.overall
-    return report, traj, cls
+    else:
+        check = convergence.check_fcm if model.family == "fcm" else convergence.check_fgcm
+        verdicts = (check(model.weights, model.lam),)
+        report.update(_verdict_dict(verdicts[0]))
+    return report, traj, cls, verdicts
 
 
 def _run_args_error(steps, lams, eps=None, max_period=None):
@@ -189,7 +191,7 @@ def _cmd_check(args) -> int:
     model = _modelio.load_model(args.model, args.lam)
     label = Path(args.model).stem
     try:
-        report, _, _ = _report(model, label, args.steps, args.eps, args.max_period)
+        report, *_ = _report(model, label, args.steps, args.eps, args.max_period)
     except MixedSignWeightError as exc:
         print(json.dumps({
             "error": "MixedSignWeight",
@@ -199,7 +201,7 @@ def _cmd_check(args) -> int:
             "hint": "the interval criterion cannot rank a weight straddling "
                     "zero; model it as kernel/greyness (fggcm) instead",
         }, indent=2))
-        return 4
+        return _error_code(exc)[0]
     print(json.dumps(report, indent=2))
     return 0
 
@@ -235,33 +237,21 @@ def _cmd_sweep(args) -> int:
         if lam != model.lam:
             model = dataclasses.replace(model, lam=lam)
         try:
-            report, traj, cls = _report(model, label, args.steps, args.eps,
-                                        args.max_period)
-        except MixedSignWeightError as exc:
-            rows.append([tag, "", "", f"error(MixedSignWeight {exc.i},{exc.j})", ""])
-            worst = max(worst, 4)
-            continue
+            report, traj, cls, verdicts = _report(model, label, args.steps, args.eps,
+                                                  args.max_period)
         except GreycogError as exc:
-            rows.append([tag, "", "", f"error({type(exc).__name__})", ""])
+            name = (f"MixedSignWeight {exc.i},{exc.j}"
+                    if isinstance(exc, MixedSignWeightError) else type(exc).__name__)
+            rows.append([tag, "", "", f"error({name})", ""])
             worst = max(worst, _error_code(exc)[0])
             continue
         _write_trajectory(out_dir / f"trajectory_lam{tag}.csv", model, traj)
         with open(out_dir / f"report_lam{tag}.json", "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        if model.family == "fggcm":
-            kernel_crit = report["kernel"]["criterion"]
-            grey_crit = report["greyness"]["criterion"]
-        else:
-            kernel_crit = report["criterion"]
-            grey_crit = ""
-        rows.append([
-            tag,
-            repr(float(kernel_crit)),
-            repr(float(grey_crit)) if grey_crit != "" else "",
-            cls.verdict,
-            cls.period if cls.period is not None else "",
-        ])
+        kernel_crit, grey_crit, *_ = [repr(v.criterion_value) for v in verdicts] + [""]
+        period = cls.period if cls.period is not None else ""
+        rows.append([tag, kernel_crit, grey_crit, cls.verdict, period])
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([
@@ -297,6 +287,8 @@ def main(argv=None) -> int:
         code, prefix = _error_code(exc)
         print(f"greycog: {prefix}{exc}", file=sys.stderr)
         return code
+    except OSError as exc:
+        return _usage_error(str(exc))
 
 
 def entrypoint() -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._core import crisp_next
-from ._family import FAMILIES, FAMILY, finite, is_number, located
+from ._family import FAMILIES, FAMILY, located, positive_lambda
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -59,12 +59,7 @@ class Model:
             located(fam.cell, row, f"weights[{i + 1}][{{}}]")
             for i, row in enumerate(self.weights)))
         object.__setattr__(self, "initial", located(fam.cell, self.initial, "initial[{}]"))
-        if not is_number(self.lam):
-            raise ValidationError(f"lambda must be a positive number, got {self.lam!r}")
-        lam = finite(self.lam, ValidationError, "lambda")
-        if not lam > 0.0:
-            raise ValidationError(f"lambda must be a positive number, got {lam}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", positive_lambda(self.lam, ValidationError))
         names = tuple(str(s) for s in self.node_names)
         object.__setattr__(self, "node_names", names)
         if isinstance(self.n, bool) or not isinstance(self.n, int):
@@ -110,8 +105,7 @@ class Trajectory:
 
 def fcm_step(w, a, lam: float):
     """One synchronous crisp update: out_i = sigmoid(sum_j w_ij a_j)."""
-    if not lam > 0.0:
-        raise InvalidParameterError(f"lambda must be > 0, got {lam}")
+    lam = positive_lambda(lam, InvalidParameterError)
     if any(len(row) != len(a) for row in w):
         raise DimensionError("weight row length does not match state length")
     return crisp_next(w, a, lam)[0]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._core import dot_lr, sigmoid
+from ._family import positive_lambda
 from .cogmap import Model, Trajectory
 from .dynamics import Classification
 from .errors import (
@@ -115,15 +116,13 @@ def w_star(w):
 
 def check_fcm(w, lam: float) -> Verdict:
     """Crisp criterion: lambda * ||W||_F against 4."""
-    if not lam > 0.0:
-        raise InvalidParameterError(f"lambda must be > 0, got {lam}")
+    lam = positive_lambda(lam, InvalidParameterError)
     return _verdict(lam * frobenius_norm(w), 4.0)
 
 
 def check_fgcm(w, lam: float) -> Verdict:
     """Interval criterion: lambda * ||W*||_F against 4."""
-    if not lam > 0.0:
-        raise InvalidParameterError(f"lambda must be > 0, got {lam}")
+    lam = positive_lambda(lam, InvalidParameterError)
     return _verdict(lam * frobenius_norm(w_star(w)), 4.0)
 
 
@@ -157,8 +156,7 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     dominates the weight greyness; those are the terms through which state
     uncertainty propagates to the next step. Returns a tuple of row tuples.
     """
-    if not lam > 0.0:
-        raise InvalidParameterError(f"lambda must be > 0, got {lam}")
+    lam = positive_lambda(lam, InvalidParameterError)
     n = len(w)
     if len(a_hat) != n or len(a_grey) != n:
         raise DimensionError("state vectors must match matrix dimension")

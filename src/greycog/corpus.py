@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._family import Ggn, GreyUnion, Ign, ggn_from_union
+from ._family import Ggn, GreyUnion, Ign, ggn_from_union, positive_lambda
 from ._modelio import model_to_doc
 from .cogmap import Model
 from .errors import InvalidParameterError, MalformedInputError
@@ -144,8 +144,7 @@ def build(variant: str, lam: float) -> Model:
     if variant not in VARIANTS:
         valid = ", ".join(sorted(VARIANTS))
         raise MalformedInputError(f"unknown corpus variant {variant!r}; valid: {valid}")
-    if not lam > 0.0:
-        raise InvalidParameterError(f"lambda must be > 0, got {lam}")
+    lam = positive_lambda(lam, InvalidParameterError)
 
     if variant == "web_fcm":
         return Model("fcm", 7, WEB_NODE_NAMES, WEB_WEIGHTS, WEB_INITIAL_CRISP, lam)

@@ -283,6 +283,25 @@ def test_sweep_records_inapplicable_lambda_and_exits_four(tmp_path):
     assert rows[1][3] == "error(MixedSignWeight 1,1)"
 
 
+@pytest.mark.parametrize("command, parent", [
+    ("simulate", "missing"), ("simulate", "file"),
+    ("corpus", "missing"), ("corpus", "file"),
+    ("sweep", "file"),  # sweep creates a missing output directory
+])
+def test_unwritable_output_is_a_one_line_usage_error(tmp_path, capsys, command, parent):
+    model = export(tmp_path, "web_fcm")
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / parent / "out")
+    argv = {
+        "simulate": ["simulate", "--model", model, "--out", out],
+        "corpus": ["corpus", "web_fcm", "--out", out],
+        "sweep": ["sweep", "--model", model, "--lambdas", "1", "--out-dir", out],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("greycog: error: ") and err.count("\n") == 1
+
+
 def test_check_output_is_deterministic(tmp_path, capsys):
     model = export(tmp_path, "web_fggcm")
     main(["check", "--model", model, "--lambda", "0.5"])

@@ -45,6 +45,33 @@ def test_step_rejects_nonpositive_steepness():
         gc.fcm_step(((0.5,),), (0.5,), -1.0)
 
 
+# Each entry point that takes a steepness, called on a one-node input it accepts.
+LAMBDA_ENTRY_POINTS = {
+    "fcm_step": lambda lam: gc.fcm_step(((0.5,),), (0.5,), lam),
+    "check_fcm": lambda lam: gc.check_fcm(((0.5,),), lam),
+    "check_fgcm": lambda lam: gc.check_fgcm(((gc.Ign(0.1, 0.2),),), lam),
+    "grey_condition_matrix": lambda lam: gc.grey_condition_matrix(
+        ((gc.Ggn(0.5, 0.1),),), (0.5,), (0.1,), lam),
+    "build": lambda lam: gc.build("web_fcm", lam),
+}
+BAD_LAMBDAS = pytest.mark.parametrize(
+    "lam", [math.inf, math.nan, True, 10**400, 0, -1],
+    ids=["inf", "nan", "True", "10**400", "0", "-1"])
+
+
+@BAD_LAMBDAS
+@pytest.mark.parametrize("entry", LAMBDA_ENTRY_POINTS)
+def test_every_lambda_entry_point_rejects_a_bad_lambda(entry, lam):
+    with pytest.raises(gc.InvalidParameterError, match="lambda"):
+        LAMBDA_ENTRY_POINTS[entry](lam)
+
+
+@BAD_LAMBDAS
+def test_model_rejects_a_bad_lambda(lam):
+    with pytest.raises(gc.ValidationError, match="lambda"):
+        gc.Model("fcm", 1, ("a",), ((0.5,),), (0.5,), lam)
+
+
 def test_step_rejects_row_length_mismatch():
     with pytest.raises(gc.DimensionError):
         gc.fcm_step(((0.5, 0.1),), (0.5,), 1.0)

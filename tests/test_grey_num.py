@@ -1,6 +1,7 @@
 """Kernel/greyness numbers and the kernel/greyness update."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -55,6 +56,16 @@ def test_cells_survive_pickle_and_copy(cell, fields, text):
         assert type(twin) is type(cell)
         assert twin == cell
         assert repr(twin) == text
+
+
+def test_cells_are_dataclasses_built_through_their_checks():
+    assert [f.name for f in dataclasses.fields(Ign)] == ["lo", "hi"]
+    assert [f.name for f in dataclasses.fields(Ggn)] == ["kernel", "greyness"]
+    assert dataclasses.replace(Ggn(0.5, 0.01), greyness=0.25) == Ggn(0.5, 0.25)
+    with pytest.raises(MalformedInputError):
+        dataclasses.replace(Ggn(0.5, 0.01), greyness=-1.0)
+    with pytest.raises(MalformedInputError):
+        dataclasses.replace(Ign(0.0, 0.5), lo=1.0)
 
 
 def test_union_single_interval_reduces_to_midpoint_and_half_width():

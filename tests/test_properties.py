@@ -215,6 +215,35 @@ def test_w_star_of_degenerate_intervals_is_the_magnitude_matrix(n, data):
         tuple(tuple(abs(v) for v in row) for row in w))
 
 
+@given(st.integers(1, 6), st.data(), steep_s)
+def test_degenerate_interval_criterion_is_the_crisp_criterion(n, data, lam):
+    """The abstract's special case: on degenerate intervals the FGCM
+    criterion is the FCM one, float for float."""
+    w = data.draw(mat(unit, n))
+    boxed = tuple(tuple(gc.Ign(v, v) for v in row) for row in w)
+    assert gc.check_fgcm(boxed, lam) == gc.check_fcm(w, lam)
+
+
+# Kernels away from zero, so that no row of the condition matrix is
+# degenerate.
+kernel_s = st.tuples(st.floats(0.01, 1.0), st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 6), st.data(), steep_s)
+def test_zero_greyness_kernel_criterion_is_the_crisp_criterion(n, data, lam):
+    """The abstract's special case: with zero greyness the FGGCM kernel
+    criterion is the FCM one on the kernel matrix, float for float."""
+    w = data.draw(mat(kernel_s, n))
+    a = data.draw(vec(frac, n))
+    m = gc.Model("fggcm", n, tuple(f"c{i}" for i in range(n)),
+                 tuple(tuple(gc.Ggn(v, 0.0) for v in row) for row in w),
+                 tuple(gc.Ggn(v, 0.0) for v in a), lam)
+    traj = gc.simulate(m, 20)
+    report = gc.check_fggcm(m, traj, gc.classify(traj, max_period=2))
+    assert report.kernel_verdict == gc.check_fcm(w, lam)
+
+
 @given(st.floats(min_value=0.05, max_value=4.0))
 def test_verdict_criterion_scales_linearly_in_steepness(lam):
     from conftest import WEB_W
