@@ -31,7 +31,7 @@ from .convergence import (
     grey_condition_matrix,
     w_star,
 )
-from .corpus import VARIANTS, CorpusVariant, build, export_variant, inject_greyness
+from .corpus import VARIANTS, build, export_variant, inject_greyness
 from .dynamics import (
     Classification,
     classify,
@@ -55,7 +55,6 @@ __all__ = [
     "AT_LEAST_ONE",
     "Classification",
     "Corollary3Result",
-    "CorpusVariant",
     "DegenerateRowError",
     "DimensionError",
     "FAMILIES",

@@ -9,7 +9,7 @@ codec, `Model`, `simulate`, the CLI's trajectory writer and `classify`.
 The cell constructors own the conversion of a number to a finite float, so
 each number is converted and checked once; crisp cells are plain floats,
 which `Model` converts through the family's `cell` entry. `finite` and
-`positive_lambda` are the number and steepness rules every module applies.
+`positive` are the number and positive-parameter rules every module applies.
 
 `Ign` and `Ggn` are frozen dataclasses: equality, hash, repr and
 read-only fields come from `dataclasses`. `simulate` builds one per
@@ -56,13 +56,13 @@ def finite(x, error, where=None):
     raise error(problem if where is None else f"{where}: {problem}")
 
 
-def positive_lambda(lam, error) -> float:
-    """lam as a float if it is a finite number > 0 (see `is_number`), else raises error."""
-    if is_number(lam):
-        v = finite(lam, error, "lambda")
+def positive(x, error, name="lambda") -> float:
+    """x as a float if it is a finite number > 0 (see `is_number`), else raises error."""
+    if is_number(x):
+        v = finite(x, error, name)
         if v > 0.0:
             return v
-    raise error(f"lambda must be a positive finite number, got {lam!r}")
+    raise error(f"{name} must be a positive finite number, got {x!r}")
 
 
 def located(take, values, where):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 
-from ._family import FAMILIES, FAMILY, finite, is_number, located, positive_lambda
+from ._family import FAMILIES, FAMILY, finite, is_number, located, positive
 from .cogmap import Model
 from .errors import MalformedInputError, ValidationError
 
@@ -71,9 +71,8 @@ def parse_model(doc, lam=None) -> Model:
     if not isinstance(doc["initial"], list):
         raise MalformedInputError("'initial' must be a list")
     initial = located(parse, doc["initial"], "initial[{}]")
-    m = Model(family, len(nodes), tuple(nodes), rows, initial,
-              file_lam if lam is None else lam)
-    positive_lambda(file_lam, ValidationError)
+    m = Model(family, tuple(nodes), rows, initial, file_lam if lam is None else lam)
+    positive(file_lam, ValidationError)
     return m
 
 

@@ -48,32 +48,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run a model and write its trajectory CSV")
-    p.add_argument("--model", required=True, help="model file (JSON)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="override the model file steepness")
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--out", required=True, help="trajectory CSV path")
+    # Flags shared by several commands, each defined once.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--model", required=True, help="model file (JSON)")
+    run.add_argument("--steps", type=int, default=100)
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="lam", type=float, default=None,
+                     help="override the model file steepness")
+    tail = argparse.ArgumentParser(add_help=False)
+    tail.add_argument("--eps", type=float, default=1e-8)
+    tail.add_argument("--max-period", type=int, default=50)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="file to write")
 
-    p = sub.add_parser("check", help="print the convergence report as JSON")
-    p.add_argument("--model", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--max-period", type=int, default=50)
+    sub.add_parser("simulate", parents=[run, lam, out],
+                   help="run a model and write its trajectory CSV")
 
-    p = sub.add_parser("sweep", help="run several lambdas and summarize")
-    p.add_argument("--model", required=True)
+    sub.add_parser("check", parents=[run, lam, tail],
+                   help="print the convergence report as JSON")
+
+    p = sub.add_parser("sweep", parents=[run, tail], help="run several lambdas and summarize")
     p.add_argument("--lambdas", required=True,
                    help="comma-separated steepness values, e.g. 0.5,1,2,4")
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--max-period", type=int, default=50)
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("corpus", help="export a built-in benchmark variant")
+    p = sub.add_parser("corpus", parents=[out], help="export a built-in benchmark variant")
     p.add_argument("variant", help="variant id, e.g. web_fcm")
-    p.add_argument("--out", required=True, help="model file path to write")
 
     return parser
 
@@ -130,7 +130,7 @@ def _verdict_dict(v: convergence.Verdict) -> dict:
 def _report(model: Model, model_label: str, steps: int, eps: float, max_period: int):
     """A run's check report, trajectory, classification and criterion
     verdicts (the family's one, or fggcm's kernel and greyness ones)."""
-    traj = simulate(model, steps, model_id=model_label)
+    traj = simulate(model, steps)
     cls = classify(traj, epsilon=eps, max_period=max_period)
     report = {
         "model": model_label,
@@ -162,8 +162,8 @@ def _run_args_error(steps, lams, eps=None, max_period=None):
     lambda is kept; eps and max_period are None for simulate."""
     if steps < 1:
         return f"--steps must be >= 1, got {steps}"
-    if eps is not None and not eps > 0.0:
-        return f"--eps must be > 0, got {eps}"
+    if eps is not None and not 0.0 < eps < math.inf:
+        return f"--eps must be a finite number > 0, got {eps}"
     if max_period is not None and max_period < 2:
         return f"--max-period must be >= 2, got {max_period}"
     if any(not lam > 0.0 for lam in lams):
@@ -178,7 +178,7 @@ def _cmd_simulate(args) -> int:
     if error:
         return _usage_error(error)
     model = _modelio.load_model(args.model, args.lam)
-    traj = simulate(model, args.steps, model_id=Path(args.model).stem)
+    traj = simulate(model, args.steps)
     _write_trajectory(args.out, model, traj)
     return 0
 

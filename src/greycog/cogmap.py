@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._core import crisp_next
-from ._family import FAMILIES, FAMILY, located, positive_lambda
+from ._family import FAMILIES, FAMILY, located, positive
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -39,11 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Model:
-    """A cognitive map: family tag, square weight matrix, initial state,
-    and sigmoid steepness. Immutable and validated on construction."""
+    """A cognitive map: family tag, node names, square weight matrix,
+    initial state, and sigmoid steepness. Immutable and validated on
+    construction; n is the node count."""
 
     family: str
-    n: int
     node_names: tuple[str, ...]
     weights: tuple
     initial: tuple
@@ -59,14 +59,9 @@ class Model:
             located(fam.cell, row, f"weights[{i + 1}][{{}}]")
             for i, row in enumerate(self.weights)))
         object.__setattr__(self, "initial", located(fam.cell, self.initial, "initial[{}]"))
-        object.__setattr__(self, "lam", positive_lambda(self.lam, ValidationError))
-        names = tuple(str(s) for s in self.node_names)
-        object.__setattr__(self, "node_names", names)
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValidationError(f"n must be an integer, got {self.n!r}")
-        if self.n != len(names):
-            raise ValidationError(f"n={self.n} but {len(names)} node names")
-        if self.n < 1:
+        object.__setattr__(self, "lam", positive(self.lam, ValidationError))
+        object.__setattr__(self, "node_names", tuple(str(s) for s in self.node_names))
+        if not self.node_names:
             raise ValidationError("model needs at least one node")
         if len(self.weights) != self.n:
             raise ValidationError(f"weight matrix has {len(self.weights)} rows, expected {self.n}")
@@ -77,6 +72,10 @@ class Model:
         if len(self.initial) != self.n:
             raise ValidationError(f"initial state has {len(self.initial)} entries, expected {self.n}")
 
+    @property
+    def n(self) -> int:
+        return len(self.node_names)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -84,8 +83,6 @@ class Trajectory:
 
     family: str
     states: tuple
-    lam: float
-    model_id: str
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(tuple(s) for s in self.states))
@@ -105,13 +102,13 @@ class Trajectory:
 
 def fcm_step(w, a, lam: float):
     """One synchronous crisp update: out_i = sigmoid(sum_j w_ij a_j)."""
-    lam = positive_lambda(lam, InvalidParameterError)
+    lam = positive(lam, InvalidParameterError)
     if any(len(row) != len(a) for row in w):
         raise DimensionError("weight row length does not match state length")
     return crisp_next(w, a, lam)[0]
 
 
-def simulate(m: Model, steps: int, model_id: str | None = None) -> Trajectory:
+def simulate(m: Model, steps: int) -> Trajectory:
     """Iterate a model for the given number of steps.
 
     Returns the full state history: steps + 1 states, the initial one
@@ -144,4 +141,4 @@ def simulate(m: Model, steps: int, model_id: str | None = None) -> Trajectory:
                 states.append(states[-period])
             break
         states.append(box(x_planes))
-    return Trajectory(m.family, tuple(states), m.lam, model_id or m.family)
+    return Trajectory(m.family, tuple(states))

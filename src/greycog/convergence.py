@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._core import dot_lr, sigmoid
-from ._family import positive_lambda
+from ._family import positive
 from .cogmap import Model, Trajectory
 from .dynamics import Classification
 from .errors import (
@@ -116,13 +116,13 @@ def w_star(w):
 
 def check_fcm(w, lam: float) -> Verdict:
     """Crisp criterion: lambda * ||W||_F against 4."""
-    lam = positive_lambda(lam, InvalidParameterError)
+    lam = positive(lam, InvalidParameterError)
     return _verdict(lam * frobenius_norm(w), 4.0)
 
 
 def check_fgcm(w, lam: float) -> Verdict:
     """Interval criterion: lambda * ||W*||_F against 4."""
-    lam = positive_lambda(lam, InvalidParameterError)
+    lam = positive(lam, InvalidParameterError)
     return _verdict(lam * frobenius_norm(w_star(w)), 4.0)
 
 
@@ -156,7 +156,7 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     dominates the weight greyness; those are the terms through which state
     uncertainty propagates to the next step. Returns a tuple of row tuples.
     """
-    lam = positive_lambda(lam, InvalidParameterError)
+    lam = positive(lam, InvalidParameterError)
     n = len(w)
     if len(a_hat) != n or len(a_grey) != n:
         raise DimensionError("state vectors must match matrix dimension")
@@ -229,10 +229,9 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
     """Full report for a kernel/greyness model.
 
     The kernel criterion is the crisp criterion on the kernel matrix. The
-    greyness condition matrix needs a state to be evaluated at: the
-    converged state when the classification is a fixed point, otherwise
-    the final recorded state, flagged via kernel_converged=False as a
-    non-authoritative evaluation point.
+    greyness condition matrix is evaluated at the final recorded state:
+    the converged state when cls is a fixed point, otherwise a
+    non-authoritative evaluation point, flagged by kernel_converged=False.
     """
     if m.family != "fggcm":
         raise ValidationError(f"expected an fggcm model, got {m.family}")
@@ -240,8 +239,7 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
         raise ValidationError(f"expected an fggcm trajectory, got {traj.family}")
     kernel_matrix = [[cell.kernel for cell in row] for row in m.weights]
     kernel_verdict = _verdict(m.lam * frobenius_norm(kernel_matrix), 4.0)
-    converged = cls.verdict == "FixedPoint"
-    state = cls.final_state if converged else traj.states[-1]
+    state = traj.states[-1]
     a_hat = [g.kernel for g in state]
     a_grey = [g.greyness for g in state]
     cond = grey_condition_matrix(m.weights, a_hat, a_grey, m.lam)
@@ -251,7 +249,7 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
         kernel_verdict=kernel_verdict,
         greyness_value=greyness_value,
         greyness_verdict=greyness_verdict,
-        evaluation_state=tuple(state),
-        kernel_converged=converged,
+        evaluation_state=state,
+        kernel_converged=cls.verdict == "FixedPoint",
         overall=_combine(kernel_verdict, greyness_verdict),
     )

@@ -10,15 +10,12 @@ Node names are C1..C7; all report indices are 1-based to match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._family import Ggn, GreyUnion, Ign, ggn_from_union, positive_lambda
+from ._family import Ggn, GreyUnion, Ign, ggn_from_union, positive
 from ._modelio import model_to_doc
 from .cogmap import Model
 from .errors import InvalidParameterError, MalformedInputError
 
 __all__ = [
-    "CorpusVariant",
     "VARIANTS",
     "WEB_NODE_NAMES",
     "WEB_WEIGHTS",
@@ -61,46 +58,23 @@ CASE2_UNIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusVariant:
-    id: str
-    notes: str
-
-
+# Variant id -> notes.
 VARIANTS = {
-    v.id: v
-    for v in (
-        CorpusVariant("web_fcm", "crisp web experience map, initial (1,1,1,1,1,1,0)"),
-        CorpusVariant(
-            "web_fgcm",
-            "interval form: greyness 0.01 injected into every weight of "
-            "magnitude >= 0.01, zeros left crisp; initial [0.99,1.00] on "
-            "active nodes",
-        ),
-        CorpusVariant(
-            "web_fggcm",
-            "kernel/greyness form reduced from the interval weights; input "
-            "greyness 0.010 on active nodes as supplied, which is the full "
-            "interval width rather than the half width the weight reduction "
-            "uses",
-        ),
-        CorpusVariant(
-            "web_case1_fgcm",
-            "interval form with weight (1,1) replaced by the mixed-sign "
-            "interval [-0.1, 0.1]; the endpoint-magnitude criterion is "
-            "undefined here by construction",
-        ),
-        CorpusVariant(
-            "web_case1_fggcm",
-            "kernel/greyness form with weight (1,1) replaced by kernel 0, "
-            "greyness 0.1",
-        ),
-        CorpusVariant(
-            "web_case2_fggcm",
-            "kernel/greyness form with weights (1,1), (1,2), (3,3), (1,5) "
-            "replaced by reductions of multi-interval unions",
-        ),
-    )
+    "web_fcm": "crisp web experience map, initial (1,1,1,1,1,1,0)",
+    "web_fgcm": "interval form: greyness 0.01 injected into every weight of "
+                "magnitude >= 0.01, zeros left crisp; initial [0.99,1.00] on "
+                "active nodes",
+    "web_fggcm": "kernel/greyness form reduced from the interval weights; input "
+                 "greyness 0.010 on active nodes as supplied, which is the full "
+                 "interval width rather than the half width the weight reduction "
+                 "uses",
+    "web_case1_fgcm": "interval form with weight (1,1) replaced by the mixed-sign "
+                      "interval [-0.1, 0.1]; the endpoint-magnitude criterion is "
+                      "undefined here by construction",
+    "web_case1_fggcm": "kernel/greyness form with weight (1,1) replaced by kernel 0, "
+                       "greyness 0.1",
+    "web_case2_fggcm": "kernel/greyness form with weights (1,1), (1,2), (3,3), (1,5) "
+                       "replaced by reductions of multi-interval unions",
 }
 
 
@@ -144,37 +118,37 @@ def build(variant: str, lam: float) -> Model:
     if variant not in VARIANTS:
         valid = ", ".join(sorted(VARIANTS))
         raise MalformedInputError(f"unknown corpus variant {variant!r}; valid: {valid}")
-    lam = positive_lambda(lam, InvalidParameterError)
+    lam = positive(lam, InvalidParameterError)
 
     if variant == "web_fcm":
-        return Model("fcm", 7, WEB_NODE_NAMES, WEB_WEIGHTS, WEB_INITIAL_CRISP, lam)
+        return Model("fcm", WEB_NODE_NAMES, WEB_WEIGHTS, WEB_INITIAL_CRISP, lam)
     if variant == "web_fgcm":
-        return Model("fgcm", 7, WEB_NODE_NAMES, _interval_matrix(),
+        return Model("fgcm", WEB_NODE_NAMES, _interval_matrix(),
                      WEB_INITIAL_INTERVAL, lam)
     if variant == "web_fggcm":
-        return Model("fggcm", 7, WEB_NODE_NAMES, _ggn_matrix(),
+        return Model("fggcm", WEB_NODE_NAMES, _ggn_matrix(),
                      WEB_INITIAL_GGN, lam)
     if variant == "web_case1_fgcm":
         weights = _with_cell(_interval_matrix(), 0, 0, Ign(-0.1, 0.1))
-        return Model("fgcm", 7, WEB_NODE_NAMES, weights, WEB_INITIAL_INTERVAL, lam)
+        return Model("fgcm", WEB_NODE_NAMES, weights, WEB_INITIAL_INTERVAL, lam)
     if variant == "web_case1_fggcm":
         weights = _with_cell(_ggn_matrix(), 0, 0, Ggn(0.0, 0.1))
-        return Model("fggcm", 7, WEB_NODE_NAMES, weights, WEB_INITIAL_GGN, lam)
+        return Model("fggcm", WEB_NODE_NAMES, weights, WEB_INITIAL_GGN, lam)
     # web_case2_fggcm
     weights = _ggn_matrix()
     for (i, j), union in CASE2_UNIONS.items():
         weights = _with_cell(weights, i, j, ggn_from_union(union))
-    return Model("fggcm", 7, WEB_NODE_NAMES, weights, WEB_INITIAL_GGN, lam)
+    return Model("fggcm", WEB_NODE_NAMES, weights, WEB_INITIAL_GGN, lam)
 
 
-def export_variant(variant: str, lam: float = 1.0) -> dict:
-    """Model-file document for a corpus variant.
+def export_variant(variant: str) -> dict:
+    """Model-file document for a corpus variant at lambda 1.0.
 
     Case 2 cells are emitted in their raw union encoding so the exported
     file preserves the full uncertainty structure; importing reduces them
     back to the identical kernel/greyness pairs.
     """
-    doc = model_to_doc(build(variant, lam))
+    doc = model_to_doc(build(variant, 1.0))
     if variant == "web_case2_fggcm":
         for (i, j), union in CASE2_UNIONS.items():
             doc["weights"][i][j] = {"union": [[lo, hi] for lo, hi in union.intervals]}

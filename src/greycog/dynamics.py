@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._family import FAMILY
+from ._family import FAMILY, positive
 from .cogmap import Trajectory
 from .errors import (
     DimensionError,
@@ -68,10 +68,10 @@ def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> C
     the period search starts at 2. Each lag's tail is scanned backwards
     from the end and stops at the first gap above epsilon, so only the
     tail is measured. A NaN gap never stops the backward scan, and a NaN
-    last gap never starts one.
+    last gap never starts one. epsilon must be a finite number > 0, not a
+    bool, else InvalidParameterError.
     """
-    if not epsilon > 0.0:
-        raise InvalidParameterError(f"epsilon must be > 0, got {epsilon}")
+    epsilon = positive(epsilon, InvalidParameterError, "epsilon")
     if not (isinstance(max_period, int) and max_period >= 2):
         raise InvalidParameterError(f"max_period must be an integer >= 2, got {max_period}")
     states = traj.states

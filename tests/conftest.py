@@ -179,6 +179,6 @@ def web_fggcm_05():
     return gc.build("web_fggcm", 0.5)
 
 
-def crisp_trajectory(states, lam=1.0, model_id="test"):
+def crisp_trajectory(states):
     """Wrap raw crisp state tuples in a Trajectory."""
-    return gc.Trajectory("fcm", tuple(tuple(s) for s in states), lam, model_id)
+    return gc.Trajectory("fcm", tuple(tuple(s) for s in states))

@@ -38,7 +38,7 @@ def _kernels(model):
 
 def _project(traj, pick):
     states = tuple(tuple(pick(c) for c in s) for s in traj.states)
-    return gc.Trajectory("fcm", states, traj.lam, traj.model_id)
+    return gc.Trajectory("fcm", states)
 
 
 def test_criterion_1_norm_table():
@@ -210,7 +210,7 @@ def test_criterion_4_reduction_properties():
     for lam in LAMBDAS:
         w = tuple(tuple(gc.Ggn(v, 0.0) for v in row) for row in base.weights)
         a = tuple(gc.Ggn(v, 0.0) for v in base.initial)
-        m = gc.Model("fggcm", 7, base.node_names, w, a, lam)
+        m = gc.Model("fggcm", base.node_names, w, a, lam)
         for cs, gs in zip(crisp[lam].states, gc.simulate(m, 100).states):
             for cv, cell in zip(cs, gs):
                 assert cell.kernel == cv, "kernel drifted off the crisp run"
@@ -218,7 +218,7 @@ def test_criterion_4_reduction_properties():
 
         wi = tuple(tuple(gc.Ign(v, v) for v in row) for row in base.weights)
         ai = tuple(gc.Ign(v, v) for v in base.initial)
-        mi = gc.Model("fgcm", 7, base.node_names, wi, ai, lam)
+        mi = gc.Model("fgcm", base.node_names, wi, ai, lam)
         for cs, is_ in zip(crisp[lam].states, gc.simulate(mi, 100).states):
             for cv, cell in zip(cs, is_):
                 assert cell.lo == cv and cell.hi == cv
@@ -276,7 +276,7 @@ def test_criterion_6_greyness_stationarity():
     applicable_runs = 0
     base = gc.build("web_fcm", 1.0)
     synthetic = gc.Model(
-        "fggcm", 7, base.node_names,
+        "fggcm", base.node_names,
         tuple(tuple(gc.Ggn(v, 0.0) for v in row) for row in base.weights),
         tuple(gc.Ggn(v, 0.01 if v else 0.0) for v in base.initial),
         0.5,
@@ -335,7 +335,7 @@ def test_criterion_7_interval_containment():
         lam = rnd.uniform(0.1, 8.0)
         # The engine's activation of the box: a one-step run of the
         # one-node map whose weight is [1, 1], so the row sum is the box.
-        unit = gc.Model("fgcm", 1, ("a",), ((gc.Ign(1.0, 1.0),),), (box,), lam)
+        unit = gc.Model("fgcm", ("a",), ((gc.Ign(1.0, 1.0),),), (box,), lam)
         sbox = gc.simulate(unit, 1).states[1][0]
         for _ in range(20):
             ws = [rnd.uniform(c.lo, c.hi) for c in w]

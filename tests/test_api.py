@@ -3,6 +3,7 @@ fails here rather than in a benchmark run."""
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import greycog as gc
@@ -11,8 +12,8 @@ from greycog import _modelio, cli, cogmap, convergence, dynamics
 SRC = Path(__file__).resolve().parent.parent / "src" / "greycog"
 
 PUBLIC = {
-    "AT_LEAST_ONE", "Classification", "Corollary3Result", "CorpusVariant",
-    "DegenerateRowError", "DimensionError", "FAMILIES", "FggcmReport", "Ggn",
+    "AT_LEAST_ONE", "Classification", "Corollary3Result", "DegenerateRowError",
+    "DimensionError", "FAMILIES", "FggcmReport", "Ggn",
     "GreyUnion", "GreycogError", "INCONCLUSIVE", "Ign", "InsufficientDataError",
     "InvalidParameterError", "MalformedInputError", "MixedSignWeightError",
     "Model", "Trajectory", "UNIQUE", "VARIANTS", "ValidationError", "Verdict",
@@ -43,6 +44,49 @@ def test_benchmark_trace_targets_exist():
         assert callable(getattr(module, name)), f"{module.__name__}.{name}"
     # The workloads read a run's states.
     assert "states" in {f.name for f in dataclasses.fields(gc.Trajectory)}
+
+
+# The settable surface: dataclass fields and the parameters of the entry
+# points that take a model or a run's settings.
+FIELDS = {
+    gc.Model: ["family", "node_names", "weights", "initial", "lam"],
+    gc.Trajectory: ["family", "states"],
+    gc.Classification: ["verdict", "t_alpha", "period", "final_state", "epsilon",
+                        "max_period"],
+}
+PARAMETERS = {
+    gc.simulate: ["m", "steps"],
+    gc.export_variant: ["variant"],
+    gc.parse_model: ["doc", "lam"],
+    gc.load_model: ["path", "lam"],
+}
+
+
+def test_settable_surface_is_pinned():
+    for cls, names in FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+    for func, names in PARAMETERS.items():
+        assert list(inspect.signature(func).parameters) == names, func.__name__
+    assert gc.VARIANTS and all(isinstance(v, str) for v in gc.VARIANTS.values())
+
+
+def test_cli_calls_simulate_with_the_model_and_steps_positionally(tmp_path, monkeypatch):
+    # trace_targets reads args[0].n and args[1] of each cli.simulate call.
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return cogmap.simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", recording)
+    path = tmp_path / "m.json"
+    _modelio.save_doc(gc.export_variant("web_fcm"), path)
+    assert cli.main(["check", "--model", str(path), "--steps", "60"]) == 0
+    [(args, kwargs)] = calls
+    assert kwargs == {} and len(args) == 2
+    model, steps = args
+    assert isinstance(model, gc.Model) and model.n == 7
+    assert type(steps) is int and steps == 60
 
 
 def unused_imports(source):

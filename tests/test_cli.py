@@ -1,6 +1,8 @@
 """Command line surface: files written, JSON shape, exit codes."""
 
+import ast
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -134,6 +136,40 @@ def test_check_rejects_bad_eps(tmp_path):
     model = export(tmp_path, "web_fcm")
     assert main(["check", "--model", model, "--eps", "0"]) == 2
     assert main(["check", "--model", model, "--max-period", "1"]) == 2
+
+
+@pytest.mark.parametrize("eps", ["inf", "1e400", "nan"])
+def test_check_non_finite_eps_is_usage_error(tmp_path, capsys, eps):
+    # At lambda 2 the T=100 run is chaotic; an infinite eps must not make
+    # it a fixed point, nor write "epsilon": Infinity.
+    model = export(tmp_path, "web_fcm")
+    assert main(["check", "--model", model, "--lambda", "2", "--eps", eps]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--eps must be a finite number > 0" in err
+
+
+def test_sweep_non_finite_eps_is_usage_error_before_writing(tmp_path, capsys):
+    model = export(tmp_path, "web_fcm")
+    out = tmp_path / "s"
+    rc = main(["sweep", "--model", model, "--lambdas", "1,2", "--eps", "inf",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert "--eps must be a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_flag_is_defined_once_with_its_default():
+    source = inspect.getsource(cli.build_parser)
+    flags = [node.args[0].value for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"]
+    assert len(flags) == len(set(flags)), flags
+    parser = cli.build_parser()
+    for argv in (["check", "--model", "m"], ["sweep", "--model", "m", "--lambdas", "1",
+                                             "--out-dir", "d"]):
+        args = parser.parse_args(argv)
+        assert (args.steps, args.eps, args.max_period) == (100, 1e-8, 50)
+    args = parser.parse_args(["simulate", "--model", "m", "--out", "o"])
+    assert (args.steps, args.lam) == (100, None)
 
 
 def test_sweep_writes_summary_and_per_run_files(tmp_path):

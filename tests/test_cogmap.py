@@ -69,7 +69,7 @@ def test_every_lambda_entry_point_rejects_a_bad_lambda(entry, lam):
 @BAD_LAMBDAS
 def test_model_rejects_a_bad_lambda(lam):
     with pytest.raises(gc.ValidationError, match="lambda"):
-        gc.Model("fcm", 1, ("a",), ((0.5,),), (0.5,), lam)
+        gc.Model("fcm", ("a",), ((0.5,),), (0.5,), lam)
 
 
 def test_step_rejects_row_length_mismatch():
@@ -144,7 +144,7 @@ def test_interval_run_rejects_an_overflowing_dot_product():
     # The sigmoid would map the infinite sum to a valid-looking [1, 1].
     big = gc.Ign(1e308, 1e308)
     one = gc.Ign(1.0, 1.0)
-    m = gc.Model("fgcm", 2, ("a", "b"), ((one, one), (one, one)), (big, big), 1.0)
+    m = gc.Model("fgcm", ("a", "b"), ((one, one), (one, one)), (big, big), 1.0)
     with pytest.raises(gc.MalformedInputError):
         gc.simulate(m, 1)
 
@@ -156,7 +156,7 @@ def test_interval_run_rejects_an_overflowing_dot_product():
         ("fggcm", ((kg(1.0, 0.0), kg(1.0, 0.0)), (kg(-1.0, 0.0), kg(1.0, 0.0))),
          (kg(1e308, 0.0), kg(1e308, 0.0))),
     ):
-        m = gc.Model(family, 2, ("a", "b"), w, a, 1.0)
+        m = gc.Model(family, ("a", "b"), w, a, 1.0)
         with pytest.raises(gc.MalformedInputError):
             gc.simulate(m, 1)
     with pytest.raises(gc.MalformedInputError):
@@ -165,40 +165,38 @@ def test_interval_run_rejects_an_overflowing_dot_product():
 
 def test_model_rejects_out_of_range_crisp_weight():
     with pytest.raises(gc.ValidationError):
-        gc.Model("fcm", 1, ("a",), ((1.5,),), (0.0,), 1.0)
+        gc.Model("fcm", ("a",), ((1.5,),), (0.0,), 1.0)
 
 
 def test_model_rejects_wrong_family_cells():
     with pytest.raises(gc.ValidationError):
-        gc.Model("fcm", 1, ("a",), ((gc.Ign(0.0, 0.1),),), (0.0,), 1.0)
+        gc.Model("fcm", ("a",), ((gc.Ign(0.0, 0.1),),), (0.0,), 1.0)
 
 
 def test_model_rejects_bad_shape():
     with pytest.raises(gc.ValidationError):
-        gc.Model("fcm", 2, ("a", "b"), ((0.0, 0.0),), (0.0, 0.0), 1.0)
+        gc.Model("fcm", ("a", "b"), ((0.0, 0.0),), (0.0, 0.0), 1.0)
 
 
 def test_model_rejects_unknown_family():
     with pytest.raises(gc.ValidationError):
-        gc.Model("fuzzy", 1, ("a",), ((0.0,),), (0.0,), 1.0)
+        gc.Model("fuzzy", ("a",), ((0.0,),), (0.0,), 1.0)
 
 
 def test_model_rejects_name_count_mismatch():
     with pytest.raises(gc.ValidationError):
-        gc.Model("fcm", 2, ("a",), ((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0), 1.0)
+        gc.Model("fcm", ("a",), ((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0), 1.0)
 
 
 def test_model_rejects_bool_lambda(web_fcm_05):
     # bool is an int subclass; True must not pass as steepness 1.0.
     with pytest.raises(gc.ValidationError):
-        gc.Model("fcm", 1, ("a",), ((0.0,),), (0.0,), True)
+        gc.Model("fcm", ("a",), ((0.0,),), (0.0,), True)
     with pytest.raises(gc.ValidationError):
         dataclasses.replace(web_fcm_05, lam=True)
 
 
-def test_model_rejects_bool_n_and_simulate_rejects_bool_steps(web_fcm_05):
-    with pytest.raises(gc.ValidationError):
-        gc.Model("fcm", True, ("a",), ((0.0,),), (0.0,), 1.0)
+def test_simulate_rejects_bool_steps(web_fcm_05):
     with pytest.raises(gc.InvalidParameterError):
         gc.simulate(web_fcm_05, True)
 
@@ -209,9 +207,9 @@ OVERFLOW_SITES = {
     "Ign": (lambda x: gc.Ign(x, x), gc.MalformedInputError),
     "Ggn": (lambda x: gc.Ggn(x, 0.0), gc.MalformedInputError),
     "GreyUnion": (lambda x: gc.GreyUnion(((x, 1.0),)), gc.MalformedInputError),
-    "Model fcm cell": (lambda x: gc.Model("fcm", 1, ("a",), ((0.0,),), (x,), 1.0),
+    "Model fcm cell": (lambda x: gc.Model("fcm", ("a",), ((0.0,),), (x,), 1.0),
                        gc.MalformedInputError),
-    "Model lambda": (lambda x: gc.Model("fcm", 1, ("a",), ((0.0,),), (0.0,), x),
+    "Model lambda": (lambda x: gc.Model("fcm", ("a",), ((0.0,),), (0.0,), x),
                      gc.ValidationError),
 }
 
@@ -230,7 +228,7 @@ def test_degenerate_interval_run_matches_crisp_bitwise(web_fcm_05):
     """Width-zero intervals must reproduce the crisp engine exactly."""
     w = tuple(tuple(gc.Ign(v, v) for v in row) for row in web_fcm_05.weights)
     a = tuple(gc.Ign(v, v) for v in web_fcm_05.initial)
-    m = gc.Model("fgcm", 7, web_fcm_05.node_names, w, a, 0.5)
+    m = gc.Model("fgcm", web_fcm_05.node_names, w, a, 0.5)
     crisp = gc.simulate(web_fcm_05, 40)
     grey = gc.simulate(m, 40)
     for cs, gs in zip(crisp.states, grey.states):
@@ -242,7 +240,7 @@ def test_zero_greyness_ggn_run_matches_crisp_bitwise(web_fcm_05):
     """Greyness-free kernels must reproduce the crisp engine exactly."""
     w = tuple(tuple(gc.Ggn(v, 0.0) for v in row) for row in web_fcm_05.weights)
     a = tuple(gc.Ggn(v, 0.0) for v in web_fcm_05.initial)
-    m = gc.Model("fggcm", 7, web_fcm_05.node_names, w, a, 0.5)
+    m = gc.Model("fggcm", web_fcm_05.node_names, w, a, 0.5)
     crisp = gc.simulate(web_fcm_05, 40)
     grey = gc.simulate(m, 40)
     for cs, gs in zip(crisp.states, grey.states):
@@ -255,7 +253,6 @@ def test_ggn_kernel_track_ignores_greyness_track(web_fggcm_05):
     """Kernels evolve independently of every greyness value."""
     stripped = gc.Model(
         "fggcm",
-        7,
         web_fggcm_05.node_names,
         tuple(tuple(gc.Ggn(c.kernel, 0.0) for c in row) for row in web_fggcm_05.weights),
         tuple(gc.Ggn(c.kernel, 0.0) for c in web_fggcm_05.initial),
@@ -300,7 +297,7 @@ def seeded_map(family, seed, n=20, lam=1.5):
     weights = tuple(tuple(cell() for _ in range(n)) for _ in range(n))
     initial = tuple(cell() for _ in range(n))
     names = tuple(f"c{i}" for i in range(n))
-    return gc.Model(family, n, names, weights, initial, lam)
+    return gc.Model(family, names, weights, initial, lam)
 
 
 # Digests of trajectories computed by the object-level engines these

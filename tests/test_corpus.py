@@ -111,9 +111,7 @@ def test_every_variant_builds_and_validates():
 
 def test_export_round_trips_through_the_parser():
     for vid in gc.VARIANTS:
-        doc = gc.export_variant(vid, lam=0.5)
-        m = gc.parse_model(doc)
-        assert m == gc.build(vid, 0.5)
+        assert gc.parse_model(gc.export_variant(vid)) == gc.build(vid, 1.0)
 
 
 def test_export_preserves_union_cells():

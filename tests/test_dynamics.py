@@ -53,6 +53,13 @@ def test_classify_requires_enough_states():
         gc.classify(traj, max_period=50)
 
 
+@pytest.mark.parametrize("epsilon", [True, math.inf, 10**400, "1e-8"])
+def test_classify_rejects_an_epsilon_that_is_not_a_positive_finite_number(epsilon):
+    traj = crisp_trajectory([(0.5,)] * 60)
+    with pytest.raises(gc.InvalidParameterError):
+        gc.classify(traj, epsilon=epsilon)
+
+
 def test_classify_constant_tail_is_fixed_point():
     states = [(0.9,), (0.3,)] + [(0.5,)] * 60
     cls = gc.classify(crisp_trajectory(states))

@@ -11,7 +11,7 @@ from greycog._core import interval_dot_lr
 def activate(cell, lam):
     """The interval engine's activation of one cell: a one-step run of the
     one-node map whose weight is [1, 1], so the row sum is the cell."""
-    m = Model("fgcm", 1, ("a",), ((Ign(1.0, 1.0),),), (cell,), lam)
+    m = Model("fgcm", ("a",), ((Ign(1.0, 1.0),),), (cell,), lam)
     return simulate(m, 1).states[1][0]
 
 

@@ -10,7 +10,7 @@ import json
 import math
 import struct
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import greycog as gc
 from greycog._core import dot_lr, interval_dot_lr, kernel_grey_next, sigmoid
@@ -45,7 +45,7 @@ def bits(x):
 
 def run(family, w, a, lam, steps):
     n = len(a)
-    m = gc.Model(family, n, tuple(f"c{i}" for i in range(n)), w, a, lam)
+    m = gc.Model(family, tuple(f"c{i}" for i in range(n)), w, a, lam)
     return gc.simulate(m, steps).states
 
 
@@ -176,7 +176,7 @@ def test_ggn_metric_is_a_metric(n, data):
 @given(st.lists(st.lists(frac, min_size=1, max_size=1), min_size=8, max_size=40),
        st.floats(min_value=1e-10, max_value=1e-2))
 def test_classify_tightening_epsilon_never_creates_fixed_points(states, eps):
-    traj = gc.Trajectory("fcm", tuple(tuple(s) for s in states), 1.0, "prop")
+    traj = gc.Trajectory("fcm", tuple(tuple(s) for s in states))
     loose = gc.classify(traj, epsilon=eps, max_period=2)
     tight = gc.classify(traj, epsilon=eps * 1e-3, max_period=2)
     if loose.verdict == "Chaotic":
@@ -236,7 +236,7 @@ def test_zero_greyness_kernel_criterion_is_the_crisp_criterion(n, data, lam):
     criterion is the FCM one on the kernel matrix, float for float."""
     w = data.draw(mat(kernel_s, n))
     a = data.draw(vec(frac, n))
-    m = gc.Model("fggcm", n, tuple(f"c{i}" for i in range(n)),
+    m = gc.Model("fggcm", tuple(f"c{i}" for i in range(n)),
                  tuple(tuple(gc.Ggn(v, 0.0) for v in row) for row in w),
                  tuple(gc.Ggn(v, 0.0) for v in a), lam)
     traj = gc.simulate(m, 20)
@@ -260,7 +260,7 @@ def test_crisp_model_doc_round_trip(n, data):
     w = tuple(tuple(data.draw(unit) for _ in range(n)) for _ in range(n))
     init = data.draw(vec(frac, n))
     names = tuple(f"n{i}" for i in range(n))
-    m = gc.Model("fcm", n, names, w, init, 1.5)
+    m = gc.Model("fcm", names, w, init, 1.5)
     assert gc.parse_model(gc.model_to_doc(m)) == m
 
 
@@ -290,7 +290,7 @@ def any_models(draw):
     w = tuple(tuple(cell(weight) for _ in range(n)) for _ in range(n))
     a = tuple(cell(value) for _ in range(n))
     lam = draw(st.one_of(tiny_s.map(abs), st.floats(0.0, 1e308, exclude_min=True)))
-    return gc.Model(family, n, tuple(f"n{i}" for i in range(n)), w, a, lam)
+    return gc.Model(family, tuple(f"n{i}" for i in range(n)), w, a, lam)
 
 
 def cell_bits(family, cell):
@@ -387,7 +387,7 @@ def repeating_runs(draw):
 
     w = tuple(tuple(cell(draw(weight)) for _ in range(n)) for _ in range(n))
     a = tuple(cell(draw(value)) for _ in range(n))
-    m = gc.Model(family, n, tuple(f"c{i}" for i in range(n)), w, a, lam)
+    m = gc.Model(family, tuple(f"c{i}" for i in range(n)), w, a, lam)
     return m, draw(st.one_of(st.integers(1, 400), st.integers(200, 400)))
 
 
@@ -405,3 +405,92 @@ def test_simulate_equals_the_step_by_step_run_bitwise(case):
     assert len(got) == len(ref) == steps + 1
     for s, r in zip(got, ref):
         assert [cell_bits(m.family, c) for c in s] == [cell_bits(m.family, c) for c in r]
+
+
+# Below a criterion's threshold the map is a contraction, so it has one
+# fixed point and every run ends there (Banach). The step counts come from
+# the contraction rate, sized for a tenth of UNIQUE_TOL or less; the rest
+# is left for rounding.
+UNIQUE_TOL = 1e-9
+grey_cell_s = st.tuples(frac, grey_s).map(lambda p: gc.Ggn(*p))
+grey_weight_s = st.tuples(kernel_s, grey_s).map(lambda p: gc.Ggn(*p))
+one_signed_s = st.tuples(frac, frac, st.booleans()).map(
+    lambda p: gc.Ign(-max(p[:2]), -min(p[:2])) if p[2] else gc.Ign(min(p[:2]), max(p[:2])))
+
+
+def contraction_steps(rate, gap, tol):
+    """Steps after which a gap that shrinks by rate each step is <= tol."""
+    return max(1, math.ceil(math.log(tol / gap) / math.log(rate)))
+
+
+def sup_gap(x, y):
+    """Largest difference of any float field between two states of cells."""
+    return max(abs(getattr(a, f.name) - getattr(b, f.name))
+               for a, b in zip(x, y) for f in dataclasses.fields(a))
+
+
+def end_state(family, w, a, lam, steps):
+    return run(family, w, a, lam, steps)[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.data(), st.floats(0.05, 0.95))
+def test_fgcm_runs_below_the_interval_criterion_end_at_one_state(n, data, k):
+    """lambda ||W*||_F = 4k < 4 with one-signed weights. From step 1 every
+    endpoint is >= 0, so each endpoint sum takes a fixed endpoint of each
+    weight, of magnitude <= W*_ij: the update contracts the vector of
+    per-node max(|d lo|, |d hi|) by k."""
+    w = data.draw(mat(one_signed_s, n))
+    norm = gc.frobenius_norm(gc.w_star(w))
+    assume(norm > 0.0)
+    lam = 4.0 * k / norm
+    steps = 1 + contraction_steps(k, math.sqrt(n), UNIQUE_TOL / 10)
+    a, b = (data.draw(vec(interval_s(), n)) for _ in range(2))
+    assert sup_gap(end_state("fgcm", w, a, lam, steps),
+                   end_state("fgcm", w, b, lam, steps)) <= UNIQUE_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.data(), st.floats(0.05, 0.9))
+def test_fggcm_runs_below_the_kernel_criterion_end_at_one_state(n, data, u):
+    """lambda ||K||_F = 4k < 4 makes the kernel track a contraction by k.
+    From step 1 each kernel is at most q = sigmoid(lambda max_i sum_j
+    |K_ij|), and once the kernels agree the greyness update contracts by
+    q in the max norm. lambda is drawn below both 4/||K||_F and the
+    lambda at which q reaches 0.99, so that the runs stay short."""
+    w = data.draw(mat(grey_weight_s, n))
+    k_w = [[c.kernel for c in row] for row in w]
+    r = max(sum(map(abs, row)) for row in k_w)
+    lam = u * min(4.0 / gc.frobenius_norm(k_w), math.log(99.0) / r)
+    k = lam * gc.frobenius_norm(k_w) / 4.0
+    q = 1.0 / (1.0 + math.exp(-lam * r))
+    steps = (1 + contraction_steps(k, math.sqrt(n), UNIQUE_TOL / 1000)
+             + contraction_steps(q, 0.5, UNIQUE_TOL / 1000))
+    a, b = (data.draw(vec(grey_cell_s, n)) for _ in range(2))
+    assert sup_gap(end_state("fggcm", w, a, lam, steps),
+                   end_state("fggcm", w, b, lam, steps)) <= UNIQUE_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.data(), st.floats(0.1, 2.0))
+def test_greyness_contracts_by_q_g_once_the_kernels_have_converged(n, data, u):
+    """At a kernel fixed point a, the greyness update is g_i' = a'_i times
+    a weighted average of max(wg_ij, g_j), so it contracts by q_g =
+    max_i a'_i in the max norm, whatever the condition-matrix norm is.
+    The kernels start at an exact float fixed point (a' = a), reached by
+    the crisp run on the kernel matrix, which is the kernel track."""
+    w = data.draw(mat(grey_weight_s, n))
+    k_w = tuple(tuple(c.kernel for c in row) for row in w)
+    lam = u * 4.0 / gc.frobenius_norm(k_w)
+    fixed = end_state("fcm", k_w, data.draw(vec(frac, n)), lam, 300)
+    assume(gc.fcm_step(k_w, fixed, lam) == fixed)
+    q_g = max(fixed)
+    assume(q_g <= 0.99)
+    g0, g1 = data.draw(vec(grey_s, n)), data.draw(vec(grey_s, n))
+    gap = max(abs(x - y) for x, y in zip(g0, g1))
+    assume(gap > 0.0)
+    steps = contraction_steps(q_g, gap, UNIQUE_TOL / 10)
+    ends = [end_state("fggcm", w, tuple(map(gc.Ggn, fixed, g)), lam, steps) for g in (g0, g1)]
+    for end in ends:
+        assert tuple(c.kernel for c in end) == fixed
+    assert max(abs(x.greyness - y.greyness) for x, y in zip(*ends)) <= UNIQUE_TOL
