@@ -5,7 +5,8 @@ Sections:
   1. lambda * Frobenius norm for the five weight matrices of the web map
      corpus, over the standard steepness grid.
   2. Greyness condition norms at the final simulated state, both the
-     gated matrix and the ungated variant, with the applicability flag.
+     gated matrix and the ungated one (every gate open), with whether the
+     ungated one applies there.
   3. Verdict table for the three engines, at the standard 100-step
      horizon and again at a longer horizon (the slow transients near the
      bifurcation need roughly 110-160 steps to settle).
@@ -49,9 +50,11 @@ def condition_norms(steps):
         ks = tuple(c.kernel for c in state)
         gs = tuple(c.greyness for c in state)
         gated = gc.frobenius_norm(gc.grey_condition_matrix(m.weights, ks, gs, lam))
-        nxt = gc.fcm_step(kernels(m), ks, lam)
-        full = gc.corollary3_check(m.weights, ks, nxt, gs)
-        print(f"{lam:>8g}{gated:>12.6f}{full.norm:>12.6f}{str(full.applicable):>18}")
+        ungated = gc.frobenius_norm(gc.grey_condition_matrix(m.weights, ks, None, lam))
+        # The ungated matrix applies when no weight greyness exceeds its
+        # column's state greyness.
+        applies = all(g >= c.greyness for row in m.weights for g, c in zip(gs, row))
+        print(f"{lam:>8g}{gated:>12.6f}{ungated:>12.6f}{str(applies):>18}")
     print()
 
 

@@ -20,13 +20,11 @@ from .convergence import (
     AT_LEAST_ONE,
     INCONCLUSIVE,
     UNIQUE,
-    Corollary3Result,
     FggcmReport,
     Verdict,
     check_fcm,
     check_fgcm,
     check_fggcm,
-    corollary3_check,
     frobenius_norm,
     grey_condition_matrix,
     w_star,
@@ -54,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AT_LEAST_ONE",
     "Classification",
-    "Corollary3Result",
     "DegenerateRowError",
     "DimensionError",
     "FAMILIES",
@@ -79,7 +76,6 @@ __all__ = [
     "check_fgcm",
     "check_fggcm",
     "classify",
-    "corollary3_check",
     "export_variant",
     "fcm_step",
     "frobenius_norm",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from ._core import dot_lr, sigmoid
 from ._family import positive
@@ -34,7 +33,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Corollary3Result",
     "FggcmReport",
     "UNIQUE",
     "AT_LEAST_ONE",
@@ -43,7 +41,6 @@ __all__ = [
     "check_fcm",
     "check_fgcm",
     "check_fggcm",
-    "corollary3_check",
     "frobenius_norm",
     "grey_condition_matrix",
     "w_star",
@@ -126,25 +123,8 @@ def check_fgcm(w, lam: float) -> Verdict:
     return _verdict(lam * frobenius_norm(w_star(w)), 4.0)
 
 
-def _activity_shares(row, a, i, n):
-    """Row i's activity shares |k_ij * a_j| and their left-to-right sum.
-
-    A row of the wrong length raises DimensionError; a row with no kernel
-    activity raises DegenerateRowError with its 1-based index.
-    """
-    if len(row) != n:
-        raise DimensionError("matrix must be square")
-    shares = [abs(cell.kernel * a[j]) for j, cell in enumerate(row)]
-    denom = 0.0
-    for share in shares:
-        denom += share
-    if denom <= 0.0:
-        raise DegenerateRowError(i + 1)
-    return shares, denom
-
-
 def grey_condition_matrix(w, a_hat, a_grey, lam: float):
-    """Gated greyness condition matrix at a given kernel/greyness state.
+    """Greyness condition matrix at a given kernel/greyness state.
 
     Entry (i, j) is
 
@@ -154,55 +134,41 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     image of row i's kernel dot product, and theta is the unit step with
     theta(0) = 1. The gate keeps only columns whose state greyness still
     dominates the weight greyness; those are the terms through which state
-    uncertainty propagates to the next step. Returns a tuple of row tuples.
+    uncertainty propagates to the next step.
+
+    With a_grey None every gate is open. That ungated matrix is the exact
+    greyness transition matrix wherever every state greyness is >= its
+    column's weight greyness; when its norm is below 1 at a kernel fixed
+    point, the greyness converges and its fixed point solves g = M g.
+
+    A row of the wrong length raises DimensionError; a row with no kernel
+    activity raises DegenerateRowError with its 1-based index. Returns a
+    tuple of row tuples.
     """
     lam = positive(lam, InvalidParameterError)
     n = len(w)
-    if len(a_hat) != n or len(a_grey) != n:
+    if len(a_hat) != n or (a_grey is not None and len(a_grey) != n):
         raise DimensionError("state vectors must match matrix dimension")
     out = []
     for i, row in enumerate(w):
-        shares, denom = _activity_shares(row, a_hat, i, n)
-        a_prime = sigmoid(dot_lr([c.kernel for c in row], a_hat), lam)
-        out.append(tuple(
-            a_prime * shares[j] / denom if a_grey[j] - cell.greyness >= 0.0 else 0.0
-            for j, cell in enumerate(row)
-        ))
+        if len(row) != n:
+            raise DimensionError("matrix must be square")
+        kernels = [cell.kernel for cell in row]
+        shares = [abs(k * a) for k, a in zip(kernels, a_hat)]
+        denom = 0.0
+        for share in shares:
+            denom += share
+        if denom <= 0.0:
+            raise DegenerateRowError(i + 1)
+        a_prime = sigmoid(dot_lr(kernels, a_hat), lam)
+        if a_grey is None:
+            out.append(tuple(a_prime * share / denom for share in shares))
+        else:
+            out.append(tuple(
+                a_prime * share / denom if g - cell.greyness >= 0.0 else 0.0
+                for share, cell, g in zip(shares, row, a_grey)
+            ))
     return tuple(out)
-
-
-class Corollary3Result(NamedTuple):
-    """Ungated condition matrix (a tuple of row tuples), its norm, and
-    whether the ungated form is valid (state greyness dominates weight
-    greyness everywhere)."""
-
-    matrix: tuple
-    norm: float
-    applicable: bool
-
-
-def corollary3_check(w, a_t, a_t1, grey_t) -> Corollary3Result:
-    """Ungated condition matrix built from two consecutive kernel states.
-
-    Entry (i, j) is a_t1_i * |k_ij * a_t_j| / sum_j |k_ij * a_t_j|. The
-    result is the exact greyness transition matrix whenever every state
-    greyness dominates the corresponding weight greyness; the applicable
-    flag reports that condition at the supplied greyness vector. When the
-    matrix norm is below 1 at a kernel fixed point, the greyness converges
-    and its fixed point solves g = M g.
-    """
-    n = len(w)
-    if len(a_t) != n or len(a_t1) != n or len(grey_t) != n:
-        raise DimensionError("state vectors must match matrix dimension")
-    rows = []
-    applicable = True
-    for i, row in enumerate(w):
-        shares, denom = _activity_shares(row, a_t, i, n)
-        rows.append(tuple(a_t1[i] * share / denom for share in shares))
-        if any(grey_t[j] < cell.greyness for j, cell in enumerate(row)):
-            applicable = False
-    matrix = tuple(rows)
-    return Corollary3Result(matrix, frobenius_norm(matrix), applicable)
 
 
 @dataclass(frozen=True)
@@ -210,11 +176,15 @@ class FggcmReport:
     """Joint convergence report for a kernel/greyness map run."""
 
     kernel_verdict: Verdict
-    greyness_value: float
     greyness_verdict: Verdict
     evaluation_state: tuple
     kernel_converged: bool
     overall: str
+
+    @property
+    def greyness_value(self) -> float:
+        """The greyness condition-matrix norm, greyness_verdict.criterion_value."""
+        return self.greyness_verdict.criterion_value
 
 
 def _combine(kernel: Verdict, greyness: Verdict) -> str:
@@ -243,11 +213,9 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
     a_hat = [g.kernel for g in state]
     a_grey = [g.greyness for g in state]
     cond = grey_condition_matrix(m.weights, a_hat, a_grey, m.lam)
-    greyness_value = frobenius_norm(cond)
-    greyness_verdict = _verdict(greyness_value, 1.0)
+    greyness_verdict = _verdict(frobenius_norm(cond), 1.0)
     return FggcmReport(
         kernel_verdict=kernel_verdict,
-        greyness_value=greyness_value,
         greyness_verdict=greyness_verdict,
         evaluation_state=state,
         kernel_converged=cls.verdict == "FixedPoint",

@@ -81,9 +81,9 @@ VARIANTS = {
 def inject_greyness(w, g: float):
     """Interval matrix from a crisp one: every entry of magnitude >= g
     widens to [w - g, w + g] clipped to [-1, 1]; smaller entries (zeros of
-    the web map) stay degenerate so that sign consistency is preserved."""
-    if not g > 0.0:
-        raise InvalidParameterError(f"greyness must be > 0, got {g}")
+    the web map) stay degenerate so that sign consistency is preserved.
+    g must be a positive finite number, else InvalidParameterError."""
+    g = positive(g, InvalidParameterError, "greyness")
     out = []
     for row in w:
         cells = []

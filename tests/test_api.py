@@ -12,13 +12,13 @@ from greycog import _modelio, cli, cogmap, convergence, dynamics
 SRC = Path(__file__).resolve().parent.parent / "src" / "greycog"
 
 PUBLIC = {
-    "AT_LEAST_ONE", "Classification", "Corollary3Result", "DegenerateRowError",
+    "AT_LEAST_ONE", "Classification", "DegenerateRowError",
     "DimensionError", "FAMILIES", "FggcmReport", "Ggn",
     "GreyUnion", "GreycogError", "INCONCLUSIVE", "Ign", "InsufficientDataError",
     "InvalidParameterError", "MalformedInputError", "MixedSignWeightError",
     "Model", "Trajectory", "UNIQUE", "VARIANTS", "ValidationError", "Verdict",
     "build", "check_fcm", "check_fgcm", "check_fggcm", "classify",
-    "corollary3_check", "export_variant", "fcm_step", "frobenius_norm",
+    "export_variant", "fcm_step", "frobenius_norm",
     "ggn_from_union", "grey_condition_matrix", "inject_greyness", "load_model",
     "model_to_doc", "parse_model", "save_doc", "simulate", "state_distance",
     "w_star",
@@ -53,12 +53,17 @@ FIELDS = {
     gc.Trajectory: ["family", "states"],
     gc.Classification: ["verdict", "t_alpha", "period", "final_state", "epsilon",
                         "max_period"],
+    # greyness_value is a read-only property over greyness_verdict.
+    gc.FggcmReport: ["kernel_verdict", "greyness_verdict", "evaluation_state",
+                     "kernel_converged", "overall"],
 }
 PARAMETERS = {
     gc.simulate: ["m", "steps"],
     gc.export_variant: ["variant"],
     gc.parse_model: ["doc", "lam"],
     gc.load_model: ["path", "lam"],
+    # One builder: a_grey=None opens every gate, so no gate switch is needed.
+    gc.grey_condition_matrix: ["w", "a_hat", "a_grey", "lam"],
 }
 
 

@@ -127,18 +127,30 @@ def test_condition_matrix_degenerate_row():
     assert exc.value.i == 1  # first row dies: its only live weight meets a zero state
 
 
+def ungated_applies(w, greys):
+    """The ungated matrix is exact when no weight greyness exceeds its
+    column's state greyness."""
+    return all(g >= cell.greyness for row in w for g, cell in zip(greys, row))
+
+
 def test_single_node_ungated_matrix():
     w = ((gc.Ggn(0.5, 0.1),),)
-    res = gc.corollary3_check(w, (1.0,), (0.622459,), (0.0,))
-    assert res.matrix[0][0] == pytest.approx(0.622459, abs=1e-12)
-    assert res.norm == pytest.approx(0.622459, abs=1e-12)
-    assert res.applicable is False  # state greyness 0 below weight greyness
+    a1 = 1.0 / (1.0 + math.exp(-0.5))
+    m = gc.grey_condition_matrix(w, (1.0,), None, 1.0)
+    assert m[0][0] == pytest.approx(a1, abs=1e-12)
+    assert gc.frobenius_norm(m) == pytest.approx(a1, abs=1e-12)
+    # State greyness 0 below weight greyness: the gate closes, and the
+    # ungated form does not apply.
+    assert gc.grey_condition_matrix(w, (1.0,), (0.0,), 1.0)[0][0] == 0.0
+    assert ungated_applies(w, (0.0,)) is False
 
 
 def test_ungated_matrix_applicability_flag():
     w = ((gc.Ggn(0.5, 0.1),),)
-    res = gc.corollary3_check(w, (1.0,), (0.622459,), (0.3,))
-    assert res.applicable is True
+    assert ungated_applies(w, (0.3,)) is True
+    # Where it applies, every gate is open and the two forms agree.
+    assert (gc.grey_condition_matrix(w, (1.0,), (0.3,), 1.0)
+            == gc.grey_condition_matrix(w, (1.0,), None, 1.0))
 
 
 @pytest.mark.parametrize("lam", (0.5, 1.0, 2.0, 4.0))
@@ -151,13 +163,10 @@ def test_web_condition_norms(lam):
     greys = tuple(c.greyness for c in state)
     mt = gc.grey_condition_matrix(m.weights, kernels, greys, lam)
     assert gc.frobenius_norm(mt) == pytest.approx(ORACLE_MTILDE[lam], abs=1e-12)
-    full = gc.corollary3_check(
-        m.weights, kernels,
-        gc.fcm_step(tuple(tuple(c.kernel for c in r) for r in m.weights), kernels, lam),
-        greys,
-    )
-    assert full.norm == pytest.approx(ORACLE_MFULL[lam], abs=1e-12)
-    assert full.applicable is False  # crisp weights in the map outrank state greyness
+    full = gc.grey_condition_matrix(m.weights, kernels, None, lam)
+    assert gc.frobenius_norm(full) == pytest.approx(ORACLE_MFULL[lam], abs=1e-12)
+    # Weight greyness in the map outranks some state greyness.
+    assert ungated_applies(m.weights, greys) is False
 
 
 def test_full_report_structure(web_fggcm_05):
@@ -166,6 +175,9 @@ def test_full_report_structure(web_fggcm_05):
     rep = gc.check_fggcm(web_fggcm_05, traj, cls)
     assert rep.kernel_verdict.outcome == gc.UNIQUE
     assert rep.greyness_value == pytest.approx(ORACLE_MTILDE[0.5], abs=1e-12)
+    assert rep.greyness_value == rep.greyness_verdict.criterion_value
+    with pytest.raises(AttributeError):
+        rep.greyness_value = 0.0  # read-only: it cannot disagree with the verdict
     assert rep.greyness_verdict.outcome == gc.UNIQUE
     assert rep.greyness_verdict.threshold == 1.0
     assert rep.kernel_converged is True

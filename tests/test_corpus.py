@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -57,6 +58,15 @@ def test_injection_keeps_zero_weights_crisp():
     assert (w[1][0].lo, w[1][0].hi) == (-1.0, -0.99)
     # Sub-threshold magnitudes stay crisp so no weight flips sign.
     assert (w[1][1].lo, w[1][1].hi) == (0.005, 0.005)
+
+
+@pytest.mark.parametrize("g", (math.inf, math.nan, True, 10**400, 0, -1),
+                         ids=("inf", "nan", "True", "10**400", "0", "-1"))
+def test_injection_rejects_a_greyness_that_is_not_a_positive_finite_number(g):
+    # inf and 10**400 used to leave every weight degenerate without an
+    # error, and True was taken as 1.0.
+    with pytest.raises(gc.InvalidParameterError, match="greyness"):
+        gc.inject_greyness(WEB_WEIGHTS, g)
 
 
 def test_ggn_variant_reduces_injected_intervals():

@@ -126,6 +126,27 @@ def test_row_update_greyness_independent_of_kernel_track_greyness(n, data, lam):
     assert bare.greyness == 0.0
 
 
+@given(st.integers(1, 6), st.data(), lam_s)
+def test_gated_condition_matrix_masks_the_ungated_one(n, data, lam):
+    """Each gated entry is 0.0 or bit-equal to the ungated (a_grey=None)
+    entry, and the two matrices are equal when every state greyness
+    dominates its column's weight greyness."""
+    w = data.draw(mat(ggn_s(), n))
+    a_hat = data.draw(vec(frac, n))
+    try:
+        ungated = gc.grey_condition_matrix(w, a_hat, None, lam)
+    except gc.DegenerateRowError:
+        assume(False)
+    a_grey = data.draw(vec(grey_s, n))
+    for g_row, u_row in zip(gc.grey_condition_matrix(w, a_hat, a_grey, lam), ungated):
+        for g, u in zip(g_row, u_row):
+            assert g == 0.0 or bits(g) == bits(u)
+    dominant = tuple(max(row[j].greyness for row in w) + data.draw(grey_s)
+                     for j in range(n))
+    gated = gc.grey_condition_matrix(w, a_hat, dominant, lam)
+    assert [bits(x) for row in gated for x in row] == [bits(x) for row in ungated for x in row]
+
+
 def kernel_grey_reference(w_k, w_g, x_k, x_g, lam):
     """The kernel/greyness update written out row by row, with abs and max."""
     kernels, greyness = [], []

@@ -1,5 +1,6 @@
 """Smoke tests: the two scripts run end to end as separate processes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -31,6 +32,15 @@ def test_reproduce_tables_prints_the_verdict_tables():
     assert verdict_row(proc.stdout, 200, "web_fcm") == [
         "FixedPoint(t=26)", "FixedPoint(t=88)", "LimitCycle(P=2,t=154)",
         "LimitCycle(P=2,t=24)"]
+
+
+def test_reproduce_tables_default_output_is_pinned():
+    # Every number the script prints, at its default horizons: a refactor
+    # of the criteria or the engines that moves any of them fails here.
+    proc = run_script("reproduce_tables.py")
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.md5(proc.stdout.encode()).hexdigest()
+    assert digest == "7bf10426bb7ed6cdf490146c90bd573a", proc.stdout
 
 
 def test_run_web_sweeps_writes_a_summary_per_variant(tmp_path):
