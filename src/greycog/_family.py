@@ -6,10 +6,10 @@ intervals `Ign` (`fgcm`) and kernel/greyness pairs `Ggn` (`fggcm`).
 handles cells reads it instead of branching on the family: the model-file
 codec, `Model`, `simulate`, the CLI's trajectory writer and `classify`.
 
-The cell constructors own the conversion of a number to a finite float, so
-each number is converted and checked once; crisp cells are plain floats,
-which `Model` converts through the family's `cell` entry. `finite` and
-`positive` are the number and positive-parameter rules every module applies.
+One number rule, `finite` (an int or a float, not a bool, finite), makes
+every float: the cell constructors `Ign`, `Ggn` and `GreyUnion` apply it,
+so the model-file parsers check only JSON shape. Crisp cells have no
+constructor; the fcm `parse` and `cell` entries apply it themselves.
 
 `Ign` and `Ggn` are frozen dataclasses: equality, hash, repr and
 read-only fields come from `dataclasses`. `simulate` builds one per
@@ -43,25 +43,29 @@ def is_number(x) -> bool:
 
 
 def finite(x, error, where=None):
-    """A number (see `is_number`) as a finite float. One that is none
+    """x as a finite float if it is a number (see `is_number`), else
     raises error, its message prefixed with where when given."""
-    try:
-        v = float(x)
-    except OverflowError:
-        problem = "integer too large for a float"
+    if type(x) is float and math.isfinite(x):
+        return x
+    if not is_number(x):
+        problem = f"expected a number, got {type(x).__name__}"
     else:
-        if math.isfinite(v):
-            return v
-        problem = f"non-finite number {v}"
+        try:
+            v = float(x)
+        except OverflowError:
+            problem = "integer too large for a float"
+        else:
+            if math.isfinite(v):
+                return v
+            problem = f"non-finite number {v}"
     raise error(problem if where is None else f"{where}: {problem}")
 
 
 def positive(x, error, name="lambda") -> float:
-    """x as a float if it is a finite number > 0 (see `is_number`), else raises error."""
-    if is_number(x):
-        v = finite(x, error, name)
-        if v > 0.0:
-            return v
+    """x as a float if it is a finite number > 0 (see `finite`), else raises error."""
+    v = finite(x, error, name)
+    if v > 0.0:
+        return v
     raise error(f"{name} must be a positive finite number, got {x!r}")
 
 
@@ -87,14 +91,10 @@ class Ign:
     hi: float
 
     def __init__(self, lo, hi):
-        try:
-            lo, hi = float(lo), float(hi)
-        except OverflowError:
-            raise MalformedInputError("integer too large for a float") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise MalformedInputError("interval endpoints must be finite")
-        if lo > hi:
-            raise MalformedInputError(f"interval [{lo}, {hi}] has lo > hi")
+        if not (type(lo) is type(hi) is float and -math.inf < lo <= hi < math.inf):
+            lo, hi = finite(lo, MalformedInputError), finite(hi, MalformedInputError)
+            if lo > hi:
+                raise MalformedInputError(f"interval [{lo}, {hi}] has lo > hi")
         _set_lo(self, lo)
         _set_hi(self, hi)
 
@@ -121,16 +121,14 @@ class Ggn:
     greyness: float
 
     def __init__(self, kernel, greyness):
-        try:
-            k, g = float(kernel), float(greyness)
-        except OverflowError:
-            raise MalformedInputError("integer too large for a float") from None
-        if not math.isfinite(k):
-            raise MalformedInputError("kernel must be finite")
-        if not math.isfinite(g) or g < 0.0:
-            raise MalformedInputError(f"greyness must be >= 0, got {g}")
-        _set_kernel(self, k)
-        _set_greyness(self, g)
+        if not (type(kernel) is type(greyness) is float
+                and -math.inf < kernel < math.inf and 0.0 <= greyness < math.inf):
+            kernel = finite(kernel, MalformedInputError)
+            greyness = finite(greyness, MalformedInputError)
+            if greyness < 0.0:
+                raise MalformedInputError(f"greyness must be >= 0, got {greyness}")
+        _set_kernel(self, kernel)
+        _set_greyness(self, greyness)
 
     def __reduce__(self):
         return Ggn, (self.kernel, self.greyness)
@@ -145,15 +143,19 @@ class GreyUnion:
     """A general grey number: known only to lie in a union of closed
     intervals [lo, hi] within the value domain [-1, 1].
 
-    Intervals must be sorted ascending by lo and pairwise disjoint.
-    Degenerate points are width-zero intervals [p, p].
+    Intervals are (lo, hi) pairs, sorted ascending by lo and pairwise
+    disjoint. Degenerate points are width-zero intervals [p, p].
     """
 
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        try:
+            pairs = [(lo, hi) for lo, hi in self.intervals]
+        except (TypeError, ValueError):
+            raise MalformedInputError("a grey union is a sequence of (lo, hi) pairs") from None
         ivs = tuple((finite(lo, MalformedInputError), finite(hi, MalformedInputError))
-                    for lo, hi in self.intervals)
+                    for lo, hi in pairs)
         object.__setattr__(self, "intervals", ivs)
         if not ivs:
             raise MalformedInputError("grey union must contain at least one interval")
@@ -204,11 +206,11 @@ class Family(NamedTuple):
 def _crisp_parse(raw):
     if not is_number(raw):
         raise MalformedInputError("fcm cells must be plain numbers")
-    return raw
+    return finite(raw, MalformedInputError)
 
 
 def _crisp_cell(x):
-    if not is_number(x):
+    if type(x) is not float and not is_number(x):
         raise ValidationError("fcm cells must be numbers")
     return finite(x, MalformedInputError)
 
@@ -232,15 +234,12 @@ def _crisp_dist(a, b) -> float:
 
 
 def _interval_parse(raw):
-    if is_number(raw):
-        return Ign(raw, raw)
     if not isinstance(raw, dict):
-        raise MalformedInputError("expected a number or an object")
+        return Ign(raw, raw)
     if raw.keys() != {"interval"}:
         raise MalformedInputError("fgcm cells take an 'interval' object")
     pair = raw["interval"]
-    if not (isinstance(pair, list) and len(pair) == 2
-            and is_number(pair[0]) and is_number(pair[1])):
+    if not (isinstance(pair, list) and len(pair) == 2):
         raise MalformedInputError("'interval' must be [lo, hi]")
     return Ign(*pair)
 
@@ -275,22 +274,14 @@ def _interval_dist(a, b) -> float:
 
 
 def _grey_parse(raw):
-    if is_number(raw):
-        return Ggn(raw, 0.0)
     if not isinstance(raw, dict):
-        raise MalformedInputError("expected a number or an object")
+        return Ggn(raw, 0.0)
     if raw.keys() == {"kernel", "greyness"}:
-        k, g = raw["kernel"], raw["greyness"]
-        if not (is_number(k) and is_number(g)):
-            raise MalformedInputError("kernel and greyness must be numbers")
-        return Ggn(k, g)
+        return Ggn(raw["kernel"], raw["greyness"])
     if raw.keys() == {"union"}:
-        ivs = raw["union"]
-        if not (isinstance(ivs, list) and ivs
-                and all(isinstance(p, list) and len(p) == 2
-                        and is_number(p[0]) and is_number(p[1]) for p in ivs)):
+        if not isinstance(raw["union"], list):
             raise MalformedInputError("'union' must be a list of [lo, hi]")
-        return ggn_from_union(GreyUnion(ivs))
+        return ggn_from_union(GreyUnion(raw["union"]))
     raise MalformedInputError("fggcm cells take 'kernel'/'greyness' or 'union' objects")
 
 

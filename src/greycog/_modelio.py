@@ -18,16 +18,16 @@ Cell encodings by family:
             {"kernel": k, "greyness": g},
             or {"union": [[lo, hi], ...]} reduced on load
 
-Unknown keys, encodings that do not match the family, and numbers that do
-not convert to a finite float (an integer literal beyond the float range,
-`1e400`, `Infinity`, `NaN`) are parse errors.
+Unknown keys, encodings that do not match the family, and values that
+are no finite number (`"0.5"`, `true`, `null`, `[0.5]`, an integer
+literal beyond the float range, `1e400`, `NaN`) are parse errors.
 """
 
 from __future__ import annotations
 
 import json
 
-from ._family import FAMILIES, FAMILY, finite, is_number, located, positive
+from ._family import FAMILIES, FAMILY, finite, located, positive
 from .cogmap import Model
 from .errors import MalformedInputError, ValidationError
 
@@ -39,9 +39,10 @@ def parse_model(doc, lam=None) -> Model:
 
     Structural problems raise MalformedInputError; a structurally sound
     document that violates model invariants raises ValidationError from
-    the Model constructor. Only the JSON shape is checked here: the cell
-    constructors, and `Model` for crisp cells, make each number a finite
-    float. A non-finite `lambda` is checked here too, as a parse error.
+    the Model constructor. Only the JSON shape is checked here (dict
+    keys, interval arity, a union being a list); each number is checked
+    once, where it becomes a float: in a cell constructor, the fcm cell
+    parser or, for `lambda`, `finite`.
 
     A lam given overrides the document's `lambda`, so the Model is built
     and checked once. The document's own value must still be a positive
@@ -55,8 +56,6 @@ def parse_model(doc, lam=None) -> Model:
     family = doc["family"]
     if family not in FAMILIES:
         raise MalformedInputError(f"unknown family {family!r}")
-    if not is_number(doc["lambda"]):
-        raise MalformedInputError("'lambda' must be a number")
     file_lam = finite(doc["lambda"], MalformedInputError, "'lambda'")
     nodes = doc["nodes"]
     if not (isinstance(nodes, list) and nodes

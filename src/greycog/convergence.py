@@ -78,7 +78,7 @@ def frobenius_norm(m) -> float:
 
     fsum rounds the sum of squares once, so the value does not depend on
     the order of the entries. An empty, ragged or non-2-D input raises
-    DimensionError.
+    DimensionError, an entry that is no number ValidationError.
     """
     try:
         rows = [tuple(row) for row in m]
@@ -89,7 +89,10 @@ def frobenius_norm(m) -> float:
         raise DimensionError(f"ragged matrix: row lengths {sorted(widths)}")
     if not rows or not rows[0]:
         raise DimensionError("empty matrix")
-    return math.sqrt(math.fsum(x * x for row in rows for x in row))
+    try:
+        return math.sqrt(math.fsum(x * x for row in rows for x in row))
+    except TypeError:
+        raise ValidationError("matrix entries must be numbers") from None
 
 
 def w_star(w):
@@ -98,16 +101,19 @@ def w_star(w):
     Nonpositive intervals contribute |lo|, nonnegative ones hi. An
     interval straddling zero has no single dominant endpoint, which makes
     the interval criterion inapplicable; that raises MixedSignWeightError
-    with 1-based indices. Returns a tuple of row tuples.
+    with 1-based indices, a non-`Ign` cell ValidationError. Returns row tuples.
     """
     out = []
-    for i, row in enumerate(w):
-        out_row = []
-        for j, cell in enumerate(row):
-            if cell.lo < 0.0 < cell.hi:
-                raise MixedSignWeightError(i + 1, j + 1)
-            out_row.append(abs(cell.lo) if cell.hi <= 0.0 else cell.hi)
-        out.append(tuple(out_row))
+    try:
+        for i, row in enumerate(w):
+            out_row = []
+            for j, cell in enumerate(row):
+                if cell.lo < 0.0 < cell.hi:
+                    raise MixedSignWeightError(i + 1, j + 1)
+                out_row.append(abs(cell.lo) if cell.hi <= 0.0 else cell.hi)
+            out.append(tuple(out_row))
+    except AttributeError:
+        raise ValidationError("w_star needs interval (Ign) cells") from None
     return tuple(out)
 
 
@@ -141,33 +147,36 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     column's weight greyness; when its norm is below 1 at a kernel fixed
     point, the greyness converges and its fixed point solves g = M g.
 
-    A row of the wrong length raises DimensionError; a row with no kernel
-    activity raises DegenerateRowError with its 1-based index. Returns a
-    tuple of row tuples.
+    A row of the wrong length raises DimensionError, a row with no kernel
+    activity DegenerateRowError (1-based index), a non-`Ggn` weight or a
+    non-number state entry ValidationError. Returns row tuples.
     """
     lam = positive(lam, InvalidParameterError)
     n = len(w)
     if len(a_hat) != n or (a_grey is not None and len(a_grey) != n):
         raise DimensionError("state vectors must match matrix dimension")
     out = []
-    for i, row in enumerate(w):
-        if len(row) != n:
-            raise DimensionError("matrix must be square")
-        kernels = [cell.kernel for cell in row]
-        shares = [abs(k * a) for k, a in zip(kernels, a_hat)]
-        denom = 0.0
-        for share in shares:
-            denom += share
-        if denom <= 0.0:
-            raise DegenerateRowError(i + 1)
-        a_prime = sigmoid(dot_lr(kernels, a_hat), lam)
-        if a_grey is None:
-            out.append(tuple(a_prime * share / denom for share in shares))
-        else:
-            out.append(tuple(
-                a_prime * share / denom if g - cell.greyness >= 0.0 else 0.0
-                for share, cell, g in zip(shares, row, a_grey)
-            ))
+    try:
+        for i, row in enumerate(w):
+            if len(row) != n:
+                raise DimensionError("matrix must be square")
+            kernels = [cell.kernel for cell in row]
+            shares = [abs(k * a) for k, a in zip(kernels, a_hat)]
+            denom = 0.0
+            for share in shares:
+                denom += share
+            if denom <= 0.0:
+                raise DegenerateRowError(i + 1)
+            a_prime = sigmoid(dot_lr(kernels, a_hat), lam)
+            if a_grey is None:
+                out.append(tuple(a_prime * share / denom for share in shares))
+            else:
+                out.append(tuple(
+                    a_prime * share / denom if g - cell.greyness >= 0.0 else 0.0
+                    for share, cell, g in zip(shares, row, a_grey)
+                ))
+    except (AttributeError, TypeError):
+        raise ValidationError("condition matrix needs Ggn weights, numeric states") from None
     return tuple(out)
 
 

@@ -7,8 +7,14 @@ these constants rather than against itself.
 """
 
 import pytest
+from hypothesis import Phase, settings
 
 import greycog as gc
+
+# Every phase but explain, which reruns a shrunk failing example under a
+# tracer and can take minutes and hundreds of MB before the failure shows.
+settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("no-explain")
 
 # The crisp seven-node web map, transcribed independently of corpus.py.
 WEB_W = (

@@ -379,6 +379,18 @@ def test_check_oversized_initial_integer_is_a_parse_error(tmp_path, capsys, fami
     assert "initial[1]: integer too large for a float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, cell, match", [
+    ("fgcm", {"interval": [0.5, 1.5]}, "interval escapes"),
+    ("fggcm", {"kernel": 1.5, "greyness": 0.0}, "kernel 1.5 outside"),
+])
+def test_check_weight_outside_the_value_domain_exits_three(tmp_path, capsys, family, cell, match):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"family": family, "lambda": 1, "nodes": ["a", "b"],
+                                "weights": [[0.5, 0], [cell, 0.5]], "initial": [0.5, 0]}))
+    assert main(["check", "--model", str(path)]) == 3
+    assert f"weights[2][1]: {match}" in capsys.readouterr().err
+
+
 def test_simulate_oversized_lambda_integer_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text('{"family": "fcm", "lambda": %s, "nodes": ["a"], '

@@ -188,6 +188,38 @@ def test_model_rejects_name_count_mismatch():
         gc.Model("fcm", ("a",), ((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("names, weights, initial, match", [
+    (("a", "b"), ((0.0, 0.0), (0.0,)), (0.0, 0.0), "weight row 2 has 1 entries"),
+    (("a", "b"), ((0.0, 0.0), (0.0, 0.0)), (0.0,), "initial state has 1 entries"),
+    ((), (), (), "at least one node"),
+], ids=["row length", "initial length", "no nodes"])
+def test_model_rejects_a_shape_that_does_not_match_its_nodes(names, weights, initial, match):
+    with pytest.raises(gc.ValidationError, match=match):
+        gc.Model("fcm", names, weights, initial, 1.0)
+
+
+@pytest.mark.parametrize("x", ["0.5", True, None], ids=["str", "True", "None"])
+def test_model_rejects_a_crisp_cell_that_is_no_number(x):
+    with pytest.raises(gc.ValidationError, match="fcm cells must be numbers"):
+        gc.Model("fcm", ("a",), ((0.0,),), (x,), 1.0)
+
+
+@pytest.mark.parametrize("family, match", [("fgcm", "intervals"), ("fggcm", "kernel/greyness")])
+def test_model_rejects_a_float_cell_in_a_grey_family(family, match):
+    with pytest.raises(gc.ValidationError, match=rf"weights\[1\]\[1\]: .*{match}"):
+        gc.Model(family, ("a",), ((0.5,),), (0.5,), 1.0)
+
+
+@pytest.mark.parametrize("family, states, match", [
+    ("fuzzy", ((0.5,),), "unknown family"),
+    ("fcm", (), "at least the initial state"),
+    ("fcm", ((0.5,), (0.5, 0.5)), "ragged"),
+], ids=["unknown family", "no states", "ragged"])
+def test_trajectory_rejects_a_bad_family_or_state_list(family, states, match):
+    with pytest.raises(gc.ValidationError, match=match):
+        gc.Trajectory(family, states)
+
+
 def test_model_rejects_bool_lambda(web_fcm_05):
     # bool is an int subclass; True must not pass as steepness 1.0.
     with pytest.raises(gc.ValidationError):
@@ -206,7 +238,9 @@ def test_simulate_rejects_bool_steps(web_fcm_05):
 OVERFLOW_SITES = {
     "Ign": (lambda x: gc.Ign(x, x), gc.MalformedInputError),
     "Ggn": (lambda x: gc.Ggn(x, 0.0), gc.MalformedInputError),
+    "Ggn greyness": (lambda x: gc.Ggn(0.0, x), gc.MalformedInputError),
     "GreyUnion": (lambda x: gc.GreyUnion(((x, 1.0),)), gc.MalformedInputError),
+    "GreyUnion hi": (lambda x: gc.GreyUnion(((-1.0, x),)), gc.MalformedInputError),
     "Model fcm cell": (lambda x: gc.Model("fcm", ("a",), ((0.0,),), (x,), 1.0),
                        gc.MalformedInputError),
     "Model lambda": (lambda x: gc.Model("fcm", ("a",), ((0.0,),), (0.0,), x),
@@ -222,6 +256,37 @@ def test_integer_too_large_for_a_float_raises_the_site_error(site, x):
         build(math.inf)
     with pytest.raises(error):
         build(x)
+
+
+# The cell constructors apply the number rule themselves: a value that is
+# no int or float, or is a bool, is refused, not converted.
+CELL_SITES = [site for site in sorted(OVERFLOW_SITES) if not site.startswith("Model")]
+
+
+@pytest.mark.parametrize("x", ["0.5", True, None, "abc"], ids=["'0.5'", "True", "None", "abc"])
+@pytest.mark.parametrize("site", CELL_SITES)
+def test_a_cell_constructor_refuses_a_value_that_is_no_number(site, x):
+    build, error = OVERFLOW_SITES[site]
+    with pytest.raises(error, match="expected a number"):
+        build(x)
+
+
+@pytest.mark.parametrize("intervals", [(0.5,), ((0.1,),), ((0.1, 0.2, 0.3),), None],
+                         ids=["bare number", "one endpoint", "three endpoints", "None"])
+def test_grey_union_refuses_an_interval_that_is_no_pair(intervals):
+    with pytest.raises(gc.MalformedInputError, match="pairs"):
+        gc.GreyUnion(intervals)
+
+
+def test_cell_constructors_take_ints_and_float_subclasses():
+    class Real(float):
+        pass
+
+    cells = (gc.Ign(Real(0.5), 1), gc.Ggn(0, Real(0.25)), gc.GreyUnion(((Real(-0.5), 1),)))
+    assert cells == (gc.Ign(0.5, 1.0), gc.Ggn(0.0, 0.25), gc.GreyUnion(((-0.5, 1.0),)))
+    fields = (*dataclasses.astuple(cells[0]), *dataclasses.astuple(cells[1]),
+              *cells[2].intervals[0])
+    assert all(type(v) is float for v in fields)
 
 
 def test_degenerate_interval_run_matches_crisp_bitwise(web_fcm_05):

@@ -127,6 +127,36 @@ def test_condition_matrix_degenerate_row():
     assert exc.value.i == 1  # first row dies: its only live weight meets a zero state
 
 
+def test_condition_matrix_rejects_mismatched_dimensions():
+    w = ((gc.Ggn(0.5, 0.1), gc.Ggn(0.5, 0.1)), (gc.Ggn(0.5, 0.1),))
+    with pytest.raises(gc.DimensionError, match="state vectors"):
+        gc.grey_condition_matrix(w, (1.0,), (0.1, 0.1), 1.0)
+    with pytest.raises(gc.DimensionError, match="square"):
+        gc.grey_condition_matrix(w, (1.0, 1.0), (0.1, 0.1), 1.0)
+
+
+# Inputs of the wrong number family, which used to raise a bare
+# AttributeError or TypeError from inside the loops.
+WEB_FGGCM = gc.build("web_fggcm", 1.0).weights
+WRONG_FAMILY_CALLS = {
+    "w_star of crisp weights": lambda: gc.w_star(WEB_W),
+    "condition matrix of crisp weights": lambda: gc.grey_condition_matrix(
+        WEB_W, (0.5,) * 7, (0.1,) * 7, 1.0),
+    "condition matrix at a string kernel": lambda: gc.grey_condition_matrix(
+        WEB_FGGCM, (0.5,) * 6 + ("0.5",), (0.1,) * 7, 1.0),
+    "condition matrix at a string greyness": lambda: gc.grey_condition_matrix(
+        WEB_FGGCM, (0.5,) * 7, (0.1,) * 6 + ("0.1",), 1.0),
+    "check_fcm of interval weights": lambda: gc.check_fcm(
+        gc.build("web_fgcm", 1.0).weights, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_FAMILY_CALLS))
+def test_a_criterion_given_the_wrong_cells_raises_a_validation_error(call):
+    with pytest.raises(gc.ValidationError):
+        WRONG_FAMILY_CALLS[call]()
+
+
 def ungated_applies(w, greys):
     """The ungated matrix is exact when no weight greyness exceeds its
     column's state greyness."""
@@ -182,6 +212,27 @@ def test_full_report_structure(web_fggcm_05):
     assert rep.greyness_verdict.threshold == 1.0
     assert rep.kernel_converged is True
     assert rep.overall == gc.UNIQUE
+
+
+def test_report_at_the_kernel_boundary_is_at_least_one_fixed_point():
+    # lambda * ||K||_F = 4 * 1 sits on the threshold; the 1x1 greyness
+    # matrix a'_1 < 1 stays unique.
+    m = gc.Model("fggcm", ("a",), ((gc.Ggn(1.0, 0.0),),), (gc.Ggn(0.5, 0.0),), 4.0)
+    traj = gc.simulate(m, 100)
+    rep = gc.check_fggcm(m, traj, gc.classify(traj))
+    assert rep.kernel_verdict.outcome == gc.AT_LEAST_ONE
+    assert rep.greyness_verdict.outcome == gc.UNIQUE
+    assert rep.overall == gc.AT_LEAST_ONE
+
+
+def test_report_rejects_a_model_or_trajectory_of_another_family(web_fggcm_05):
+    traj = gc.simulate(web_fggcm_05, 60)
+    cls = gc.classify(traj)
+    crisp = gc.build("web_fcm", 0.5)
+    with pytest.raises(gc.ValidationError, match="fggcm model"):
+        gc.check_fggcm(crisp, traj, cls)
+    with pytest.raises(gc.ValidationError, match="fggcm trajectory"):
+        gc.check_fggcm(web_fggcm_05, gc.simulate(crisp, 60), cls)
 
 
 def test_report_combiner_degrades_with_components():

@@ -40,6 +40,11 @@ def test_state_distance_rejects_an_unknown_family():
         gc.state_distance("x", (1.0,), (1.0,))
 
 
+def test_state_distance_rejects_states_of_different_lengths():
+    with pytest.raises(gc.DimensionError, match="1 vs 2"):
+        gc.state_distance("fcm", (1.0,), (1.0, 1.0))
+
+
 def test_successive_distances_length(web_fcm_05):
     traj = gc.simulate(web_fcm_05, 20)
     d = successive_distances(traj)
@@ -58,6 +63,13 @@ def test_classify_rejects_an_epsilon_that_is_not_a_positive_finite_number(epsilo
     traj = crisp_trajectory([(0.5,)] * 60)
     with pytest.raises(gc.InvalidParameterError):
         gc.classify(traj, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("max_period", [1, 2.5, "50"])
+def test_classify_rejects_a_max_period_that_is_no_integer_of_at_least_two(max_period):
+    traj = crisp_trajectory([(0.5,)] * 60)
+    with pytest.raises(gc.InvalidParameterError, match="max_period"):
+        gc.classify(traj, max_period=max_period)
 
 
 def test_classify_constant_tail_is_fixed_point():

@@ -64,6 +64,34 @@ def test_parse_rejects_unknown_cell_shape():
         gc.parse_model(doc)
 
 
+# Cell containers the parser reads before it calls a constructor.
+@pytest.mark.parametrize("family, cell", [
+    ("fgcm", {"lo": 0.5, "hi": 0.6}),
+    ("fgcm", {"interval": [0.5]}),
+    ("fgcm", {"interval": [0.1, 0.2, 0.3]}),
+    ("fgcm", {"interval": 0.5}),
+    ("fggcm", {"union": 0.5}),
+    ("fggcm", {"union": [[0.1, 0.2, 0.3]]}),
+    ("fggcm", {"union": []}),
+], ids=["no interval key", "interval of one", "interval of three", "interval not a list",
+        "union not a list", "union entry of three", "empty union"])
+def test_parse_rejects_a_cell_container_of_the_wrong_shape(family, cell):
+    doc = doc_fcm()
+    doc["family"] = family
+    doc["weights"][1][0] = cell
+    with pytest.raises(gc.MalformedInputError, match=r"weights\[2\]\[1\]"):
+        gc.parse_model(doc)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ([doc_fcm()], "JSON object"),
+    ({**doc_fcm(), "initial": {"a": 1.0}}, "'initial' must be a list"),
+], ids=["doc a list", "initial a dict"])
+def test_parse_rejects_a_document_of_the_wrong_shape(doc, match):
+    with pytest.raises(gc.MalformedInputError, match=match):
+        gc.parse_model(doc)
+
+
 def test_parse_rejects_missing_field():
     doc = doc_fcm()
     del doc["initial"]
@@ -119,7 +147,10 @@ def test_saved_doc_is_plain_json(tmp_path):
 # and NaN.
 NOT_FINITE = [10 ** 400, -(10 ** 400), math.inf, -math.inf, math.nan]
 
-# Every place the parser reads a number, as (family, cell built from x).
+# JSON values that are no number at all: a string, true, null and a list.
+NOT_NUMBERS = ["0.5", True, None, [0.5]]
+
+# Every place a model file holds a number, as (family, cell built from x).
 NUMBER_SITES = {
     "fcm number": ("fcm", lambda x: x),
     "fgcm number": ("fgcm", lambda x: x),
@@ -137,7 +168,7 @@ NUMBER_SITES = {
 @pytest.mark.parametrize("site", sorted(NUMBER_SITES))
 def test_number_that_is_no_finite_float_is_malformed(site, place):
     family, cell = NUMBER_SITES[site]
-    for x in NOT_FINITE:
+    for x in NOT_FINITE + NOT_NUMBERS:
         doc = doc_fcm()
         doc["family"] = family
         if place == "weights":
@@ -149,7 +180,7 @@ def test_number_that_is_no_finite_float_is_malformed(site, place):
 
 
 def test_lambda_that_is_no_finite_float_is_malformed():
-    for x in NOT_FINITE:
+    for x in NOT_FINITE + NOT_NUMBERS:
         doc = doc_fcm()
         doc["lambda"] = x
         with pytest.raises(gc.MalformedInputError, match="'lambda'"):
