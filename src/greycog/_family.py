@@ -69,6 +69,13 @@ def positive(x, error, name="lambda") -> float:
     raise error(f"{name} must be a positive finite number, got {x!r}")
 
 
+def at_least(x, low, error, name) -> int:
+    """x if it is an int, not a bool, and >= low, else raises error."""
+    if isinstance(x, int) and not isinstance(x, bool) and x >= low:
+        return x
+    raise error(f"{name} must be an integer >= {low}, got {x}")
+
+
 def located(take, values, where):
     """take(v) for every v in values, as a tuple. A value take rejects
     raises its error again, same type, prefixed with where.format(j), j

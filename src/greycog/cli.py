@@ -13,7 +13,9 @@ structurally inapplicable (mixed-sign interval weight). A library error
 maps to its code by type: 2 for MalformedInputError, 4 for
 MixedSignWeightError, 3 for any other. `sweep` records a lambda whose run
 raises as an `error(...)` summary row, goes on with the next lambda, and
-exits with the largest code among its rows (0 when none failed).
+exits with the largest code among its rows (0 when none failed). Each flag
+value is checked by argparse, with the library's rule, before any file is
+read or written; `main` returns the code of every failure, argparse's too.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import _modelio, convergence, corpus
-from ._family import FAMILY
+from ._family import FAMILY, at_least, positive
 from .cogmap import Model, simulate
 from .dynamics import Classification, classify
 from .errors import (
@@ -38,6 +39,34 @@ from .errors import (
 )
 
 __all__ = ["entrypoint", "main"]
+
+
+def _flag(parse, rule, *bounds, name):
+    """An argparse type: the flag's text through parse (int or float), then
+    through a library rule whose ArgumentTypeError argparse prints."""
+    def check(text):
+        try:
+            number = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+        return rule(number, *bounds, argparse.ArgumentTypeError, name)
+    return check
+
+
+def _lambda_list(text):
+    """The --lambdas list, blanks skipped, as {file tag: lambda} in the
+    order given. A run's files and summary row are tagged f"{lam:g}", so
+    two lambdas sharing a tag would overwrite each other's files."""
+    check = _flag(float, positive, name="lambda")
+    lams = [check(s) for s in text.split(",") if s.strip()]
+    if not lams:
+        raise argparse.ArgumentTypeError("expected at least one value")
+    tags = [f"{lam:g}" for lam in lams]
+    shared = sorted({t for t in tags if tags.count(t) > 1})
+    if shared:
+        clash = ", ".join(repr(lam) for lam, t in zip(lams, tags) if t in shared)
+        raise argparse.ArgumentTypeError(f"{clash} share the file tags {', '.join(shared)}")
+    return dict(zip(tags, lams))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,13 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags shared by several commands, each defined once.
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--model", required=True, help="model file (JSON)")
-    run.add_argument("--steps", type=int, default=100)
+    run.add_argument("--steps", type=_flag(int, at_least, 1, name="steps"), default=100)
     lam = argparse.ArgumentParser(add_help=False)
-    lam.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="override the model file steepness")
+    lam.add_argument("--lambda", dest="lam", type=_flag(float, positive, name="lambda"),
+                     default=None, help="override the model file steepness")
     tail = argparse.ArgumentParser(add_help=False)
-    tail.add_argument("--eps", type=float, default=1e-8)
-    tail.add_argument("--max-period", type=int, default=50)
+    tail.add_argument("--eps", type=_flag(float, positive, name="epsilon"), default=1e-8)
+    tail.add_argument("--max-period", type=_flag(int, at_least, 2, name="max_period"), default=50)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True, help="file to write")
 
@@ -68,12 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the convergence report as JSON")
 
     p = sub.add_parser("sweep", parents=[run, tail], help="run several lambdas and summarize")
-    p.add_argument("--lambdas", required=True,
+    p.add_argument("--lambdas", required=True, type=_lambda_list,
                    help="comma-separated steepness values, e.g. 0.5,1,2,4")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("corpus", parents=[out], help="export a built-in benchmark variant")
-    p.add_argument("variant", help="variant id, e.g. web_fcm")
+    p.add_argument("variant", choices=corpus.VARIANTS, help="variant id")
 
     return parser
 
@@ -90,11 +119,6 @@ _ERRORS = (
 
 def _error_code(exc: GreycogError) -> tuple[int, str]:
     return next((code, prefix) for cls, code, prefix in _ERRORS if isinstance(exc, cls))
-
-
-def _usage_error(message: str) -> int:
-    print(f"greycog: error: {message}", file=sys.stderr)
-    return 2
 
 
 def _write_trajectory(path, model: Model, traj) -> None:
@@ -156,27 +180,7 @@ def _report(model: Model, model_label: str, steps: int, eps: float, max_period: 
     return report, traj, cls, verdicts
 
 
-def _run_args_error(steps, lams, eps=None, max_period=None):
-    """The first run argument of simulate, check or sweep that is out of
-    range, as a message, or None. lams is empty when the model file's
-    lambda is kept; eps and max_period are None for simulate."""
-    if steps < 1:
-        return f"--steps must be >= 1, got {steps}"
-    if eps is not None and not 0.0 < eps < math.inf:
-        return f"--eps must be a finite number > 0, got {eps}"
-    if max_period is not None and max_period < 2:
-        return f"--max-period must be >= 2, got {max_period}"
-    if any(not lam > 0.0 for lam in lams):
-        return "every lambda must be > 0"
-    if any(not math.isfinite(lam) for lam in lams):
-        return "every lambda must be finite"
-    return None
-
-
 def _cmd_simulate(args) -> int:
-    error = _run_args_error(args.steps, () if args.lam is None else (args.lam,))
-    if error:
-        return _usage_error(error)
     model = _modelio.load_model(args.model, args.lam)
     traj = simulate(model, args.steps)
     _write_trajectory(args.out, model, traj)
@@ -184,10 +188,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    error = _run_args_error(args.steps, () if args.lam is None else (args.lam,),
-                            args.eps, args.max_period)
-    if error:
-        return _usage_error(error)
     model = _modelio.load_model(args.model, args.lam)
     label = Path(args.model).stem
     try:
@@ -207,32 +207,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    raw = [s for s in args.lambdas.split(",") if s.strip()]
-    if not raw:
-        return _usage_error("--lambdas must list at least one value")
-    try:
-        lams = [float(s) for s in raw]
-    except ValueError:
-        return _usage_error(f"--lambdas contains a non-number: {args.lambdas!r}")
-    error = _run_args_error(args.steps, lams, args.eps, args.max_period)
-    if error:
-        return _usage_error(error)
-    # Files and summary rows are tagged f"{lam:g}"; two lambdas sharing a
-    # tag would overwrite each other's files.
-    tags = [f"{lam:g}" for lam in lams]
-    shared = sorted({t for t in tags if tags.count(t) > 1})
-    if shared:
-        given = ", ".join(s.strip() for s, t in zip(raw, tags) if t in shared)
-        return _usage_error(f"--lambdas {given} share the file tags {', '.join(shared)}")
-
-    model = _modelio.load_model(args.model, lams[0])
+    model = _modelio.load_model(args.model, next(iter(args.lambdas.values())))
     label = Path(args.model).stem
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     worst = 0
     rows = []
-    for lam, tag in zip(lams, tags):
+    for tag, lam in args.lambdas.items():  # {file tag: lambda}, see _lambda_list
         # The model was built at the first lambda; each later one replaces it.
         if lam != model.lam:
             model = dataclasses.replace(model, lam=lam)
@@ -263,9 +245,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if args.variant not in corpus.VARIANTS:
-        valid = ", ".join(sorted(corpus.VARIANTS))
-        return _usage_error(f"unknown variant {args.variant!r}; valid ids: {valid}")
     doc = corpus.export_variant(args.variant)
     _modelio.save_doc(doc, args.out)
     return 0
@@ -280,7 +259,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for a rejected flag, 0 after --help
+        return exc.code
     try:
         return _HANDLERS[args.command](args)
     except GreycogError as exc:
@@ -288,7 +270,8 @@ def main(argv=None) -> int:
         print(f"greycog: {prefix}{exc}", file=sys.stderr)
         return code
     except OSError as exc:
-        return _usage_error(str(exc))
+        print(f"greycog: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._core import crisp_next
-from ._family import FAMILIES, FAMILY, located, positive
+from ._family import FAMILIES, FAMILY, at_least, located, positive
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -53,8 +53,7 @@ class Model:
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
         fam = FAMILY[self.family]
-        # Cells come first: for a model file's crisp cells this is the
-        # number conversion, a parse error that precedes any invariant.
+        # Cells first: a cell of another family fails before any invariant.
         object.__setattr__(self, "weights", tuple(
             located(fam.cell, row, f"weights[{i + 1}][{{}}]")
             for i, row in enumerate(self.weights)))
@@ -124,8 +123,7 @@ def simulate(m: Model, steps: int) -> Trajectory:
     matched; they are sigmoid outputs, finite and never -0.0, so float
     equality is bit equality there, while the initial state may hold -0.0.
     """
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise InvalidParameterError(f"steps must be an integer >= 1, got {steps}")
+    at_least(steps, 1, InvalidParameterError, "steps")
     fam = FAMILY[m.family]
     split, advance, box = fam.split, fam.advance, fam.box
     w_planes = tuple(zip(*map(split, m.weights)))

@@ -101,7 +101,8 @@ def w_star(w):
     Nonpositive intervals contribute |lo|, nonnegative ones hi. An
     interval straddling zero has no single dominant endpoint, which makes
     the interval criterion inapplicable; that raises MixedSignWeightError
-    with 1-based indices, a non-`Ign` cell ValidationError. Returns row tuples.
+    with 1-based indices, a non-`Ign` cell ValidationError, a matrix that
+    is no sequence of rows DimensionError. Returns row tuples.
     """
     out = []
     try:
@@ -114,6 +115,8 @@ def w_star(w):
             out.append(tuple(out_row))
     except AttributeError:
         raise ValidationError("w_star needs interval (Ign) cells") from None
+    except TypeError:
+        raise DimensionError("matrix must be a sequence of rows") from None
     return tuple(out)
 
 
@@ -147,14 +150,18 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     column's weight greyness; when its norm is below 1 at a kernel fixed
     point, the greyness converges and its fixed point solves g = M g.
 
-    A row of the wrong length raises DimensionError, a row with no kernel
-    activity DegenerateRowError (1-based index), a non-`Ggn` weight or a
-    non-number state entry ValidationError. Returns row tuples.
+    A matrix or state vector that is no sequence, or a row of the wrong
+    length, raises DimensionError, a row with no kernel activity
+    DegenerateRowError (1-based index), a non-`Ggn` weight or a non-number
+    state entry ValidationError. Returns row tuples.
     """
     lam = positive(lam, InvalidParameterError)
-    n = len(w)
-    if len(a_hat) != n or (a_grey is not None and len(a_grey) != n):
-        raise DimensionError("state vectors must match matrix dimension")
+    try:
+        n = len(w)
+        if len(a_hat) != n or (a_grey is not None and len(a_grey) != n):
+            raise DimensionError("state vectors must match matrix dimension")
+    except TypeError:
+        raise DimensionError("the matrix and state vectors must be sequences") from None
     out = []
     try:
         for i, row in enumerate(w):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._family import FAMILY, positive
+from ._family import FAMILY, at_least, positive
 from .cogmap import Trajectory
 from .errors import (
     DimensionError,
@@ -34,7 +34,10 @@ def state_distance(family: str, a, b) -> float:
         raise ValidationError(f"unknown family {family!r}")
     if len(a) != len(b):
         raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
-    return fam.distance(a, b)
+    try:
+        return fam.distance(a, b)
+    except (AttributeError, TypeError):
+        raise ValidationError(f"states must hold {family} cells") from None
 
 
 @dataclass(frozen=True)
@@ -68,12 +71,11 @@ def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> C
     the period search starts at 2. Each lag's tail is scanned backwards
     from the end and stops at the first gap above epsilon, so only the
     tail is measured. A NaN gap never stops the backward scan, and a NaN
-    last gap never starts one. epsilon must be a finite number > 0, not a
-    bool, else InvalidParameterError.
+    last gap never starts one. An epsilon or max_period its rule refuses
+    raises InvalidParameterError, a state cell of another family ValidationError.
     """
     epsilon = positive(epsilon, InvalidParameterError, "epsilon")
-    if not (isinstance(max_period, int) and max_period >= 2):
-        raise InvalidParameterError(f"max_period must be an integer >= 2, got {max_period}")
+    at_least(max_period, 2, InvalidParameterError, "max_period")
     states = traj.states
     if len(states) < max_period + 2:
         raise InsufficientDataError(
@@ -84,14 +86,16 @@ def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> C
     dist = FAMILY[traj.family].distance
     end = len(states) - 1
 
-    for lag in range(1, max_period + 1):
-        if not dist(states[end - lag], states[end]) <= epsilon:
-            continue
-        t = end - lag - 1
-        while t >= 0 and not dist(states[t], states[t + lag]) > epsilon:
-            t -= 1
-        if lag == 1:
-            return Classification("FixedPoint", t + 1, None, states[-1], epsilon, max_period)
-        return Classification("LimitCycle", t + 1, lag, None, epsilon, max_period)
-
+    try:
+        for lag in range(1, max_period + 1):
+            if not dist(states[end - lag], states[end]) <= epsilon:
+                continue
+            t = end - lag - 1
+            while t >= 0 and not dist(states[t], states[t + lag]) > epsilon:
+                t -= 1
+            if lag == 1:
+                return Classification("FixedPoint", t + 1, None, states[-1], epsilon, max_period)
+            return Classification("LimitCycle", t + 1, lag, None, epsilon, max_period)
+    except (AttributeError, TypeError):
+        raise ValidationError(f"states must hold {traj.family} cells") from None
     return Classification("Chaotic", None, None, None, epsilon, max_period)

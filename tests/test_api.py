@@ -116,3 +116,30 @@ def unused_imports(source):
 def test_no_module_imports_a_name_it_never_uses():
     found = {p.name: unused_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert found and {name: names for name, names in found.items() if names} == {}
+
+
+def number_rule_sites(node, where="<module>"):
+    """The functions, by name, that call isfinite or test isinstance(...,
+    bool): the checks `_family`'s number rules own."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        types = node.args[1:2]
+        types = types[0].elts if types and isinstance(types[0], ast.Tuple) else types
+        if name == "isfinite" or (name == "isinstance" and any(
+                isinstance(t, ast.Name) and t.id == "bool" for t in types)):
+            yield where
+    for child in ast.iter_child_nodes(node):
+        yield from number_rule_sites(child, where)
+
+
+def test_only_the_family_module_writes_a_number_rule():
+    # A new flag or entry point reuses `_family.finite`, `positive` or
+    # `at_least` instead of growing a private copy of the rule.
+    found = {(p.name, where) for p in sorted(SRC.glob("*.py"))
+             for where in number_rule_sites(ast.parse(p.read_text()))}
+    own = {where for name, where in found if name == "_family.py"}
+    assert {"is_number", "finite", "at_least"} <= own
+    # sigmoid's guard is no number rule: it reports an overflowed row sum.
+    assert {site for site in found if site[0] != "_family.py"} <= {("_core.py", "sigmoid")}

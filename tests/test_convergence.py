@@ -157,6 +157,22 @@ def test_a_criterion_given_the_wrong_cells_raises_a_validation_error(call):
         WRONG_FAMILY_CALLS[call]()
 
 
+# Arguments that are no sequence at all, which used to raise a bare
+# TypeError from iterating or taking the length.
+NON_SEQUENCE_CALLS = {
+    "w_star of a number": lambda: gc.w_star(5),
+    "condition matrix at a number state": lambda: gc.grey_condition_matrix(
+        WEB_FGGCM, 5, None, 1.0),
+    "condition matrix of a number": lambda: gc.grey_condition_matrix(5, (0.5,), None, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_SEQUENCE_CALLS))
+def test_a_criterion_given_no_sequence_raises_a_dimension_error(call):
+    with pytest.raises(gc.DimensionError):
+        NON_SEQUENCE_CALLS[call]()
+
+
 def ungated_applies(w, greys):
     """The ungated matrix is exact when no weight greyness exceeds its
     column's state greyness."""

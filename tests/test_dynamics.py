@@ -45,6 +45,21 @@ def test_state_distance_rejects_states_of_different_lengths():
         gc.state_distance("fcm", (1.0,), (1.0, 1.0))
 
 
+# States whose cells are not of the named family, which used to raise a
+# bare AttributeError or TypeError from inside the metric.
+WRONG_FAMILY_CALLS = {
+    "classify fgcm over floats": lambda: gc.classify(gc.Trajectory("fgcm", ((0.5,),) * 60)),
+    "classify fcm over strings": lambda: gc.classify(gc.Trajectory("fcm", (("a",),) * 60)),
+    "state_distance fggcm over floats": lambda: gc.state_distance("fggcm", (0.5,), (0.5,)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_FAMILY_CALLS))
+def test_a_state_of_another_family_raises_a_validation_error(call):
+    with pytest.raises(gc.ValidationError, match="states must hold"):
+        WRONG_FAMILY_CALLS[call]()
+
+
 def test_successive_distances_length(web_fcm_05):
     traj = gc.simulate(web_fcm_05, 20)
     d = successive_distances(traj)
