@@ -30,7 +30,7 @@ from pathlib import Path
 from . import _modelio, convergence, corpus
 from ._family import FAMILY, at_least, positive
 from .cogmap import Model, simulate
-from .dynamics import Classification, classify
+from .dynamics import classify
 from .errors import (
     GreycogError,
     InsufficientDataError,
@@ -132,16 +132,6 @@ def _write_trajectory(path, model: Model, traj) -> None:
                     writer.writerow([t, name, field, repr(float(value))])
 
 
-def _classification_dict(cls: Classification) -> dict:
-    return {
-        "verdict": cls.verdict,
-        "t_alpha": cls.t_alpha,
-        "period": cls.period,
-        "epsilon": cls.epsilon,
-        "max_period": cls.max_period,
-    }
-
-
 def _verdict_dict(v: convergence.Verdict) -> dict:
     return {
         "criterion": v.criterion_value,
@@ -160,7 +150,13 @@ def _report(model: Model, model_label: str, steps: int, eps: float, max_period: 
         "model": model_label,
         "family": model.family,
         "lambda": model.lam,
-        "classification": _classification_dict(cls),
+        "classification": {
+            "verdict": cls.verdict,
+            "t_alpha": cls.t_alpha,
+            "period": cls.period,
+            "epsilon": eps,
+            "max_period": max_period,
+        },
     }
     if model.family == "fggcm":
         full = convergence.check_fggcm(model, traj, cls)
@@ -228,9 +224,7 @@ def _cmd_sweep(args) -> int:
             worst = max(worst, _error_code(exc)[0])
             continue
         _write_trajectory(out_dir / f"trajectory_lam{tag}.csv", model, traj)
-        with open(out_dir / f"report_lam{tag}.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _modelio.save_doc(report, out_dir / f"report_lam{tag}.json")
         kernel_crit, grey_crit, *_ = [repr(v.criterion_value) for v in verdicts] + [""]
         period = cls.period if cls.period is not None else ""
         rows.append([tag, kernel_crit, grey_crit, cls.verdict, period])

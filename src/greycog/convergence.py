@@ -1,13 +1,13 @@
 """Convergence checkers.
 
-Three sufficient criteria, one per engine family:
+One Banach contraction bound, lambda * ||M||_F < 4 (unique fixed point),
+gives a sufficient criterion for each engine family:
 
-  crisp     lambda * ||W||_F < 4          unique fixed point
-  interval  lambda * ||W*||_F < 4         unique fixed point, where W* takes
-            the endpoint of largest magnitude (undefined for mixed-sign
-            weights)
+  crisp     M = W
+  interval  M = W*, which takes the endpoint of largest magnitude
+            (undefined for mixed-sign weights)
   kernel/greyness
-            kernel part:   lambda * ||what||_F vs 4 (same as crisp)
+            kernel part:   M = the kernel matrix K
             greyness part: ||condition matrix||_F vs 1, evaluated at a
             kernel state (converged when available)
 
@@ -18,7 +18,7 @@ says nothing", never "diverges".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._core import dot_lr, sigmoid
 from ._family import positive
@@ -58,19 +58,19 @@ _EQ_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Verdict:
+    """A criterion value against its threshold. outcome is set from the
+    two: AT_LEAST_ONE within _EQ_TOL of the threshold, else UNIQUE below
+    it and INCONCLUSIVE above."""
+
     criterion_value: float
     threshold: float
-    outcome: str
+    outcome: str = field(init=False)
 
-
-def _verdict(value: float, threshold: float) -> Verdict:
-    if abs(value - threshold) <= _EQ_TOL:
-        outcome = AT_LEAST_ONE
-    elif value < threshold:
-        outcome = UNIQUE
-    else:
-        outcome = INCONCLUSIVE
-    return Verdict(float(value), float(threshold), outcome)
+    def __post_init__(self):
+        value, threshold = self.criterion_value, self.threshold
+        outcome = (AT_LEAST_ONE if abs(value - threshold) <= _EQ_TOL
+                   else UNIQUE if value < threshold else INCONCLUSIVE)
+        object.__setattr__(self, "outcome", outcome)
 
 
 def frobenius_norm(m) -> float:
@@ -120,16 +120,21 @@ def w_star(w):
     return tuple(out)
 
 
+def _banach(lam: float, m) -> Verdict:
+    """The one contraction criterion: lambda * ||M||_F against 4."""
+    return Verdict(lam * frobenius_norm(m), 4.0)
+
+
 def check_fcm(w, lam: float) -> Verdict:
-    """Crisp criterion: lambda * ||W||_F against 4."""
+    """Crisp criterion: the Banach bound on W."""
     lam = positive(lam, InvalidParameterError)
-    return _verdict(lam * frobenius_norm(w), 4.0)
+    return _banach(lam, w)
 
 
 def check_fgcm(w, lam: float) -> Verdict:
-    """Interval criterion: lambda * ||W*||_F against 4."""
+    """Interval criterion: the Banach bound on W*."""
     lam = positive(lam, InvalidParameterError)
-    return _verdict(lam * frobenius_norm(w_star(w)), 4.0)
+    return _banach(lam, w_star(w))
 
 
 def grey_condition_matrix(w, a_hat, a_grey, lam: float):
@@ -189,26 +194,26 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
 
 @dataclass(frozen=True)
 class FggcmReport:
-    """Joint convergence report for a kernel/greyness map run."""
+    """Joint convergence report for a kernel/greyness map run. overall is
+    set from the two verdicts: UNIQUE when both are, else INCONCLUSIVE
+    when either is, else AT_LEAST_ONE."""
 
     kernel_verdict: Verdict
     greyness_verdict: Verdict
     evaluation_state: tuple
     kernel_converged: bool
-    overall: str
+    overall: str = field(init=False)
+
+    def __post_init__(self):
+        outcomes = {self.kernel_verdict.outcome, self.greyness_verdict.outcome}
+        overall = (UNIQUE if outcomes == {UNIQUE}
+                   else INCONCLUSIVE if INCONCLUSIVE in outcomes else AT_LEAST_ONE)
+        object.__setattr__(self, "overall", overall)
 
     @property
     def greyness_value(self) -> float:
         """The greyness condition-matrix norm, greyness_verdict.criterion_value."""
         return self.greyness_verdict.criterion_value
-
-
-def _combine(kernel: Verdict, greyness: Verdict) -> str:
-    if kernel.outcome == UNIQUE and greyness.outcome == UNIQUE:
-        return UNIQUE
-    if INCONCLUSIVE in (kernel.outcome, greyness.outcome):
-        return INCONCLUSIVE
-    return AT_LEAST_ONE
 
 
 def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
@@ -223,17 +228,14 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
         raise ValidationError(f"expected an fggcm model, got {m.family}")
     if traj.family != "fggcm":
         raise ValidationError(f"expected an fggcm trajectory, got {traj.family}")
-    kernel_matrix = [[cell.kernel for cell in row] for row in m.weights]
-    kernel_verdict = _verdict(m.lam * frobenius_norm(kernel_matrix), 4.0)
+    kernel_verdict = _banach(m.lam, [[cell.kernel for cell in row] for row in m.weights])
     state = traj.states[-1]
     a_hat = [g.kernel for g in state]
     a_grey = [g.greyness for g in state]
     cond = grey_condition_matrix(m.weights, a_hat, a_grey, m.lam)
-    greyness_verdict = _verdict(frobenius_norm(cond), 1.0)
     return FggcmReport(
         kernel_verdict=kernel_verdict,
-        greyness_verdict=greyness_verdict,
+        greyness_verdict=Verdict(frobenius_norm(cond), 1.0),
         evaluation_state=state,
         kernel_converged=cls.verdict == "FixedPoint",
-        overall=_combine(kernel_verdict, greyness_verdict),
     )

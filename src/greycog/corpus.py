@@ -96,49 +96,35 @@ def inject_greyness(w, g: float):
     return tuple(out)
 
 
-def _interval_matrix():
-    return inject_greyness(WEB_WEIGHTS, WEB_GREYNESS)
-
-
-def _ggn_matrix():
-    rows = []
-    for row in _interval_matrix():
-        rows.append(tuple(ggn_from_union(GreyUnion(((c.lo, c.hi),))) for c in row))
-    return tuple(rows)
-
-
-def _with_cell(matrix, i, j, cell):
-    rows = [list(r) for r in matrix]
-    rows[i][j] = cell
-    return tuple(tuple(r) for r in rows)
+# The initial state of each family, and the cells each variant replaces in
+# its family's web matrix; a variant id's suffix names its family.
+_WEB_INITIAL = {"fcm": WEB_INITIAL_CRISP, "fgcm": WEB_INITIAL_INTERVAL, "fggcm": WEB_INITIAL_GGN}
+_REPLACED = {
+    "web_fcm": {},
+    "web_fgcm": {},
+    "web_fggcm": {},
+    "web_case1_fgcm": {(0, 0): Ign(-0.1, 0.1)},
+    "web_case1_fggcm": {(0, 0): Ggn(0.0, 0.1)},
+    "web_case2_fggcm": {ij: ggn_from_union(u) for ij, u in CASE2_UNIONS.items()},
+}
 
 
 def build(variant: str, lam: float) -> Model:
-    """Construct one corpus model at the given steepness."""
+    """Construct one corpus model at the given steepness: the web matrix in
+    its family's cells (crisp, greyness-injected intervals, or those
+    intervals reduced to kernel/greyness), with the variant's cells replaced."""
     if variant not in VARIANTS:
         valid = ", ".join(sorted(VARIANTS))
         raise MalformedInputError(f"unknown corpus variant {variant!r}; valid: {valid}")
     lam = positive(lam, InvalidParameterError)
-
-    if variant == "web_fcm":
-        return Model("fcm", WEB_NODE_NAMES, WEB_WEIGHTS, WEB_INITIAL_CRISP, lam)
-    if variant == "web_fgcm":
-        return Model("fgcm", WEB_NODE_NAMES, _interval_matrix(),
-                     WEB_INITIAL_INTERVAL, lam)
-    if variant == "web_fggcm":
-        return Model("fggcm", WEB_NODE_NAMES, _ggn_matrix(),
-                     WEB_INITIAL_GGN, lam)
-    if variant == "web_case1_fgcm":
-        weights = _with_cell(_interval_matrix(), 0, 0, Ign(-0.1, 0.1))
-        return Model("fgcm", WEB_NODE_NAMES, weights, WEB_INITIAL_INTERVAL, lam)
-    if variant == "web_case1_fggcm":
-        weights = _with_cell(_ggn_matrix(), 0, 0, Ggn(0.0, 0.1))
-        return Model("fggcm", WEB_NODE_NAMES, weights, WEB_INITIAL_GGN, lam)
-    # web_case2_fggcm
-    weights = _ggn_matrix()
-    for (i, j), union in CASE2_UNIONS.items():
-        weights = _with_cell(weights, i, j, ggn_from_union(union))
-    return Model("fggcm", WEB_NODE_NAMES, weights, WEB_INITIAL_GGN, lam)
+    family = variant.rsplit("_", 1)[1]
+    w = WEB_WEIGHTS if family == "fcm" else inject_greyness(WEB_WEIGHTS, WEB_GREYNESS)
+    if family == "fggcm":
+        w = [[ggn_from_union(GreyUnion(((c.lo, c.hi),))) for c in row] for row in w]
+    cells = _REPLACED[variant]
+    weights = tuple(tuple(cells.get((i, j), c) for j, c in enumerate(row))
+                    for i, row in enumerate(w))
+    return Model(family, WEB_NODE_NAMES, weights, _WEB_INITIAL[family], lam)
 
 
 def export_variant(variant: str) -> dict:

@@ -28,12 +28,17 @@ __all__ = [
 
 def state_distance(family: str, a, b) -> float:
     """Family metric: Euclidean over every float field of the cells (the
-    value; lo and hi; kernel and greyness)."""
+    value; lo and hi; kernel and greyness). A state that is no sequence,
+    or states of different lengths, raise DimensionError, a cell of
+    another family ValidationError."""
     fam = FAMILY.get(family)
     if fam is None:
         raise ValidationError(f"unknown family {family!r}")
-    if len(a) != len(b):
-        raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
+    try:
+        if len(a) != len(b):
+            raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
+    except TypeError:
+        raise DimensionError("states must be sequences") from None
     try:
         return fam.distance(a, b)
     except (AttributeError, TypeError):
@@ -54,8 +59,6 @@ class Classification:
     t_alpha: int | None
     period: int | None
     final_state: tuple | None
-    epsilon: float
-    max_period: int
 
 
 def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> Classification:
@@ -94,8 +97,8 @@ def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> C
             while t >= 0 and not dist(states[t], states[t + lag]) > epsilon:
                 t -= 1
             if lag == 1:
-                return Classification("FixedPoint", t + 1, None, states[-1], epsilon, max_period)
-            return Classification("LimitCycle", t + 1, lag, None, epsilon, max_period)
+                return Classification("FixedPoint", t + 1, None, states[-1])
+            return Classification("LimitCycle", t + 1, lag, None)
     except (AttributeError, TypeError):
         raise ValidationError(f"states must hold {traj.family} cells") from None
-    return Classification("Chaotic", None, None, None, epsilon, max_period)
+    return Classification("Chaotic", None, None, None)

@@ -46,17 +46,23 @@ def test_benchmark_trace_targets_exist():
     assert "states" in {f.name for f in dataclasses.fields(gc.Trajectory)}
 
 
-# The settable surface: dataclass fields and the parameters of the entry
-# points that take a model or a run's settings.
+# The settable surface: dataclass constructor fields and the parameters of
+# the entry points that take a model or a run's settings.
 FIELDS = {
     gc.Model: ["family", "node_names", "weights", "initial", "lam"],
     gc.Trajectory: ["family", "states"],
-    gc.Classification: ["verdict", "t_alpha", "period", "final_state", "epsilon",
-                        "max_period"],
-    # greyness_value is a read-only property over greyness_verdict.
+    # classify's epsilon and max_period are the caller's own; no echo.
+    gc.Classification: ["verdict", "t_alpha", "period", "final_state"],
+    # outcome is set from these two (see DERIVED).
+    gc.Verdict: ["criterion_value", "threshold"],
+    # overall is set from the two verdicts (see DERIVED); greyness_value is
+    # a read-only property over greyness_verdict.
     gc.FggcmReport: ["kernel_verdict", "greyness_verdict", "evaluation_state",
-                     "kernel_converged", "overall"],
+                     "kernel_converged"],
 }
+# Fields a record sets from its others when it is built: no constructor
+# argument, but in repr and equality.
+DERIVED = {gc.Verdict: ["outcome"], gc.FggcmReport: ["overall"]}
 PARAMETERS = {
     gc.simulate: ["m", "steps"],
     gc.export_variant: ["variant"],
@@ -69,7 +75,9 @@ PARAMETERS = {
 
 def test_settable_surface_is_pinned():
     for cls, names in FIELDS.items():
-        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+        assert [f.name for f in dataclasses.fields(cls) if f.init] == names, cls.__name__
+        derived = [f.name for f in dataclasses.fields(cls) if not f.init]
+        assert derived == DERIVED.get(cls, []), cls.__name__
     for func, names in PARAMETERS.items():
         assert list(inspect.signature(func).parameters) == names, func.__name__
     assert gc.VARIANTS and all(isinstance(v, str) for v in gc.VARIANTS.values())

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import hashlib
 import inspect
 import json
 import os
@@ -33,6 +34,33 @@ def read_csv(path):
 def test_corpus_export_parses_back(tmp_path):
     path = export(tmp_path, "web_fggcm")
     assert gc.load_model(path) == gc.build("web_fggcm", 1.0)
+
+
+# md5 of each variant's `simulate --lambda 2 --steps 200` trajectory CSV and
+# of its `sweep --lambdas 0.5,1,2,4` summary.csv: a change to the engines,
+# the classifier, the criteria or the writers that moves one byte fails here.
+CSV_MD5 = {
+    "web_fcm": ("5fc26fb59cb7f252671f2fca000ece33", "c77c2cc4b27ceaa1d0e7aa653f8744e6"),
+    "web_fgcm": ("4e0ef443ffc307399ef64939b3f7927b", "7d007b9d17ffa006ecba1ed1407ae6dc"),
+    "web_fggcm": ("5c6eb8a941570b6d00c07d083f505444", "47485b7ee7fc3ee082f21e5074d1af53"),
+    "web_case1_fgcm": ("7eb490fdd5f3e9b22ab53034a36cf893", "bf40b76cf8e392c7e568b016e74c80e0"),
+    "web_case1_fggcm": ("5c6eb8a941570b6d00c07d083f505444", "47485b7ee7fc3ee082f21e5074d1af53"),
+    "web_case2_fggcm": ("6e036cb55b375990a1500bfd51c9c95f", "d9e1e7aeb44775c6fb062aa1d985cd3a"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(CSV_MD5))
+def test_trajectory_and_summary_csvs_are_pinned(tmp_path, variant):
+    model = export(tmp_path, variant)
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--model", model, "--lambda", "2", "--steps", "200",
+                 "--out", str(traj)]) == 0
+    # Case 1 fgcm's mixed-sign weight makes every summary row an error, exit 4.
+    assert main(["sweep", "--model", model, "--lambdas", "0.5,1,2,4",
+                 "--out-dir", str(tmp_path / "sweep")]) == (4 if variant == "web_case1_fgcm" else 0)
+    got = tuple(hashlib.md5(path.read_bytes()).hexdigest()
+                for path in (traj, tmp_path / "sweep" / "summary.csv"))
+    assert got == CSV_MD5[variant]
 
 
 def test_simulate_writes_trajectory(tmp_path):

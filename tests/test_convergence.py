@@ -1,10 +1,12 @@
 """Contraction tests on norms, gates, and the report combiner."""
 
+import dataclasses
 import math
 
 import pytest
 
 import greycog as gc
+from greycog import convergence
 from conftest import (
     NORM_KERNEL,
     NORM_KERNEL_MC,
@@ -259,3 +261,53 @@ def test_report_combiner_degrades_with_components():
     assert rep.kernel_verdict.outcome == gc.INCONCLUSIVE
     assert rep.greyness_verdict.outcome == gc.UNIQUE
     assert rep.overall == gc.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("value, outcome", [
+    (3.9, gc.UNIQUE), (4.0, gc.AT_LEAST_ONE), (4.0 - 1e-13, gc.AT_LEAST_ONE),
+    (5.0, gc.INCONCLUSIVE), (math.nan, gc.INCONCLUSIVE),
+])
+def test_a_verdict_sets_its_outcome_from_value_and_threshold(value, outcome):
+    v = gc.Verdict(value, 4.0)
+    assert v.outcome == outcome
+    assert f"outcome={outcome!r}" in repr(v)
+    with pytest.raises(TypeError):
+        gc.Verdict(5.0, 4.0, gc.UNIQUE)  # a hand-built verdict cannot claim one
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.outcome = gc.UNIQUE
+
+
+@pytest.mark.parametrize("kernel, greyness, overall", [
+    (1.0, 0.5, gc.UNIQUE), (4.0, 0.5, gc.AT_LEAST_ONE), (1.0, 1.0, gc.AT_LEAST_ONE),
+    (4.0, 1.0, gc.AT_LEAST_ONE), (5.0, 0.5, gc.INCONCLUSIVE), (1.0, 2.0, gc.INCONCLUSIVE),
+    (5.0, 1.0, gc.INCONCLUSIVE), (4.0, 2.0, gc.INCONCLUSIVE), (5.0, 2.0, gc.INCONCLUSIVE),
+])
+def test_a_report_sets_overall_from_its_two_verdicts(kernel, greyness, overall):
+    rep = gc.FggcmReport(gc.Verdict(kernel, 4.0), gc.Verdict(greyness, 1.0), (), True)
+    assert rep.overall == overall
+    assert f"overall={overall!r}" in repr(rep)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.overall = gc.UNIQUE
+
+
+def test_every_contraction_check_applies_the_one_banach_bound(monkeypatch, web_fggcm_05):
+    calls = []
+
+    def recording(lam, m):
+        calls.append(lam)
+        return banach(lam, m)
+
+    banach = convergence._banach
+    monkeypatch.setattr(convergence, "_banach", recording)
+    traj = gc.simulate(web_fggcm_05, 60)
+    gc.check_fcm(WEB_W, 0.5)
+    gc.check_fgcm(gc.build("web_fgcm", 0.5).weights, 0.5)
+    gc.check_fggcm(web_fggcm_05, traj, gc.classify(traj))
+    assert calls == [0.5, 0.5, 0.5]
+
+
+def test_the_interval_check_tests_lambda_before_the_matrix():
+    with pytest.raises(gc.InvalidParameterError):
+        gc.check_fgcm(5, -1.0)
+    with pytest.raises(gc.InvalidParameterError):
+        gc.check_fgcm(((gc.Ign(-0.1, 0.1),),), 0.0)

@@ -60,6 +60,12 @@ def test_a_state_of_another_family_raises_a_validation_error(call):
         WRONG_FAMILY_CALLS[call]()
 
 
+@pytest.mark.parametrize("a, b", [(5, 5), ((0.5,), 5), (None, (0.5,))])
+def test_a_state_that_is_no_sequence_raises_a_dimension_error(a, b):
+    with pytest.raises(gc.DimensionError, match="states must be sequences"):
+        gc.state_distance("fcm", a, b)
+
+
 def test_successive_distances_length(web_fcm_05):
     traj = gc.simulate(web_fcm_05, 20)
     d = successive_distances(traj)
