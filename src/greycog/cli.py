@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -122,14 +123,30 @@ def _error_code(exc: GreycogError) -> tuple[int, str]:
 
 
 def _write_trajectory(path, model: Model, traj) -> None:
+    """The long-form CSV, byte for byte what a csv.writer row loop of
+    [t, node, field, repr(float(value))] writes, assembled as text: each
+    `node,field` pair is csv-encoded once per file, and each recorded
+    state's rows once. The state cache is keyed on identity: simulate
+    copies a cycle by appending the same tuples, and equality would merge
+    a -0.0 initial cell with 0.0."""
     fam = FAMILY[model.family]
+    pairs = []
+    for name in model.node_names:
+        for field in fam.fields:
+            buf = io.StringIO()
+            csv.writer(buf).writerow((name, field))
+            pairs.append(buf.getvalue()[:-2])  # without the "\r\n" terminator
+    rows = {}  # id(state) -> the state's rows after their t column
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "field", "value"])
+        fh.write("t,node,field,value\r\n")
         for t, state in enumerate(traj.states):
-            for name, values in zip(model.node_names, zip(*fam.split(state))):
-                for field, value in zip(fam.fields, values):
-                    writer.writerow([t, name, field, repr(float(value))])
+            parts = rows.get(id(state))
+            if parts is None:
+                values = (v for node in zip(*fam.split(state)) for v in node)
+                parts = rows[id(state)] = [f",{pair},{repr(float(v))}\r\n"
+                                           for pair, v in zip(pairs, values)]
+            tag = str(t)
+            fh.write(tag + tag.join(parts))
 
 
 def _verdict_dict(v: convergence.Verdict) -> dict:

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -14,6 +15,7 @@ import pytest
 
 import greycog as gc
 from greycog import cli
+from greycog._family import FAMILY
 from greycog.cli import main
 
 
@@ -36,16 +38,24 @@ def test_corpus_export_parses_back(tmp_path):
     assert gc.load_model(path) == gc.build("web_fggcm", 1.0)
 
 
-# md5 of each variant's `simulate --lambda 2 --steps 200` trajectory CSV and
-# of its `sweep --lambdas 0.5,1,2,4` summary.csv: a change to the engines,
-# the classifier, the criteria or the writers that moves one byte fails here.
+# md5 of each variant's `simulate --lambda 2 --steps 200` trajectory CSV, of
+# its `sweep --lambdas 0.5,1,2,4` summary.csv, and of that sweep's
+# trajectory_lam4.csv and report_lam4.json (None: no file, the run failed):
+# a change to the engines, the classifier, the criteria or the writers that
+# moves one byte fails here.
 CSV_MD5 = {
-    "web_fcm": ("5fc26fb59cb7f252671f2fca000ece33", "c77c2cc4b27ceaa1d0e7aa653f8744e6"),
-    "web_fgcm": ("4e0ef443ffc307399ef64939b3f7927b", "7d007b9d17ffa006ecba1ed1407ae6dc"),
-    "web_fggcm": ("5c6eb8a941570b6d00c07d083f505444", "47485b7ee7fc3ee082f21e5074d1af53"),
-    "web_case1_fgcm": ("7eb490fdd5f3e9b22ab53034a36cf893", "bf40b76cf8e392c7e568b016e74c80e0"),
-    "web_case1_fggcm": ("5c6eb8a941570b6d00c07d083f505444", "47485b7ee7fc3ee082f21e5074d1af53"),
-    "web_case2_fggcm": ("6e036cb55b375990a1500bfd51c9c95f", "d9e1e7aeb44775c6fb062aa1d985cd3a"),
+    "web_fcm": ("5fc26fb59cb7f252671f2fca000ece33", "c77c2cc4b27ceaa1d0e7aa653f8744e6",
+                "49e92b5a14c676f850cfba2e684fc9e8", "2b9e785ae7beac167135f412f0ce5372"),
+    "web_fgcm": ("4e0ef443ffc307399ef64939b3f7927b", "7d007b9d17ffa006ecba1ed1407ae6dc",
+                 "5a8f49bf4d48fc41e98fb4a37a285efc", "6c6b60990c72b4cf91a39c67e037a9e3"),
+    "web_fggcm": ("5c6eb8a941570b6d00c07d083f505444", "47485b7ee7fc3ee082f21e5074d1af53",
+                  "0b9b8193f6796141cf77cc99d0945dc8", "9ae72c0518be9ebec12c5f64d77647a1"),
+    "web_case1_fgcm": ("7eb490fdd5f3e9b22ab53034a36cf893", "bf40b76cf8e392c7e568b016e74c80e0",
+                       None, None),
+    "web_case1_fggcm": ("5c6eb8a941570b6d00c07d083f505444", "47485b7ee7fc3ee082f21e5074d1af53",
+                        "0b9b8193f6796141cf77cc99d0945dc8", "f3f84280a3b50f6c6c8c53518cdb8c21"),
+    "web_case2_fggcm": ("6e036cb55b375990a1500bfd51c9c95f", "d9e1e7aeb44775c6fb062aa1d985cd3a",
+                        "1b32bf1800d65dbe87c1e2dae8c85e40", "706e503b893a90926abb320ac2c9205b"),
 }
 
 
@@ -58,9 +68,63 @@ def test_trajectory_and_summary_csvs_are_pinned(tmp_path, variant):
     # Case 1 fgcm's mixed-sign weight makes every summary row an error, exit 4.
     assert main(["sweep", "--model", model, "--lambdas", "0.5,1,2,4",
                  "--out-dir", str(tmp_path / "sweep")]) == (4 if variant == "web_case1_fgcm" else 0)
-    got = tuple(hashlib.md5(path.read_bytes()).hexdigest()
-                for path in (traj, tmp_path / "sweep" / "summary.csv"))
+    sweep = tmp_path / "sweep"
+    got = tuple(hashlib.md5(path.read_bytes()).hexdigest() if path.exists() else None
+                for path in (traj, sweep / "summary.csv", sweep / "trajectory_lam4.csv",
+                             sweep / "report_lam4.json"))
     assert got == CSV_MD5[variant]
+
+
+def write_rows_oracle(path, model, traj):
+    """The trajectory CSV as a csv.writer row loop writes it: the bytes
+    cli._write_trajectory assembles by hand must equal these."""
+    fam = FAMILY[model.family]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "node", "field", "value"])
+        for t, state in enumerate(traj.states):
+            for name, values in zip(model.node_names, zip(*fam.split(state))):
+                for field, value in zip(fam.fields, values):
+                    writer.writerow([t, name, field, repr(float(value))])
+
+
+def assert_written_like_oracle(tmp_path, model, traj):
+    cli._write_trajectory(tmp_path / "got.csv", model, traj)
+    write_rows_oracle(tmp_path / "want.csv", model, traj)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# Names the csv module must quote (comma, quote, LF, CR), or must not
+# (a leading blank, non-ASCII, the empty name beside other fields).
+ODD_NAMES = ("a,b", 'q"uote', "line\nbreak", "cr\rx", " lead", "\u00fc", "")
+
+
+@pytest.mark.parametrize("family", ["fcm", "fgcm", "fggcm"])
+def test_trajectory_csv_quotes_node_names_as_csv_writer_does(tmp_path, family):
+    model = dataclasses.replace(gc.build(f"web_{family}", 2.0), node_names=ODD_NAMES)
+    assert_written_like_oracle(tmp_path, model, gc.simulate(model, 30))
+    assert {row[1] for row in read_csv(tmp_path / "got.csv")[1:]} == set(ODD_NAMES)
+
+
+def test_trajectory_csv_keeps_signed_zeros_apart(tmp_path):
+    # -0.0 == 0.0 and both hash alike, so a state cache keyed on equality
+    # would print the second state as the first.
+    model = gc.Model("fcm", ("x",), ((0.0,),), (-0.0,), 1.0)
+    cli._write_trajectory(tmp_path / "t.csv", model, gc.Trajectory("fcm", ((-0.0,), (0.0,))))
+    assert read_csv(tmp_path / "t.csv")[1:] == [["0", "x", "value", "-0.0"],
+                                                ["1", "x", "value", "0.0"]]
+
+
+@pytest.mark.parametrize("variant", ["web_fcm", "web_fgcm", "web_fggcm"])
+def test_copied_cycle_writes_as_fresh_states(tmp_path, variant):
+    model = gc.build(variant, 4.0)
+    traj = gc.simulate(model, 200)
+    assert len({id(s) for s in traj.states}) < len(traj.states)  # a copied cycle
+    fresh = gc.Trajectory(traj.family, tuple(tuple(list(s)) for s in traj.states))
+    cli._write_trajectory(tmp_path / "copied.csv", model, traj)
+    cli._write_trajectory(tmp_path / "fresh.csv", model, fresh)
+    assert (tmp_path / "copied.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert_written_like_oracle(tmp_path, model, traj)
 
 
 def test_simulate_writes_trajectory(tmp_path):
