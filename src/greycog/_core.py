@@ -3,12 +3,14 @@
 Every engine's arithmetic lives here, one float-only state update per
 family, from float planes to float planes: `crisp_next` runs the row
 kernel `dot_lr` over every weight row, `interval_next` runs
-`interval_dot_lr`, and `kernel_grey_next` does its kernel and greyness
-sums in one loop of its own, with no per-row call. All three accumulate
-left to right in the same order, so degenerate cases coincide bitwise: a
-kernel/greyness map with zero greyness, an interval map with zero-width
-intervals, and the crisp map all produce identical floating point
-trajectories.
+`interval_dot_lr`, which multiplies intervals by endpoint selection, and
+`kernel_grey_next` does its kernel and greyness sums in one loop of its
+own, with no per-row call. All three accumulate left to right in the same
+order, so degenerate cases coincide bitwise: a kernel/greyness map with
+zero greyness, an interval map with zero-width intervals, and the crisp
+map all produce identical floating point trajectories. Every sum is a
+`+=` loop: `sum` (compensated since CPython 3.12), `fsum`, `sumprod` and
+`reduce` would tie the bits to the interpreter.
 """
 
 import math
@@ -47,32 +49,27 @@ def dot_lr(weights, values):
 def interval_dot_lr(w_lo, w_hi, x_lo, x_hi):
     """Interval dot product over endpoint planes, returned as (lo, hi).
 
-    Each term is the four-product interval multiplication. The strict
-    comparison chains in order p1..p4 keep the first extreme on ties, as
-    the builtin min/max do, and the sums run left to right as in `dot_lr`.
+    Each term multiplies by endpoint selection: a weight endpoint e >= 0
+    makes e * x smallest at x_lo and largest at x_hi, a negative one the
+    other way round. Of the two weight endpoints' picks, the smaller low
+    one goes to lo and the larger high one to hi, left to right as in
+    `dot_lr`. Rounding is monotone, so this is the four-product min/max
+    value for value; a tie can differ only in the sign of a zero, which
+    sums that start at +0.0 never show.
     """
     lo = 0.0
     hi = 0.0
     for wl, wh, xl, xh in zip(w_lo, w_hi, x_lo, x_hi):
-        p1 = wl * xl
-        p2 = wl * xh
-        p3 = wh * xl
-        p4 = wh * xh
-        mn = mx = p1
-        if p2 < mn:
-            mn = p2
-        if p3 < mn:
-            mn = p3
-        if p4 < mn:
-            mn = p4
-        if p2 > mx:
-            mx = p2
-        if p3 > mx:
-            mx = p3
-        if p4 > mx:
-            mx = p4
-        lo += mn
-        hi += mx
+        if wl >= 0.0:
+            lo1, hi1 = wl * xl, wl * xh
+        else:
+            lo1, hi1 = wl * xh, wl * xl
+        if wh >= 0.0:
+            lo2, hi2 = wh * xl, wh * xh
+        else:
+            lo2, hi2 = wh * xh, wh * xl
+        lo += lo1 if lo1 < lo2 else lo2
+        hi += hi1 if hi1 > hi2 else hi2
     return lo, hi
 
 

@@ -39,9 +39,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Model:
-    """A cognitive map: family tag, node names, square weight matrix,
-    initial state, and sigmoid steepness. Immutable and validated on
-    construction; n is the node count."""
+    """A cognitive map: family tag, distinct node names, square weight
+    matrix, initial state, and sigmoid steepness. Immutable and validated
+    on construction; n is the node count."""
 
     family: str
     node_names: tuple[str, ...]
@@ -62,6 +62,11 @@ class Model:
         object.__setattr__(self, "node_names", tuple(str(s) for s in self.node_names))
         if not self.node_names:
             raise ValidationError("model needs at least one node")
+        seen = set()
+        for name in self.node_names:
+            if name in seen:
+                raise ValidationError(f"node name {name!r} is repeated")
+            seen.add(name)
         if len(self.weights) != self.n:
             raise ValidationError(f"weight matrix has {len(self.weights)} rows, expected {self.n}")
         for i, row in enumerate(self.weights):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._core import dot_lr, sigmoid
-from ._family import positive
+from ._family import finite, located, positive
 from .cogmap import Model, Trajectory
 from .dynamics import Classification
 from .errors import (
@@ -137,6 +137,10 @@ def check_fgcm(w, lam: float) -> Verdict:
     return _banach(lam, w_star(w))
 
 
+def _state_entry(x):
+    return finite(x, ValidationError)
+
+
 def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     """Greyness condition matrix at a given kernel/greyness state.
 
@@ -157,8 +161,9 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
 
     A matrix or state vector that is no sequence, or a row of the wrong
     length, raises DimensionError, a row with no kernel activity
-    DegenerateRowError (1-based index), a non-`Ggn` weight or a non-number
-    state entry ValidationError. Returns row tuples.
+    DegenerateRowError (1-based index), a non-`Ggn` weight or a state
+    entry that is no finite number (see `_family.finite`) ValidationError.
+    Returns row tuples.
     """
     lam = positive(lam, InvalidParameterError)
     try:
@@ -167,6 +172,9 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
             raise DimensionError("state vectors must match matrix dimension")
     except TypeError:
         raise DimensionError("the matrix and state vectors must be sequences") from None
+    a_hat = located(_state_entry, a_hat, "a_hat[{}]")
+    if a_grey is not None:
+        a_grey = located(_state_entry, a_grey, "a_grey[{}]")
     out = []
     try:
         for i, row in enumerate(w):
@@ -188,7 +196,7 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
                     for share, cell, g in zip(shares, row, a_grey)
                 ))
     except (AttributeError, TypeError):
-        raise ValidationError("condition matrix needs Ggn weights, numeric states") from None
+        raise ValidationError("condition matrix needs Ggn weights") from None
     return tuple(out)
 
 

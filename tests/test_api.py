@@ -151,3 +151,34 @@ def test_only_the_family_module_writes_a_number_rule():
     assert {"is_number", "finite", "at_least"} <= own
     # sigmoid's guard is no number rule: it reports an overflowed row sum.
     assert {site for site in found if site[0] != "_family.py"} <= {("_core.py", "sigmoid")}
+
+
+# Summation functions whose rounding is not the engines' left-to-right
+# float adds: CPython 3.12's builtin sum of floats is compensated
+# (sum([1e16, 1.0, -1e16]) is 0.0 on 3.11 and 1.0 on 3.12), fsum and
+# sumprod round differently again, and reduce hides which add it applies.
+SUMMATIONS = {"sum", "fsum", "sumprod", "reduce"}
+
+
+def summation_sites(source):
+    """(line, name) for each place source names a summation function, as
+    a bare name, an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.split(".")[-1] for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in SUMMATIONS]
+    return sorted(found)
+
+
+def test_the_engine_kernels_sum_only_by_left_to_right_adds():
+    # The bit-equality contract holds on every interpreter only while
+    # `_core`'s sums are plain `+=` loops.
+    assert summation_sites((SRC / "_core.py").read_text()) == []
+    assert summation_sites("import math\nx = math.fsum(v) + sum(v)\n") == [(2, "fsum"), (2, "sum")]

@@ -521,6 +521,24 @@ def test_check_weight_outside_the_value_domain_exits_three(tmp_path, capsys, fam
     assert f"weights[2][1]: {match}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, cell, nodes, repeated", [
+    ("fcm", 0.5, ["a", "a"], "a"),
+    ("fgcm", gc.Ign(0.5, 0.5), ["x", "y", "x"], "x"),
+    ("fggcm", gc.Ggn(0.5, 0.0), ["n1", "n2", "n3", "n2"], "n2"),
+])
+def test_a_repeated_node_name_is_refused(tmp_path, capsys, family, cell, nodes, repeated):
+    # Two nodes of one name would share the trajectory CSV's `node` rows.
+    n = len(nodes)
+    message = f"node name {repeated!r} is repeated"
+    with pytest.raises(gc.ValidationError, match=message):
+        gc.Model(family, tuple(nodes), ((cell,) * n,) * n, (cell,) * n, 1.0)
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"family": family, "lambda": 1, "nodes": nodes,
+                                "weights": [[0.5] * n] * n, "initial": [0.5] * n}))
+    assert main(["check", "--model", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_oversized_lambda_integer_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text('{"family": "fcm", "lambda": %s, "nodes": ["a"], '

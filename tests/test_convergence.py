@@ -138,7 +138,10 @@ def test_condition_matrix_rejects_mismatched_dimensions():
 
 
 # Inputs of the wrong number family, which used to raise a bare
-# AttributeError or TypeError from inside the loops.
+# AttributeError or TypeError from inside the loops, and state entries that
+# are no finite number: a NaN greyness used to close its column's gate
+# silently (the norm at these states fell from 0.5512 to 0.5095), a NaN
+# kernel escaped as the engine's MalformedInputError, and a bool passed as 1.
 WEB_FGGCM = gc.build("web_fggcm", 1.0).weights
 WRONG_FAMILY_CALLS = {
     "w_star of crisp weights": lambda: gc.w_star(WEB_W),
@@ -148,6 +151,16 @@ WRONG_FAMILY_CALLS = {
         WEB_FGGCM, (0.5,) * 6 + ("0.5",), (0.1,) * 7, 1.0),
     "condition matrix at a string greyness": lambda: gc.grey_condition_matrix(
         WEB_FGGCM, (0.5,) * 7, (0.1,) * 6 + ("0.1",), 1.0),
+    "condition matrix at a NaN kernel": lambda: gc.grey_condition_matrix(
+        WEB_FGGCM, (0.5, 0.5, math.nan) + (0.5,) * 4, (0.01,) * 7, 1.0),
+    "condition matrix at a NaN kernel, ungated": lambda: gc.grey_condition_matrix(
+        WEB_FGGCM, (0.5, 0.5, math.nan) + (0.5,) * 4, None, 1.0),
+    "condition matrix at a NaN greyness": lambda: gc.grey_condition_matrix(
+        WEB_FGGCM, (0.5,) * 7, (0.01, 0.01, math.nan) + (0.01,) * 4, 1.0),
+    "condition matrix at a bool kernel": lambda: gc.grey_condition_matrix(
+        WEB_FGGCM, (0.5,) * 6 + (True,), (0.01,) * 7, 1.0),
+    "condition matrix at a bool greyness": lambda: gc.grey_condition_matrix(
+        WEB_FGGCM, (0.5,) * 7, (0.01,) * 6 + (False,), 1.0),
     "check_fcm of interval weights": lambda: gc.check_fcm(
         gc.build("web_fgcm", 1.0).weights, 1.0),
 }

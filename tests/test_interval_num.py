@@ -1,8 +1,10 @@
 """Interval numbers and the interval engine's arithmetic."""
 
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greycog import Ign, MalformedInputError, Model, simulate
 from greycog._core import interval_dot_lr
@@ -52,6 +54,75 @@ def test_dot_row():
     lo, hi = interval_dot_lr([1.0, -1.0], [1.0, -1.0], [0.2, 0.1], [0.4, 0.3])
     assert lo == pytest.approx(-0.1)
     assert hi == pytest.approx(0.3)
+
+
+# A state interval that is negative or straddles zero, as a model file's
+# initial state may be, against each weight sign pattern.
+@pytest.mark.parametrize("w, x, expected", [
+    ((-0.5, 0.25), (-0.4, 0.8), (-0.4, 0.2)),
+    ((-0.5, 0.25), (-0.5, -0.25), (-0.125, 0.25)),
+    ((0.25, 0.5), (-0.5, 0.25), (-0.25, 0.125)),
+    ((0.25, 0.5), (-0.5, -0.25), (-0.25, -0.0625)),
+    ((-0.5, -0.25), (-0.5, 0.25), (-0.125, 0.25)),
+    ((-0.5, -0.25), (-0.5, -0.25), (0.0625, 0.25)),
+    ((-0.5, -0.5), (-0.25, 0.75), (-0.375, 0.125)),
+])
+def test_mul_negative_or_straddling_state_is_exact(w, x, expected):
+    # Power-of-two weights scale exactly, so every product and sum is exact.
+    assert interval_dot_lr([w[0]], [w[1]], [x[0]], [x[1]]) == expected
+
+
+def four_product_dot(w_lo, w_hi, x_lo, x_hi):
+    """The reference: each term is the min and max of its four endpoint
+    products, first extreme kept on ties, summed left to right from +0.0."""
+    lo = 0.0
+    hi = 0.0
+    for wl, wh, xl, xh in zip(w_lo, w_hi, x_lo, x_hi):
+        p = (wl * xl, wl * xh, wh * xl, wh * xh)
+        mn = mx = p[0]
+        for q in p[1:]:
+            if q < mn:
+                mn = q
+            if q > mx:
+                mx = q
+        lo += mn
+        hi += mx
+    return lo, hi
+
+
+# Magnitudes: the zeros, subnormals and the normal floor beside ordinary
+# values; states reach the largest finite doubles.
+TINY = [0.0, 5e-324, 2.2250738585072014e-308]
+weight_mag = st.one_of(st.sampled_from(TINY + [1.0]), st.floats(0.0, 1.0))
+state_mag = st.one_of(st.sampled_from(TINY + [1e308]), st.floats(0.0, 1.0),
+                      st.floats(0.0, allow_infinity=False))
+
+
+def ordered(magnitude):
+    """An interval as (lo, hi) in each sign pattern: both ends >= 0, both
+    <= 0, straddling zero, or one point of either sign. Negating a zero
+    magnitude gives -0.0."""
+    patterns = {
+        "nonnegative": lambda a, b: (a, b),
+        "nonpositive": lambda a, b: (-b, -a),
+        "straddling": lambda a, b: (-a, b),
+        "point": lambda a, b: (b, b),
+        "negative point": lambda a, b: (-b, -b),
+    }
+    return st.tuples(st.sampled_from(sorted(patterns)), magnitude, magnitude).map(
+        lambda t: patterns[t[0]](*sorted(t[1:])))
+
+
+def bits(pair):
+    return tuple(struct.pack("<d", v) for v in pair)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(ordered(weight_mag), ordered(state_mag)), min_size=1, max_size=6))
+def test_endpoint_selection_is_the_four_product_min_max_bit_for_bit(terms):
+    planes = ([w[0] for w, _ in terms], [w[1] for w, _ in terms],
+              [x[0] for _, x in terms], [x[1] for _, x in terms])
+    assert bits(interval_dot_lr(*planes)) == bits(four_product_dot(*planes))
 
 
 def test_sigmoid_preserves_order_and_bounds():
