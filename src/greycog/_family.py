@@ -11,6 +11,9 @@ every float: the cell constructors `Ign`, `Ggn` and `GreyUnion` apply it,
 so the model-file parsers check only JSON shape. Crisp cells have no
 constructor; the fcm `parse` and `cell` entries apply it themselves.
 
+A matrix or vector argument is read by `matrix` or `vector`, which check
+its shape and pass each entry through a family's `cell` or `number`.
+
 `Ign` and `Ggn` are frozen dataclasses: equality, hash, repr and
 read-only fields come from `dataclasses`. `simulate` builds one per
 computed cell, so `__init__` is written by hand (`init=False`): it
@@ -34,7 +37,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from ._core import crisp_next, interval_next, kernel_grey_next
-from .errors import MalformedInputError, ValidationError
+from .errors import DimensionError, MalformedInputError, ValidationError
 
 
 def is_number(x) -> bool:
@@ -87,6 +90,38 @@ def located(take, values, where):
     except (MalformedInputError, ValidationError) as exc:
         raise type(exc)(f"{where.format(len(cells) + 1)}: {exc}") from exc
     return tuple(cells)
+
+
+def number(x):
+    """`finite` raising ValidationError: the rule for an argument's entries."""
+    return finite(x, ValidationError)
+
+
+def _tuple(x, name):
+    try:
+        return tuple(x)
+    except TypeError:
+        raise DimensionError(f"{name} must be a sequence, got {type(x).__name__}") from None
+
+
+def vector(values, take, name):
+    """take(v) for every v in values, as a tuple, a refused v named name[j]
+    (see `located`); values that is no sequence raises DimensionError."""
+    return located(take, _tuple(values, name), name + "[{}]")
+
+
+def matrix(m, take, name, square=False):
+    """m as row tuples, each read by `vector`. A matrix that is no sequence
+    of rows, is empty, is not square when square is set, or is ragged
+    raises DimensionError, in that order, before any entry is taken."""
+    rows = [_tuple(row, f"{name}[{i}]") for i, row in enumerate(_tuple(m, name), 1)]
+    if not rows or not rows[0]:
+        raise DimensionError(f"{name} is empty")
+    if square and any(len(row) != len(rows) for row in rows):
+        raise DimensionError(f"{name} must be square")
+    if len({len(row) for row in rows}) > 1:
+        raise DimensionError(f"{name} is ragged: row lengths {sorted({len(r) for r in rows})}")
+    return tuple(vector(row, take, f"{name}[{i}]") for i, row in enumerate(rows, 1))
 
 
 @dataclass(frozen=True, init=False)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._core import crisp_next
-from ._family import FAMILIES, FAMILY, at_least, located, positive
+from ._family import FAMILIES, FAMILY, at_least, located, matrix, number, positive, vector
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -105,9 +105,12 @@ class Trajectory:
 
 
 def fcm_step(w, a, lam: float):
-    """One synchronous crisp update: out_i = sigmoid(sum_j w_ij a_j)."""
+    """One synchronous crisp update: out_i = sigmoid(sum_j w_ij a_j), w and
+    a read by `_family.matrix` and `vector` under `number`."""
     lam = positive(lam, InvalidParameterError)
-    if any(len(row) != len(a) for row in w):
+    w = matrix(w, number, "w")
+    a = vector(a, number, "a")
+    if len(w[0]) != len(a):
         raise DimensionError("weight row length does not match state length")
     return crisp_next(w, a, lam)[0]
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._core import dot_lr, sigmoid
-from ._family import finite, located, positive
+from ._family import FAMILY, matrix, number, positive, vector
 from .cogmap import Model, Trajectory
 from .dynamics import Classification
 from .errors import (
@@ -74,25 +74,11 @@ class Verdict:
 
 
 def frobenius_norm(m) -> float:
-    """Square root of the sum of squared entries of a 2-D nested sequence.
-
-    fsum rounds the sum of squares once, so the value does not depend on
-    the order of the entries. An empty, ragged or non-2-D input raises
-    DimensionError, an entry that is no number ValidationError.
-    """
-    try:
-        rows = [tuple(row) for row in m]
-    except TypeError:
-        raise DimensionError("matrix must be a sequence of rows") from None
-    widths = {len(row) for row in rows}
-    if len(widths) > 1:
-        raise DimensionError(f"ragged matrix: row lengths {sorted(widths)}")
-    if not rows or not rows[0]:
-        raise DimensionError("empty matrix")
-    try:
-        return math.sqrt(math.fsum(x * x for row in rows for x in row))
-    except TypeError:
-        raise ValidationError("matrix entries must be numbers") from None
+    """Square root of the sum of squared entries of m, read by
+    `_family.matrix` under `number`. fsum rounds the sum of squares once,
+    so the value does not depend on the order of the entries."""
+    rows = matrix(m, number, "matrix")
+    return math.sqrt(math.fsum(x * x for row in rows for x in row))
 
 
 def w_star(w):
@@ -101,23 +87,15 @@ def w_star(w):
     Nonpositive intervals contribute |lo|, nonnegative ones hi. An
     interval straddling zero has no single dominant endpoint, which makes
     the interval criterion inapplicable; that raises MixedSignWeightError
-    with 1-based indices, a non-`Ign` cell ValidationError, a matrix that
-    is no sequence of rows DimensionError. Returns row tuples.
+    with 1-based indices. w is read by `_family.matrix` with the fgcm cell
+    rule. Returns row tuples.
     """
-    out = []
-    try:
-        for i, row in enumerate(w):
-            out_row = []
-            for j, cell in enumerate(row):
-                if cell.lo < 0.0 < cell.hi:
-                    raise MixedSignWeightError(i + 1, j + 1)
-                out_row.append(abs(cell.lo) if cell.hi <= 0.0 else cell.hi)
-            out.append(tuple(out_row))
-    except AttributeError:
-        raise ValidationError("w_star needs interval (Ign) cells") from None
-    except TypeError:
-        raise DimensionError("matrix must be a sequence of rows") from None
-    return tuple(out)
+    w = matrix(w, FAMILY["fgcm"].cell, "w")
+    for i, row in enumerate(w, 1):
+        for j, cell in enumerate(row, 1):
+            if cell.lo < 0.0 < cell.hi:
+                raise MixedSignWeightError(i, j)
+    return tuple(tuple(abs(c.lo) if c.hi <= 0.0 else c.hi for c in row) for row in w)
 
 
 def _banach(lam: float, m) -> Verdict:
@@ -135,10 +113,6 @@ def check_fgcm(w, lam: float) -> Verdict:
     """Interval criterion: the Banach bound on W*."""
     lam = positive(lam, InvalidParameterError)
     return _banach(lam, w_star(w))
-
-
-def _state_entry(x):
-    return finite(x, ValidationError)
 
 
 def grey_condition_matrix(w, a_hat, a_grey, lam: float):
@@ -159,44 +133,37 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     column's weight greyness; when its norm is below 1 at a kernel fixed
     point, the greyness converges and its fixed point solves g = M g.
 
-    A matrix or state vector that is no sequence, or a row of the wrong
-    length, raises DimensionError, a row with no kernel activity
-    DegenerateRowError (1-based index), a non-`Ggn` weight or a state
-    entry that is no finite number (see `_family.finite`) ValidationError.
-    Returns row tuples.
+    The state vectors are read first, by `_family.vector` under `number`,
+    then w, by `_family.matrix` as a square matrix of fggcm cells; state
+    vectors of unequal lengths, or not of w's, raise DimensionError, a row
+    with no kernel activity DegenerateRowError (1-based). Returns row tuples.
     """
     lam = positive(lam, InvalidParameterError)
-    try:
-        n = len(w)
-        if len(a_hat) != n or (a_grey is not None and len(a_grey) != n):
-            raise DimensionError("state vectors must match matrix dimension")
-    except TypeError:
-        raise DimensionError("the matrix and state vectors must be sequences") from None
-    a_hat = located(_state_entry, a_hat, "a_hat[{}]")
+    a_hat = vector(a_hat, number, "a_hat")
     if a_grey is not None:
-        a_grey = located(_state_entry, a_grey, "a_grey[{}]")
+        a_grey = vector(a_grey, number, "a_grey")
+        if len(a_grey) != len(a_hat):
+            raise DimensionError(f"state vectors differ in length: {len(a_hat)} vs {len(a_grey)}")
+    w = matrix(w, FAMILY["fggcm"].cell, "w", square=True)
+    if len(w) != len(a_hat):
+        raise DimensionError(f"state vectors have length {len(a_hat)}, the matrix {len(w)}")
     out = []
-    try:
-        for i, row in enumerate(w):
-            if len(row) != n:
-                raise DimensionError("matrix must be square")
-            kernels = [cell.kernel for cell in row]
-            shares = [abs(k * a) for k, a in zip(kernels, a_hat)]
-            denom = 0.0
-            for share in shares:
-                denom += share
-            if denom <= 0.0:
-                raise DegenerateRowError(i + 1)
-            a_prime = sigmoid(dot_lr(kernels, a_hat), lam)
-            if a_grey is None:
-                out.append(tuple(a_prime * share / denom for share in shares))
-            else:
-                out.append(tuple(
-                    a_prime * share / denom if g - cell.greyness >= 0.0 else 0.0
-                    for share, cell, g in zip(shares, row, a_grey)
-                ))
-    except (AttributeError, TypeError):
-        raise ValidationError("condition matrix needs Ggn weights") from None
+    for i, row in enumerate(w, 1):
+        kernels = [cell.kernel for cell in row]
+        shares = [abs(k * a) for k, a in zip(kernels, a_hat)]
+        denom = 0.0
+        for share in shares:
+            denom += share
+        if denom <= 0.0:
+            raise DegenerateRowError(i)
+        a_prime = sigmoid(dot_lr(kernels, a_hat), lam)
+        if a_grey is None:
+            out.append(tuple(a_prime * share / denom for share in shares))
+        else:
+            out.append(tuple(
+                a_prime * share / denom if g - cell.greyness >= 0.0 else 0.0
+                for share, cell, g in zip(shares, row, a_grey)
+            ))
     return tuple(out)
 
 

@@ -10,7 +10,7 @@ Node names are C1..C7; all report indices are 1-based to match.
 
 from __future__ import annotations
 
-from ._family import Ggn, GreyUnion, Ign, ggn_from_union, positive
+from ._family import Ggn, GreyUnion, Ign, ggn_from_union, matrix, number, positive
 from ._modelio import model_to_doc
 from .cogmap import Model
 from .errors import InvalidParameterError, MalformedInputError
@@ -82,18 +82,12 @@ def inject_greyness(w, g: float):
     """Interval matrix from a crisp one: every entry of magnitude >= g
     widens to [w - g, w + g] clipped to [-1, 1]; smaller entries (zeros of
     the web map) stay degenerate so that sign consistency is preserved.
-    g must be a positive finite number, else InvalidParameterError."""
+    g must be a positive finite number, else InvalidParameterError; w is
+    read by `_family.matrix` under `number`."""
     g = positive(g, InvalidParameterError, "greyness")
-    out = []
-    for row in w:
-        cells = []
-        for x in row:
-            if abs(x) >= g:
-                cells.append(Ign(max(x - g, -1.0), min(x + g, 1.0)))
-            else:
-                cells.append(Ign(x, x))
-        out.append(tuple(cells))
-    return tuple(out)
+    return tuple(
+        tuple(Ign(max(x - g, -1.0), min(x + g, 1.0)) if abs(x) >= g else Ign(x, x) for x in row)
+        for row in matrix(w, number, "w"))
 
 
 # The initial state of each family, and the cells each variant replaces in

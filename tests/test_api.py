@@ -153,6 +153,28 @@ def test_only_the_family_module_writes_a_number_rule():
     assert {site for site in found if site[0] != "_family.py"} <= {("_core.py", "sigmoid")}
 
 
+def caught_names(source):
+    """The exception names the except clauses of source catch."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found |= {getattr(t, "attr", getattr(t, "id", None)) for t in types}
+    return found
+
+
+def test_only_the_family_module_translates_shape_and_cell_errors():
+    # A matrix or vector argument is read by `_family.matrix` or
+    # `_family.vector`, which turn a value that is no sequence into
+    # DimensionError and a refused entry into its rule's error; a
+    # criterion or step catching TypeError or AttributeError itself would
+    # be a second copy of that rule.
+    for name in ("convergence.py", "cogmap.py"):
+        assert not caught_names((SRC / name).read_text()) & {"TypeError", "AttributeError"}, name
+    probe = "try:\n    pass\nexcept (builtins.TypeError, KeyError):\n    pass\n"
+    assert caught_names(probe) == {"TypeError", "KeyError"}
+
+
 # Summation functions whose rounding is not the engines' left-to-right
 # float adds: CPython 3.12's builtin sum of floats is compensated
 # (sum([1e16, 1.0, -1e16]) is 0.0 on 3.11 and 1.0 on 3.12), fsum and

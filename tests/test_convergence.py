@@ -163,6 +163,21 @@ WRONG_FAMILY_CALLS = {
         WEB_FGGCM, (0.5,) * 7, (0.01,) * 6 + (False,), 1.0),
     "check_fcm of interval weights": lambda: gc.check_fcm(
         gc.build("web_fgcm", 1.0).weights, 1.0),
+    # Every matrix entry passes the number rule: a NaN used to give a NaN
+    # norm and an Inconclusive verdict, a bool counted as 1, and an integer
+    # too large for a float leaked an OverflowError.
+    "norm of a NaN entry": lambda: gc.frobenius_norm([[math.nan]]),
+    "norm of an infinite entry": lambda: gc.frobenius_norm([[1.0, math.inf]]),
+    "norm of a bool entry": lambda: gc.frobenius_norm([[True]]),
+    "norm of an integer too large for a float": lambda: gc.frobenius_norm([[10**400]]),
+    "norm of a str entry": lambda: gc.frobenius_norm([["x"]]),
+    "norm of a str": lambda: gc.frobenius_norm("x"),
+    "check_fcm of a NaN weight": lambda: gc.check_fcm([[math.nan]], 1.0),
+    # fcm_step reads its arguments the same way; a str weight used to leak
+    # a TypeError and a bool weight counted as 1.
+    "fcm_step of a str weight": lambda: gc.fcm_step([["a"]], [0.5], 1.0),
+    "fcm_step of a bool weight": lambda: gc.fcm_step([[True]], [0.5], 1.0),
+    "fcm_step at a NaN state": lambda: gc.fcm_step([[0.5]], [math.nan], 1.0),
 }
 
 
@@ -173,12 +188,19 @@ def test_a_criterion_given_the_wrong_cells_raises_a_validation_error(call):
 
 
 # Arguments that are no sequence at all, which used to raise a bare
-# TypeError from iterating or taking the length.
+# TypeError from iterating or taking the length, and matrices of no
+# usable shape, which used to come back as they were.
 NON_SEQUENCE_CALLS = {
     "w_star of a number": lambda: gc.w_star(5),
     "condition matrix at a number state": lambda: gc.grey_condition_matrix(
         WEB_FGGCM, 5, None, 1.0),
     "condition matrix of a number": lambda: gc.grey_condition_matrix(5, (0.5,), None, 1.0),
+    "w_star of a ragged matrix": lambda: gc.w_star(
+        ((gc.Ign(0.1, 0.2),), (gc.Ign(0.1, 0.2), gc.Ign(0.1, 0.2)))),
+    "w_star of an empty matrix": lambda: gc.w_star([]),
+    "condition matrix of an empty matrix": lambda: gc.grey_condition_matrix([], [], None, 1.0),
+    "fcm_step of a number": lambda: gc.fcm_step(5, [0.5], 1.0),
+    "fcm_step at a number state": lambda: gc.fcm_step([[0.5]], 5, 1.0),
 }
 
 
@@ -186,6 +208,20 @@ NON_SEQUENCE_CALLS = {
 def test_a_criterion_given_no_sequence_raises_a_dimension_error(call):
     with pytest.raises(gc.DimensionError):
         NON_SEQUENCE_CALLS[call]()
+
+
+def test_a_refused_matrix_entry_is_named_by_its_place():
+    w = ((0.1, 0.2, 0.3), (0.1, 0.2, math.nan))
+    with pytest.raises(gc.ValidationError, match=r"matrix\[2\]\[3\]: non-finite"):
+        gc.frobenius_norm(w)
+    with pytest.raises(gc.ValidationError, match=r"w\[2\]\[3\]: non-finite"):
+        gc.fcm_step(w, (0.5,) * 3, 1.0)
+    cells = tuple(tuple(gc.Ign(v, v) for v in row) for row in WEB_W)
+    cells = cells[:1] + ((cells[1][0], 0.5) + cells[1][2:],) + cells[2:]
+    with pytest.raises(gc.ValidationError, match=r"w\[2\]\[2\]: fgcm cells"):
+        gc.w_star(cells)
+    with pytest.raises(gc.ValidationError, match=r"w\[1\]\[1\]: fggcm cells"):
+        gc.grey_condition_matrix(cells, (0.5,) * 7, None, 1.0)
 
 
 def ungated_applies(w, greys):

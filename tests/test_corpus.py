@@ -69,6 +69,20 @@ def test_injection_rejects_a_greyness_that_is_not_a_positive_finite_number(g):
         gc.inject_greyness(WEB_WEIGHTS, g)
 
 
+@pytest.mark.parametrize("w, error", [
+    (5, gc.DimensionError),
+    ([[0.5], [0.5, 0.5]], gc.DimensionError),
+    ([["0.5"]], gc.ValidationError),
+    ([[True]], gc.ValidationError),
+    ([[0.5, math.nan]], gc.ValidationError),
+], ids=["number", "ragged", "str", "bool", "nan"])
+def test_injection_reads_its_matrix_under_the_number_rule(w, error):
+    # A number or a str entry used to leak a TypeError, a ragged matrix
+    # came back ragged, and True widened to [0.99, 1.0].
+    with pytest.raises(error):
+        gc.inject_greyness(w, 0.01)
+
+
 def test_ggn_variant_reduces_injected_intervals():
     m = gc.build("web_fggcm", 1.0)
     ign = gc.inject_greyness(WEB_WEIGHTS, 0.01)
