@@ -14,15 +14,15 @@ constructor; the fcm `parse` and `cell` entries apply it themselves.
 A matrix or vector argument is read by `matrix` or `vector`, which check
 its shape and pass each entry through a family's `cell` or `number`.
 
-`Ign` and `Ggn` are frozen dataclasses: equality, hash, repr and
-read-only fields come from `dataclasses`. `simulate` builds one per
-computed cell, so `__init__` is written by hand (`init=False`): it
-converts inline and sets each slot through its own setter, at less than
-half the cost of a generated frozen `__init__`. `__slots__` is declared,
-not `slots=True`, whose rebuilt class on CPython 3.11 raises TypeError,
-not AttributeError, on assigning a name that is not a field. `__reduce__`
-rebuilds a cell through its constructor, since default unpickling
-assigns through the frozen `__setattr__` and raises.
+Every record of the package (the cells, `GreyUnion`, `Model`,
+`Trajectory` and the analysis results) is a `Record`: declared
+`__slots__` and a written-out constructor, with read-only fields,
+equality, hash, repr and pickling from the base. `dataclasses` is not
+used: importing it loads `inspect` (with `ast`, `dis` and `tokenize`),
+and it compiles each generated method when a class is made, which
+together took most of the time of `import greycog.cli`. `simulate`
+builds one cell per computed cell, so `Ign` and `Ggn` set their two
+slots through the slots' own setters.
 
 Plain floating point, no outward rounding. At the scale this package
 targets (desk-size maps, |values| <= a few units) the representation error
@@ -32,7 +32,6 @@ is far below every tolerance in use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -97,24 +96,28 @@ def number(x):
     return finite(x, ValidationError)
 
 
-def _tuple(x, name):
-    try:
-        return tuple(x)
-    except TypeError:
-        raise DimensionError(f"{name} must be a sequence, got {type(x).__name__}") from None
+def sequence(x, name, error=DimensionError):
+    """x as a tuple. A value that is no sequence, or is bytes-like (whose
+    items read as ints), raises error."""
+    if not isinstance(x, (bytes, bytearray, memoryview)):
+        try:
+            return tuple(x)
+        except TypeError:
+            pass
+    raise error(f"{name} must be a sequence, got {type(x).__name__}")
 
 
-def vector(values, take, name):
+def vector(values, take, name, error=DimensionError):
     """take(v) for every v in values, as a tuple, a refused v named name[j]
-    (see `located`); values that is no sequence raises DimensionError."""
-    return located(take, _tuple(values, name), name + "[{}]")
+    (see `located`); values that is no sequence raises error."""
+    return located(take, sequence(values, name, error), name + "[{}]")
 
 
 def matrix(m, take, name, square=False):
     """m as row tuples, each read by `vector`. A matrix that is no sequence
     of rows, is empty, is not square when square is set, or is ragged
     raises DimensionError, in that order, before any entry is taken."""
-    rows = [_tuple(row, f"{name}[{i}]") for i, row in enumerate(_tuple(m, name), 1)]
+    rows = [sequence(row, f"{name}[{i}]") for i, row in enumerate(sequence(m, name), 1)]
     if not rows or not rows[0]:
         raise DimensionError(f"{name} is empty")
     if square and any(len(row) != len(rows) for row in rows):
@@ -124,13 +127,53 @@ def matrix(m, take, name, square=False):
     return tuple(vector(row, take, f"{name}[{i}]") for i, row in enumerate(rows, 1))
 
 
-@dataclass(frozen=True, init=False)
-class Ign:
+class Record:
+    """Base of the immutable records. A record class lists every field in
+    `__slots__`, those its constructor derives last, and its constructor's
+    parameters in `__match_args__`. Its `__init__` checks its arguments,
+    then sets the fields, in `__slots__` order, through `Record.__init__`.
+
+    Fields are read-only: assigning or deleting one raises AttributeError.
+    Two records are equal, and hash alike, when they are of one class and
+    their fields are equal. repr names every field, and pickling and
+    copying rebuild a record through its constructor, so its checks run.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class Ign(Record):
     """Closed interval [lo, hi], lo <= hi, both finite."""
 
-    __slots__ = ("lo", "hi")
-    lo: float
-    hi: float
+    __slots__ = __match_args__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
         if not (type(lo) is type(hi) is float and -math.inf < lo <= hi < math.inf):
@@ -140,16 +183,12 @@ class Ign:
         _set_lo(self, lo)
         _set_hi(self, hi)
 
-    def __reduce__(self):
-        return Ign, (self.lo, self.hi)
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True, init=False)
-class Ggn:
+class Ggn(Record):
     """Reduced general grey number: kernel plus nonnegative greyness.
 
     The kernel is a representative crisp value, the greyness a normalized
@@ -158,9 +197,7 @@ class Ggn:
     uncertainty contributions.
     """
 
-    __slots__ = ("kernel", "greyness")
-    kernel: float
-    greyness: float
+    __slots__ = __match_args__ = ("kernel", "greyness")
 
     def __init__(self, kernel, greyness):
         if not (type(kernel) is type(greyness) is float
@@ -172,16 +209,12 @@ class Ggn:
         _set_kernel(self, kernel)
         _set_greyness(self, greyness)
 
-    def __reduce__(self):
-        return Ggn, (self.kernel, self.greyness)
-
 
 _set_lo, _set_hi = Ign.lo.__set__, Ign.hi.__set__
 _set_kernel, _set_greyness = Ggn.kernel.__set__, Ggn.greyness.__set__
 
 
-@dataclass(frozen=True)
-class GreyUnion:
+class GreyUnion(Record):
     """A general grey number: known only to lie in a union of closed
     intervals [lo, hi] within the value domain [-1, 1].
 
@@ -189,16 +222,15 @@ class GreyUnion:
     disjoint. Degenerate points are width-zero intervals [p, p].
     """
 
-    intervals: tuple[tuple[float, float], ...]
+    __slots__ = __match_args__ = ("intervals",)
 
-    def __post_init__(self):
+    def __init__(self, intervals):
         try:
-            pairs = [(lo, hi) for lo, hi in self.intervals]
+            pairs = [(lo, hi) for lo, hi in intervals]
         except (TypeError, ValueError):
             raise MalformedInputError("a grey union is a sequence of (lo, hi) pairs") from None
         ivs = tuple((finite(lo, MalformedInputError), finite(hi, MalformedInputError))
                     for lo, hi in pairs)
-        object.__setattr__(self, "intervals", ivs)
         if not ivs:
             raise MalformedInputError("grey union must contain at least one interval")
         for lo, hi in ivs:
@@ -213,6 +245,7 @@ class GreyUnion:
                 raise MalformedInputError(
                     "union intervals must be disjoint and sorted ascending"
                 )
+        super().__init__(ivs)
 
 
 def ggn_from_union(u: GreyUnion) -> Ggn:

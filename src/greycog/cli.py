@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -228,9 +227,9 @@ def _cmd_sweep(args) -> int:
     worst = 0
     rows = []
     for tag, lam in args.lambdas.items():  # {file tag: lambda}, see _lambda_list
-        # The model was built at the first lambda; each later one replaces it.
+        # The model was built at the first lambda; each later one rebuilds it.
         if lam != model.lam:
-            model = dataclasses.replace(model, lam=lam)
+            model = Model(model.family, model.node_names, model.weights, model.initial, lam)
         try:
             report, traj, cls, verdicts = _report(model, label, args.steps, args.eps,
                                                   args.max_period)

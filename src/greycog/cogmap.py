@@ -18,10 +18,9 @@ is the crisp update on tuples; a grey model's is `simulate(m, 1).states[1]`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._core import crisp_next
-from ._family import FAMILIES, FAMILY, at_least, located, matrix, number, positive, vector
+from ._family import (FAMILIES, FAMILY, Record, at_least, located, matrix, number, positive,
+                      sequence, vector)
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -37,67 +36,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """A cognitive map: family tag, distinct node names, square weight
     matrix, initial state, and sigmoid steepness. Immutable and validated
-    on construction; n is the node count."""
+    on construction; n is the node count. The weight rows, the initial
+    state and the node names are read by `_family.sequence`, a value that
+    is no sequence raising ValidationError."""
 
-    family: str
-    node_names: tuple[str, ...]
-    weights: tuple
-    initial: tuple
-    lam: float
+    __slots__ = __match_args__ = ("family", "node_names", "weights", "initial", "lam")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
-        fam = FAMILY[self.family]
+    def __init__(self, family, node_names, weights, initial, lam):
+        if family not in FAMILIES:
+            raise ValidationError(f"unknown family {family!r}")
+        fam = FAMILY[family]
         # Cells first: a cell of another family fails before any invariant.
-        object.__setattr__(self, "weights", tuple(
-            located(fam.cell, row, f"weights[{i + 1}][{{}}]")
-            for i, row in enumerate(self.weights)))
-        object.__setattr__(self, "initial", located(fam.cell, self.initial, "initial[{}]"))
-        object.__setattr__(self, "lam", positive(self.lam, ValidationError))
-        object.__setattr__(self, "node_names", tuple(str(s) for s in self.node_names))
-        if not self.node_names:
+        weights = tuple(vector(row, fam.cell, f"weights[{i}]", ValidationError)
+                        for i, row in enumerate(sequence(weights, "weights", ValidationError), 1))
+        initial = vector(initial, fam.cell, "initial", ValidationError)
+        lam = positive(lam, ValidationError)
+        node_names = tuple(str(s) for s in sequence(node_names, "node_names", ValidationError))
+        n = len(node_names)
+        if not n:
             raise ValidationError("model needs at least one node")
         seen = set()
-        for name in self.node_names:
+        for name in node_names:
             if name in seen:
                 raise ValidationError(f"node name {name!r} is repeated")
             seen.add(name)
-        if len(self.weights) != self.n:
-            raise ValidationError(f"weight matrix has {len(self.weights)} rows, expected {self.n}")
-        for i, row in enumerate(self.weights):
-            if len(row) != self.n:
-                raise ValidationError(f"weight row {i + 1} has {len(row)} entries, expected {self.n}")
-            located(fam.weight, row, f"weights[{i + 1}][{{}}]")
-        if len(self.initial) != self.n:
-            raise ValidationError(f"initial state has {len(self.initial)} entries, expected {self.n}")
+        if len(weights) != n:
+            raise ValidationError(f"weight matrix has {len(weights)} rows, expected {n}")
+        for i, row in enumerate(weights, 1):
+            if len(row) != n:
+                raise ValidationError(f"weight row {i} has {len(row)} entries, expected {n}")
+            located(fam.weight, row, f"weights[{i}][{{}}]")
+        if len(initial) != n:
+            raise ValidationError(f"initial state has {len(initial)} entries, expected {n}")
+        super().__init__(family, node_names, weights, initial, lam)
 
     @property
     def n(self) -> int:
         return len(self.node_names)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Recorded state sequence of one simulation, initial state included."""
 
-    family: str
-    states: tuple
+    __slots__ = __match_args__ = ("family", "states")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(tuple(s) for s in self.states))
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
-        if len(self.states) < 1:
+    def __init__(self, family, states):
+        states = tuple(tuple(s) for s in states)
+        if family not in FAMILIES:
+            raise ValidationError(f"unknown family {family!r}")
+        if len(states) < 1:
             raise ValidationError("trajectory must contain at least the initial state")
-        n = len(self.states[0])
-        for s in self.states:
+        n = len(states[0])
+        for s in states:
             if len(s) != n:
                 raise ValidationError("ragged trajectory states")
+        super().__init__(family, states)
 
     @property
     def steps(self) -> int:

@@ -18,10 +18,9 @@ says nothing", never "diverges".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from ._core import dot_lr, sigmoid
-from ._family import FAMILY, matrix, number, positive, vector
+from ._family import FAMILY, Record, matrix, number, positive, vector
 from .cogmap import Model, Trajectory
 from .dynamics import Classification
 from .errors import (
@@ -56,29 +55,40 @@ INCONCLUSIVE = "Inconclusive"
 _EQ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """A criterion value against its threshold. outcome is set from the
     two: AT_LEAST_ONE within _EQ_TOL of the threshold, else UNIQUE below
     it and INCONCLUSIVE above."""
 
-    criterion_value: float
-    threshold: float
-    outcome: str = field(init=False)
+    __slots__ = ("criterion_value", "threshold", "outcome")
+    __match_args__ = __slots__[:2]
 
-    def __post_init__(self):
-        value, threshold = self.criterion_value, self.threshold
-        outcome = (AT_LEAST_ONE if abs(value - threshold) <= _EQ_TOL
-                   else UNIQUE if value < threshold else INCONCLUSIVE)
-        object.__setattr__(self, "outcome", outcome)
+    def __init__(self, criterion_value: float, threshold: float):
+        outcome = (AT_LEAST_ONE if abs(criterion_value - threshold) <= _EQ_TOL
+                   else UNIQUE if criterion_value < threshold else INCONCLUSIVE)
+        super().__init__(criterion_value, threshold, outcome)
 
 
 def frobenius_norm(m) -> float:
     """Square root of the sum of squared entries of m, read by
     `_family.matrix` under `number`. fsum rounds the sum of squares once,
-    so the value does not depend on the order of the entries."""
+    so the value does not depend on the order of the entries. A sum of
+    squares beyond the float range is summed again over the entries
+    scaled by a power of two, which changes no rounding, so the result is
+    inf only for a norm beyond the float range."""
     rows = matrix(m, number, "matrix")
-    return math.sqrt(math.fsum(x * x for row in rows for x in row))
+    try:
+        total = math.fsum(x * x for row in rows for x in row)
+    except OverflowError:
+        total = math.inf
+    if total < math.inf:
+        return math.sqrt(total)
+    e = math.frexp(max(abs(x) for row in rows for x in row))[1]
+    scaled = math.sqrt(math.fsum(math.ldexp(x, -e) ** 2 for row in rows for x in row))
+    try:
+        return math.ldexp(scaled, e)
+    except OverflowError:
+        return math.inf
 
 
 def w_star(w):
@@ -167,23 +177,22 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FggcmReport:
+class FggcmReport(Record):
     """Joint convergence report for a kernel/greyness map run. overall is
     set from the two verdicts: UNIQUE when both are, else INCONCLUSIVE
     when either is, else AT_LEAST_ONE."""
 
-    kernel_verdict: Verdict
-    greyness_verdict: Verdict
-    evaluation_state: tuple
-    kernel_converged: bool
-    overall: str = field(init=False)
+    __slots__ = ("kernel_verdict", "greyness_verdict", "evaluation_state",
+                 "kernel_converged", "overall")
+    __match_args__ = __slots__[:4]
 
-    def __post_init__(self):
-        outcomes = {self.kernel_verdict.outcome, self.greyness_verdict.outcome}
+    def __init__(self, kernel_verdict: Verdict, greyness_verdict: Verdict,
+                 evaluation_state: tuple, kernel_converged: bool):
+        outcomes = {kernel_verdict.outcome, greyness_verdict.outcome}
         overall = (UNIQUE if outcomes == {UNIQUE}
                    else INCONCLUSIVE if INCONCLUSIVE in outcomes else AT_LEAST_ONE)
-        object.__setattr__(self, "overall", overall)
+        super().__init__(kernel_verdict, greyness_verdict, evaluation_state,
+                         kernel_converged, overall)
 
     @property
     def greyness_value(self) -> float:

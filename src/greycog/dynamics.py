@@ -8,9 +8,7 @@ operational chaos criterion here beyond "neither of the other two".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._family import FAMILY, at_least, positive
+from ._family import FAMILY, Record, at_least, positive
 from .cogmap import Trajectory
 from .errors import (
     DimensionError,
@@ -45,8 +43,7 @@ def state_distance(family: str, a, b) -> float:
         raise ValidationError(f"states must hold {family} cells") from None
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Verdict for one trajectory.
 
     verdict is one of FixedPoint, LimitCycle, Chaotic. t_alpha is the
@@ -55,10 +52,11 @@ class Classification:
     final_state is set for fixed points only.
     """
 
-    verdict: str
-    t_alpha: int | None
-    period: int | None
-    final_state: tuple | None
+    __slots__ = __match_args__ = ("verdict", "t_alpha", "period", "final_state")
+
+    def __init__(self, verdict: str, t_alpha: int | None, period: int | None,
+                 final_state: tuple | None):
+        super().__init__(verdict, t_alpha, period, final_state)
 
 
 def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> Classification:

@@ -13,7 +13,6 @@ is asserted where two long horizons agree on it, and the 100-step
 verdict is asserted to be exactly what a window that short can see.
 """
 
-import dataclasses
 import math
 import random
 
@@ -289,7 +288,7 @@ def test_criterion_6_greyness_stationarity():
             continue
         fixed_points += 1
         final = traj.states[-1]
-        nxt = gc.simulate(dataclasses.replace(m, initial=final), 1).states[1]
+        nxt = gc.simulate(gc.Model(m.family, m.node_names, m.weights, final, m.lam), 1).states[1]
         resid = math.sqrt(sum((a.greyness - b.greyness) ** 2
                               for a, b in zip(nxt, final)))
         assert resid <= 1e-8, f"greyness residual {resid} for {m.lam}"

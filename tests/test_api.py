@@ -2,9 +2,12 @@
 fails here rather than in a benchmark run."""
 
 import ast
-import dataclasses
+import copy
 import inspect
+import pickle
 from pathlib import Path
+
+import pytest
 
 import greycog as gc
 from greycog import _modelio, cli, cogmap, convergence, dynamics
@@ -43,10 +46,10 @@ def test_benchmark_trace_targets_exist():
     for module, name in TRACED:
         assert callable(getattr(module, name)), f"{module.__name__}.{name}"
     # The workloads read a run's states.
-    assert "states" in {f.name for f in dataclasses.fields(gc.Trajectory)}
+    assert "states" in inspect.signature(gc.Trajectory).parameters
 
 
-# The settable surface: dataclass constructor fields and the parameters of
+# The settable surface: record constructor fields and the parameters of
 # the entry points that take a model or a run's settings.
 FIELDS = {
     gc.Model: ["family", "node_names", "weights", "initial", "lam"],
@@ -75,12 +78,72 @@ PARAMETERS = {
 
 def test_settable_surface_is_pinned():
     for cls, names in FIELDS.items():
-        assert [f.name for f in dataclasses.fields(cls) if f.init] == names, cls.__name__
-        derived = [f.name for f in dataclasses.fields(cls) if not f.init]
+        assert list(inspect.signature(cls).parameters) == names, cls.__name__
+        derived = [f for f in cls.__slots__ if f not in names]
         assert derived == DERIVED.get(cls, []), cls.__name__
     for func, names in PARAMETERS.items():
         assert list(inspect.signature(func).parameters) == names, func.__name__
     assert gc.VARIANTS and all(isinstance(v, str) for v in gc.VARIANTS.values())
+
+
+# One record of each class beside the cells (tests/test_grey_num.py), with
+# its repr text.
+RECORDS = [
+    (gc.GreyUnion(((-0.5, 0), (0.25, 1))), "GreyUnion(intervals=((-0.5, 0.0), (0.25, 1.0)))"),
+    (gc.Model("fgcm", ("a", "b"), ((gc.Ign(0, 0.5), gc.Ign(-0.5, 0)),
+                                   (gc.Ign(0.25, 0.25), gc.Ign(0, 0))),
+              (gc.Ign(0, 1), gc.Ign(0.5, 0.5)), 2),
+     "Model(family='fgcm', node_names=('a', 'b'), weights=((Ign(lo=0.0, hi=0.5), "
+     "Ign(lo=-0.5, hi=0.0)), (Ign(lo=0.25, hi=0.25), Ign(lo=0.0, hi=0.0))), "
+     "initial=(Ign(lo=0.0, hi=1.0), Ign(lo=0.5, hi=0.5)), lam=2.0)"),
+    (gc.Trajectory("fcm", [(0.5, -0.0), (0.25, 1.0)]),
+     "Trajectory(family='fcm', states=((0.5, -0.0), (0.25, 1.0)))"),
+    (gc.Classification("LimitCycle", 3, 2, None),
+     "Classification(verdict='LimitCycle', t_alpha=3, period=2, final_state=None)"),
+    (gc.Verdict(3.9, 4.0),
+     "Verdict(criterion_value=3.9, threshold=4.0, outcome='UniqueFixedPoint')"),
+    (gc.FggcmReport(gc.Verdict(5.0, 4.0), gc.Verdict(0.5, 1.0), (gc.Ggn(0.5, 0.01),), False),
+     "FggcmReport(kernel_verdict=Verdict(criterion_value=5.0, threshold=4.0, "
+     "outcome='Inconclusive'), greyness_verdict=Verdict(criterion_value=0.5, threshold=1.0, "
+     "outcome='UniqueFixedPoint'), evaluation_state=(Ggn(kernel=0.5, greyness=0.01),), "
+     "kernel_converged=False, overall='Inconclusive')"),
+]
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_immutable_values(record, text):
+    assert repr(record) == text
+    cls = type(record)
+    fields = [getattr(record, f) for f in inspect.signature(cls).parameters]
+    twin = cls(*fields)
+    assert twin == record and hash(twin) == hash(record)
+    # Equal only within one class: not to a subclass with the same fields.
+    sub = type("Sub", (cls,), {"__slots__": ()})(*fields)
+    assert sub != record and record != sub and record != tuple(fields)
+    for name in (*cls.__slots__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == text
+    copies = [pickle.loads(pickle.dumps(record, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.copy(record), copy.deepcopy(record)]:
+        assert type(other) is cls and other == record and repr(other) == text
+
+
+def test_no_module_uses_dataclasses_exec_eval_or_a_metaclass():
+    # A record is a `_family.Record` with a written-out constructor.
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+            elif isinstance(node, ast.Call):
+                assert getattr(node.func, "id", None) not in {"exec", "eval"}, path.name
+            elif isinstance(node, ast.ClassDef):
+                assert "metaclass" not in {k.arg for k in node.keywords}, path.name
 
 
 def test_cli_calls_simulate_with_the_model_and_steps_positionally(tmp_path, monkeypatch):

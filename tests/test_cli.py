@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -101,7 +100,8 @@ ODD_NAMES = ("a,b", 'q"uote', "line\nbreak", "cr\rx", " lead", "\u00fc", "")
 
 @pytest.mark.parametrize("family", ["fcm", "fgcm", "fggcm"])
 def test_trajectory_csv_quotes_node_names_as_csv_writer_does(tmp_path, family):
-    model = dataclasses.replace(gc.build(f"web_{family}", 2.0), node_names=ODD_NAMES)
+    web = gc.build(f"web_{family}", 2.0)
+    model = gc.Model(family, ODD_NAMES, web.weights, web.initial, web.lam)
     assert_written_like_oracle(tmp_path, model, gc.simulate(model, 30))
     assert {row[1] for row in read_csv(tmp_path / "got.csv")[1:]} == set(ODD_NAMES)
 
@@ -405,14 +405,14 @@ def lambda_argv(command, lambdas, model, out):
 ])
 def test_lambda_override_builds_each_model_once(tmp_path, monkeypatch, command, lambdas):
     model = export(tmp_path, "web_fcm")
-    post_init = gc.Model.__post_init__
+    init = gc.Model.__init__
     calls = []
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         calls.append(self.lam)
-        post_init(self)
 
-    monkeypatch.setattr(gc.Model, "__post_init__", counting)
+    monkeypatch.setattr(gc.Model, "__init__", counting)
     assert main(lambda_argv(command, lambdas, model, tmp_path / "out")) == 0
     assert calls == [float(x) for x in lambdas.split(",")]
 
@@ -498,6 +498,19 @@ def test_cli_import_does_not_load_numpy():
         capture_output=True, env=SRC_ENV,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_cli_import_does_not_load_dataclasses_or_inspect():
+    # dataclasses imports inspect (with ast, dis and tokenize), which with
+    # it took most of the time of `import greycog.cli`.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import greycog.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, env=SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
 
 
 @pytest.mark.parametrize("family", ["fcm", "fgcm", "fggcm"])

@@ -1,6 +1,5 @@
 """Model validation and the three update engines."""
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -10,6 +9,7 @@ import pytest
 
 import greycog as gc
 from greycog import _core
+from greycog._family import FAMILY
 from conftest import (
     FCM_FIRST_05,
     FGCM_FIRST_05_HI,
@@ -198,6 +198,24 @@ def test_model_rejects_a_shape_that_does_not_match_its_nodes(names, weights, ini
         gc.Model("fcm", names, weights, initial, 1.0)
 
 
+@pytest.mark.parametrize("names, weights, initial, match", [
+    (("a",), (5,), (0.0,), r"weights\[1\] must be a sequence, got int"),
+    (("a",), ((0.5,),), 5, "initial must be a sequence, got int"),
+    (("a",), 5, (0.0,), "weights must be a sequence, got int"),
+    (5, ((0.5,),), (0.0,), "node_names must be a sequence, got int"),
+    (("a", "b"), ((0.5, 0.5), (0.5, 0.5)), b"ab", "initial must be a sequence, got bytes"),
+    (("a", "b"), ((0.5, 0.5), bytearray(b"ab")), (0.0, 0.0),
+     r"weights\[2\] must be a sequence, got bytearray"),
+    (("a",), ((0.5,),), memoryview(b"a"), "initial must be a sequence, got memoryview"),
+], ids=["row number", "initial number", "weights number", "names number", "initial bytes",
+        "row bytearray", "initial memoryview"])
+def test_model_reads_rows_and_states_as_the_criteria_do(names, weights, initial, match):
+    # The one sequence rule of `_family`, raising ValidationError: a
+    # bytes-like value is refused, not read as ints.
+    with pytest.raises(gc.ValidationError, match=match):
+        gc.Model("fcm", names, weights, initial, 1.0)
+
+
 @pytest.mark.parametrize("x", ["0.5", True, None], ids=["str", "True", "None"])
 def test_model_rejects_a_crisp_cell_that_is_no_number(x):
     with pytest.raises(gc.ValidationError, match="fcm cells must be numbers"):
@@ -225,7 +243,8 @@ def test_model_rejects_bool_lambda(web_fcm_05):
     with pytest.raises(gc.ValidationError):
         gc.Model("fcm", ("a",), ((0.0,),), (0.0,), True)
     with pytest.raises(gc.ValidationError):
-        dataclasses.replace(web_fcm_05, lam=True)
+        gc.Model(web_fcm_05.family, web_fcm_05.node_names, web_fcm_05.weights,
+                 web_fcm_05.initial, True)
 
 
 def test_simulate_rejects_bool_steps(web_fcm_05):
@@ -284,7 +303,8 @@ def test_cell_constructors_take_ints_and_float_subclasses():
 
     cells = (gc.Ign(Real(0.5), 1), gc.Ggn(0, Real(0.25)), gc.GreyUnion(((Real(-0.5), 1),)))
     assert cells == (gc.Ign(0.5, 1.0), gc.Ggn(0.0, 0.25), gc.GreyUnion(((-0.5, 1.0),)))
-    fields = (*dataclasses.astuple(cells[0]), *dataclasses.astuple(cells[1]),
+    fields = (*(getattr(cells[0], f) for f in FAMILY["fgcm"].fields),
+              *(getattr(cells[1], f) for f in FAMILY["fggcm"].fields),
               *cells[2].intervals[0])
     assert all(type(v) is float for v in fields)
 
