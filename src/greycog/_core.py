@@ -2,14 +2,15 @@
 
 Every engine's arithmetic lives here, one float-only state update per
 family, from float planes to float planes: `crisp_next` runs the row
-kernel `dot_lr` over every weight row, `interval_next` runs
-`interval_dot_lr`, which multiplies intervals by endpoint selection, and
-`kernel_grey_next` does its kernel and greyness sums in one loop of its
-own, with no per-row call. All three accumulate left to right in the same
-order, so degenerate cases coincide bitwise: a kernel/greyness map with
-zero greyness, an interval map with zero-width intervals, and the crisp
-map all produce identical floating point trajectories. Every sum is a
-`+=` loop: `sum` (compensated since CPython 3.12), `fsum`, `sumprod` and
+kernel `dot_lr` over every weight row, `interval_next` multiplies
+intervals by endpoint selection (at a state whose x_lo are all >= 0, as
+after step 0, by `interval_dot_nonneg`, one product per end, else by
+`interval_dot_lr`), and `kernel_grey_next` does its kernel and greyness
+sums in one loop of its own. All three accumulate left to right in the
+same order, so degenerate cases coincide bitwise: a kernel/greyness map
+with zero greyness, an interval map with zero-width intervals, and the
+crisp map all produce identical floating point trajectories. Every sum is
+a `+=` loop: `sum` (compensated since CPython 3.12), `fsum`, `sumprod` and
 `reduce` would tie the bits to the interpreter.
 """
 
@@ -73,6 +74,15 @@ def interval_dot_lr(w_lo, w_hi, x_lo, x_hi):
     return lo, hi
 
 
+def interval_dot_nonneg(w_lo, w_hi, x_lo, x_hi):
+    """`interval_dot_lr` bit for bit where every x_lo >= 0: w * x grows with w."""
+    lo = hi = 0.0
+    for wl, wh, xl, xh in zip(w_lo, w_hi, x_lo, x_hi):
+        lo += wl * (xl if wl >= 0.0 else xh)
+        hi += wh * (xh if wh >= 0.0 else xl)
+    return lo, hi
+
+
 def crisp_next(w, a, lam):
     """One crisp update of every node, as one tuple plane: out_i =
     sigmoid(w_i . a)."""
@@ -81,10 +91,11 @@ def crisp_next(w, a, lam):
 
 def interval_next(w_lo, w_hi, x_lo, x_hi, lam):
     """One interval update of every node over endpoint planes, as (lo, hi)."""
+    dot = interval_dot_lr if min(x_lo) < 0.0 else interval_dot_nonneg
     lo_out = []
     hi_out = []
     for wl, wh in zip(w_lo, w_hi):
-        lo, hi = interval_dot_lr(wl, wh, x_lo, x_hi)
+        lo, hi = dot(wl, wh, x_lo, x_hi)
         lo_out.append(sigmoid(lo, lam))
         hi_out.append(sigmoid(hi, lam))
     return lo_out, hi_out

@@ -32,6 +32,7 @@ is far below every tolerance in use.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -97,9 +98,9 @@ def number(x):
 
 
 def sequence(x, name, error=DimensionError):
-    """x as a tuple. A value that is no sequence, or is bytes-like (whose
-    items read as ints), raises error."""
-    if not isinstance(x, (bytes, bytearray, memoryview)):
+    """x as a tuple. A value that is no sequence, is bytes-like (items read
+    as ints), a set (hash order) or a mapping (its keys) raises error."""
+    if not isinstance(x, (bytes, bytearray, memoryview, set, frozenset, Mapping)):
         try:
             return tuple(x)
         except TypeError:
@@ -271,7 +272,7 @@ class Family(NamedTuple):
     parse: Callable  # model-file JSON value -> cell; MalformedInputError
     encode: Callable  # cell -> model-file JSON value
     cell: Callable  # any value -> cell of this family, or an error
-    weight: Callable  # cell -> itself if within [-1, 1], else ValidationError
+    weight: Callable  # any value -> cell of this family within [-1, 1], or an error
     split: Callable  # cells -> float planes, one per field
     box: Callable  # float planes -> tuple of cells
     advance: Callable  # (*weight planes, *state planes, lam) -> next planes
@@ -291,6 +292,7 @@ def _crisp_cell(x):
 
 
 def _crisp_weight(v):
+    v = _crisp_cell(v)
     if abs(v) > 1.0:
         raise ValidationError(f"weight {v} outside [-1, 1]")
     return v
@@ -311,7 +313,7 @@ def _crisp_dist(a, b) -> float:
 def _interval_parse(raw):
     if not isinstance(raw, dict):
         return Ign(raw, raw)
-    if raw.keys() != {"interval"}:
+    if len(raw) != 1 or "interval" not in raw:
         raise MalformedInputError("fgcm cells take an 'interval' object")
     pair = raw["interval"]
     if not (isinstance(pair, list) and len(pair) == 2):
@@ -326,6 +328,7 @@ def _interval_cell(c):
 
 
 def _interval_weight(c):
+    c = _interval_cell(c)
     if c.lo < -1.0 or c.hi > 1.0:
         raise ValidationError("interval escapes [-1, 1]")
     return c
@@ -351,9 +354,9 @@ def _interval_dist(a, b) -> float:
 def _grey_parse(raw):
     if not isinstance(raw, dict):
         return Ggn(raw, 0.0)
-    if raw.keys() == {"kernel", "greyness"}:
+    if len(raw) == 2 and "kernel" in raw and "greyness" in raw:
         return Ggn(raw["kernel"], raw["greyness"])
-    if raw.keys() == {"union"}:
+    if len(raw) == 1 and "union" in raw:
         if not isinstance(raw["union"], list):
             raise MalformedInputError("'union' must be a list of [lo, hi]")
         return ggn_from_union(GreyUnion(raw["union"]))
@@ -367,6 +370,7 @@ def _grey_cell(c):
 
 
 def _grey_weight(c):
+    c = _grey_cell(c)
     if abs(c.kernel) > 1.0:
         raise ValidationError(f"kernel {c.kernel} outside [-1, 1]")
     return c

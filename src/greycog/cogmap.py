@@ -19,8 +19,8 @@ is the crisp update on tuples; a grey model's is `simulate(m, 1).states[1]`.
 from __future__ import annotations
 
 from ._core import crisp_next
-from ._family import (FAMILIES, FAMILY, Record, at_least, located, matrix, number, positive,
-                      sequence, vector)
+from ._family import (FAMILIES, FAMILY, Record, at_least, matrix, number, positive, sequence,
+                      vector)
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -39,9 +39,9 @@ __all__ = [
 class Model(Record):
     """A cognitive map: family tag, distinct node names, square weight
     matrix, initial state, and sigmoid steepness. Immutable and validated
-    on construction; n is the node count. The weight rows, the initial
-    state and the node names are read by `_family.sequence`, a value that
-    is no sequence raising ValidationError."""
+    on construction; n is the node count. Weight rows are read once, under
+    the family's `weight` rule; a value that is no sequence (see
+    `_family.sequence`) or a str of node names raises ValidationError."""
 
     __slots__ = __match_args__ = ("family", "node_names", "weights", "initial", "lam")
 
@@ -49,11 +49,13 @@ class Model(Record):
         if family not in FAMILIES:
             raise ValidationError(f"unknown family {family!r}")
         fam = FAMILY[family]
-        # Cells first: a cell of another family fails before any invariant.
-        weights = tuple(vector(row, fam.cell, f"weights[{i}]", ValidationError)
+        # Cells first: a cell of another family, or out of range, fails before any shape.
+        weights = tuple(vector(row, fam.weight, f"weights[{i}]", ValidationError)
                         for i, row in enumerate(sequence(weights, "weights", ValidationError), 1))
         initial = vector(initial, fam.cell, "initial", ValidationError)
         lam = positive(lam, ValidationError)
+        if isinstance(node_names, str):
+            raise ValidationError("node_names must be a sequence of names, got str")
         node_names = tuple(str(s) for s in sequence(node_names, "node_names", ValidationError))
         n = len(node_names)
         if not n:
@@ -68,7 +70,6 @@ class Model(Record):
         for i, row in enumerate(weights, 1):
             if len(row) != n:
                 raise ValidationError(f"weight row {i} has {len(row)} entries, expected {n}")
-            located(fam.weight, row, f"weights[{i}][{{}}]")
         if len(initial) != n:
             raise ValidationError(f"initial state has {len(initial)} entries, expected {n}")
         super().__init__(family, node_names, weights, initial, lam)

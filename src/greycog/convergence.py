@@ -76,7 +76,11 @@ def frobenius_norm(m) -> float:
     squares beyond the float range is summed again over the entries
     scaled by a power of two, which changes no rounding, so the result is
     inf only for a norm beyond the float range."""
-    rows = matrix(m, number, "matrix")
+    return _frobenius(matrix(m, number, "matrix"))
+
+
+def _frobenius(rows) -> float:
+    """`frobenius_norm` of rows already read."""
     try:
         total = math.fsum(x * x for row in rows for x in row)
     except OverflowError:
@@ -108,19 +112,19 @@ def w_star(w):
     return tuple(tuple(abs(c.lo) if c.hi <= 0.0 else c.hi for c in row) for row in w)
 
 
-def _banach(lam: float, m) -> Verdict:
-    """The one contraction criterion: lambda * ||M||_F against 4."""
-    return Verdict(lam * frobenius_norm(m), 4.0)
+def _banach(lam: float, rows) -> Verdict:
+    """The one contraction criterion: lambda * ||M||_F against 4, M's rows read."""
+    return Verdict(lam * _frobenius(rows), 4.0)
 
 
 def check_fcm(w, lam: float) -> Verdict:
-    """Crisp criterion: the Banach bound on W."""
+    """Crisp criterion: the Banach bound on W, read as by `frobenius_norm`."""
     lam = positive(lam, InvalidParameterError)
-    return _banach(lam, w)
+    return _banach(lam, matrix(w, number, "matrix"))
 
 
 def check_fgcm(w, lam: float) -> Verdict:
-    """Interval criterion: the Banach bound on W*."""
+    """Interval criterion: the Banach bound on W*, as `w_star` reads w."""
     lam = positive(lam, InvalidParameterError)
     return _banach(lam, w_star(w))
 
@@ -157,6 +161,11 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     w = matrix(w, FAMILY["fggcm"].cell, "w", square=True)
     if len(w) != len(a_hat):
         raise DimensionError(f"state vectors have length {len(a_hat)}, the matrix {len(w)}")
+    return _condition_rows(w, a_hat, a_grey, lam)
+
+
+def _condition_rows(w, a_hat, a_grey, lam):
+    """`grey_condition_matrix` over arguments already read."""
     out = []
     for i, row in enumerate(w, 1):
         kernels = [cell.kernel for cell in row]
@@ -214,12 +223,12 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
         raise ValidationError(f"expected an fggcm trajectory, got {traj.family}")
     kernel_verdict = _banach(m.lam, [[cell.kernel for cell in row] for row in m.weights])
     state = traj.states[-1]
-    a_hat = [g.kernel for g in state]
-    a_grey = [g.greyness for g in state]
-    cond = grey_condition_matrix(m.weights, a_hat, a_grey, m.lam)
+    if len(state) != m.n:
+        raise DimensionError(f"state vectors have length {len(state)}, the matrix {m.n}")
+    cond = _condition_rows(m.weights, *FAMILY["fggcm"].split(state), m.lam)
     return FggcmReport(
         kernel_verdict=kernel_verdict,
-        greyness_verdict=Verdict(frobenius_norm(cond), 1.0),
+        greyness_verdict=Verdict(_frobenius(cond), 1.0),
         evaluation_state=state,
         kernel_converged=cls.verdict == "FixedPoint",
     )

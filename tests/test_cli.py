@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,41 @@ def test_trajectory_and_summary_csvs_are_pinned(tmp_path, variant):
                 for path in (traj, sweep / "summary.csv", sweep / "trajectory_lam4.csv",
                              sweep / "report_lam4.json"))
     assert got == CSV_MD5[variant]
+
+
+def dense_fgcm_doc(negative):
+    """A seeded n=40 fgcm model document at lambda 0.25, whose 79th
+    computed state repeats an earlier one. Weights are intervals of
+    half-width up to 0.05 around a centre in [-1, 1], so every sign pattern
+    occurs; the initial state's centres lie in [0.25, 1] (every lo >= 0)
+    or, when negative, in [-0.5, 1] (17 lo < 0)."""
+    rng = random.Random(19)
+    n = 40
+
+    def cell(low, half):
+        x, h = rng.uniform(low, 1.0), rng.uniform(0.0, half)
+        return {"interval": [max(x - h, -1.0), min(x + h, 1.0)]}
+
+    weights = [[cell(-1.0, 0.05) for _ in range(n)] for _ in range(n)]
+    initial = [cell(-0.5 if negative else 0.25, 0.25) for _ in range(n)]
+    return {"family": "fgcm", "lambda": 0.25, "nodes": [f"N{i}" for i in range(1, n + 1)],
+            "weights": weights, "initial": initial}
+
+
+# md5 of `simulate --steps 100` on each dense_fgcm_doc: the interval kernel
+# on a dense map, from a state with every lo >= 0 and from one with lo < 0.
+DENSE_FGCM_MD5 = {False: "a6010cd13c36963156c152b07e304bd4",
+                  True: "92a2c55afda41a73a78319056392d22c"}
+
+
+@pytest.mark.parametrize("negative", [False, True])
+def test_dense_interval_trajectory_csvs_are_pinned(tmp_path, negative):
+    model = tmp_path / "dense.json"
+    model.write_text(json.dumps(dense_fgcm_doc(negative)), encoding="utf-8")
+    assert any(c["interval"][0] < 0.0 for c in dense_fgcm_doc(negative)["initial"]) == negative
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--model", str(model), "--steps", "100", "--out", str(traj)]) == 0
+    assert hashlib.md5(traj.read_bytes()).hexdigest() == DENSE_FGCM_MD5[negative]
 
 
 def write_rows_oracle(path, model, traj):
@@ -532,6 +568,58 @@ def test_check_weight_outside_the_value_domain_exits_three(tmp_path, capsys, fam
                                 "weights": [[0.5, 0], [cell, 0.5]], "initial": [0.5, 0]}))
     assert main(["check", "--model", str(path)]) == 3
     assert f"weights[2][1]: {match}" in capsys.readouterr().err
+
+
+INTERVAL_SHAPE = "fgcm cells take an 'interval' object"
+GREY_SHAPE = "fggcm cells take 'kernel'/'greyness' or 'union' objects"
+
+
+# Each malformed cell's whole stderr line, per family and place. The
+# parsers test a cell's keys by count and membership, so a wanted key
+# beside an unknown one is refused like a missing key.
+@pytest.mark.parametrize("family, cell, message", [
+    ("fgcm", {"interval": [0.1, 0.2], "x": 1}, INTERVAL_SHAPE),
+    ("fgcm", {}, INTERVAL_SHAPE),
+    ("fgcm", {"kernel": 0.1}, INTERVAL_SHAPE),
+    ("fgcm", {"union": 5}, INTERVAL_SHAPE),
+    ("fggcm", {"interval": [0.1, 0.2], "x": 1}, GREY_SHAPE),
+    ("fggcm", {}, GREY_SHAPE),
+    ("fggcm", {"kernel": 0.1}, GREY_SHAPE),
+    ("fggcm", {"union": 5}, "'union' must be a list of [lo, hi]"),
+    ("fggcm", {"kernel": 0.1, "greyness": 0.1, "x": 1}, GREY_SHAPE),
+    ("fggcm", {"union": [[0.1, 0.2]], "x": 1}, GREY_SHAPE),
+])
+@pytest.mark.parametrize("place", ["weights[2][1]", "initial[2]"])
+def test_a_malformed_cell_keeps_its_message_and_exit_code(tmp_path, capsys, family, cell,
+                                                         message, place):
+    doc = {"family": family, "lambda": 1, "nodes": ["a", "b"],
+           "weights": [[0.5, 0], [0, 0.5]], "initial": [0.5, 0]}
+    if place == "initial[2]":
+        doc["initial"][1] = cell
+    else:
+        doc["weights"][1][0] = cell
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == f"greycog: parse error: {place}: {message}\n"
+
+
+# Model files with one fault each, and the whole stderr line of each.
+@pytest.mark.parametrize("change, message", [
+    ({"weights": [[0.5, 0], [1.5, 0.5]]}, "weights[2][1]: weight 1.5 outside [-1, 1]"),
+    ({"weights": [[0.5, 0], [0, 0.5], [0, 0]]}, "weight matrix has 3 rows, expected 2"),
+    ({"weights": [[0.5, 0], [0]]}, "weight row 2 has 1 entries, expected 2"),
+    ({"initial": [0.5]}, "initial state has 1 entries, expected 2"),
+    ({"nodes": ["a", "a"]}, "node name 'a' is repeated"),
+    ({"lambda": -1}, "lambda must be a positive finite number, got -1.0"),
+], ids=["range", "rows", "row length", "initial length", "repeated name", "lambda"])
+def test_a_single_model_fault_keeps_its_message_and_exit_code(tmp_path, capsys, change, message):
+    doc = {"family": "fcm", "lambda": 1, "nodes": ["a", "b"],
+           "weights": [[0.5, 0], [0, 0.5]], "initial": [0.5, 0], **change}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--model", str(path)]) == 3
+    assert capsys.readouterr().err == f"greycog: validation error: {message}\n"
 
 
 @pytest.mark.parametrize("family, cell, nodes, repeated", [

@@ -207,11 +207,20 @@ def test_model_rejects_a_shape_that_does_not_match_its_nodes(names, weights, ini
     (("a", "b"), ((0.5, 0.5), bytearray(b"ab")), (0.0, 0.0),
      r"weights\[2\] must be a sequence, got bytearray"),
     (("a",), ((0.5,),), memoryview(b"a"), "initial must be a sequence, got memoryview"),
+    ("ab", ((0.5, 0.5), (0.5, 0.5)), (0.1, 0.2), "node_names must be a sequence of names, got str"),
+    (("a", "b"), ((0.5, 0.5), (0.5, 0.5)), {0.2, 0.1}, "initial must be a sequence, got set"),
+    (("a", "b"), ((0.5, 0.5), frozenset({0.5, 0.25})), (0.1, 0.2),
+     r"weights\[2\] must be a sequence, got frozenset"),
+    (("a", "b"), ((0.5, 0.5), (0.5, 0.5)), {0.2: 1, 0.1: 2},
+     "initial must be a sequence, got dict"),
 ], ids=["row number", "initial number", "weights number", "names number", "initial bytes",
-        "row bytearray", "initial memoryview"])
+        "row bytearray", "initial memoryview", "names str", "initial set", "row frozenset",
+        "initial dict"])
 def test_model_reads_rows_and_states_as_the_criteria_do(names, weights, initial, match):
     # The one sequence rule of `_family`, raising ValidationError: a
-    # bytes-like value is refused, not read as ints.
+    # bytes-like value is refused, not read as ints, and so is a set or a
+    # mapping, whose order is not the caller's; a str of names is refused,
+    # not read as one name per character.
     with pytest.raises(gc.ValidationError, match=match):
         gc.Model("fcm", names, weights, initial, 1.0)
 

@@ -1,6 +1,7 @@
 """Contraction tests on norms, gates, and the report combiner."""
 
 import math
+import random
 
 import pytest
 
@@ -219,6 +220,10 @@ NON_SEQUENCE_CALLS = {
     "fcm_step at a bytearray state": lambda: gc.fcm_step([[0.5]], bytearray(b"\x01"), 1.0),
     "condition matrix at a memoryview state": lambda: gc.grey_condition_matrix(
         ((gc.Ggn(0.5, 0.1),),), memoryview(b"\x01"), None, 1.0),
+    # A set or a mapping is refused, not read in hash order or by its keys.
+    "fcm_step at a dict state": lambda: gc.fcm_step([[0.5, 0.5]], {0.2: 1, 0.1: 2}, 1.0),
+    "fcm_step at a set state": lambda: gc.fcm_step([[0.5, 0.5]], {0.2, 0.1}, 1.0),
+    "norm of a frozenset row": lambda: gc.frobenius_norm([frozenset({0.5, 0.25})]),
 }
 
 
@@ -380,3 +385,51 @@ def test_the_interval_check_tests_lambda_before_the_matrix():
         gc.check_fgcm(5, -1.0)
     with pytest.raises(gc.InvalidParameterError):
         gc.check_fgcm(((gc.Ign(-0.1, 0.1),),), 0.0)
+
+
+def random_cell_matrix(n, cell):
+    return tuple(tuple(cell() for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_interval_check_is_the_norm_of_w_star_bit_for_bit(seed):
+    # check_fgcm sums the W* it builds without reading it again; the value
+    # must be the public functions' composition exactly.
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+
+    def cell():
+        x, h = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 0.2)
+        return gc.Ign(*sorted((x, min(max(x + math.copysign(h, x), -1.0), 1.0))))
+
+    w = random_cell_matrix(n, cell)
+    lam = rng.choice([0.05, 0.5, 1.0, 3.0])
+    assert gc.check_fgcm(w, lam).criterion_value == lam * gc.frobenius_norm(gc.w_star(w))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_kernel_report_is_the_public_norms_bit_for_bit(seed):
+    # check_fggcm neither reads the Model's kernels again nor the condition
+    # matrix it builds; both values must equal the public functions'.
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    w = random_cell_matrix(n, lambda: gc.Ggn(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 0.1)))
+    initial = [gc.Ggn(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 0.2)) for _ in range(n)]
+    m = gc.Model("fggcm", [f"n{i}" for i in range(n)], w, initial, rng.choice([0.3, 1.0, 2.5]))
+    traj = gc.simulate(m, 60)
+    rep = gc.check_fggcm(m, traj, gc.classify(traj))
+    kernels = [[c.kernel for c in row] for row in w]
+    state = traj.states[-1]
+    cond = gc.grey_condition_matrix(w, [g.kernel for g in state], [g.greyness for g in state],
+                                    m.lam)
+    assert rep.kernel_verdict.criterion_value == m.lam * gc.frobenius_norm(kernels)
+    assert rep.greyness_verdict.criterion_value == gc.frobenius_norm(cond)
+
+
+def test_the_report_refuses_a_final_state_of_another_length(web_fggcm_05):
+    traj = gc.simulate(web_fggcm_05, 60)
+    cls = gc.classify(traj)
+    for state in (traj.states[-1][:-1], traj.states[-1] + (gc.Ggn(0.5, 0.0),)):
+        with pytest.raises(gc.DimensionError, match=f"state vectors have length {len(state)}, "
+                                                    "the matrix 7"):
+            gc.check_fggcm(web_fggcm_05, gc.Trajectory("fggcm", (state,)), cls)

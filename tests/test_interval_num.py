@@ -6,8 +6,8 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greycog import Ign, MalformedInputError, Model, simulate
-from greycog._core import interval_dot_lr
+from greycog import Ign, MalformedInputError, Model, _core, simulate
+from greycog._core import interval_dot_lr, interval_dot_nonneg
 
 
 def activate(cell, lam):
@@ -123,6 +123,47 @@ def test_endpoint_selection_is_the_four_product_min_max_bit_for_bit(terms):
     planes = ([w[0] for w, _ in terms], [w[1] for w, _ in terms],
               [x[0] for _, x in terms], [x[1] for _, x in terms])
     assert bits(interval_dot_lr(*planes)) == bits(four_product_dot(*planes))
+
+
+# A state interval with 0 <= lo <= hi, as every state after step 0 is:
+# either end may be +0.0 or -0.0, and some are points.
+nonneg_end = st.one_of(st.sampled_from([0.0, -0.0]), state_mag)
+nonneg_state = st.one_of(nonneg_end.map(lambda x: (x, x)),
+                         st.tuples(nonneg_end, nonneg_end).map(lambda t: tuple(sorted(t))))
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(ordered(weight_mag), nonneg_state), min_size=1, max_size=6))
+def test_one_product_per_end_is_the_four_product_min_max_bit_for_bit(terms):
+    planes = ([w[0] for w, _ in terms], [w[1] for w, _ in terms],
+              [x[0] for _, x in terms], [x[1] for _, x in terms])
+    assert bits(interval_dot_nonneg(*planes)) == bits(four_product_dot(*planes))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(ordered(weight_mag), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.one_of(nonneg_state, ordered(state_mag)), min_size=n, max_size=n))))
+def test_each_step_sums_each_row_as_the_four_product_search(case):
+    # The update's row sums, read with the activation made the identity; a
+    # state with a negative lo must take the general selection, and only
+    # such a state.
+    w, x = case
+    w_lo, w_hi = [[c[0] for c in row] for row in w], [[c[1] for c in row] for row in w]
+    x_lo, x_hi = [c[0] for c in x], [c[1] for c in x]
+    general = []
+
+    def spy(*planes):
+        general.append(True)
+        return interval_dot_lr(*planes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_core, "sigmoid", lambda s, lam: s)
+        mp.setattr(_core, "interval_dot_lr", spy)
+        lo, hi = _core.interval_next(w_lo, w_hi, x_lo, x_hi, 1.0)
+    assert bool(general) == (min(x_lo) < 0.0)
+    for i in range(len(w)):
+        assert bits((lo[i], hi[i])) == bits(four_product_dot(w_lo[i], w_hi[i], x_lo, x_hi))
 
 
 def test_sigmoid_preserves_order_and_bounds():
