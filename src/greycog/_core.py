@@ -1,22 +1,29 @@
 """Shared scalar kernels.
 
 Every engine's arithmetic lives here, one float-only state update per
-family, from float planes to float planes: `crisp_next` runs the row
-kernel `dot_lr` over every weight row, `interval_next` multiplies
-intervals by endpoint selection (at a state whose x_lo are all >= 0, as
-after step 0, by `interval_dot_nonneg`, one product per end, else by
-`interval_dot_lr`), and `kernel_grey_next` does its kernel and greyness
-sums in one loop of its own. All three accumulate left to right in the
-same order, so degenerate cases coincide bitwise: a kernel/greyness map
-with zero greyness, an interval map with zero-width intervals, and the
-crisp map all produce identical floating point trajectories. Every sum is
-a `+=` loop: `sum` (compensated since CPython 3.12), `fsum`, `sumprod` and
+family, from float planes to float planes: `crisp_next`, `interval_next`
+and `kernel_grey_next` (its kernel and greyness sums fused). Each sums
+BLOCK weight rows per pass over the state planes, one accumulator per
+row and quantity, and fills the last block with zero rows, which are
+neither activated nor returned. The interval update multiplies by
+endpoint selection: at a state whose x_lo are all >= 0, as after step 0,
+one product per end in the blocked loop, else `interval_dot_lr` per row.
+Every row is still summed left to right in the order of `dot_lr`, so
+degenerate cases coincide bitwise: a kernel/greyness map with zero
+greyness, an interval map with zero-width intervals, and the crisp map
+all produce identical floating point trajectories. Every sum is a `+=`
+loop: `sum` (compensated since CPython 3.12), `fsum`, `sumprod` and
 `reduce` would tie the bits to the interpreter.
 """
 
 import math
 
 from .errors import MalformedInputError
+
+# Weight rows summed per pass over the state planes: each update reads a
+# state value once for this many rows. The kernels' loop bodies are
+# written out for four rows.
+BLOCK = 4
 
 
 def sigmoid(x, lam):
@@ -74,28 +81,62 @@ def interval_dot_lr(w_lo, w_hi, x_lo, x_hi):
     return lo, hi
 
 
-def interval_dot_nonneg(w_lo, w_hi, x_lo, x_hi):
-    """`interval_dot_lr` bit for bit where every x_lo >= 0: w * x grows with w."""
-    lo = hi = 0.0
-    for wl, wh, xl, xh in zip(w_lo, w_hi, x_lo, x_hi):
-        lo += wl * (xl if wl >= 0.0 else xh)
-        hi += wh * (xh if wh >= 0.0 else xl)
-    return lo, hi
+def _padded(rows, width):
+    """rows as a list filled up with zero rows of the given width to a
+    multiple of BLOCK rows."""
+    return [*rows, *[(0.0,) * width] * (-len(rows) % BLOCK)]
 
 
 def crisp_next(w, a, lam):
     """One crisp update of every node, as one tuple plane: out_i =
-    sigmoid(w_i . a)."""
-    return (tuple(sigmoid(dot_lr(row, a), lam) for row in w),)
+    sigmoid(w_i . a), each row summed as by `dot_lr`."""
+    n = len(w)
+    w = _padded(w, len(a))
+    sums = []
+    for i in range(0, len(w), BLOCK):
+        s0 = s1 = s2 = s3 = 0.0
+        for v, w0, w1, w2, w3 in zip(a, *w[i:i + BLOCK]):
+            s0 += w0 * v
+            s1 += w1 * v
+            s2 += w2 * v
+            s3 += w3 * v
+        sums += s0, s1, s2, s3
+    return (tuple([sigmoid(s, lam) for s in sums[:n]]),)
 
 
 def interval_next(w_lo, w_hi, x_lo, x_hi, lam):
-    """One interval update of every node over endpoint planes, as (lo, hi)."""
-    dot = interval_dot_lr if min(x_lo) < 0.0 else interval_dot_nonneg
+    """One interval update of every node over endpoint planes, as (lo, hi).
+
+    A state with a negative x_lo takes the general selection,
+    `interval_dot_lr`, per row. At a state whose x_lo are all >= 0, as
+    after step 0, w * x grows with w, so each end takes one product: the
+    weight's low end times the state end that makes it smallest, its high
+    end times the one that makes it largest. That is `interval_dot_lr`
+    bit for bit.
+    """
+    n = len(w_lo)
+    if min(x_lo) < 0.0:
+        sums = [interval_dot_lr(wl, wh, x_lo, x_hi) for wl, wh in zip(w_lo, w_hi)]
+    else:
+        w_lo = _padded(w_lo, len(x_lo))
+        w_hi = _padded(w_hi, len(x_lo))
+        sums = []
+        for i in range(0, len(w_lo), BLOCK):
+            lo0 = lo1 = lo2 = lo3 = hi0 = hi1 = hi2 = hi3 = 0.0
+            for xl, xh, l0, l1, l2, l3, h0, h1, h2, h3 in zip(
+                    x_lo, x_hi, *w_lo[i:i + BLOCK], *w_hi[i:i + BLOCK]):
+                lo0 += l0 * (xl if l0 >= 0.0 else xh)
+                hi0 += h0 * (xh if h0 >= 0.0 else xl)
+                lo1 += l1 * (xl if l1 >= 0.0 else xh)
+                hi1 += h1 * (xh if h1 >= 0.0 else xl)
+                lo2 += l2 * (xl if l2 >= 0.0 else xh)
+                hi2 += h2 * (xh if h2 >= 0.0 else xl)
+                lo3 += l3 * (xl if l3 >= 0.0 else xh)
+                hi3 += h3 * (xh if h3 >= 0.0 else xl)
+            sums += (lo0, hi0), (lo1, hi1), (lo2, hi2), (lo3, hi3)
     lo_out = []
     hi_out = []
-    for wl, wh in zip(w_lo, w_hi):
-        lo, hi = dot(wl, wh, x_lo, x_hi)
+    for lo, hi in sums[:n]:
         lo_out.append(sigmoid(lo, lam))
         hi_out.append(sigmoid(hi, lam))
     return lo_out, hi_out
@@ -109,21 +150,45 @@ def kernel_grey_next(w_k, w_g, x_k, x_g, lam):
     |kernel product|-weighted average of max(weight greyness, state
     greyness); with zero kernel mass it is 0. The sign flip stands in for
     abs(p): it leaves -0.0 as it is, but the mass sums start at +0.0 and
-    add only terms >= 0 or -0.0, so they come out the same.
+    add only terms >= 0 or -0.0, so they come out the same. The three
+    sums of a row (kernel, mass, weighted mass) share one loop.
     """
-    k_out = []
-    g_out = []
-    for wk_row, wg_row in zip(w_k, w_g):
-        s = 0.0
-        denom = 0.0
-        num = 0.0
-        for wk, wg, xk, xg in zip(wk_row, wg_row, x_k, x_g):
-            p = wk * xk
-            s += p
+    n = len(w_k)
+    w_k = _padded(w_k, len(x_k))
+    w_g = _padded(w_g, len(x_k))
+    sums = []
+    for i in range(0, len(w_k), BLOCK):
+        s0 = s1 = s2 = s3 = d0 = d1 = d2 = d3 = m0 = m1 = m2 = m3 = 0.0
+        for xk, xg, k0, k1, k2, k3, g0, g1, g2, g3 in zip(
+                x_k, x_g, *w_k[i:i + BLOCK], *w_g[i:i + BLOCK]):
+            p = k0 * xk
+            s0 += p
             if p < 0.0:
                 p = -p
-            denom += p
-            num += (xg if xg > wg else wg) * p
+            d0 += p
+            m0 += (xg if xg > g0 else g0) * p
+            p = k1 * xk
+            s1 += p
+            if p < 0.0:
+                p = -p
+            d1 += p
+            m1 += (xg if xg > g1 else g1) * p
+            p = k2 * xk
+            s2 += p
+            if p < 0.0:
+                p = -p
+            d2 += p
+            m2 += (xg if xg > g2 else g2) * p
+            p = k3 * xk
+            s3 += p
+            if p < 0.0:
+                p = -p
+            d3 += p
+            m3 += (xg if xg > g3 else g3) * p
+        sums += (s0, d0, m0), (s1, d1, m1), (s2, d2, m2), (s3, d3, m3)
+    k_out = []
+    g_out = []
+    for s, denom, num in sums[:n]:
         k = sigmoid(s, lam)
         k_out.append(k)
         g_out.append(k * (num / denom) if denom > 0.0 else 0.0)

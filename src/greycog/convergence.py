@@ -216,13 +216,15 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
     greyness condition matrix is evaluated at the final recorded state:
     the converged state when cls is a fixed point, otherwise a
     non-authoritative evaluation point, flagged by kernel_converged=False.
+    That state is read by `_family.vector` with the fggcm cell rule, so a
+    cell that is no `Ggn` raises ValidationError naming state[j].
     """
     if m.family != "fggcm":
         raise ValidationError(f"expected an fggcm model, got {m.family}")
     if traj.family != "fggcm":
         raise ValidationError(f"expected an fggcm trajectory, got {traj.family}")
     kernel_verdict = _banach(m.lam, [[cell.kernel for cell in row] for row in m.weights])
-    state = traj.states[-1]
+    state = vector(traj.states[-1], FAMILY["fggcm"].cell, "state", ValidationError)
     if len(state) != m.n:
         raise DimensionError(f"state vectors have length {len(state)}, the matrix {m.n}")
     cond = _condition_rows(m.weights, *FAMILY["fggcm"].split(state), m.lam)

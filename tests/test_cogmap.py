@@ -140,6 +140,34 @@ def test_simulate_stops_computing_at_the_first_exact_repeat(variant, monkeypatch
     assert traj.states[updates:] == (traj.states[updates - 1],) * (1001 - updates)
 
 
+# A cell of each family from a value in [-0.5, 0.5]; fgcm states stay
+# non-negative, so every update takes the blocked row sums.
+CELL = {"fcm": float, "fgcm": lambda v: gc.Ign(v, v + 0.25), "fggcm": lambda v: gc.Ggn(v, 0.25)}
+
+
+@pytest.mark.parametrize("family", gc.FAMILIES)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_each_update_activates_and_returns_exactly_the_real_rows(family, n, monkeypatch):
+    # The kernels sum rows in blocks and fill the last block with zero
+    # rows, which must be neither activated nor returned.
+    fam = FAMILY[family]
+    rng = random.Random(n)
+    cell = CELL[family]
+    weights = [[cell(rng.uniform(-0.5, 0.5)) for _ in range(n)] for _ in range(n)]
+    state = [cell(rng.uniform(0.0, 0.5)) for _ in range(n)]
+    sigmoid = _core.sigmoid
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return sigmoid(*args)
+
+    monkeypatch.setattr(_core, "sigmoid", counting)
+    planes = fam.advance(*zip(*map(fam.split, weights)), *fam.split(state), 1.0)
+    assert len(calls) == SIGMOIDS_PER_ROW[family] * n
+    assert [len(p) for p in planes] == [n] * len(fam.fields)
+
+
 def test_interval_run_rejects_an_overflowing_dot_product():
     # The sigmoid would map the infinite sum to a valid-looking [1, 1].
     big = gc.Ign(1e308, 1e308)

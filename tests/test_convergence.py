@@ -323,6 +323,9 @@ def test_report_rejects_a_model_or_trajectory_of_another_family(web_fggcm_05):
         gc.check_fggcm(crisp, traj, cls)
     with pytest.raises(gc.ValidationError, match="fggcm trajectory"):
         gc.check_fggcm(web_fggcm_05, gc.simulate(crisp, 60), cls)
+    # An fggcm-labelled trajectory of crisp cells: the state is read by the fggcm cell rule.
+    with pytest.raises(gc.ValidationError, match=r"state\[1\]: fggcm cells"):
+        gc.check_fggcm(web_fggcm_05, gc.Trajectory("fggcm", ((0.5,) * 7,)), cls)
 
 
 def test_report_combiner_degrades_with_components():

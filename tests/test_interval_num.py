@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greycog import Ign, MalformedInputError, Model, _core, simulate
-from greycog._core import interval_dot_lr, interval_dot_nonneg
+from greycog._core import interval_dot_lr
 
 
 def activate(cell, lam):
@@ -135,19 +135,24 @@ nonneg_state = st.one_of(nonneg_end.map(lambda x: (x, x)),
 @settings(max_examples=400)
 @given(st.lists(st.tuples(ordered(weight_mag), nonneg_state), min_size=1, max_size=6))
 def test_one_product_per_end_is_the_four_product_min_max_bit_for_bit(terms):
+    # The update's row sum, read with the activation made the identity.
     planes = ([w[0] for w, _ in terms], [w[1] for w, _ in terms],
               [x[0] for _, x in terms], [x[1] for _, x in terms])
-    assert bits(interval_dot_nonneg(*planes)) == bits(four_product_dot(*planes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_core, "sigmoid", lambda s, lam: s)
+        (lo,), (hi,) = _core.interval_next([planes[0]], [planes[1]], *planes[2:], 1.0)
+    assert bits((lo, hi)) == bits(four_product_dot(*planes))
 
 
 @settings(max_examples=300)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(ordered(weight_mag), min_size=n, max_size=n), min_size=n, max_size=n),
-    st.lists(st.one_of(nonneg_state, ordered(state_mag)), min_size=n, max_size=n))))
+@given(st.tuples(st.integers(1, 9), st.integers(1, 4)).flatmap(lambda shape: st.tuples(
+    st.lists(st.lists(ordered(weight_mag), min_size=shape[1], max_size=shape[1]),
+             min_size=shape[0], max_size=shape[0]),
+    st.lists(st.one_of(nonneg_state, ordered(state_mag)), min_size=shape[1], max_size=shape[1]))))
 def test_each_step_sums_each_row_as_the_four_product_search(case):
     # The update's row sums, read with the activation made the identity; a
     # state with a negative lo must take the general selection, and only
-    # such a state.
+    # such a state. Up to nine rows: several row blocks and every remainder.
     w, x = case
     w_lo, w_hi = [[c[0] for c in row] for row in w], [[c[1] for c in row] for row in w]
     x_lo, x_hi = [c[0] for c in x], [c[1] for c in x]
@@ -162,6 +167,7 @@ def test_each_step_sums_each_row_as_the_four_product_search(case):
         mp.setattr(_core, "interval_dot_lr", spy)
         lo, hi = _core.interval_next(w_lo, w_hi, x_lo, x_hi, 1.0)
     assert bool(general) == (min(x_lo) < 0.0)
+    assert len(lo) == len(hi) == len(w)
     for i in range(len(w)):
         assert bits((lo[i], hi[i])) == bits(four_product_dot(w_lo[i], w_hi[i], x_lo, x_hi))
 

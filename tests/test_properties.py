@@ -12,7 +12,7 @@ import struct
 from hypothesis import assume, given, settings, strategies as st
 
 import greycog as gc
-from greycog._core import dot_lr, interval_dot_lr, kernel_grey_next, sigmoid
+from greycog._core import crisp_next, dot_lr, interval_dot_lr, kernel_grey_next, sigmoid
 from greycog._family import FAMILY
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
@@ -168,8 +168,10 @@ zero_or_unit = st.one_of(st.sampled_from([0.0, -0.0]), unit)
 tied_grey = st.one_of(st.sampled_from([0.0, -0.0, 0.25]), grey_s)
 
 
-@given(st.integers(1, 4), st.integers(1, 5), st.data(), lam_s)
+@given(st.integers(1, 9), st.integers(1, 5), st.data(), lam_s)
 def test_kernel_grey_update_equals_the_row_by_row_reference(rows, cols, data, lam):
+    # Up to nine rows: several row blocks and every remainder. The crisp
+    # update of the kernel planes is each row's `dot_lr`, activated.
     planes = (data.draw(vec(vec(zero_or_unit, cols), rows)),
               data.draw(vec(vec(tied_grey, cols), rows)),
               data.draw(vec(zero_or_unit, cols)),
@@ -177,6 +179,9 @@ def test_kernel_grey_update_equals_the_row_by_row_reference(rows, cols, data, la
     got = kernel_grey_next(*planes, lam)
     want = kernel_grey_reference(*planes, lam)
     assert [list(map(bits, p)) for p in got] == [list(map(bits, p)) for p in want]
+    (crisp,) = crisp_next(planes[0], planes[2], lam)
+    assert list(map(bits, crisp)) == [bits(sigmoid(dot_lr(row, planes[2]), lam))
+                                      for row in planes[0]]
 
 
 @given(st.integers(1, 4), st.data())
