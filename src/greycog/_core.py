@@ -2,18 +2,21 @@
 
 Every engine's arithmetic lives here, one float-only state update per
 family, from float planes to float planes: `crisp_next`, `interval_next`
-and `kernel_grey_next` (its kernel and greyness sums fused). Each sums
-BLOCK weight rows per pass over the state planes, one accumulator per
-row and quantity, and fills the last block with zero rows, which are
-neither activated nor returned. The interval update multiplies by
-endpoint selection: at a state whose x_lo are all >= 0, as after step 0,
-one product per end in the blocked loop, else `interval_dot_lr` per row.
-Every row is still summed left to right in the order of `dot_lr`, so
-degenerate cases coincide bitwise: a kernel/greyness map with zero
-greyness, an interval map with zero-width intervals, and the crisp map
-all produce identical floating point trajectories. Every sum is a `+=`
-loop: `sum` (compensated since CPython 3.12), `fsum`, `sumprod` and
-`reduce` would tie the bits to the interpreter.
+and `kernel_grey_next` (its kernel and greyness sums fused). The weights
+do not change during a run, so `blocks` prepares them once: BLOCK rows at
+a time, the last block filled with zero rows, each block stored as the
+tuple of its columns. An update zips the state planes with a block,
+reading a state value and one column tuple per step, and keeps one
+accumulator per row and quantity; the zero rows are neither activated
+nor returned. The interval update multiplies by endpoint selection: at a
+state whose x_lo are all >= 0, as after step 0, one product per end in
+the blocked loop, else `interval_dot_lr` per row. Every row is still
+summed left to right in the order of `dot_lr`, so degenerate cases
+coincide bitwise: a kernel/greyness map with zero greyness, an interval
+map with zero-width intervals, and the crisp map all produce identical
+floating point trajectories. Every sum is a `+=` loop: `sum`
+(compensated since CPython 3.12), `fsum`, `sumprod` and `reduce` would
+tie the bits to the interpreter.
 """
 
 import math
@@ -22,7 +25,7 @@ from .errors import MalformedInputError
 
 # Weight rows summed per pass over the state planes: each update reads a
 # state value once for this many rows. The kernels' loop bodies are
-# written out for four rows.
+# written out for four rows, and `blocks` groups the rows to match.
 BLOCK = 4
 
 
@@ -81,50 +84,62 @@ def interval_dot_lr(w_lo, w_hi, x_lo, x_hi):
     return lo, hi
 
 
-def _padded(rows, width):
-    """rows as a list filled up with zero rows of the given width to a
-    multiple of BLOCK rows."""
-    return [*rows, *[(0.0,) * width] * (-len(rows) % BLOCK)]
+def blocks(*planes):
+    """A run's weights, prepared once, as (rows, blocks).
+
+    planes are the weight rows of each plane, all of one shape: the crisp
+    rows, the low and the high rows, or the kernel and the greyness rows.
+    Their rows are taken BLOCK at a time, the last block filled up with
+    zero rows, and each block is stored as the tuple of its columns:
+    column j holds entry j of the block's rows, plane after plane. rows is
+    the real row count, which the updates activate and return.
+    """
+    rows = len(planes[0])
+    zero = (0.0,) * len(planes[0][0])
+    planes = [[*p, *[zero] * (-rows % BLOCK)] for p in planes]
+    return rows, tuple(tuple(zip(*[row for p in planes for row in p[i:i + BLOCK]]))
+                       for i in range(0, len(planes[0]), BLOCK))
 
 
-def crisp_next(w, a, lam):
+def crisp_next(weights, a, lam):
     """One crisp update of every node, as one tuple plane: out_i =
-    sigmoid(w_i . a), each row summed as by `dot_lr`."""
-    n = len(w)
-    w = _padded(w, len(a))
+    sigmoid(w_i . a), each row summed as by `dot_lr`. weights are the
+    crisp weight rows prepared by `blocks`."""
+    rows, wb = weights
     sums = []
-    for i in range(0, len(w), BLOCK):
+    for block in wb:
         s0 = s1 = s2 = s3 = 0.0
-        for v, w0, w1, w2, w3 in zip(a, *w[i:i + BLOCK]):
+        for v, (w0, w1, w2, w3) in zip(a, block):
             s0 += w0 * v
             s1 += w1 * v
             s2 += w2 * v
             s3 += w3 * v
         sums += s0, s1, s2, s3
-    return (tuple([sigmoid(s, lam) for s in sums[:n]]),)
+    return (tuple([sigmoid(s, lam) for s in sums[:rows]]),)
 
 
-def interval_next(w_lo, w_hi, x_lo, x_hi, lam):
+def interval_next(weights, x_lo, x_hi, lam):
     """One interval update of every node over endpoint planes, as (lo, hi).
+    weights are the low and high weight rows prepared by `blocks`.
 
     A state with a negative x_lo takes the general selection,
-    `interval_dot_lr`, per row. At a state whose x_lo are all >= 0, as
-    after step 0, w * x grows with w, so each end takes one product: the
-    weight's low end times the state end that makes it smallest, its high
-    end times the one that makes it largest. That is `interval_dot_lr`
-    bit for bit.
+    `interval_dot_lr`, per row, each block's rows read back from its
+    columns. At a state whose x_lo are all >= 0, as after step 0, w * x
+    grows with w, so each end takes one product: the weight's low end
+    times the state end that makes it smallest, its high end times the
+    one that makes it largest. That is `interval_dot_lr` bit for bit.
     """
-    n = len(w_lo)
+    rows, wb = weights
+    sums = []
     if min(x_lo) < 0.0:
-        sums = [interval_dot_lr(wl, wh, x_lo, x_hi) for wl, wh in zip(w_lo, w_hi)]
+        for block in wb:
+            w = tuple(zip(*block))
+            sums += [interval_dot_lr(wl, wh, x_lo, x_hi)
+                     for wl, wh in zip(w[:BLOCK], w[BLOCK:])]
     else:
-        w_lo = _padded(w_lo, len(x_lo))
-        w_hi = _padded(w_hi, len(x_lo))
-        sums = []
-        for i in range(0, len(w_lo), BLOCK):
+        for block in wb:
             lo0 = lo1 = lo2 = lo3 = hi0 = hi1 = hi2 = hi3 = 0.0
-            for xl, xh, l0, l1, l2, l3, h0, h1, h2, h3 in zip(
-                    x_lo, x_hi, *w_lo[i:i + BLOCK], *w_hi[i:i + BLOCK]):
+            for xl, xh, (l0, l1, l2, l3, h0, h1, h2, h3) in zip(x_lo, x_hi, block):
                 lo0 += l0 * (xl if l0 >= 0.0 else xh)
                 hi0 += h0 * (xh if h0 >= 0.0 else xl)
                 lo1 += l1 * (xl if l1 >= 0.0 else xh)
@@ -136,14 +151,15 @@ def interval_next(w_lo, w_hi, x_lo, x_hi, lam):
             sums += (lo0, hi0), (lo1, hi1), (lo2, hi2), (lo3, hi3)
     lo_out = []
     hi_out = []
-    for lo, hi in sums[:n]:
+    for lo, hi in sums[:rows]:
         lo_out.append(sigmoid(lo, lam))
         hi_out.append(sigmoid(hi, lam))
     return lo_out, hi_out
 
 
-def kernel_grey_next(w_k, w_g, x_k, x_g, lam):
+def kernel_grey_next(weights, x_k, x_g, lam):
     """One kernel/greyness update of every node, as (kernels, greyness).
+    weights are the kernel and greyness weight rows prepared by `blocks`.
 
     Each kernel sum reads only the kernel planes and accumulates exactly
     as `dot_lr`. Each greyness is the activated kernel times the
@@ -153,14 +169,11 @@ def kernel_grey_next(w_k, w_g, x_k, x_g, lam):
     add only terms >= 0 or -0.0, so they come out the same. The three
     sums of a row (kernel, mass, weighted mass) share one loop.
     """
-    n = len(w_k)
-    w_k = _padded(w_k, len(x_k))
-    w_g = _padded(w_g, len(x_k))
+    rows, wb = weights
     sums = []
-    for i in range(0, len(w_k), BLOCK):
+    for block in wb:
         s0 = s1 = s2 = s3 = d0 = d1 = d2 = d3 = m0 = m1 = m2 = m3 = 0.0
-        for xk, xg, k0, k1, k2, k3, g0, g1, g2, g3 in zip(
-                x_k, x_g, *w_k[i:i + BLOCK], *w_g[i:i + BLOCK]):
+        for xk, xg, (k0, k1, k2, k3, g0, g1, g2, g3) in zip(x_k, x_g, block):
             p = k0 * xk
             s0 += p
             if p < 0.0:
@@ -188,7 +201,7 @@ def kernel_grey_next(w_k, w_g, x_k, x_g, lam):
         sums += (s0, d0, m0), (s1, d1, m1), (s2, d2, m2), (s3, d3, m3)
     k_out = []
     g_out = []
-    for s, denom, num in sums[:n]:
+    for s, denom, num in sums[:rows]:
         k = sigmoid(s, lam)
         k_out.append(k)
         g_out.append(k * (num / denom) if denom > 0.0 else 0.0)

@@ -98,8 +98,11 @@ def number(x):
 
 
 def sequence(x, name, error=DimensionError):
-    """x as a tuple. A value that is no sequence, is bytes-like (items read
-    as ints), a set (hash order) or a mapping (its keys) raises error."""
+    """x as a tuple, a tuple as it is. A value that is no sequence, is
+    bytes-like (items read as ints), a set (hash order) or a mapping (its
+    keys) raises error."""
+    if type(x) is tuple:
+        return x
     if not isinstance(x, (bytes, bytearray, memoryview, set, frozenset, Mapping)):
         try:
             return tuple(x)
@@ -275,7 +278,7 @@ class Family(NamedTuple):
     weight: Callable  # any value -> cell of this family within [-1, 1], or an error
     split: Callable  # cells -> float planes, one per field
     box: Callable  # float planes -> tuple of cells
-    advance: Callable  # (*weight planes, *state planes, lam) -> next planes
+    advance: Callable  # (`_core.blocks` of the weight planes, *state planes, lam) -> next planes
     distance: Callable  # Euclidean distance of two states of equal length
 
 

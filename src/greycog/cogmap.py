@@ -12,13 +12,14 @@ flowing through the update:
 
 Each family's arithmetic is one float-only state update in `_core`; the
 family table in `_family` splits cells into float planes and boxes them
-back. `simulate` builds cells only for the states it records. `fcm_step`
-is the crisp update on tuples; a grey model's is `simulate(m, 1).states[1]`.
+back. `simulate` prepares the weights once per run (`_core.blocks`) and
+builds cells only for the states it records. `fcm_step` is the crisp
+update on tuples; a grey model's is `simulate(m, 1).states[1]`.
 """
 
 from __future__ import annotations
 
-from ._core import crisp_next
+from ._core import blocks, crisp_next
 from ._family import (FAMILIES, FAMILY, Record, at_least, matrix, number, positive, sequence,
                       vector)
 from .errors import (
@@ -79,13 +80,25 @@ class Model(Record):
         return len(self.node_names)
 
 
+def _state(s):
+    """A trajectory state as a tuple by `_family.sequence`, a tuple as it
+    is; a str is refused, not read as characters."""
+    if type(s) is tuple:
+        return s
+    if isinstance(s, str):
+        raise ValidationError("a state must be a sequence, got str")
+    return sequence(s, "a state", ValidationError)
+
+
 class Trajectory(Record):
-    """Recorded state sequence of one simulation, initial state included."""
+    """Recorded state sequence of one simulation, initial state included.
+    states, and each state (see `_state`), are read by `_family.sequence`:
+    a value that is no sequence raises ValidationError."""
 
     __slots__ = __match_args__ = ("family", "states")
 
     def __init__(self, family, states):
-        states = tuple(tuple(s) for s in states)
+        states = vector(states, _state, "states", ValidationError)
         if family not in FAMILIES:
             raise ValidationError(f"unknown family {family!r}")
         if len(states) < 1:
@@ -109,7 +122,7 @@ def fcm_step(w, a, lam: float):
     a = vector(a, number, "a")
     if len(w[0]) != len(a):
         raise DimensionError("weight row length does not match state length")
-    return crisp_next(w, a, lam)[0]
+    return crisp_next(blocks(w), a, lam)[0]
 
 
 def simulate(m: Model, steps: int) -> Trajectory:
@@ -131,12 +144,12 @@ def simulate(m: Model, steps: int) -> Trajectory:
     at_least(steps, 1, InvalidParameterError, "steps")
     fam = FAMILY[m.family]
     split, advance, box = fam.split, fam.advance, fam.box
-    w_planes = tuple(zip(*map(split, m.weights)))
+    weights = blocks(*zip(*map(split, m.weights)))
     x_planes = split(m.initial)
     states = [m.initial]
     seen = {}
     for t in range(1, steps + 1):
-        x_planes = advance(*w_planes, *x_planes, m.lam)
+        x_planes = advance(weights, *x_planes, m.lam)
         first = seen.setdefault(tuple(map(tuple, x_planes)), t)
         if first != t:
             period = t - first

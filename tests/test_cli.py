@@ -549,6 +549,38 @@ def test_cli_import_does_not_load_dataclasses_or_inspect():
     assert proc.stdout.decode().strip() == "[]"
 
 
+# A caller that replays CLI calls in-process under redirect_stdout prints
+# its own result after them, so the package may write to no stdout but
+# the one in effect at call time, during the call or at interpreter exit.
+REDIRECTED_CALLS = """
+import contextlib, io, json, sys
+from greycog import cli
+model, out_dir, result = sys.argv[1:]
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    codes = [cli.main(["check", "--model", model]),
+             cli.main(["sweep", "--model", model, "--lambdas", "0.5,1", "--out-dir", out_dir])]
+with open(result, "w") as fh:
+    json.dump({"codes": codes, "stdout": buf.getvalue()}, fh)
+"""
+
+
+def test_a_redirected_cli_call_writes_only_to_the_redirected_stdout(tmp_path):
+    model = export(tmp_path, "web_fggcm")
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", REDIRECTED_CALLS, model, str(tmp_path / "sweep"), str(result)],
+        capture_output=True, env=SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b""
+    got = json.loads(result.read_text())
+    assert got["codes"] == [0, 0]
+    report = json.loads(got["stdout"])  # check's report, and nothing after it
+    assert report["model"] == "web_fggcm" and report["family"] == "fggcm"
+    assert (tmp_path / "sweep" / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("family", ["fcm", "fgcm", "fggcm"])
 def test_check_oversized_initial_integer_is_a_parse_error(tmp_path, capsys, family):
     path = tmp_path / "big.json"

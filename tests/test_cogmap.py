@@ -8,7 +8,7 @@ import struct
 import pytest
 
 import greycog as gc
-from greycog import _core
+from greycog import _core, cogmap
 from greycog._family import FAMILY
 from conftest import (
     FCM_FIRST_05,
@@ -163,9 +163,31 @@ def test_each_update_activates_and_returns_exactly_the_real_rows(family, n, monk
         return sigmoid(*args)
 
     monkeypatch.setattr(_core, "sigmoid", counting)
-    planes = fam.advance(*zip(*map(fam.split, weights)), *fam.split(state), 1.0)
+    planes = fam.advance(_core.blocks(*zip(*map(fam.split, weights))), *fam.split(state), 1.0)
     assert len(calls) == SIGMOIDS_PER_ROW[family] * n
     assert [len(p) for p in planes] == [n] * len(fam.fields)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 200])
+def test_the_weights_are_prepared_once_per_run_and_per_fcm_step(steps, monkeypatch):
+    # The weights do not change during a run: `simulate` builds their
+    # blocks once, whatever the horizon, and `fcm_step` once per call.
+    calls = []
+
+    def counting(*planes):
+        calls.append(None)
+        return _core.blocks(*planes)
+
+    monkeypatch.setattr(cogmap, "blocks", counting)
+    for variant in ("web_fcm", "web_fgcm", "web_fggcm"):
+        calls.clear()
+        gc.simulate(gc.build(variant, 5.0), steps)
+        assert len(calls) == 1, variant
+    m = gc.build("web_fcm", 5.0)
+    calls.clear()
+    for _ in range(steps):
+        gc.fcm_step(m.weights, m.initial, m.lam)
+    assert len(calls) == steps
 
 
 def test_interval_run_rejects_an_overflowing_dot_product():
@@ -269,8 +291,18 @@ def test_model_rejects_a_float_cell_in_a_grey_family(family, match):
     ("fuzzy", ((0.5,),), "unknown family"),
     ("fcm", (), "at least the initial state"),
     ("fcm", ((0.5,), (0.5, 0.5)), "ragged"),
-], ids=["unknown family", "no states", "ragged"])
+    ("fcm", [1.0, 2.0], r"states\[1\]: a state must be a sequence, got float"),
+    ("fcm", None, "states must be a sequence, got NoneType"),
+    ("fcm", "ab", r"states\[1\]: a state must be a sequence, got str"),
+    ("fcm", [b"ab"], r"states\[1\]: a state must be a sequence, got bytes"),
+    ("fcm", [(0.5,), {"a": 1}], r"states\[2\]: a state must be a sequence, got dict"),
+    ("fcm", [{0.5, 0.25}], r"states\[1\]: a state must be a sequence, got set"),
+], ids=["unknown family", "no states", "ragged", "numbers", "None", "str", "bytes state",
+        "dict state", "set state"])
 def test_trajectory_rejects_a_bad_family_or_state_list(family, states, match):
+    # States are read by the one sequence rule, as a Model's rows are: a
+    # state list or a state that is no sequence raises ValidationError,
+    # and a str, bytes, set or mapping is refused, not read item by item.
     with pytest.raises(gc.ValidationError, match=match):
         gc.Trajectory(family, states)
 

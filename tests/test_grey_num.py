@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from greycog import Ggn, GreyUnion, Ign, MalformedInputError, ggn_from_union
-from greycog._core import kernel_grey_next
+from greycog._core import blocks, kernel_grey_next
 from conftest import CASE2_REDUCED
 
 from greycog.corpus import CASE2_UNIONS
@@ -15,8 +15,8 @@ from greycog.corpus import CASE2_UNIONS
 
 def row_update(w_row, a, lam):
     """The engine's update of one node, from cells to a cell."""
-    (k,), (g,) = kernel_grey_next([[w.kernel for w in w_row]], [[w.greyness for w in w_row]],
-                                  [x.kernel for x in a], [x.greyness for x in a], lam)
+    weights = blocks([[w.kernel for w in w_row]], [[w.greyness for w in w_row]])
+    (k,), (g,) = kernel_grey_next(weights, [x.kernel for x in a], [x.greyness for x in a], lam)
     return Ggn(k, g)
 
 

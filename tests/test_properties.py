@@ -12,7 +12,8 @@ import struct
 from hypothesis import assume, given, settings, strategies as st
 
 import greycog as gc
-from greycog._core import crisp_next, dot_lr, interval_dot_lr, kernel_grey_next, sigmoid
+from greycog._core import (blocks, crisp_next, dot_lr, interval_dot_lr, kernel_grey_next,
+                           sigmoid)
 from greycog._family import FAMILY
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
@@ -61,8 +62,8 @@ def activate(cell, lam):
 
 def row_update(w, a, lam):
     """The kernel/greyness engine's update of one node, from cells to a cell."""
-    (k,), (g,) = kernel_grey_next([[c.kernel for c in w]], [[c.greyness for c in w]],
-                                  [c.kernel for c in a], [c.greyness for c in a], lam)
+    weights = blocks([[c.kernel for c in w]], [[c.greyness for c in w]])
+    (k,), (g,) = kernel_grey_next(weights, [c.kernel for c in a], [c.greyness for c in a], lam)
     return gc.Ggn(k, g)
 
 
@@ -176,10 +177,10 @@ def test_kernel_grey_update_equals_the_row_by_row_reference(rows, cols, data, la
               data.draw(vec(vec(tied_grey, cols), rows)),
               data.draw(vec(zero_or_unit, cols)),
               data.draw(vec(tied_grey, cols)))
-    got = kernel_grey_next(*planes, lam)
+    got = kernel_grey_next(blocks(*planes[:2]), *planes[2:], lam)
     want = kernel_grey_reference(*planes, lam)
     assert [list(map(bits, p)) for p in got] == [list(map(bits, p)) for p in want]
-    (crisp,) = crisp_next(planes[0], planes[2], lam)
+    (crisp,) = crisp_next(blocks(planes[0]), planes[2], lam)
     assert list(map(bits, crisp)) == [bits(sigmoid(dot_lr(row, planes[2]), lam))
                                       for row in planes[0]]
 
