@@ -7,16 +7,19 @@ do not change during a run, so `blocks` prepares them once: BLOCK rows at
 a time, the last block filled with zero rows, each block stored as the
 tuple of its columns. An update zips the state planes with a block,
 reading a state value and one column tuple per step, and keeps one
-accumulator per row and quantity; the zero rows are neither activated
-nor returned. The interval update multiplies by endpoint selection: at a
-state whose x_lo are all >= 0, as after step 0, one product per end in
-the blocked loop, else `interval_dot_lr` per row. Every row is still
-summed left to right in the order of `dot_lr`, so degenerate cases
-coincide bitwise: a kernel/greyness map with zero greyness, an interval
-map with zero-width intervals, and the crisp map all produce identical
-floating point trajectories. Every sum is a `+=` loop: `sum`
-(compensated since CPython 3.12), `fsum`, `sumprod` and `reduce` would
-tie the bits to the interpreter.
+accumulator per row and quantity, gathering each quantity's sums in its
+own list. `sigmoids` then activates a plane's real rows in one call, so
+the logistic and its finite guard are written once, and every update
+returns tuple planes; the zero rows are neither activated nor returned.
+The interval update multiplies by endpoint selection: at a state whose
+x_lo are all >= 0, as after step 0, one product per end in the blocked
+loop, else `interval_dot_lr` per row. Every row is still summed left to
+right in the order of `dot_lr`, so degenerate cases coincide bitwise:
+a kernel/greyness map with zero greyness, an interval map with
+zero-width intervals, and the crisp map all produce identical floating
+point trajectories. Every sum is a `+=` loop: `sum` (compensated since
+CPython 3.12), `fsum`, `sumprod` and `reduce` would tie the bits to the
+interpreter.
 """
 
 import math
@@ -29,20 +32,27 @@ from .errors import MalformedInputError
 BLOCK = 4
 
 
-def sigmoid(x, lam):
-    """Logistic activation 1 / (1 + exp(-lam * x)).
+def sigmoids(xs, lam):
+    """The logistic activation 1 / (1 + exp(-lam * x)) of every x in xs,
+    as a tuple plane: one call per plane, not per value.
 
     Two-branch form: never exponentiates a large positive argument, so it
     cannot overflow for any finite x. A non-finite x is an overflowed row
-    sum, which the logistic would silently clip to 0 or 1, so it raises.
+    sum, which the logistic would silently clip to 0 or 1, so the first
+    one raises.
     """
-    if not math.isfinite(x):
-        raise MalformedInputError(f"activation input must be finite, got {x}")
-    z = lam * x
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+    exp, isfinite = math.exp, math.isfinite
+    out = []
+    for x in xs:
+        if not isfinite(x):
+            raise MalformedInputError(f"activation input must be finite, got {x}")
+        z = lam * x
+        if z >= 0.0:
+            out.append(1.0 / (1.0 + exp(-z)))
+        else:
+            e = exp(z)
+            out.append(e / (1.0 + e))
+    return tuple(out)
 
 
 def dot_lr(weights, values):
@@ -102,9 +112,10 @@ def blocks(*planes):
 
 
 def crisp_next(weights, a, lam):
-    """One crisp update of every node, as one tuple plane: out_i =
-    sigmoid(w_i . a), each row summed as by `dot_lr`. weights are the
-    crisp weight rows prepared by `blocks`."""
+    """One crisp update of every node, as (plane,): out_i =
+    sigmoid(w_i . a), each row summed as by `dot_lr` and the real rows'
+    sums activated by one `sigmoids` call. weights are the crisp weight
+    rows prepared by `blocks`."""
     rows, wb = weights
     sums = []
     for block in wb:
@@ -115,12 +126,14 @@ def crisp_next(weights, a, lam):
             s2 += w2 * v
             s3 += w3 * v
         sums += s0, s1, s2, s3
-    return (tuple([sigmoid(s, lam) for s in sums[:rows]]),)
+    return (sigmoids(sums[:rows], lam),)
 
 
 def interval_next(weights, x_lo, x_hi, lam):
-    """One interval update of every node over endpoint planes, as (lo, hi).
-    weights are the low and high weight rows prepared by `blocks`.
+    """One interval update of every node over endpoint planes, as (lo, hi)
+    tuple planes: each end's real row sums gathered in one list and
+    activated by one `sigmoids` call. weights are the low and high weight
+    rows prepared by `blocks`.
 
     A state with a negative x_lo takes the general selection,
     `interval_dot_lr`, per row, each block's rows read back from its
@@ -130,12 +143,15 @@ def interval_next(weights, x_lo, x_hi, lam):
     one that makes it largest. That is `interval_dot_lr` bit for bit.
     """
     rows, wb = weights
-    sums = []
+    los = []
+    his = []
     if min(x_lo) < 0.0:
         for block in wb:
             w = tuple(zip(*block))
-            sums += [interval_dot_lr(wl, wh, x_lo, x_hi)
-                     for wl, wh in zip(w[:BLOCK], w[BLOCK:])]
+            for wl, wh in zip(w[:BLOCK], w[BLOCK:]):
+                lo, hi = interval_dot_lr(wl, wh, x_lo, x_hi)
+                los.append(lo)
+                his.append(hi)
     else:
         for block in wb:
             lo0 = lo1 = lo2 = lo3 = hi0 = hi1 = hi2 = hi3 = 0.0
@@ -148,18 +164,15 @@ def interval_next(weights, x_lo, x_hi, lam):
                 hi2 += h2 * (xh if h2 >= 0.0 else xl)
                 lo3 += l3 * (xl if l3 >= 0.0 else xh)
                 hi3 += h3 * (xh if h3 >= 0.0 else xl)
-            sums += (lo0, hi0), (lo1, hi1), (lo2, hi2), (lo3, hi3)
-    lo_out = []
-    hi_out = []
-    for lo, hi in sums[:rows]:
-        lo_out.append(sigmoid(lo, lam))
-        hi_out.append(sigmoid(hi, lam))
-    return lo_out, hi_out
+            los += lo0, lo1, lo2, lo3
+            his += hi0, hi1, hi2, hi3
+    return sigmoids(los[:rows], lam), sigmoids(his[:rows], lam)
 
 
 def kernel_grey_next(weights, x_k, x_g, lam):
-    """One kernel/greyness update of every node, as (kernels, greyness).
-    weights are the kernel and greyness weight rows prepared by `blocks`.
+    """One kernel/greyness update of every node, as (kernels, greyness)
+    tuple planes. weights are the kernel and greyness weight rows prepared
+    by `blocks`.
 
     Each kernel sum reads only the kernel planes and accumulates exactly
     as `dot_lr`. Each greyness is the activated kernel times the
@@ -167,10 +180,14 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     greyness); with zero kernel mass it is 0. The sign flip stands in for
     abs(p): it leaves -0.0 as it is, but the mass sums start at +0.0 and
     add only terms >= 0 or -0.0, so they come out the same. The three
-    sums of a row (kernel, mass, weighted mass) share one loop.
+    sums of a row (kernel, mass, weighted mass) share one loop, and each
+    is gathered in its own list; the real rows' kernel sums are activated
+    by one `sigmoids` call.
     """
     rows, wb = weights
     sums = []
+    masses = []
+    weighted = []
     for block in wb:
         s0 = s1 = s2 = s3 = d0 = d1 = d2 = d3 = m0 = m1 = m2 = m3 = 0.0
         for xk, xg, (k0, k1, k2, k3, g0, g1, g2, g3) in zip(x_k, x_g, block):
@@ -198,11 +215,9 @@ def kernel_grey_next(weights, x_k, x_g, lam):
                 p = -p
             d3 += p
             m3 += (xg if xg > g3 else g3) * p
-        sums += (s0, d0, m0), (s1, d1, m1), (s2, d2, m2), (s3, d3, m3)
-    k_out = []
-    g_out = []
-    for s, denom, num in sums[:rows]:
-        k = sigmoid(s, lam)
-        k_out.append(k)
-        g_out.append(k * (num / denom) if denom > 0.0 else 0.0)
-    return k_out, g_out
+        sums += s0, s1, s2, s3
+        masses += d0, d1, d2, d3
+        weighted += m0, m1, m2, m3
+    kernels = sigmoids(sums[:rows], lam)
+    return kernels, tuple([k * (num / denom) if denom > 0.0 else 0.0
+                           for k, denom, num in zip(kernels, masses, weighted)])

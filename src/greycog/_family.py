@@ -22,7 +22,11 @@ used: importing it loads `inspect` (with `ast`, `dis` and `tokenize`),
 and it compiles each generated method when a class is made, which
 together took most of the time of `import greycog.cli`. `simulate`
 builds one cell per computed cell, so `Ign` and `Ggn` set their two
-slots through the slots' own setters.
+slots through the slots' own setters. A grey family's `box` builds its
+cells in one loop with those setters, without a constructor call: it
+tests each pair of floats against the constructor's invariant (both
+finite; lo <= hi, or greyness >= 0) and, at the first pair that fails,
+boxes the planes through the constructor, which raises its usual error.
 
 Plain floating point, no outward rounding. At the scale this package
 targets (desk-size maps, |values| <= a few units) the representation error
@@ -214,6 +218,7 @@ class Ggn(Record):
         _set_greyness(self, greyness)
 
 
+_new = object.__new__
 _set_lo, _set_hi = Ign.lo.__set__, Ign.hi.__set__
 _set_kernel, _set_greyness = Ggn.kernel.__set__, Ggn.greyness.__set__
 
@@ -277,7 +282,7 @@ class Family(NamedTuple):
     cell: Callable  # any value -> cell of this family, or an error
     weight: Callable  # any value -> cell of this family within [-1, 1], or an error
     split: Callable  # cells -> float planes, one per field
-    box: Callable  # float planes -> tuple of cells
+    box: Callable  # float planes -> tuple of cells, each checked as its constructor checks it
     advance: Callable  # (`_core.blocks` of the weight planes, *state planes, lam) -> next planes
     distance: Callable  # Euclidean distance of two states of equal length
 
@@ -342,7 +347,16 @@ def _interval_split(cells):
 
 
 def _interval_box(planes):
-    return tuple(map(Ign, *planes))
+    inf = math.inf
+    cells = []
+    for lo, hi in zip(*planes):
+        if not -inf < lo <= hi < inf:
+            return tuple(map(Ign, *planes))
+        cell = _new(Ign)
+        _set_lo(cell, lo)
+        _set_hi(cell, hi)
+        cells.append(cell)
+    return tuple(cells)
 
 
 def _interval_dist(a, b) -> float:
@@ -384,7 +398,16 @@ def _grey_split(cells):
 
 
 def _grey_box(planes):
-    return tuple(map(Ggn, *planes))
+    inf = math.inf
+    cells = []
+    for kernel, greyness in zip(*planes):
+        if not (-inf < kernel < inf and 0.0 <= greyness < inf):
+            return tuple(map(Ggn, *planes))
+        cell = _new(Ggn)
+        _set_kernel(cell, kernel)
+        _set_greyness(cell, greyness)
+        cells.append(cell)
+    return tuple(cells)
 
 
 def _grey_dist(a, b) -> float:

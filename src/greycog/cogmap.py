@@ -130,16 +130,18 @@ def simulate(m: Model, steps: int) -> Trajectory:
 
     Returns the full state history: steps + 1 states, the initial one
     first. Deterministic; identical inputs give bitwise identical output.
-    The engine iterates float planes and boxes each computed state into
-    cells, so every computed cell passes its constructor's checks. A row
-    sum that overflows raises MalformedInputError.
+    The engine iterates tuple float planes and boxes each computed state
+    into cells; each computed cell satisfies its constructor's checks,
+    tested per value as it is built. A row sum that overflows raises
+    MalformedInputError.
 
     Computing stops at the first exact repeat: the update is a pure
     function of the float planes, so once a computed state equals the one
     P steps back, the P-cycle of recorded states is copied up to the
     horizon and the trajectory is unchanged. Only computed states are
-    matched; they are sigmoid outputs, finite and never -0.0, so float
-    equality is bit equality there, while the initial state may hold -0.0.
+    matched, keyed on the update's own tuple planes; they are sigmoid
+    outputs, finite and never -0.0, so float equality is bit equality
+    there, while the initial state may hold -0.0.
     """
     at_least(steps, 1, InvalidParameterError, "steps")
     fam = FAMILY[m.family]
@@ -150,7 +152,7 @@ def simulate(m: Model, steps: int) -> Trajectory:
     seen = {}
     for t in range(1, steps + 1):
         x_planes = advance(weights, *x_planes, m.lam)
-        first = seen.setdefault(tuple(map(tuple, x_planes)), t)
+        first = seen.setdefault(x_planes, t)
         if first != t:
             period = t - first
             while len(states) <= steps:

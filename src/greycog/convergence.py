@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ._core import dot_lr, sigmoid
+from ._core import dot_lr, sigmoids
 from ._family import FAMILY, Record, matrix, number, positive, vector
 from .cogmap import Model, Trajectory
 from .dynamics import Classification
@@ -175,7 +175,7 @@ def _condition_rows(w, a_hat, a_grey, lam):
             denom += share
         if denom <= 0.0:
             raise DegenerateRowError(i)
-        a_prime = sigmoid(dot_lr(kernels, a_hat), lam)
+        a_prime = sigmoids((dot_lr(kernels, a_hat),), lam)[0]
         if a_grey is None:
             out.append(tuple(a_prime * share / denom for share in shares))
         else:

@@ -315,7 +315,7 @@ def test_criterion_7_interval_containment():
     order as the interval engine; rounding is monotone, so containment
     must be exact rather than approximate.
     """
-    from greycog._core import interval_dot_lr, sigmoid
+    from greycog._core import interval_dot_lr, sigmoids
 
     rnd = random.Random(7119)
 
@@ -343,7 +343,7 @@ def test_criterion_7_interval_containment():
                 s += x * y
             assert box.lo <= s <= box.hi
             t = rnd.uniform(box.lo, box.hi)
-            member = sigmoid(t, lam)
+            member = sigmoids([t], lam)[0]
             assert sbox.lo <= member <= sbox.hi
             checks += 2
     print(f"criterion 7: PASS - {checks} member samples stayed inside "

@@ -190,16 +190,26 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def number_rule_sites(node, where="<module>"):
-    """The functions, by name, that call isfinite or test isinstance(...,
-    bool): the checks `_family`'s number rules own."""
+    """The functions, by name, that refer to isfinite (as a bare name, an
+    attribute or an import, so an alias of it is seen where it is made) or
+    test isinstance(..., bool): the checks `_family`'s number rules own."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         where = node.name
-    if isinstance(node, ast.Call):
-        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+    if isinstance(node, ast.Name):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [a.name.split(".")[-1] for a in node.names]
+    else:
+        names = []
+    if "isfinite" in names:
+        yield where
+    if (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "isinstance"):
         types = node.args[1:2]
         types = types[0].elts if types and isinstance(types[0], ast.Tuple) else types
-        if name == "isfinite" or (name == "isinstance" and any(
-                isinstance(t, ast.Name) and t.id == "bool" for t in types)):
+        if any(isinstance(t, ast.Name) and t.id == "bool" for t in types):
             yield where
     for child in ast.iter_child_nodes(node):
         yield from number_rule_sites(child, where)
@@ -212,8 +222,13 @@ def test_only_the_family_module_writes_a_number_rule():
              for where in number_rule_sites(ast.parse(p.read_text()))}
     own = {where for name, where in found if name == "_family.py"}
     assert {"is_number", "finite", "at_least"} <= own
-    # sigmoid's guard is no number rule: it reports an overflowed row sum.
-    assert {site for site in found if site[0] != "_family.py"} <= {("_core.py", "sigmoid")}
+    # sigmoids' guard is no number rule: it reports an overflowed row sum.
+    assert {site for site in found if site[0] != "_family.py"} <= {("_core.py", "sigmoids")}
+    # An alias of isfinite is seen where it is made, whatever it is called.
+    probe = ("import math\nfrom math import isfinite as fin\n_isfinite = math.isfinite\n"
+             "def f(x):\n    return _isfinite(x) or fin(x)\n"
+             "def g(x):\n    return isinstance(x, (int, bool))\n")
+    assert sorted(number_rule_sites(ast.parse(probe))) == ["<module>", "<module>", "g"]
 
 
 def caught_names(source):

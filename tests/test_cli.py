@@ -110,6 +110,40 @@ def test_dense_interval_trajectory_csvs_are_pinned(tmp_path, negative):
     assert hashlib.md5(traj.read_bytes()).hexdigest() == DENSE_FGCM_MD5[negative]
 
 
+def survey_docs(seed):
+    """A seeded n=12 fcm model document at lambda 5 and its fggcm twin,
+    whose kernels are the crisp weights, each weight given a greyness in
+    [0, 0.05]: the first map perfbench's regime_survey draws for seed."""
+    rng = random.Random(seed)
+    n = 12
+    w = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+    initial = [rng.uniform(0.0, 1.0) for _ in range(n)]
+    grey = [[{"kernel": x, "greyness": rng.uniform(0.0, 0.05)} for x in row] for row in w]
+    base = {"lambda": 5.0, "nodes": [f"N{i + 1}" for i in range(n)], "initial": initial}
+    return dict(base, family="fcm", weights=w), dict(base, family="fggcm", weights=grey)
+
+
+# md5 of `simulate --steps 200` on each survey_docs pair, fcm then fggcm.
+# Seed 26 runs a chaotic tail with activations within 2e-10 of 1; seed 12
+# is a fixed point whose kernels repeat exactly from step 31 while the
+# greyness moves on until step 116.
+SURVEY_MD5 = {26: ("ff8b3538b782587604a1d0e48d358646", "5dc12f73bcaf9992afcab19106546fc2"),
+              12: ("e9823d6d30c2d4f07ba1b19feca6fc1d", "fe2fe3a55eae8cc9abdbe56a44fa444a")}
+
+
+@pytest.mark.parametrize("seed", sorted(SURVEY_MD5))
+def test_survey_map_trajectory_csvs_are_pinned(tmp_path, seed):
+    got = []
+    for doc in survey_docs(seed):
+        model = tmp_path / f"{doc['family']}.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        traj = tmp_path / f"{doc['family']}.csv"
+        assert main(["simulate", "--model", str(model), "--steps", "200",
+                     "--out", str(traj)]) == 0
+        got.append(hashlib.md5(traj.read_bytes()).hexdigest())
+    assert tuple(got) == SURVEY_MD5[seed]
+
+
 def write_rows_oracle(path, model, traj):
     """The trajectory CSV as a csv.writer row loop writes it: the bytes
     cli._write_trajectory assembles by hand must equal these."""

@@ -111,9 +111,23 @@ def test_simulate_rejects_zero_steps(web_fcm_05):
         gc.simulate(web_fcm_05, 0)
 
 
-# Every row update activates its sums through `_core.sigmoid`: once in
-# fcm and fggcm, once per endpoint in fgcm.
+# Every update activates its row sums through `_core.sigmoids`, one value
+# per row: once in fcm and fggcm, once per endpoint in fgcm.
 SIGMOIDS_PER_ROW = {"fcm": 1, "fgcm": 2, "fggcm": 1}
+
+
+def count_activations(monkeypatch):
+    """A list that grows by one entry per value `_core.sigmoids` activates."""
+    sigmoids = _core.sigmoids
+    calls = []
+
+    def counting(xs, lam):
+        xs = list(xs)
+        calls.extend([None] * len(xs))
+        return sigmoids(xs, lam)
+
+    monkeypatch.setattr(_core, "sigmoids", counting)
+    return calls
 
 
 @pytest.mark.parametrize("variant", ["web_fcm", "web_fgcm", "web_fggcm"])
@@ -121,14 +135,7 @@ def test_simulate_stops_computing_at_the_first_exact_repeat(variant, monkeypatch
     # At lambda 0.5 the web map is a contraction in every family, so the
     # float iteration lands on an exact fixed point long before T=1000.
     m = gc.build(variant, 0.5)
-    sigmoid = _core.sigmoid
-    calls = []
-
-    def counting(*args):
-        calls.append(None)
-        return sigmoid(*args)
-
-    monkeypatch.setattr(_core, "sigmoid", counting)
+    calls = count_activations(monkeypatch)
     traj = gc.simulate(m, 1000)
     per_row = SIGMOIDS_PER_ROW[m.family]
     assert len(calls) % per_row == 0
@@ -155,14 +162,7 @@ def test_each_update_activates_and_returns_exactly_the_real_rows(family, n, monk
     cell = CELL[family]
     weights = [[cell(rng.uniform(-0.5, 0.5)) for _ in range(n)] for _ in range(n)]
     state = [cell(rng.uniform(0.0, 0.5)) for _ in range(n)]
-    sigmoid = _core.sigmoid
-    calls = []
-
-    def counting(*args):
-        calls.append(None)
-        return sigmoid(*args)
-
-    monkeypatch.setattr(_core, "sigmoid", counting)
+    calls = count_activations(monkeypatch)
     planes = fam.advance(_core.blocks(*zip(*map(fam.split, weights))), *fam.split(state), 1.0)
     assert len(calls) == SIGMOIDS_PER_ROW[family] * n
     assert [len(p) for p in planes] == [n] * len(fam.fields)

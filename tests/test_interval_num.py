@@ -139,7 +139,7 @@ def test_one_product_per_end_is_the_four_product_min_max_bit_for_bit(terms):
     planes = ([w[0] for w, _ in terms], [w[1] for w, _ in terms],
               [x[0] for _, x in terms], [x[1] for _, x in terms])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_core, "sigmoid", lambda s, lam: s)
+        mp.setattr(_core, "sigmoids", lambda xs, lam: list(xs))
         (lo,), (hi,) = _core.interval_next(_core.blocks([planes[0]], [planes[1]]), *planes[2:],
                                            1.0)
     assert bits((lo, hi)) == bits(four_product_dot(*planes))
@@ -164,7 +164,7 @@ def test_each_step_sums_each_row_as_the_four_product_search(case):
         return interval_dot_lr(*planes)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_core, "sigmoid", lambda s, lam: s)
+        mp.setattr(_core, "sigmoids", lambda xs, lam: list(xs))
         mp.setattr(_core, "interval_dot_lr", spy)
         lo, hi = _core.interval_next(_core.blocks(w_lo, w_hi), x_lo, x_hi, 1.0)
     assert bool(general) == (min(x_lo) < 0.0)

@@ -9,11 +9,12 @@ import json
 import math
 import struct
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import greycog as gc
 from greycog._core import (blocks, crisp_next, dot_lr, interval_dot_lr, kernel_grey_next,
-                           sigmoid)
+                           sigmoids)
 from greycog._family import FAMILY
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
@@ -87,7 +88,7 @@ def test_interval_dot_contains_every_member_dot(pairs):
 def test_interval_sigmoid_contains_every_member_value(cell, f, lam):
     out = activate(cell, lam)
     t = min(max(cell.lo + f * (cell.hi - cell.lo), cell.lo), cell.hi)
-    assert out.lo <= sigmoid(t, lam) <= out.hi
+    assert out.lo <= sigmoids([t], lam)[0] <= out.hi
 
 
 @given(interval_s(), lam_s)
@@ -101,7 +102,7 @@ def test_row_update_kernel_is_the_crisp_update(n, data, lam):
     w = data.draw(vec(ggn_s(), n))
     a = data.draw(vec(ggn_s(), n))
     out = row_update(w, a, lam)
-    crisp = sigmoid(dot_lr([c.kernel for c in w], [c.kernel for c in a]), lam)
+    crisp = sigmoids([dot_lr([c.kernel for c in w], [c.kernel for c in a])], lam)[0]
     assert out.kernel == crisp
 
 
@@ -157,7 +158,7 @@ def kernel_grey_reference(w_k, w_g, x_k, x_g, lam):
             s += wk * xk
             denom += abs(wk * xk)
             num += max(wg, xg) * abs(wk * xk)
-        k = sigmoid(s, lam)
+        k = sigmoids([s], lam)[0]
         kernels.append(k)
         greyness.append(k * (num / denom) if denom > 0.0 else 0.0)
     return kernels, greyness
@@ -181,8 +182,94 @@ def test_kernel_grey_update_equals_the_row_by_row_reference(rows, cols, data, la
     want = kernel_grey_reference(*planes, lam)
     assert [list(map(bits, p)) for p in got] == [list(map(bits, p)) for p in want]
     (crisp,) = crisp_next(blocks(planes[0]), planes[2], lam)
-    assert list(map(bits, crisp)) == [bits(sigmoid(dot_lr(row, planes[2]), lam))
+    assert list(map(bits, crisp)) == [bits(sigmoids([dot_lr(row, planes[2])], lam)[0])
                                       for row in planes[0]]
+
+
+def logistic(x, lam):
+    """The engines' activation of one value, its two branches written out."""
+    z = lam * x
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+# Any finite float, often one of the edge values: signed zeros, the
+# smallest subnormals and normal, the largest magnitudes used.
+edge_s = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                          -1e-310, 1e308, -1e308, 1.7976931348623157e308])
+finite_s = st.one_of(edge_s, st.floats(allow_nan=False, allow_infinity=False, width=64))
+# Several steepnesses, some so large that lam * x overflows to +-inf.
+steep_any_s = st.one_of(st.sampled_from([0.01, 0.5, 1.0, 5.0, 1e6]), lam_s,
+                        st.floats(min_value=1e-300, max_value=1e300))
+non_finite_s = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300)
+@given(st.lists(finite_s, max_size=12), steep_any_s)
+def test_sigmoids_is_the_two_branch_logistic_bit_for_bit(xs, lam):
+    got = sigmoids(xs, lam)
+    assert type(got) is tuple
+    assert list(map(bits, got)) == [bits(logistic(x, lam)) for x in xs]
+
+
+@given(st.lists(finite_s, max_size=12), st.data(), non_finite_s, non_finite_s, steep_any_s)
+def test_sigmoids_raises_at_the_first_non_finite_value(xs, data, bad, later, lam):
+    # A second non-finite value after the first must not be the one named.
+    i = data.draw(st.integers(0, len(xs)))
+    j = data.draw(st.integers(i + 1, len(xs) + 1))
+    plane = xs[:i] + [bad] + xs[i:]
+    plane.insert(j, later)
+    with pytest.raises(gc.MalformedInputError) as got:
+        sigmoids(plane, lam)
+    assert str(got.value) == f"activation input must be finite, got {bad}"
+
+
+def cells_bits(cells):
+    """Each cell's class and the bits of each of its fields."""
+    return [(type(c), *(bits(getattr(c, f)) for f in c.__match_args__)) for c in cells]
+
+
+CELL_CLASS = {"fgcm": gc.Ign, "fggcm": gc.Ggn}
+ordered_pair_s = st.one_of(
+    finite_s.map(lambda x: (x, x)),
+    st.tuples(finite_s, finite_s).map(lambda p: tuple(sorted(p))),
+    st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-5e-324, 5e-324)]))
+grey_pair_s = st.tuples(finite_s, st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324]), st.floats(min_value=0.0, allow_infinity=False)))
+GOOD_PAIR = {"fgcm": ordered_pair_s, "fggcm": grey_pair_s}
+# One value that the family's constructor refuses, in either field.
+BAD_PAIR = {
+    "fgcm": st.sampled_from([(0.5, 0.25), (math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan),
+                             (-math.inf, 0.5), (0.5, math.inf), (math.inf, math.inf),
+                             (-math.inf, -math.inf), (1e308, -1e308)]),
+    "fggcm": st.sampled_from([(0.5, -0.25), (0.5, -5e-324), (math.nan, 0.1), (0.5, math.nan),
+                              (math.inf, 0.1), (-math.inf, 0.1), (0.5, math.inf),
+                              (0.5, -math.inf)]),
+}
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["fgcm", "fggcm"]), st.data())
+def test_each_grey_box_is_its_constructor_map(family, data):
+    pairs = data.draw(st.lists(GOOD_PAIR[family], max_size=12))
+    planes = tuple(map(tuple, zip(*pairs))) or ((), ())
+    got = FAMILY[family].box(planes)
+    assert type(got) is tuple
+    assert cells_bits(got) == cells_bits(tuple(map(CELL_CLASS[family], *planes)))
+
+
+@given(st.sampled_from(["fgcm", "fggcm"]), st.data())
+def test_each_grey_box_raises_its_constructor_error_at_a_bad_value(family, data):
+    pairs = data.draw(st.lists(GOOD_PAIR[family], max_size=12))
+    pairs.insert(data.draw(st.integers(0, len(pairs))), data.draw(BAD_PAIR[family]))
+    planes = tuple(map(tuple, zip(*pairs)))
+    with pytest.raises(gc.MalformedInputError) as want:
+        tuple(map(CELL_CLASS[family], *planes))
+    with pytest.raises(gc.MalformedInputError) as got:
+        FAMILY[family].box(planes)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 @given(st.integers(1, 4), st.data())
