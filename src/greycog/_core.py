@@ -11,9 +11,9 @@ accumulator per row and quantity, gathering each quantity's sums in its
 own list. `sigmoids` then activates a plane's real rows in one call, so
 the logistic and its finite guard are written once, and every update
 returns tuple planes; the zero rows are neither activated nor returned.
-The interval update multiplies by endpoint selection: at a state whose
-x_lo are all >= 0, as after step 0, one product per end in the blocked
-loop, else `interval_dot_lr` per row. Every row is still summed left to
+The interval product is `interval_dot_lr`, four endpoint products a
+term; the blocked loop takes one per end, which is the same at a state
+whose x_lo are all >= 0, as after step 0. Every row is summed left to
 right in the order of `dot_lr`, so degenerate cases coincide bitwise:
 a kernel/greyness map with zero greyness, an interval map with
 zero-width intervals, and the crisp map all produce identical floating
@@ -68,29 +68,14 @@ def dot_lr(weights, values):
 
 
 def interval_dot_lr(w_lo, w_hi, x_lo, x_hi):
-    """Interval dot product over endpoint planes, returned as (lo, hi).
-
-    Each term multiplies by endpoint selection: a weight endpoint e >= 0
-    makes e * x smallest at x_lo and largest at x_hi, a negative one the
-    other way round. Of the two weight endpoints' picks, the smaller low
-    one goes to lo and the larger high one to hi, left to right as in
-    `dot_lr`. Rounding is monotone, so this is the four-product min/max
-    value for value; a tie can differ only in the sign of a zero, which
-    sums that start at +0.0 never show.
-    """
-    lo = 0.0
-    hi = 0.0
+    """Interval dot product over endpoint planes, as (lo, hi): each term's
+    ends are the min and the max of its four endpoint products (the first
+    on a tie), summed left to right as in `dot_lr`."""
+    lo = hi = 0.0
     for wl, wh, xl, xh in zip(w_lo, w_hi, x_lo, x_hi):
-        if wl >= 0.0:
-            lo1, hi1 = wl * xl, wl * xh
-        else:
-            lo1, hi1 = wl * xh, wl * xl
-        if wh >= 0.0:
-            lo2, hi2 = wh * xl, wh * xh
-        else:
-            lo2, hi2 = wh * xh, wh * xl
-        lo += lo1 if lo1 < lo2 else lo2
-        hi += hi1 if hi1 > hi2 else hi2
+        p = (wl * xl, wl * xh, wh * xl, wh * xh)
+        lo += min(p)
+        hi += max(p)
     return lo, hi
 
 
@@ -135,12 +120,12 @@ def interval_next(weights, x_lo, x_hi, lam):
     activated by one `sigmoids` call. weights are the low and high weight
     rows prepared by `blocks`.
 
-    A state with a negative x_lo takes the general selection,
-    `interval_dot_lr`, per row, each block's rows read back from its
-    columns. At a state whose x_lo are all >= 0, as after step 0, w * x
-    grows with w, so each end takes one product: the weight's low end
-    times the state end that makes it smallest, its high end times the
-    one that makes it largest. That is `interval_dot_lr` bit for bit.
+    At a state whose x_lo are all >= 0, as after step 0, each end takes
+    one product, not `interval_dot_lr`'s four: there w_lo * x <= w_hi * x,
+    so the low end is w_lo times x_lo (x_hi if w_lo < 0) and the high end
+    w_hi times x_hi (x_lo if w_hi < 0), the min and the max of the four up
+    to the sign of a zero, which a sum from +0.0 never shows. Any other
+    state takes `interval_dot_lr` per row, read back from the columns.
     """
     rows, wb = weights
     los = []
@@ -177,8 +162,9 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     Each kernel sum reads only the kernel planes and accumulates exactly
     as `dot_lr`. Each greyness is the activated kernel times the
     |kernel product|-weighted average of max(weight greyness, state
-    greyness); with zero kernel mass it is 0. The sign flip stands in for
-    abs(p): it leaves -0.0 as it is, but the mass sums start at +0.0 and
+    greyness); with zero kernel mass it is 0, and an infinite mass sum
+    raises MalformedInputError. The sign flip stands in for abs(p): it
+    leaves -0.0 as it is, but the mass sums start at +0.0 and
     add only terms >= 0 or -0.0, so they come out the same. The three
     sums of a row (kernel, mass, weighted mass) share one loop, and each
     is gathered in its own list; the real rows' kernel sums are activated
@@ -219,5 +205,7 @@ def kernel_grey_next(weights, x_k, x_g, lam):
         masses += d0, d1, d2, d3
         weighted += m0, m1, m2, m3
     kernels = sigmoids(sums[:rows], lam)
+    if math.inf in masses:
+        raise MalformedInputError("greyness mass sum must be finite, got inf")
     return kernels, tuple([k * (num / denom) if denom > 0.0 else 0.0
                            for k, denom, num in zip(kernels, masses, weighted)])

@@ -7,12 +7,14 @@ handles cells reads it instead of branching on the family: the model-file
 codec, `Model`, `simulate`, the CLI's trajectory writer and `classify`.
 
 One number rule, `finite` (an int or a float, not a bool, finite), makes
-every float: the cell constructors `Ign`, `Ggn` and `GreyUnion` apply it,
-so the model-file parsers check only JSON shape. Crisp cells have no
-constructor; the fcm `parse` and `cell` entries apply it themselves.
+every float: the cell constructors `Ign` and `Ggn` apply it (`GreyUnion`
+reads its intervals through `Ign`), so the model-file parsers check only
+JSON shape. Crisp cells have no constructor; the fcm `parse` and `cell`
+entries apply it themselves.
 
 A matrix or vector argument is read by `matrix` or `vector`, which check
-its shape and pass each entry through a family's `cell` or `number`.
+its shape and pass each entry through a family's `cell` or `number`
+(or, for a model file, `parse`), naming the place of one refused.
 
 Every record of the package (the cells, `GreyUnion`, `Model`,
 `Trajectory` and the analysis results) is a `Record`: declared
@@ -83,19 +85,6 @@ def at_least(x, low, error, name) -> int:
     raise error(f"{name} must be an integer >= {low}, got {x}")
 
 
-def located(take, values, where):
-    """take(v) for every v in values, as a tuple. A value take rejects
-    raises its error again, same type, prefixed with where.format(j), j
-    being the value's 1-based index; the location is built only then."""
-    cells = []
-    try:
-        for v in values:
-            cells.append(take(v))
-    except (MalformedInputError, ValidationError) as exc:
-        raise type(exc)(f"{where.format(len(cells) + 1)}: {exc}") from exc
-    return tuple(cells)
-
-
 def number(x):
     """`finite` raising ValidationError: the rule for an argument's entries."""
     return finite(x, ValidationError)
@@ -116,9 +105,17 @@ def sequence(x, name, error=DimensionError):
 
 
 def vector(values, take, name, error=DimensionError):
-    """take(v) for every v in values, as a tuple, a refused v named name[j]
-    (see `located`); values that is no sequence raises error."""
-    return located(take, sequence(values, name, error), name + "[{}]")
+    """take(v) for every v in values, as a tuple; values that is no sequence
+    raises error. A v take refuses raises its error again, same type,
+    prefixed with name[j] (1-based), which is built only then."""
+    values = sequence(values, name, error)
+    cells = []
+    try:
+        for v in values:
+            cells.append(take(v))
+    except (MalformedInputError, ValidationError) as exc:
+        raise type(exc)(f"{name}[{len(cells) + 1}]: {exc}") from exc
+    return tuple(cells)
 
 
 def matrix(m, take, name, square=False):
@@ -227,8 +224,8 @@ class GreyUnion(Record):
     """A general grey number: known only to lie in a union of closed
     intervals [lo, hi] within the value domain [-1, 1].
 
-    Intervals are (lo, hi) pairs, sorted ascending by lo and pairwise
-    disjoint. Degenerate points are width-zero intervals [p, p].
+    Intervals are (lo, hi) pairs read by `Ign`, sorted ascending by lo
+    and pairwise disjoint. Degenerate points are width-zero intervals.
     """
 
     __slots__ = __match_args__ = ("intervals",)
@@ -238,13 +235,10 @@ class GreyUnion(Record):
             pairs = [(lo, hi) for lo, hi in intervals]
         except (TypeError, ValueError):
             raise MalformedInputError("a grey union is a sequence of (lo, hi) pairs") from None
-        ivs = tuple((finite(lo, MalformedInputError), finite(hi, MalformedInputError))
-                    for lo, hi in pairs)
+        ivs = tuple((iv.lo, iv.hi) for iv in (Ign(lo, hi) for lo, hi in pairs))
         if not ivs:
             raise MalformedInputError("grey union must contain at least one interval")
         for lo, hi in ivs:
-            if lo > hi:
-                raise MalformedInputError(f"interval [{lo}, {hi}] has lo > hi")
             if lo < -1.0 or hi > 1.0:
                 raise MalformedInputError(
                     f"interval [{lo}, {hi}] escapes the value domain [-1, 1]"
@@ -274,7 +268,7 @@ def ggn_from_union(u: GreyUnion) -> Ggn:
 
 class Family(NamedTuple):
     """One family's cell rule. parse, cell and weight raise without a
-    location; their callers add it through `located`."""
+    location; their callers add it through `vector`."""
 
     fields: tuple[str, ...]  # a cell's float fields, in plane order
     parse: Callable  # model-file JSON value -> cell; MalformedInputError
@@ -438,3 +432,11 @@ FAMILY = {
 }
 
 FAMILIES = tuple(FAMILY)
+
+
+def family_of(name, error) -> Family:
+    """The `Family` named name. Any other value raises error; it is tested
+    against `FAMILIES`, not hashed, so an unhashable one is refused too."""
+    if name in FAMILIES:
+        return FAMILY[name]
+    raise error(f"unknown family {name!r}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 
-from ._family import FAMILIES, FAMILY, finite, located, positive
+from ._family import FAMILY, family_of, finite, positive, vector
 from .cogmap import Model
 from .errors import MalformedInputError, ValidationError
 
@@ -54,8 +54,7 @@ def parse_model(doc, lam=None) -> Model:
     if missing:
         raise MalformedInputError(f"model file missing keys: {', '.join(sorted(missing))}")
     family = doc["family"]
-    if family not in FAMILIES:
-        raise MalformedInputError(f"unknown family {family!r}")
+    parse = family_of(family, MalformedInputError).parse
     file_lam = finite(doc["lambda"], MalformedInputError, "'lambda'")
     nodes = doc["nodes"]
     if not (isinstance(nodes, list) and nodes
@@ -64,12 +63,11 @@ def parse_model(doc, lam=None) -> Model:
     weights = doc["weights"]
     if not (isinstance(weights, list) and all(isinstance(r, list) for r in weights)):
         raise MalformedInputError("'weights' must be a list of rows")
-    parse = FAMILY[family].parse
-    rows = tuple(located(parse, row, f"weights[{i + 1}][{{}}]")
-                 for i, row in enumerate(weights))
+    rows = tuple(vector(row, parse, f"weights[{i}]", MalformedInputError)
+                 for i, row in enumerate(weights, 1))
     if not isinstance(doc["initial"], list):
         raise MalformedInputError("'initial' must be a list")
-    initial = located(parse, doc["initial"], "initial[{}]")
+    initial = vector(doc["initial"], parse, "initial", MalformedInputError)
     m = Model(family, tuple(nodes), rows, initial, file_lam if lam is None else lam)
     positive(file_lam, ValidationError)
     return m

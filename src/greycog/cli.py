@@ -179,11 +179,9 @@ def _report(model: Model, model_label: str, steps: int, eps: float, max_period: 
         verdicts = (full.kernel_verdict, full.greyness_verdict)
         report["kernel"] = _verdict_dict(full.kernel_verdict)
         report["greyness"] = _verdict_dict(full.greyness_verdict)
-        report["evaluation_state"] = {
-            "kernels": [g.kernel for g in full.evaluation_state],
-            "greyness": [g.greyness for g in full.evaluation_state],
-            "kernel_converged": full.kernel_converged,
-        }
+        kernels, greyness = FAMILY["fggcm"].split(full.evaluation_state)
+        report["evaluation_state"] = {"kernels": kernels, "greyness": greyness,
+                                      "kernel_converged": full.kernel_converged}
         report["overall"] = full.overall
     else:
         check = convergence.check_fcm if model.family == "fcm" else convergence.check_fgcm

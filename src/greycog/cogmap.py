@@ -20,8 +20,8 @@ update on tuples; a grey model's is `simulate(m, 1).states[1]`.
 from __future__ import annotations
 
 from ._core import blocks, crisp_next
-from ._family import (FAMILIES, FAMILY, Record, at_least, matrix, number, positive, sequence,
-                      vector)
+from ._family import (FAMILIES, FAMILY, Record, at_least, family_of, matrix, number, positive,
+                      sequence, vector)
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -47,9 +47,7 @@ class Model(Record):
     __slots__ = __match_args__ = ("family", "node_names", "weights", "initial", "lam")
 
     def __init__(self, family, node_names, weights, initial, lam):
-        if family not in FAMILIES:
-            raise ValidationError(f"unknown family {family!r}")
-        fam = FAMILY[family]
+        fam = family_of(family, ValidationError)
         # Cells first: a cell of another family, or out of range, fails before any shape.
         weights = tuple(vector(row, fam.weight, f"weights[{i}]", ValidationError)
                         for i, row in enumerate(sequence(weights, "weights", ValidationError), 1))
@@ -99,8 +97,7 @@ class Trajectory(Record):
 
     def __init__(self, family, states):
         states = vector(states, _state, "states", ValidationError)
-        if family not in FAMILIES:
-            raise ValidationError(f"unknown family {family!r}")
+        family_of(family, ValidationError)
         if len(states) < 1:
             raise ValidationError("trajectory must contain at least the initial state")
         n = len(states[0])

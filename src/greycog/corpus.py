@@ -107,7 +107,7 @@ def build(variant: str, lam: float) -> Model:
     """Construct one corpus model at the given steepness: the web matrix in
     its family's cells (crisp, greyness-injected intervals, or those
     intervals reduced to kernel/greyness), with the variant's cells replaced."""
-    if variant not in VARIANTS:
+    if not isinstance(variant, str) or variant not in VARIANTS:
         valid = ", ".join(sorted(VARIANTS))
         raise MalformedInputError(f"unknown corpus variant {variant!r}; valid: {valid}")
     lam = positive(lam, InvalidParameterError)

@@ -8,7 +8,7 @@ operational chaos criterion here beyond "neither of the other two".
 
 from __future__ import annotations
 
-from ._family import FAMILY, Record, at_least, positive
+from ._family import FAMILY, Record, at_least, family_of, positive
 from .cogmap import Trajectory
 from .errors import (
     DimensionError,
@@ -29,9 +29,7 @@ def state_distance(family: str, a, b) -> float:
     value; lo and hi; kernel and greyness). A state that is no sequence,
     or states of different lengths, raise DimensionError, a cell of
     another family ValidationError."""
-    fam = FAMILY.get(family)
-    if fam is None:
-        raise ValidationError(f"unknown family {family!r}")
+    fam = family_of(family, ValidationError)
     try:
         if len(a) != len(b):
             raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")

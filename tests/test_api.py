@@ -5,6 +5,7 @@ import ast
 import copy
 import inspect
 import pickle
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,87 @@ def test_cli_calls_simulate_with_the_model_and_steps_positionally(tmp_path, monk
     model, steps = args
     assert isinstance(model, gc.Model) and model.n == 7
     assert type(steps) is int and steps == 60
+
+
+def counted(counts, key, func):
+    """func, counting its calls in counts[key]."""
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return func(*args, **kwargs)
+    return wrapper
+
+
+def test_each_traced_attribute_is_reached_once_per_analysis_and_per_command(tmp_path,
+                                                                            monkeypatch):
+    # trace_targets wraps these attributes as this test does; one that a
+    # command stops reaching leaves its span group empty, and the traced
+    # run then prints a null per-layer value.
+    paths = {}
+    for variant in ("web_fcm", "web_fgcm", "web_fggcm"):
+        paths[variant] = str(tmp_path / f"{variant}.json")
+        _modelio.save_doc(gc.export_variant(variant), paths[variant])
+    counts = Counter()
+    for module, name in TRACED:
+        key = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        monkeypatch.setattr(module, name, counted(counts, key, getattr(module, name)))
+    # Per command; each command also loads and parses its model file once.
+    runs = [(["check", "--model", paths[f"web_{family}"]],
+             {"cli.simulate": 1, "cli.classify": 1, f"convergence.check_{family}": 1})
+            for family in ("fcm", "fgcm", "fggcm")]
+    runs += [(["sweep", "--model", paths["web_fgcm"], "--lambdas", "1,2",
+               "--out-dir", str(tmp_path / "sweep")],
+              {"cli.simulate": 2, "cli.classify": 2, "convergence.check_fgcm": 2}),
+             (["simulate", "--model", paths["web_fggcm"], "--out", str(tmp_path / "t.csv")],
+              {"cli.simulate": 1})]
+    for argv, analyses in runs:
+        counts.clear()
+        assert cli.main(argv) == 0, argv
+        assert dict(counts) == {"_modelio.load_model": 1, "_modelio.parse_model": 1,
+                                **analyses}, argv
+
+
+def lookup_sites(source):
+    """(line, what) for each raise of an "unknown family" message and each
+    name, attribute or import that refers to `located`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            found += [(node.lineno, "unknown family") for c in ast.walk(node)
+                      if isinstance(c, ast.Constant) and "unknown family" in str(c.value)]
+            continue
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.split(".")[-1] for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, "located") for name in names if name == "located"]
+    return sorted(found)
+
+
+def test_only_the_family_module_looks_a_family_up_by_name():
+    # `_family.family_of` is the one lookup, and `_family.vector` the one
+    # reader that names the place of a refused value; a second copy of
+    # either would be a second rule to keep in step.
+    found = {p.name: lookup_sites(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert [what for _, what in found.pop("_family.py")] == ["unknown family"]
+    assert {name: sites for name, sites in found.items() if sites} == {}
+    probe = ('from ._family import located\nimport x.located\n'
+             'def f(x):\n    raise ValueError(f"unknown family {x!r}")\n'
+             'g = _family.located\nprint("unknown family")\n')
+    assert lookup_sites(probe) == [(1, "located"), (2, "located"), (4, "unknown family"),
+                                   (5, "located")]
+    # The one lookup tests membership, so an unhashable name is refused.
+    for call, error in [
+        (lambda: gc.Model(["fcm"], ("a",), ((0.0,),), (0.0,), 1.0), gc.ValidationError),
+        (lambda: gc.Trajectory(["fcm"], ((0.0,),)), gc.ValidationError),
+        (lambda: gc.parse_model({"family": ["fcm"], "lambda": 1, "nodes": ["a"],
+                                 "weights": [[0.0]], "initial": [0.0]}), gc.MalformedInputError),
+    ]:
+        with pytest.raises(error, match=r"unknown family \['fcm'\]"):
+            call()
 
 
 def unused_imports(source):

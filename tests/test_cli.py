@@ -731,6 +731,17 @@ def test_sweep_exit_code_follows_the_error_type(tmp_path, capsys):
     assert [r[3] for r in rows[1:]] == ["error(MalformedInputError)"] * 2
 
 
+def test_check_of_an_overflowing_greyness_mass_is_a_parse_error(tmp_path, capsys):
+    cell = {"kernel": 1e308, "greyness": 0.5}
+    doc = {"family": "fggcm", "nodes": ["a", "b"], "lambda": 1.0, "initial": [cell, cell],
+           "weights": [[{"kernel": 1, "greyness": 0.5}, {"kernel": -1, "greyness": 0.5}]] * 2}
+    path = tmp_path / "mass.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "greycog: parse error: greyness mass sum must be finite, got inf\n")
+
+
 @pytest.mark.parametrize("errors,code", [
     ((gc.MalformedInputError("x"), None, gc.ValidationError("x")), 3),
     ((None, gc.MalformedInputError("x"), None), 2),

@@ -213,6 +213,16 @@ def test_interval_run_rejects_an_overflowing_dot_product():
         gc.fcm_step(((1.0, 1.0), (-1.0, 1.0)), (1e308, 1e308), 1.0)
 
 
+def test_kernel_run_rejects_an_overflowing_greyness_mass():
+    # The kernel sums cancel to 0 and the weighted mass stays finite, but
+    # the |kernel product| mass overflows: over it, the greyness would
+    # read 0.0 where the rule gives 0.25.
+    w = ((gc.Ggn(1, 0.5), gc.Ggn(-1, 0.5)),) * 2
+    m = gc.Model("fggcm", ("a", "b"), w, (gc.Ggn(1e308, 0.5),) * 2, 1.0)
+    with pytest.raises(gc.MalformedInputError, match="greyness mass sum must be finite"):
+        gc.simulate(m, 1)
+
+
 def test_model_rejects_out_of_range_crisp_weight():
     with pytest.raises(gc.ValidationError):
         gc.Model("fcm", ("a",), ((1.5,),), (0.0,), 1.0)

@@ -126,6 +126,14 @@ def test_build_rejects_unknown_variant():
     assert "web_fgcm" in str(exc.value)
 
 
+@pytest.mark.parametrize("variant", [["web_fcm"], {}], ids=["list", "dict"])
+def test_a_value_that_is_no_variant_id_is_refused(variant):
+    # An unhashable value is refused, not looked up in the variant table.
+    for call in (lambda: gc.build(variant, 1.0), lambda: gc.export_variant(variant)):
+        with pytest.raises(gc.MalformedInputError, match="unknown corpus variant"):
+            call()
+
+
 def test_every_variant_builds_and_validates():
     for vid in gc.VARIANTS:
         m = gc.build(vid, 1.0)

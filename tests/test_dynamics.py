@@ -38,6 +38,9 @@ def test_state_distance_dispatches_by_family():
 def test_state_distance_rejects_an_unknown_family():
     with pytest.raises(gc.ValidationError, match="unknown family 'x'"):
         gc.state_distance("x", (1.0,), (1.0,))
+    # An unhashable name is refused, not hashed.
+    with pytest.raises(gc.ValidationError, match=r"unknown family \['fcm'\]"):
+        gc.state_distance(["fcm"], (1.0,), (1.0,))
 
 
 def test_state_distance_rejects_states_of_different_lengths():

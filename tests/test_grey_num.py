@@ -110,6 +110,18 @@ def test_union_rejects_out_of_domain_endpoint():
         GreyUnion(((0.5, 1.2),))
 
 
+def test_union_reads_its_intervals_in_order():
+    # Each pair is read through Ign, so the first bad pair raises: an
+    # inverted interval before a non-finite end, and either before the
+    # domain check of an earlier interval.
+    with pytest.raises(MalformedInputError, match=r"\[0.4, 0.2\] has lo > hi"):
+        GreyUnion(((0.4, 0.2), (0.5, math.inf)))
+    with pytest.raises(MalformedInputError, match="non-finite number inf"):
+        GreyUnion(((0.1, 0.2), (0.5, math.inf), (0.4, 0.2)))
+    with pytest.raises(MalformedInputError, match="lo > hi"):
+        GreyUnion(((0.5, 1.5), (0.4, 0.2)))
+
+
 def test_union_rejects_empty():
     with pytest.raises(MalformedInputError):
         GreyUnion(())
