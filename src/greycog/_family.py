@@ -14,7 +14,18 @@ entries apply it themselves.
 
 A matrix or vector argument is read by `matrix` or `vector`, which check
 its shape and pass each entry through a family's `cell` or `number`
-(or, for a model file, `parse`), naming the place of one refused.
+(or, for a model file, `parse`), naming the place of one refused. A
+sequence whose entries are all what the rule would return (finite floats
+for `number` and the fcm `cell`, `Ign` or `Ggn` cells for the grey `cell`
+rules) is taken whole, tested at C speed, so a criterion reads a `Model`'s
+rows without a call per cell.
+
+A model-file weight row is read in one pass by its family's `row`
+reader, which applies everything `parse` and `weight` apply (JSON shape,
+the number rule, the cell invariant, the range [-1, 1]) and builds the
+cells as `box` does. It only accepts: it returns None for any row it does
+not take, and `_modelio.parse_model` then reads that row cell by cell, so
+every error is raised as before.
 
 Every record of the package (the cells, `GreyUnion`, `Model`,
 `Trajectory` and the analysis results) is a `Record`: declared
@@ -107,8 +118,13 @@ def sequence(x, name, error=DimensionError):
 def vector(values, take, name, error=DimensionError):
     """take(v) for every v in values, as a tuple; values that is no sequence
     raises error. A v take refuses raises its error again, same type,
-    prefixed with name[j] (1-based), which is built only then."""
+    prefixed with name[j] (1-based), which is built only then. When take
+    would return every v as it is (see `_KEPT`), values is returned so."""
     values = sequence(values, name, error)
+    kept = _KEPT.get(take)
+    if (kept is not None and set(map(type, values)) == {kept}
+            and (kept is not float or all(map(math.isfinite, values)))):
+        return values
     cells = []
     try:
         for v in values:
@@ -275,6 +291,7 @@ class Family(NamedTuple):
     encode: Callable  # cell -> model-file JSON value
     cell: Callable  # any value -> cell of this family, or an error
     weight: Callable  # any value -> cell of this family within [-1, 1], or an error
+    row: Callable  # model-file weight row -> its `weight` cells, or None; never raises
     split: Callable  # cells -> float planes, one per field
     box: Callable  # float planes -> tuple of cells, each checked as its constructor checks it
     advance: Callable  # (`_core.blocks` of the weight planes, *state planes, lam) -> next planes
@@ -298,6 +315,13 @@ def _crisp_weight(v):
     if abs(v) > 1.0:
         raise ValidationError(f"weight {v} outside [-1, 1]")
     return v
+
+
+def _crisp_row(row):
+    if (set(map(type, row)) == {float} and all(map(math.isfinite, row))
+            and max(map(abs, row)) <= 1.0):
+        return tuple(row)
+    return None
 
 
 def _crisp_split(cells):
@@ -334,6 +358,28 @@ def _interval_weight(c):
     if c.lo < -1.0 or c.hi > 1.0:
         raise ValidationError("interval escapes [-1, 1]")
     return c
+
+
+def _interval_row(row):
+    cells = []
+    append = cells.append
+    for raw in row:
+        if type(raw) is dict and len(raw) == 1:
+            pair = raw.get("interval")
+            if type(pair) is not list or len(pair) != 2:
+                return None
+            lo, hi = pair
+        elif type(raw) is float:
+            lo = hi = raw
+        else:
+            return None
+        if not (type(lo) is type(hi) is float and -1.0 <= lo <= hi <= 1.0):
+            return None
+        cell = _new(Ign)
+        _set_lo(cell, lo)
+        _set_hi(cell, hi)
+        append(cell)
+    return tuple(cells)
 
 
 def _interval_split(cells):
@@ -387,6 +433,27 @@ def _grey_weight(c):
     return c
 
 
+def _grey_row(row):
+    inf = math.inf
+    cells = []
+    append = cells.append
+    for raw in row:
+        if type(raw) is dict and len(raw) == 2:
+            kernel, greyness = raw.get("kernel"), raw.get("greyness")  # None if missing
+        elif type(raw) is float:
+            kernel, greyness = raw, 0.0
+        else:
+            return None
+        if not (type(kernel) is type(greyness) is float
+                and -1.0 <= kernel <= 1.0 and 0.0 <= greyness < inf):
+            return None
+        cell = _new(Ggn)
+        _set_kernel(cell, kernel)
+        _set_greyness(cell, greyness)
+        append(cell)
+    return tuple(cells)
+
+
 def _grey_split(cells):
     return [c.kernel for c in cells], [c.greyness for c in cells]
 
@@ -415,23 +482,27 @@ def _grey_dist(a, b) -> float:
 
 FAMILY = {
     "fcm": Family(
-        ("value",), _crisp_parse, float, _crisp_cell, _crisp_weight,
+        ("value",), _crisp_parse, float, _crisp_cell, _crisp_weight, _crisp_row,
         _crisp_split, itemgetter(0), crisp_next, _crisp_dist,
     ),
     "fgcm": Family(
         ("lo", "hi"), _interval_parse, lambda c: {"interval": [c.lo, c.hi]},
-        _interval_cell, _interval_weight,
+        _interval_cell, _interval_weight, _interval_row,
         _interval_split, _interval_box, interval_next, _interval_dist,
     ),
     "fggcm": Family(
         ("kernel", "greyness"), _grey_parse,
         lambda c: {"kernel": c.kernel, "greyness": c.greyness},
-        _grey_cell, _grey_weight,
+        _grey_cell, _grey_weight, _grey_row,
         _grey_split, _grey_box, kernel_grey_next, _grey_dist,
     ),
 }
 
 FAMILIES = tuple(FAMILY)
+
+# The rules `vector` skips for values all of one exact type (and finite,
+# for float), since the rule would return each such value as it is.
+_KEPT = {number: float, _crisp_cell: float, _interval_cell: Ign, _grey_cell: Ggn}
 
 
 def family_of(name, error) -> Family:

@@ -18,9 +18,18 @@ Cell encodings by family:
             {"kernel": k, "greyness": g},
             or {"union": [[lo, hi], ...]} reduced on load
 
-Unknown keys, encodings that do not match the family, and values that
-are no finite number (`"0.5"`, `true`, `null`, `[0.5]`, an integer
-literal beyond the float range, `1e400`, `NaN`) are parse errors.
+Within a cell, unknown keys, encodings that do not match the family, and
+values that are no finite number (`"0.5"`, `true`, `null`, `[0.5]`, an
+integer literal beyond the float range, `1e400`, `NaN`) are parse errors.
+A top-level key beyond the five above is ignored.
+
+Each weight row is read in one pass by its family's `row` reader (see
+`_family`), which builds the row's cells and checks each against the
+number rule, its cell invariant and the range [-1, 1]; the `Model` takes
+the rows so read without reading their cells again. A row the reader does
+not take (an int, a union, a fault) goes through the per-cell `parse`
+rule and, after the initial state, the `weight` rule, so a document's
+first error is the one the per-cell rules and `Model` raise for it.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import json
 
 from ._family import FAMILY, family_of, finite, positive, vector
-from .cogmap import Model
+from .cogmap import Model, _model_of_read_rows
 from .errors import MalformedInputError, ValidationError
 
 __all__ = ["load_model", "model_to_doc", "parse_model", "save_doc"]
@@ -41,8 +50,8 @@ def parse_model(doc, lam=None) -> Model:
     document that violates model invariants raises ValidationError from
     the Model constructor. Only the JSON shape is checked here (dict
     keys, interval arity, a union being a list); each number is checked
-    once, where it becomes a float: in a cell constructor, the fcm cell
-    parser or, for `lambda`, `finite`.
+    once, where it becomes a float: in the family's `row` reader, a cell
+    constructor, the fcm cell parser or, for `lambda`, `finite`.
 
     A lam given overrides the document's `lambda`, so the Model is built
     and checked once. The document's own value must still be a positive
@@ -54,7 +63,7 @@ def parse_model(doc, lam=None) -> Model:
     if missing:
         raise MalformedInputError(f"model file missing keys: {', '.join(sorted(missing))}")
     family = doc["family"]
-    parse = family_of(family, MalformedInputError).parse
+    fam = family_of(family, MalformedInputError)
     file_lam = finite(doc["lambda"], MalformedInputError, "'lambda'")
     nodes = doc["nodes"]
     if not (isinstance(nodes, list) and nodes
@@ -63,12 +72,18 @@ def parse_model(doc, lam=None) -> Model:
     weights = doc["weights"]
     if not (isinstance(weights, list) and all(isinstance(r, list) for r in weights)):
         raise MalformedInputError("'weights' must be a list of rows")
-    rows = tuple(vector(row, parse, f"weights[{i}]", MalformedInputError)
-                 for i, row in enumerate(weights, 1))
+    rows = list(map(fam.row, weights))
+    declined = [i for i, cells in enumerate(rows) if cells is None]
+    for i in declined:
+        rows[i] = vector(weights[i], fam.parse, f"weights[{i + 1}]", MalformedInputError)
     if not isinstance(doc["initial"], list):
         raise MalformedInputError("'initial' must be a list")
-    initial = vector(doc["initial"], parse, "initial", MalformedInputError)
-    m = Model(family, tuple(nodes), rows, initial, file_lam if lam is None else lam)
+    initial = vector(doc["initial"], fam.parse, "initial", MalformedInputError)
+    # The weight range, as Model applies it, after every parse error.
+    for i in declined:
+        rows[i] = vector(rows[i], fam.weight, f"weights[{i + 1}]", ValidationError)
+    m = _model_of_read_rows(family, tuple(nodes), tuple(rows), initial,
+                            file_lam if lam is None else lam)
     positive(file_lam, ValidationError)
     return m
 

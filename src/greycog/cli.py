@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import _modelio, convergence, corpus
 from ._family import FAMILY, at_least, positive
-from .cogmap import Model, simulate
+from .cogmap import Model, _model_of_read_rows, simulate
 from .dynamics import classify
 from .errors import (
     GreycogError,
@@ -225,9 +225,11 @@ def _cmd_sweep(args) -> int:
     worst = 0
     rows = []
     for tag, lam in args.lambdas.items():  # {file tag: lambda}, see _lambda_list
-        # The model was built at the first lambda; each later one rebuilds it.
+        # The model was built at the first lambda; each later one rebuilds
+        # it from the weight rows it holds, read already.
         if lam != model.lam:
-            model = Model(model.family, model.node_names, model.weights, model.initial, lam)
+            model = _model_of_read_rows(model.family, model.node_names, model.weights,
+                                        model.initial, lam)
         try:
             report, traj, cls, verdicts = _report(model, label, args.steps, args.eps,
                                                   args.max_period)

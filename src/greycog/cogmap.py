@@ -37,20 +37,33 @@ __all__ = [
 ]
 
 
+class _Read(tuple):
+    """Weight rows already read under their family's `weight` rule, each a
+    tuple of cells, which `Model` keeps as they are. Made only by
+    `_model_of_read_rows`."""
+
+    __slots__ = ()
+
+
 class Model(Record):
     """A cognitive map: family tag, distinct node names, square weight
     matrix, initial state, and sigmoid steepness. Immutable and validated
     on construction; n is the node count. Weight rows are read once, under
-    the family's `weight` rule; a value that is no sequence (see
-    `_family.sequence`) or a str of node names raises ValidationError."""
+    the family's `weight` rule (here, or before `_model_of_read_rows`); a
+    value that is no sequence (see `_family.sequence`) or a str of node
+    names raises ValidationError."""
 
     __slots__ = __match_args__ = ("family", "node_names", "weights", "initial", "lam")
 
     def __init__(self, family, node_names, weights, initial, lam):
         fam = family_of(family, ValidationError)
         # Cells first: a cell of another family, or out of range, fails before any shape.
-        weights = tuple(vector(row, fam.weight, f"weights[{i}]", ValidationError)
-                        for i, row in enumerate(sequence(weights, "weights", ValidationError), 1))
+        if type(weights) is _Read:
+            weights = tuple(weights)
+        else:
+            rows = sequence(weights, "weights", ValidationError)
+            weights = tuple(vector(row, fam.weight, f"weights[{i}]", ValidationError)
+                            for i, row in enumerate(rows, 1))
         initial = vector(initial, fam.cell, "initial", ValidationError)
         lam = positive(lam, ValidationError)
         if isinstance(node_names, str):
@@ -76,6 +89,14 @@ class Model(Record):
     @property
     def n(self) -> int:
         return len(self.node_names)
+
+
+def _model_of_read_rows(family, node_names, rows, initial, lam) -> Model:
+    """The Model of weight rows read already under family's `weight` rule,
+    a tuple of cell tuples: a family's model-file `row` reader or another
+    Model's `weights`. Model checks the initial state, lambda, node names
+    and shapes as always, but does not read the weight cells again."""
+    return Model(family, node_names, _Read(rows), initial, lam)
 
 
 def _state(s):

@@ -461,6 +461,42 @@ def test_sweep_simulates_once_per_lambda(tmp_path, monkeypatch):
     assert calls == [0.5, 1.0, 2.0]
 
 
+@pytest.mark.parametrize("per_cell", [False, True], ids=["rows read whole", "int cell"])
+def test_sweep_reads_no_weight_after_the_first_build(tmp_path, monkeypatch, per_cell):
+    # Each lambda after the first rebuilds the model from the weight rows
+    # it holds, so no family weight rule runs then, and each lambda's files
+    # are those a sweep of that lambda alone writes.
+    doc = gc.export_variant("web_fggcm")
+    if per_cell:
+        doc["weights"][0][0] = 0  # an int: the row reader declines row 1, read per cell
+    model = tmp_path / "web.json"
+    gc.save_doc(doc, str(model))
+    fam = FAMILY["fggcm"]
+    calls = []
+
+    def counting(cell):
+        calls.append(cell)
+        return fam.weight(cell)
+
+    monkeypatch.setitem(FAMILY, "fggcm", fam._replace(weight=counting))
+    tags = ["0.5", "1", "2", "4"]
+    summary = []
+    for tag in tags:
+        calls.clear()
+        assert main(["sweep", "--model", str(model), "--lambdas", tag,
+                     "--out-dir", str(tmp_path / tag)]) == 0
+        assert len(calls) == (7 if per_cell else 0)
+        summary += read_csv(tmp_path / tag / "summary.csv")[1:]
+    calls.clear()
+    assert main(["sweep", "--model", str(model), "--lambdas", ",".join(tags),
+                 "--out-dir", str(tmp_path / "all")]) == 0
+    assert len(calls) == (7 if per_cell else 0)
+    assert read_csv(tmp_path / "all" / "summary.csv")[1:] == summary
+    for tag in tags:
+        for name in (f"trajectory_lam{tag}.csv", f"report_lam{tag}.json"):
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / tag / name).read_bytes()
+
+
 def lambda_argv(command, lambdas, model, out):
     """Arguments that run command on model at the given lambdas, writing
     to out: `--lambdas` for sweep, `--lambda` otherwise."""

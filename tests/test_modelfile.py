@@ -2,11 +2,15 @@
 
 import json
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import greycog as gc
+from greycog import cli
+from greycog._family import FAMILY, family_of, finite, positive, vector
 
 
 def doc_fcm():
@@ -244,3 +248,211 @@ def test_parse_model_raises_only_its_documented_errors(doc):
         gc.parse_model(doc)
     except (gc.MalformedInputError, gc.ValidationError):
         pass
+
+
+def test_a_top_level_key_beyond_the_five_is_ignored():
+    # Only a cell's keys are checked; the document's own extra keys are
+    # not (a comment or version field an editor adds reads as before).
+    for family in gc.FAMILIES:
+        doc = dict(doc_fcm(), family=family)
+        assert gc.parse_model(dict(doc, foo=1, notes={"x": [1]})) == gc.parse_model(doc)
+
+
+def outcome(call):
+    """("model", repr) of what call returns, or (type, message) of the
+    GreycogError it raises; repr tells -0.0 from 0.0 and 1 from 1.0."""
+    try:
+        return "model", repr(call())
+    except gc.GreycogError as exc:
+        return type(exc), str(exc)
+
+
+def per_cell(doc, lam=None):
+    """The outcome of reading doc cell by cell: parse_model as it was
+    before the one-pass row readers, kept as the reference they must agree
+    with. Each weight cell goes through its family's `parse` rule, then the
+    initial state, then `Model`, which reads every weight under the
+    family's `weight` rule before it checks lambda, node names and shapes."""
+    def read():
+        if not isinstance(doc, dict):
+            raise gc.MalformedInputError("model file must contain a JSON object")
+        missing = {"family", "lambda", "nodes", "weights", "initial"} - set(doc)
+        if missing:
+            raise gc.MalformedInputError(f"model file missing keys: {', '.join(sorted(missing))}")
+        parse = family_of(doc["family"], gc.MalformedInputError).parse
+        file_lam = finite(doc["lambda"], gc.MalformedInputError, "'lambda'")
+        nodes = doc["nodes"]
+        if not (isinstance(nodes, list) and nodes and all(isinstance(s, str) for s in nodes)):
+            raise gc.MalformedInputError("'nodes' must be a nonempty list of strings")
+        weights = doc["weights"]
+        if not (isinstance(weights, list) and all(isinstance(r, list) for r in weights)):
+            raise gc.MalformedInputError("'weights' must be a list of rows")
+        rows = tuple(vector(row, parse, f"weights[{i}]", gc.MalformedInputError)
+                     for i, row in enumerate(weights, 1))
+        if not isinstance(doc["initial"], list):
+            raise gc.MalformedInputError("'initial' must be a list")
+        initial = vector(doc["initial"], parse, "initial", gc.MalformedInputError)
+        m = gc.Model(doc["family"], tuple(nodes), rows, initial, file_lam if lam is None else lam)
+        positive(file_lam, gc.ValidationError)
+        return m
+    return outcome(read)
+
+
+# Numbers at the edges of the rules: the range ends, signed zeros and
+# ints, which every rule takes, then bools, the floats just outside the
+# range and what JSON reads for Infinity and NaN, which a rule refuses.
+EDGES = [0.0, -0.0, 1.0, -1.0, 0, 1, -1, 2, True, False, math.nextafter(1.0, 2.0),
+         math.nextafter(-1.0, -2.0), math.inf, -math.inf, math.nan]
+
+
+def clean_cells(family):
+    """Cells of family that every rule takes, all of floats: numbers and
+    interval ends within [-1, 1] (points among them), and kernel/greyness
+    pairs with a greyness of +0.0 to 0.1 or -0.0."""
+    number = st.floats(-1.0, 1.0)
+    if family == "fcm":
+        return number
+    if family == "fgcm":
+        ends = st.one_of(st.lists(number, min_size=2, max_size=2).map(sorted),
+                         number.map(lambda x: [x, x]))
+        return st.one_of(number, st.fixed_dictionaries({"interval": ends}))
+    greyness = st.one_of(st.floats(0.0, 0.1), st.just(-0.0))
+    return st.one_of(number, st.fixed_dictionaries({"kernel": number, "greyness": greyness}))
+
+
+@st.composite
+def well_formed_docs(draw):
+    """Documents of the model-file shape and clean cells, two thirds of
+    them with one number of EDGES put at one of the family's number sites
+    (see NUMBER_SITES) in a weight row or the initial state, and one in
+    ten with a ragged row and one in ten with a lambda of 0, -1.0 or 2."""
+    family = draw(st.sampled_from(gc.FAMILIES))
+    n = draw(st.integers(1, 4))
+    cell = clean_cells(family)
+    weights = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    initial = draw(st.lists(cell, min_size=n, max_size=n))
+    if draw(st.integers(0, 2)):
+        site = draw(st.sampled_from(sorted(s for s, (f, _) in NUMBER_SITES.items()
+                                           if f == family)))
+        row = draw(st.sampled_from([*weights, initial]))
+        row[draw(st.integers(0, n - 1))] = NUMBER_SITES[site][1](draw(st.sampled_from(EDGES)))
+    if draw(st.integers(0, 9)) == 0:
+        weights[draw(st.integers(0, n - 1))].append(draw(cell))
+    lam = st.sampled_from([0, -1.0, 2]) if draw(st.integers(0, 9)) == 0 else st.floats(0.1, 5.0)
+    return {
+        "family": family,
+        "lambda": draw(lam),
+        "nodes": [f"c{i}" for i in range(n)],
+        "weights": weights,
+        "initial": initial,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(model_docs(), well_formed_docs(), well_formed_docs()),
+       st.one_of(st.none(), st.floats(0.1, 5.0)))
+def test_the_row_readers_agree_with_the_per_cell_rules(doc, lam):
+    assert outcome(lambda: gc.parse_model(doc, lam)) == per_cell(doc, lam)
+
+
+def faults(family, *edits, **keys):
+    """doc_fcm as a family's document, with weights[i][j] = cell for each
+    (i, j, cell) in edits (a j past the row appends) and keys replaced."""
+    doc = dict(doc_fcm(), family=family, **keys)
+    for i, j, cell in edits:
+        row = doc["weights"][i]
+        row[j:j + 1] = [cell]
+    return doc
+
+
+@pytest.mark.parametrize("site", sorted(NUMBER_SITES))
+def test_the_row_readers_agree_at_every_edge_number(site):
+    # Each edge number at each site, as a row's first cell and as a later
+    # one (where a NaN does not lead a max), and in the initial state.
+    family, cell = NUMBER_SITES[site]
+    for x in EDGES:
+        for doc in (faults(family, (0, 0, cell(x))), faults(family, (1, 1, cell(x))),
+                    faults(family, initial=[1.0, cell(x)])):
+            assert outcome(lambda: gc.parse_model(doc)) == per_cell(doc), (x, doc)
+
+
+# Documents with two faults: the error raised is the first in the order
+# malformed weight cells, malformed initial cells, weight range, then
+# lambda, node names and shapes.
+MULTI_FAULT = {
+    "range in row 1, malformed in row 2": (
+        faults("fcm", (0, 1, 1.5), (1, 0, "x")),
+        gc.MalformedInputError, "weights[2][1]: fcm cells must be plain numbers"),
+    "grey range in row 1, malformed union in row 2": (
+        faults("fggcm", (0, 1, {"kernel": 1.5, "greyness": 0.0}), (1, 0, {"union": 0.5})),
+        gc.MalformedInputError, "weights[2][1]: 'union' must be a list of [lo, hi]"),
+    "range in row 1, malformed initial": (
+        faults("fgcm", (0, 1, {"interval": [0.0, 1.5]}), initial=[1.0, {"interval": [1]}]),
+        gc.MalformedInputError, "initial[2]: 'interval' must be [lo, hi]"),
+    "range in row 1, ragged row 2": (
+        faults("fcm", (0, 1, 1.5), (1, 2, 0.0)),
+        gc.ValidationError, "weights[1][2]: weight 1.5 outside [-1, 1]"),
+    "ragged row 1, grey range in row 2": (
+        faults("fgcm", (0, 2, 0.0), (1, 1, {"interval": [-1.5, 0.0]})),
+        gc.ValidationError, "weights[2][2]: interval escapes [-1, 1]"),
+    "range, then a bad lambda": (
+        faults("fggcm", (1, 1, -1.5), **{"lambda": 0}),
+        gc.ValidationError, "weights[2][2]: kernel -1.5 outside [-1, 1]"),
+    "range, then a repeated name": (
+        faults("fcm", (0, 0, -2), nodes=["a", "a"]),
+        gc.ValidationError, "weights[1][1]: weight -2.0 outside [-1, 1]"),
+    "a bad lambda, then a ragged row": (
+        faults("fgcm", (1, 2, 0.5), **{"lambda": 0}),
+        gc.ValidationError, "lambda must be a positive finite number, got 0.0"),
+    "a repeated name, then a ragged row": (
+        faults("fggcm", (1, 2, 0.5), nodes=["a", "a"]),
+        gc.ValidationError, "node name 'a' is repeated"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_FAULT))
+def test_a_document_with_two_faults_raises_the_first(case):
+    doc, error, message = MULTI_FAULT[case]
+    assert outcome(lambda: gc.parse_model(doc)) == (error, message)
+    assert per_cell(doc) == (error, message)
+
+
+def seeded_doc(family, n, seed):
+    """A seeded well-formed document of family on n nodes, no weight
+    interval straddling zero, some cells given as bare numbers."""
+    rng = random.Random(seed)
+    w = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+    if family == "fgcm":
+        w = [[x if j % 5 == 0 else {"interval": sorted([x, x * rng.uniform(0.9, 1.0)])}
+              for j, x in enumerate(row)] for row in w]
+    elif family == "fggcm":
+        w = [[x if j % 5 == 0 else {"kernel": x, "greyness": rng.uniform(0.0, 0.05)}
+              for j, x in enumerate(row)] for row in w]
+    return {"family": family, "lambda": 1.0, "nodes": [f"N{i + 1}" for i in range(n)],
+            "weights": w, "initial": [rng.uniform(0.0, 1.0) for _ in range(n)]}
+
+
+@pytest.mark.parametrize("family", gc.FAMILIES)
+def test_loading_and_checking_reads_no_weight_cell_by_cell(family, tmp_path, monkeypatch,
+                                                           capsys):
+    # Each weight row is read in one pass by the family's row reader and
+    # kept by Model: no weight cell goes through the per-cell parse or
+    # weight rule, from loading to the criterion. Only the initial state
+    # is parsed cell by cell.
+    n = 12
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(seeded_doc(family, n, seed=26)))
+    calls = Counter()
+    fam = FAMILY[family]
+
+    def counting(rule, key):
+        def wrapper(x):
+            calls[key] += 1
+            return rule(x)
+        return wrapper
+
+    monkeypatch.setitem(FAMILY, family, fam._replace(parse=counting(fam.parse, "parse"),
+                                                     weight=counting(fam.weight, "weight")))
+    assert cli.main(["check", "--model", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["family"] == family
+    assert calls == {"parse": n}

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import greycog as gc
 from greycog._core import (blocks, crisp_next, dot_lr, interval_dot_lr, kernel_grey_next,
                            sigmoids)
-from greycog._family import FAMILY
+from greycog._family import FAMILY, number, vector
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
 frac = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=64)
@@ -270,6 +270,42 @@ def test_each_grey_box_raises_its_constructor_error_at_a_bad_value(family, data)
     with pytest.raises(gc.MalformedInputError) as got:
         FAMILY[family].box(planes)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+class Real(float):
+    """A float subclass: the number rule converts it, so it is no kept entry."""
+
+
+# Entries a vector argument may hold: what a rule returns as it is, and
+# what a rule converts or refuses.
+ENTRY_S = st.one_of(unit, interval_s(), ggn_s(), st.sampled_from(
+    [-0.0, 1e308, 0, 1, True, math.nan, math.inf, -math.inf, Real(0.5), "0.5", None]))
+RULES = {"number": number, **{f"{family} cell": FAMILY[family].cell for family in gc.FAMILIES}}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(RULES)), st.data())
+def test_a_vector_is_read_as_its_entries_are(rule, data):
+    # A row whose every entry its rule returns as it is is taken whole,
+    # any other entry by entry; either way the result, or the error with
+    # its place, is that of reading each entry in turn.
+    take = RULES[rule]
+    kept = data.draw(st.sampled_from([unit, interval_s(), ggn_s()]))
+    row = data.draw(st.one_of(vec(kept, 3), st.lists(ENTRY_S, max_size=4).map(tuple)))
+    want = []
+    try:
+        for v in row:
+            want.append(take(v))
+    except gc.GreycogError as exc:
+        with pytest.raises(type(exc)) as got:
+            vector(row, take, "r")
+        assert str(got.value) == f"r[{len(want) + 1}]: {exc}"
+        return
+    got = vector(row, take, "r")
+    assert type(got) is tuple
+    assert [(type(c), repr(c)) for c in got] == [(type(c), repr(c)) for c in want]
+    if row and all(v is c for v, c in zip(row, want)):
+        assert got is row
 
 
 @given(st.integers(1, 4), st.data())
