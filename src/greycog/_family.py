@@ -20,12 +20,12 @@ for `number` and the fcm `cell`, `Ign` or `Ggn` cells for the grey `cell`
 rules) is taken whole, tested at C speed, so a criterion reads a `Model`'s
 rows without a call per cell.
 
-A model-file weight row is read in one pass by its family's `row`
-reader, which applies everything `parse` and `weight` apply (JSON shape,
-the number rule, the cell invariant, the range [-1, 1]) and builds the
-cells as `box` does. It only accepts: it returns None for any row it does
-not take, and `_modelio.parse_model` then reads that row cell by cell, so
-every error is raised as before.
+A model-file weight row is read once, by its family's `row` reader. A
+row it takes whole (JSON shape, number rule, cell invariant and range
+[-1, 1] applied, cells built as `box` builds them) comes back `_Read`,
+which `Model` keeps; any other row (an int, a union, a fault) it reads
+through `parse`, and `Model` range-checks it, so every error is the one
+the per-cell rules raise.
 
 Every record of the package (the cells, `GreyUnion`, `Model`,
 `Trajectory` and the analysis results) is a `Record`: declared
@@ -282,6 +282,13 @@ def ggn_from_union(u: GreyUnion) -> Ggn:
     return Ggn(mid_sum / len(u.intervals), width_sum / 2.0)
 
 
+class _Read(tuple):
+    """A weight row read under its family's `weight` rule already, which
+    `Model` keeps as a plain tuple."""
+
+    __slots__ = ()
+
+
 class Family(NamedTuple):
     """One family's cell rule. parse, cell and weight raise without a
     location; their callers add it through `vector`."""
@@ -291,7 +298,7 @@ class Family(NamedTuple):
     encode: Callable  # cell -> model-file JSON value
     cell: Callable  # any value -> cell of this family, or an error
     weight: Callable  # any value -> cell of this family within [-1, 1], or an error
-    row: Callable  # model-file weight row -> its `weight` cells, or None; never raises
+    row: Callable  # (model-file weight row, name) -> `_Read` cells, or its `parse` cells
     split: Callable  # cells -> float planes, one per field
     box: Callable  # float planes -> tuple of cells, each checked as its constructor checks it
     advance: Callable  # (`_core.blocks` of the weight planes, *state planes, lam) -> next planes
@@ -317,11 +324,11 @@ def _crisp_weight(v):
     return v
 
 
-def _crisp_row(row):
+def _crisp_row(row, name):
     if (set(map(type, row)) == {float} and all(map(math.isfinite, row))
             and max(map(abs, row)) <= 1.0):
-        return tuple(row)
-    return None
+        return _Read(row)
+    return vector(row, _crisp_parse, name, MalformedInputError)
 
 
 def _crisp_split(cells):
@@ -360,26 +367,28 @@ def _interval_weight(c):
     return c
 
 
-def _interval_row(row):
+def _interval_row(row, name):
     cells = []
     append = cells.append
     for raw in row:
         if type(raw) is dict and len(raw) == 1:
             pair = raw.get("interval")
             if type(pair) is not list or len(pair) != 2:
-                return None
+                break
             lo, hi = pair
         elif type(raw) is float:
             lo = hi = raw
         else:
-            return None
+            break
         if not (type(lo) is type(hi) is float and -1.0 <= lo <= hi <= 1.0):
-            return None
+            break
         cell = _new(Ign)
         _set_lo(cell, lo)
         _set_hi(cell, hi)
         append(cell)
-    return tuple(cells)
+    else:
+        return _Read(cells)
+    return vector(row, _interval_parse, name, MalformedInputError)
 
 
 def _interval_split(cells):
@@ -433,7 +442,7 @@ def _grey_weight(c):
     return c
 
 
-def _grey_row(row):
+def _grey_row(row, name):
     inf = math.inf
     cells = []
     append = cells.append
@@ -443,15 +452,17 @@ def _grey_row(row):
         elif type(raw) is float:
             kernel, greyness = raw, 0.0
         else:
-            return None
+            break
         if not (type(kernel) is type(greyness) is float
                 and -1.0 <= kernel <= 1.0 and 0.0 <= greyness < inf):
-            return None
+            break
         cell = _new(Ggn)
         _set_kernel(cell, kernel)
         _set_greyness(cell, greyness)
         append(cell)
-    return tuple(cells)
+    else:
+        return _Read(cells)
+    return vector(row, _grey_parse, name, MalformedInputError)
 
 
 def _grey_split(cells):

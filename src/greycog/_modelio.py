@@ -23,13 +23,12 @@ values that are no finite number (`"0.5"`, `true`, `null`, `[0.5]`, an
 integer literal beyond the float range, `1e400`, `NaN`) are parse errors.
 A top-level key beyond the five above is ignored.
 
-Each weight row is read in one pass by its family's `row` reader (see
-`_family`), which builds the row's cells and checks each against the
-number rule, its cell invariant and the range [-1, 1]; the `Model` takes
-the rows so read without reading their cells again. A row the reader does
-not take (an int, a union, a fault) goes through the per-cell `parse`
-rule and, after the initial state, the `weight` rule, so a document's
-first error is the one the per-cell rules and `Model` raise for it.
+A document is read in one pass: each weight row by its family's `row`
+reader (see `_family`), the initial state through `parse`, then `Model`,
+which keeps the rows the reader took whole and range-checks the others.
+So the first error is the one the per-cell rules raise: malformed
+weights, malformed initial cells, the weight range, then lambda, node
+names and shapes.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 import json
 
 from ._family import FAMILY, family_of, finite, positive, vector
-from .cogmap import Model, _model_of_read_rows
+from .cogmap import Model
 from .errors import MalformedInputError, ValidationError
 
 __all__ = ["load_model", "model_to_doc", "parse_model", "save_doc"]
@@ -72,18 +71,11 @@ def parse_model(doc, lam=None) -> Model:
     weights = doc["weights"]
     if not (isinstance(weights, list) and all(isinstance(r, list) for r in weights)):
         raise MalformedInputError("'weights' must be a list of rows")
-    rows = list(map(fam.row, weights))
-    declined = [i for i, cells in enumerate(rows) if cells is None]
-    for i in declined:
-        rows[i] = vector(weights[i], fam.parse, f"weights[{i + 1}]", MalformedInputError)
+    rows = tuple(fam.row(row, f"weights[{i}]") for i, row in enumerate(weights, 1))
     if not isinstance(doc["initial"], list):
         raise MalformedInputError("'initial' must be a list")
     initial = vector(doc["initial"], fam.parse, "initial", MalformedInputError)
-    # The weight range, as Model applies it, after every parse error.
-    for i in declined:
-        rows[i] = vector(rows[i], fam.weight, f"weights[{i + 1}]", ValidationError)
-    m = _model_of_read_rows(family, tuple(nodes), tuple(rows), initial,
-                            file_lam if lam is None else lam)
+    m = Model(family, tuple(nodes), rows, initial, file_lam if lam is None else lam)
     positive(file_lam, ValidationError)
     return m
 

@@ -28,8 +28,8 @@ import sys
 from pathlib import Path
 
 from . import _modelio, convergence, corpus
-from ._family import FAMILY, at_least, positive
-from .cogmap import Model, _model_of_read_rows, simulate
+from ._family import FAMILY, _Read, at_least, positive
+from .cogmap import Model, simulate
 from .dynamics import classify
 from .errors import (
     GreycogError,
@@ -228,8 +228,8 @@ def _cmd_sweep(args) -> int:
         # The model was built at the first lambda; each later one rebuilds
         # it from the weight rows it holds, read already.
         if lam != model.lam:
-            model = _model_of_read_rows(model.family, model.node_names, model.weights,
-                                        model.initial, lam)
+            model = Model(model.family, model.node_names, tuple(map(_Read, model.weights)),
+                          model.initial, lam)
         try:
             report, traj, cls, verdicts = _report(model, label, args.steps, args.eps,
                                                   args.max_period)

@@ -20,8 +20,8 @@ update on tuples; a grey model's is `simulate(m, 1).states[1]`.
 from __future__ import annotations
 
 from ._core import blocks, crisp_next
-from ._family import (FAMILIES, FAMILY, Record, at_least, family_of, matrix, number, positive,
-                      sequence, vector)
+from ._family import (FAMILIES, FAMILY, Record, _Read, at_least, family_of, matrix, number,
+                      positive, sequence, vector)
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -37,38 +37,34 @@ __all__ = [
 ]
 
 
-class _Read(tuple):
-    """Weight rows already read under their family's `weight` rule, each a
-    tuple of cells, which `Model` keeps as they are. Made only by
-    `_model_of_read_rows`."""
-
-    __slots__ = ()
+def _name(s):
+    """A node name, which must be a str; not converted."""
+    if isinstance(s, str):
+        return s
+    raise ValidationError(f"a node name must be a str, got {type(s).__name__}")
 
 
 class Model(Record):
     """A cognitive map: family tag, distinct node names, square weight
     matrix, initial state, and sigmoid steepness. Immutable and validated
-    on construction; n is the node count. Weight rows are read once, under
-    the family's `weight` rule (here, or before `_model_of_read_rows`); a
-    value that is no sequence (see `_family.sequence`) or a str of node
-    names raises ValidationError."""
+    on construction; n is the node count. Each weight row is read once,
+    under the family's `weight` rule, here unless it is `_family._Read`. A
+    value that is no sequence (see `_family.sequence`), a str of node names
+    or a node name that is no str raises ValidationError."""
 
     __slots__ = __match_args__ = ("family", "node_names", "weights", "initial", "lam")
 
     def __init__(self, family, node_names, weights, initial, lam):
         fam = family_of(family, ValidationError)
         # Cells first: a cell of another family, or out of range, fails before any shape.
-        if type(weights) is _Read:
-            weights = tuple(weights)
-        else:
-            rows = sequence(weights, "weights", ValidationError)
-            weights = tuple(vector(row, fam.weight, f"weights[{i}]", ValidationError)
-                            for i, row in enumerate(rows, 1))
+        weights = tuple(tuple(row) if type(row) is _Read
+                        else vector(row, fam.weight, f"weights[{i}]", ValidationError)
+                        for i, row in enumerate(sequence(weights, "weights", ValidationError), 1))
         initial = vector(initial, fam.cell, "initial", ValidationError)
         lam = positive(lam, ValidationError)
         if isinstance(node_names, str):
             raise ValidationError("node_names must be a sequence of names, got str")
-        node_names = tuple(str(s) for s in sequence(node_names, "node_names", ValidationError))
+        node_names = vector(node_names, _name, "node_names", ValidationError)
         n = len(node_names)
         if not n:
             raise ValidationError("model needs at least one node")
@@ -89,14 +85,6 @@ class Model(Record):
     @property
     def n(self) -> int:
         return len(self.node_names)
-
-
-def _model_of_read_rows(family, node_names, rows, initial, lam) -> Model:
-    """The Model of weight rows read already under family's `weight` rule,
-    a tuple of cell tuples: a family's model-file `row` reader or another
-    Model's `weights`. Model checks the initial state, lambda, node names
-    and shapes as always, but does not read the weight cells again."""
-    return Model(family, node_names, _Read(rows), initial, lam)
 
 
 def _state(s):

@@ -247,6 +247,42 @@ def test_only_the_family_module_looks_a_family_up_by_name():
             call()
 
 
+def name_sites(source, names):
+    """(line, name) for each name, attribute or import (as imported, or
+    its alias) in source that is one of names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            seen = [node.id]
+        elif isinstance(node, ast.Attribute):
+            seen = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            seen = [part for a in node.names for part in (a.name.split(".")[-1], a.asname)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in seen if name in names]
+    return sorted(found)
+
+
+def test_only_the_row_readers_model_and_sweep_name_the_read_row_marker():
+    # A model-file weight row is read in one place, its family's row
+    # reader, which marks a row it took whole `_Read`; Model keeps such a
+    # row and cli's sweep marks the rows of the Model it rebuilds. Any other
+    # module naming the marker, or any module naming the folded-away
+    # `_model_of_read_rows`, would be a second path for reading a row.
+    markers = {"_family.py", "cogmap.py", "cli.py"}
+    found = {p.name: [(line, name) for line, name
+                      in name_sites(p.read_text(), {"_Read", "_model_of_read_rows"})
+                      if name == "_model_of_read_rows" or p.name not in markers]
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites} == {}
+    assert all(name_sites((SRC / name).read_text(), {"_Read"}) for name in markers)
+    probe = ('from ._family import _Read as R\nimport x._model_of_read_rows\n'
+             'm = cogmap._model_of_read_rows(1)\nprint("_Read")\nrow = _Read(())\n')
+    assert name_sites(probe, {"_Read", "_model_of_read_rows"}) == [
+        (1, "_Read"), (2, "_model_of_read_rows"), (3, "_model_of_read_rows"), (5, "_Read")]
+
+
 def unused_imports(source):
     """Names a module imports but never reads; names listed in its
     __all__ count as read (re-exports)."""

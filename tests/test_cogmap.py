@@ -285,6 +285,31 @@ def test_model_reads_rows_and_states_as_the_criteria_do(names, weights, initial,
         gc.Model("fcm", names, weights, initial, 1.0)
 
 
+@pytest.mark.parametrize("names, place, kind", [
+    ((1, None), 1, "int"),
+    (("a", None), 2, "NoneType"),
+    ((1, "1"), 1, "int"),
+    (("a", b"b"), 2, "bytes"),
+], ids=["int", "None", "int beside its str", "bytes"])
+def test_model_refuses_a_node_name_that_is_no_str(names, place, kind):
+    # A name is kept as given, not turned into its str(): (1, None) would
+    # name its nodes "1" and "None", and (1, "1") would read as one name
+    # given twice.
+    n = len(names)
+    with pytest.raises(gc.ValidationError,
+                       match=rf"^node_names\[{place}\]: a node name must be a str, got {kind}$"):
+        gc.Model("fcm", names, ((0.5,) * n,) * n, (0.0,) * n, 1.0)
+
+
+def test_model_keeps_its_node_names_as_given():
+    class Name(str):
+        pass
+
+    names = ("a", Name("b"))
+    m = gc.Model("fcm", list(names), ((0.5, 0.5),) * 2, (0.0, 0.0), 1.0)
+    assert m.node_names == names and type(m.node_names[1]) is Name
+
+
 @pytest.mark.parametrize("x", ["0.5", True, None], ids=["str", "True", "None"])
 def test_model_rejects_a_crisp_cell_that_is_no_number(x):
     with pytest.raises(gc.ValidationError, match="fcm cells must be numbers"):

@@ -1,7 +1,9 @@
 """JSON model files: parsing, lifting, rejection."""
 
+import copy
 import json
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -456,3 +458,38 @@ def test_loading_and_checking_reads_no_weight_cell_by_cell(family, tmp_path, mon
     assert cli.main(["check", "--model", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["family"] == family
     assert calls == {"parse": n}
+
+
+@pytest.mark.parametrize("family", gc.FAMILIES)
+@pytest.mark.parametrize("declined", [False, True], ids=["whole rows", "an int in row 2"])
+def test_a_model_holds_plain_tuple_rows_however_it_was_built(family, declined, tmp_path,
+                                                             monkeypatch):
+    # The row readers' marker of a row read already stays inside Model:
+    # every row of a Model from parse_model, from a sweep rebuild, and from
+    # pickle and copy is a plain tuple, and the Model equals the one built
+    # from plain rows, each read under the family's weight rule.
+    doc = seeded_doc(family, 6, seed=27)
+    if declined:
+        doc["weights"][1][0] = 0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    built = []
+    real_simulate = cli.simulate
+
+    def recording(m, steps):
+        built.append(m)
+        return real_simulate(m, steps)
+
+    monkeypatch.setattr(cli, "simulate", recording)
+    assert cli.main(["sweep", "--model", str(path), "--lambdas", "0.5,2",
+                     "--out-dir", str(tmp_path / "sweep")]) == 0
+    assert [m.lam for m in built] == [0.5, 2.0]
+    read = gc.parse_model(doc)
+    models = [read, *built, pickle.loads(pickle.dumps(read)), copy.copy(read),
+              copy.deepcopy(read)]
+    for m in models:
+        assert {type(row) for row in m.weights} == {tuple}
+        plain = gc.Model(family, list(m.node_names), [list(row) for row in m.weights],
+                         list(m.initial), m.lam)
+        assert m == plain and hash(m) == hash(plain)
+        assert repr(m) == repr(plain)
