@@ -33,13 +33,13 @@ Every record of the package (the cells, `GreyUnion`, `Model`,
 equality, hash, repr and pickling from the base. `dataclasses` is not
 used: importing it loads `inspect` (with `ast`, `dis` and `tokenize`),
 and it compiles each generated method when a class is made, which
-together took most of the time of `import greycog.cli`. `simulate`
-builds one cell per computed cell, so `Ign` and `Ggn` set their two
-slots through the slots' own setters. A grey family's `box` builds its
-cells in one loop with those setters, without a constructor call: it
-tests each pair of floats against the constructor's invariant (both
-finite; lo <= hi, or greyness >= 0) and, at the first pair that fails,
-boxes the planes through the constructor, which raises its usual error.
+together took most of the time of `import greycog.cli`. The fgcm `box`
+maps `Ign` over the planes, so `Ign` takes two finite floats in order
+without a `finite` call and sets its slots through the slots' own
+setters. The fggcm `box` builds its cells in one loop with `Ggn`'s slot
+setters, without a constructor call: it tests each pair of floats
+against `Ggn`'s invariant (both finite, greyness >= 0) and, at the first
+pair that fails, maps `Ggn`, which raises its usual error.
 
 Plain floating point, no outward rounding. At the scale this package
 targets (desk-size maps, |values| <= a few units) the representation error
@@ -65,8 +65,6 @@ def is_number(x) -> bool:
 def finite(x, error, where=None):
     """x as a finite float if it is a number (see `is_number`), else
     raises error, its message prefixed with where when given."""
-    if type(x) is float and math.isfinite(x):
-        return x
     if not is_number(x):
         problem = f"expected a number, got {type(x).__name__}"
     else:
@@ -105,8 +103,6 @@ def sequence(x, name, error=DimensionError):
     """x as a tuple, a tuple as it is. A value that is no sequence, is
     bytes-like (items read as ints), a set (hash order) or a mapping (its
     keys) raises error."""
-    if type(x) is tuple:
-        return x
     if not isinstance(x, (bytes, bytearray, memoryview, set, frozenset, Mapping)):
         try:
             return tuple(x)
@@ -221,14 +217,11 @@ class Ggn(Record):
     __slots__ = __match_args__ = ("kernel", "greyness")
 
     def __init__(self, kernel, greyness):
-        if not (type(kernel) is type(greyness) is float
-                and -math.inf < kernel < math.inf and 0.0 <= greyness < math.inf):
-            kernel = finite(kernel, MalformedInputError)
-            greyness = finite(greyness, MalformedInputError)
-            if greyness < 0.0:
-                raise MalformedInputError(f"greyness must be >= 0, got {greyness}")
-        _set_kernel(self, kernel)
-        _set_greyness(self, greyness)
+        kernel = finite(kernel, MalformedInputError)
+        greyness = finite(greyness, MalformedInputError)
+        if greyness < 0.0:
+            raise MalformedInputError(f"greyness must be >= 0, got {greyness}")
+        super().__init__(kernel, greyness)
 
 
 _new = object.__new__
@@ -240,17 +233,20 @@ class GreyUnion(Record):
     """A general grey number: known only to lie in a union of closed
     intervals [lo, hi] within the value domain [-1, 1].
 
-    Intervals are (lo, hi) pairs read by `Ign`, sorted ascending by lo
+    Intervals are (lo, hi) pairs, the list and each pair read by
+    `sequence`, then each pair by `Ign`; they are sorted ascending by lo
     and pairwise disjoint. Degenerate points are width-zero intervals.
     """
 
     __slots__ = __match_args__ = ("intervals",)
 
     def __init__(self, intervals):
-        try:
-            pairs = [(lo, hi) for lo, hi in intervals]
-        except (TypeError, ValueError):
-            raise MalformedInputError("a grey union is a sequence of (lo, hi) pairs") from None
+        pairs = []
+        for pair in sequence(intervals, "a grey union of (lo, hi) pairs", MalformedInputError):
+            pair = sequence(pair, "each of a grey union's (lo, hi) pairs", MalformedInputError)
+            if len(pair) != 2:
+                raise MalformedInputError("a grey union is a sequence of (lo, hi) pairs")
+            pairs.append(pair)
         ivs = tuple((iv.lo, iv.hi) for iv in (Ign(lo, hi) for lo, hi in pairs))
         if not ivs:
             raise MalformedInputError("grey union must contain at least one interval")
@@ -395,19 +391,6 @@ def _interval_split(cells):
     return [c.lo for c in cells], [c.hi for c in cells]
 
 
-def _interval_box(planes):
-    inf = math.inf
-    cells = []
-    for lo, hi in zip(*planes):
-        if not -inf < lo <= hi < inf:
-            return tuple(map(Ign, *planes))
-        cell = _new(Ign)
-        _set_lo(cell, lo)
-        _set_hi(cell, hi)
-        cells.append(cell)
-    return tuple(cells)
-
-
 def _interval_dist(a, b) -> float:
     s = 0.0
     for x, y in zip(a, b):
@@ -498,8 +481,8 @@ FAMILY = {
     ),
     "fgcm": Family(
         ("lo", "hi"), _interval_parse, lambda c: {"interval": [c.lo, c.hi]},
-        _interval_cell, _interval_weight, _interval_row,
-        _interval_split, _interval_box, interval_next, _interval_dist,
+        _interval_cell, _interval_weight, _interval_row, _interval_split,
+        lambda planes: tuple(map(Ign, *planes)), interval_next, _interval_dist,
     ),
     "fggcm": Family(
         ("kernel", "greyness"), _grey_parse,

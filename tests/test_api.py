@@ -203,25 +203,44 @@ def test_each_traced_attribute_is_reached_once_per_analysis_and_per_command(tmp_
                                 **analyses}, argv
 
 
-def lookup_sites(source):
-    """(line, what) for each raise of an "unknown family" message and each
-    name, attribute or import that refers to `located`."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Raise):
-            found += [(node.lineno, "unknown family") for c in ast.walk(node)
-                      if isinstance(c, ast.Constant) and "unknown family" in str(c.value)]
-            continue
+def walk(node, where="<module>"):
+    """(node, where) for node and every node below it, where being the
+    qualified name of the function or class it is in ("<module>" outside
+    any; a lambda is no function here)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = node.name if where == "<module>" else f"{where}.{node.name}"
+    yield node, where
+    for child in ast.iter_child_nodes(node):
+        yield from walk(child, where)
+
+
+def references(tree):
+    """(line, name, where) for each name a node of tree refers to: a bare
+    name, an attribute, or an import, both as imported (its last dotted
+    part) and by its alias; where is as in `walk`. Every guard below that
+    looks for a name reads it here, so an alias or an attribute access is
+    seen by all of them alike."""
+    for node, where in walk(tree):
         if isinstance(node, ast.Name):
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [a.name.split(".")[-1] for a in node.names]
+            names = [part for a in node.names for part in (a.name.split(".")[-1], a.asname)]
         else:
             continue
-        found += [(node.lineno, "located") for name in names if name == "located"]
-    return sorted(found)
+        yield from ((node.lineno, name, where) for name in names if name is not None)
+
+
+def lookup_sites(source):
+    """(line, what) for each raise of an "unknown family" message and each
+    name, attribute or import that refers to `located`."""
+    tree = ast.parse(source)
+    found = [(node.lineno, "unknown family") for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) for c in ast.walk(node)
+             if isinstance(c, ast.Constant) and "unknown family" in str(c.value)]
+    return sorted(found + [(line, name) for line, name, _ in references(tree)
+                           if name == "located"])
 
 
 def test_only_the_family_module_looks_a_family_up_by_name():
@@ -250,18 +269,8 @@ def test_only_the_family_module_looks_a_family_up_by_name():
 def name_sites(source, names):
     """(line, name) for each name, attribute or import (as imported, or
     its alias) in source that is one of names."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            seen = [node.id]
-        elif isinstance(node, ast.Attribute):
-            seen = [node.attr]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            seen = [part for a in node.names for part in (a.name.split(".")[-1], a.asname)]
-        else:
-            continue
-        found += [(node.lineno, name) for name in seen if name in names]
-    return sorted(found)
+    return sorted((line, name) for line, name, _ in references(ast.parse(source))
+                  if name in names)
 
 
 def test_only_the_row_readers_model_and_sweep_name_the_read_row_marker():
@@ -281,6 +290,38 @@ def test_only_the_row_readers_model_and_sweep_name_the_read_row_marker():
              'm = cogmap._model_of_read_rows(1)\nprint("_Read")\nrow = _Read(())\n')
     assert name_sites(probe, {"_Read", "_model_of_read_rows"}) == [
         (1, "_Read"), (2, "_model_of_read_rows"), (3, "_model_of_read_rows"), (5, "_Read")]
+
+
+# The cell builders that skip a constructor call: `_family._new` and the
+# slot setters. Each fast path that uses them is one a workload pays for
+# (fgcm's `box` maps `Ign`; the fggcm `box` and the grey row readers build
+# cells in a loop), and `_family`'s module level only defines them.
+BUILDERS = {"_new", "_set_lo", "_set_hi", "_set_kernel", "_set_greyness"}
+BUILDER_USERS = {"Ign.__init__", "_interval_row", "_grey_row", "_grey_box"}
+
+
+def builder_sites(source):
+    """(where, name) for each reference in source to one of `BUILDERS`;
+    where is as in `walk`."""
+    return sorted((where, name) for _, name, where in references(ast.parse(source))
+                  if name in BUILDERS)
+
+
+def test_only_the_paid_fast_paths_build_a_cell_without_its_constructor():
+    # A cell built without its constructor skips the constructor's
+    # checks, so each such builder is a fast path kept only while a
+    # workload pays for it; a deleted one (the fgcm slot loop, `Ggn`'s own
+    # setter calls) coming back would be a fork nobody measured.
+    found = {p.name: builder_sites(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    own = found.pop("_family.py")
+    assert {name: sites for name, sites in found.items() if sites} == {}
+    assert sorted(name for where, name in own if where == "<module>") == sorted(BUILDERS)
+    assert {where for where, _ in own} - {"<module>"} == BUILDER_USERS
+    probe = ("from ._family import _new as fresh\n_set_lo = Ign.lo.__set__\n"
+             "class Ign:\n    def __init__(self, lo):\n        _set_lo(self, lo)\n"
+             "box = lambda planes: _family._set_hi(fresh(Ign), planes)\n")
+    assert builder_sites(probe) == [("<module>", "_new"), ("<module>", "_set_hi"),
+                                    ("<module>", "_set_lo"), ("Ign.__init__", "_set_lo")]
 
 
 def unused_imports(source):
@@ -307,30 +348,19 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found and {name: names for name, names in found.items() if names} == {}
 
 
-def number_rule_sites(node, where="<module>"):
-    """The functions, by name, that refer to isfinite (as a bare name, an
-    attribute or an import, so an alias of it is seen where it is made) or
-    test isinstance(..., bool): the checks `_family`'s number rules own."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        where = node.name
-    if isinstance(node, ast.Name):
-        names = [node.id]
-    elif isinstance(node, ast.Attribute):
-        names = [node.attr]
-    elif isinstance(node, (ast.Import, ast.ImportFrom)):
-        names = [a.name.split(".")[-1] for a in node.names]
-    else:
-        names = []
-    if "isfinite" in names:
-        yield where
-    if (isinstance(node, ast.Call)
-            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "isinstance"):
-        types = node.args[1:2]
-        types = types[0].elts if types and isinstance(types[0], ast.Tuple) else types
-        if any(isinstance(t, ast.Name) and t.id == "bool" for t in types):
-            yield where
-    for child in ast.iter_child_nodes(node):
-        yield from number_rule_sites(child, where)
+def number_rule_sites(tree):
+    """The functions, by qualified name (see `walk`), that refer to
+    isfinite (see `references`, so an alias of it is seen where it is
+    made) or test isinstance(..., bool): the checks `_family`'s number
+    rules own."""
+    yield from (where for _, name, where in references(tree) if name == "isfinite")
+    for node, where in walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "isinstance"):
+            types = node.args[1:2]
+            types = types[0].elts if types and isinstance(types[0], ast.Tuple) else types
+            if any(isinstance(t, ast.Name) and t.id == "bool" for t in types):
+                yield where
 
 
 def test_only_the_family_module_writes_a_number_rule():
@@ -380,19 +410,8 @@ SUMMATIONS = {"sum", "fsum", "sumprod", "reduce"}
 
 def summation_sites(source):
     """(line, name) for each place source names a summation function, as
-    a bare name, an attribute or an import."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [a.name.split(".")[-1] for a in node.names]
-        else:
-            continue
-        found += [(node.lineno, name) for name in names if name in SUMMATIONS]
-    return sorted(found)
+    a bare name, an attribute or an import (see `name_sites`)."""
+    return name_sites(source, SUMMATIONS)
 
 
 def test_the_engine_kernels_sum_only_by_left_to_right_adds():

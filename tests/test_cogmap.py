@@ -401,6 +401,29 @@ def test_grey_union_refuses_an_interval_that_is_no_pair(intervals):
         gc.GreyUnion(intervals)
 
 
+# How `_family.sequence` reads a container: a set or frozenset iterates in
+# hash order, a dict over its keys and bytes over ints, so each is refused;
+# a list, tuple or iterator is read in the order given.
+CONTAINERS = {
+    "list": list, "tuple": tuple, "iterator": iter, "set": set, "frozenset": frozenset,
+    "dict": dict.fromkeys, "bytes": lambda items: bytes(range(len(items))),
+}
+REFUSED = {"set", "frozenset", "dict", "bytes"}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+@pytest.mark.parametrize("where", ["list", "pair"])
+def test_grey_union_reads_its_list_and_each_pair_as_a_sequence(where, kind):
+    pairs = [(-0.5, -0.4), (0.1, 0.2)]
+    make = CONTAINERS[kind]
+    intervals = make(pairs) if where == "list" else [pairs[0], make(pairs[1])]
+    if kind in REFUSED:
+        with pytest.raises(gc.MalformedInputError, match=f"pairs must be a sequence, got {kind}"):
+            gc.GreyUnion(intervals)
+    else:
+        assert gc.GreyUnion(intervals) == gc.GreyUnion(tuple(pairs))
+
+
 def test_cell_constructors_take_ints_and_float_subclasses():
     class Real(float):
         pass
