@@ -162,10 +162,10 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     Each kernel sum reads only the kernel planes and accumulates exactly
     as `dot_lr`. Each greyness is the activated kernel times the
     |kernel product|-weighted average of max(weight greyness, state
-    greyness); with zero kernel mass it is 0, and an infinite mass sum
-    raises MalformedInputError. The sign flip stands in for abs(p): it
-    leaves -0.0 as it is, but the mass sums start at +0.0 and
-    add only terms >= 0 or -0.0, so they come out the same. The three
+    greyness); with zero kernel mass it is 0, and an infinite mass or
+    weighted mass sum raises MalformedInputError. The sign flip stands in
+    for abs(p): it leaves -0.0 as it is, but the mass sums start at +0.0
+    and add only terms >= 0 or -0.0, so they come out the same. The three
     sums of a row (kernel, mass, weighted mass) share one loop, and each
     is gathered in its own list; the real rows' kernel sums are activated
     by one `sigmoids` call.
@@ -205,7 +205,7 @@ def kernel_grey_next(weights, x_k, x_g, lam):
         masses += d0, d1, d2, d3
         weighted += m0, m1, m2, m3
     kernels = sigmoids(sums[:rows], lam)
-    if math.inf in masses:
+    if math.inf in masses or math.inf in weighted:
         raise MalformedInputError("greyness mass sum must be finite, got inf")
     return kernels, tuple([k * (num / denom) if denom > 0.0 else 0.0
                            for k, denom, num in zip(kernels, masses, weighted)])

@@ -17,8 +17,9 @@ its shape and pass each entry through a family's `cell` or `number`
 (or, for a model file, `parse`), naming the place of one refused. A
 sequence whose entries are all what the rule would return (finite floats
 for `number` and the fcm `cell`, `Ign` or `Ggn` cells for the grey `cell`
-rules) is taken whole, tested at C speed, so a criterion reads a `Model`'s
-rows without a call per cell.
+rules, tuples for the trajectory `state` rule) is taken whole, tested at
+C speed, so a criterion reads a `Model`'s rows without a call per cell
+and `Trajectory` takes `simulate`'s tuple states without one per state.
 
 A model-file weight row is read once, by its family's `row` reader. A
 row it takes whole (JSON shape, number rule, cell invariant and range
@@ -109,6 +110,14 @@ def sequence(x, name, error=DimensionError):
         except TypeError:
             pass
     raise error(f"{name} must be a sequence, got {type(x).__name__}")
+
+
+def state(s):
+    """A trajectory state as a tuple by `sequence`; a str is refused, not
+    read as characters."""
+    if isinstance(s, str):
+        raise ValidationError("a state must be a sequence, got str")
+    return sequence(s, "a state", ValidationError)
 
 
 def vector(values, take, name, error=DimensionError):
@@ -308,7 +317,7 @@ def _crisp_parse(raw):
 
 
 def _crisp_cell(x):
-    if type(x) is not float and not is_number(x):
+    if not is_number(x):
         raise ValidationError("fcm cells must be numbers")
     return finite(x, MalformedInputError)
 
@@ -496,7 +505,8 @@ FAMILIES = tuple(FAMILY)
 
 # The rules `vector` skips for values all of one exact type (and finite,
 # for float), since the rule would return each such value as it is.
-_KEPT = {number: float, _crisp_cell: float, _interval_cell: Ign, _grey_cell: Ggn}
+_KEPT = {number: float, _crisp_cell: float, _interval_cell: Ign, _grey_cell: Ggn,
+         state: tuple}
 
 
 def family_of(name, error) -> Family:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ._core import blocks, crisp_next
 from ._family import (FAMILIES, FAMILY, Record, _Read, at_least, family_of, matrix, number,
-                      positive, sequence, vector)
+                      positive, sequence, state, vector)
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -87,32 +87,21 @@ class Model(Record):
         return len(self.node_names)
 
 
-def _state(s):
-    """A trajectory state as a tuple by `_family.sequence`, a tuple as it
-    is; a str is refused, not read as characters."""
-    if type(s) is tuple:
-        return s
-    if isinstance(s, str):
-        raise ValidationError("a state must be a sequence, got str")
-    return sequence(s, "a state", ValidationError)
-
-
 class Trajectory(Record):
     """Recorded state sequence of one simulation, initial state included.
-    states, and each state (see `_state`), are read by `_family.sequence`:
-    a value that is no sequence raises ValidationError."""
+    states is read by `_family.vector` under `_family.state`, tuple states
+    taken whole: a value that is no sequence, or a state that is a str,
+    raises ValidationError, and so do states of unequal lengths."""
 
     __slots__ = __match_args__ = ("family", "states")
 
     def __init__(self, family, states):
-        states = vector(states, _state, "states", ValidationError)
+        states = vector(states, state, "states", ValidationError)
         family_of(family, ValidationError)
         if len(states) < 1:
             raise ValidationError("trajectory must contain at least the initial state")
-        n = len(states[0])
-        for s in states:
-            if len(s) != n:
-                raise ValidationError("ragged trajectory states")
+        if len(set(map(len, states))) > 1:
+            raise ValidationError("ragged trajectory states")
         super().__init__(family, states)
 
     @property

@@ -292,6 +292,35 @@ def test_only_the_row_readers_model_and_sweep_name_the_read_row_marker():
         (1, "_Read"), (2, "_model_of_read_rows"), (3, "_model_of_read_rows"), (5, "_Read")]
 
 
+def exact_type_sites(source):
+    """(line, where, test) for each comparison in source that tests a
+    `type(...)` call by `is` or `is not`; where is as in `walk`, and test
+    is the comparison's source."""
+    return sorted((node.lineno, where, ast.unparse(node))
+                  for node, where in walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                  and any(isinstance(o, ast.Call) and getattr(o.func, "id", None) == "type"
+                          for o in (node.left, *node.comparators)))
+
+
+def test_only_the_family_module_trusts_an_exact_type():
+    # A value of the exact type a rule returns as it is may skip the rule
+    # only in `_family`: `vector`'s `_KEPT` table and the row readers. The
+    # one test elsewhere is Model's, which keeps a row a row reader marked
+    # `_Read`; another would be a second shortcut beside that table.
+    found = {p.name: [(where, test) for _, where, test in exact_type_sites(p.read_text())]
+             for p in sorted(SRC.glob("*.py")) if p.name != "_family.py"}
+    assert {name: sites for name, sites in found.items() if sites} == {
+        "cogmap.py": [("Model.__init__", "type(row) is _Read")]}
+    probe = ("def f(s):\n    if type(s) is tuple:\n        return s\n"
+             "class C:\n    def g(self, x):\n"
+             "        return float is not type(x) or type(x) == int\n"
+             "named = type(1).__name__ is str\n")
+    assert exact_type_sites(probe) == [(2, "f", "type(s) is tuple"),
+                                       (6, "C.g", "float is not type(x)")]
+
+
 # The cell builders that skip a constructor call: `_family._new` and the
 # slot setters. Each fast path that uses them is one a workload pays for
 # (fgcm's `box` maps `Ign`; the fggcm `box` and the grey row readers build

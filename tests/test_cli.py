@@ -778,6 +778,33 @@ def test_check_of_an_overflowing_greyness_mass_is_a_parse_error(tmp_path, capsys
         "greycog: parse error: greyness mass sum must be finite, got inf\n")
 
 
+# Weight greyness so large that the weighted greyness mass overflows
+# while the kernel sums and the |kernel product| mass stay finite: over
+# it, the greyness read inf (kernels 1.0) or nan (each kernel sum is
+# -1000, whose activation underflows to 0.0, and 0.0 * inf is nan).
+OVERFLOWING_WEIGHTED_MASS = {
+    "inf": ({"kernel": 1.0, "greyness": 1e308}, {"kernel": 1.0, "greyness": 0.0}),
+    "nan": ({"kernel": -1.0, "greyness": 1e308}, {"kernel": 500.0, "greyness": 0.0}),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("weight,initial", OVERFLOWING_WEIGHTED_MASS.values(),
+                         ids=list(OVERFLOWING_WEIGHTED_MASS))
+def test_an_overflowing_weighted_greyness_mass_is_a_parse_error(tmp_path, capsys, command,
+                                                               weight, initial):
+    doc = {"family": "fggcm", "nodes": ["a", "b"], "lambda": 1.0,
+           "weights": [[weight, weight]] * 2, "initial": [initial, initial]}
+    path = tmp_path / "mass.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "t.csv"
+    argv = [command, "--model", str(path)] + (["--out", str(out)] if command == "simulate" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "greycog: parse error: greyness mass sum must be finite, got inf\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("errors,code", [
     ((gc.MalformedInputError("x"), None, gc.ValidationError("x")), 3),
     ((None, gc.MalformedInputError("x"), None), 2),

@@ -223,6 +223,19 @@ def test_kernel_run_rejects_an_overflowing_greyness_mass():
         gc.simulate(m, 1)
 
 
+@pytest.mark.parametrize("weight,initial", [(gc.Ggn(1.0, 1e308), gc.Ggn(1.0, 0.0)),
+                                            (gc.Ggn(-1.0, 1e308), gc.Ggn(500.0, 0.0))],
+                         ids=["inf", "nan"])
+def test_kernel_run_rejects_an_overflowing_weighted_greyness_mass(weight, initial):
+    # The kernel sums and the |kernel product| mass stay finite, but the
+    # weighted mass overflows: over it, the greyness would read inf, or nan
+    # where the kernel's activation underflows to 0.0.
+    m = gc.Model("fggcm", ("a", "b"), ((weight, weight),) * 2, (initial, initial), 1.0)
+    with pytest.raises(gc.MalformedInputError,
+                       match="^greyness mass sum must be finite, got inf$"):
+        gc.simulate(m, 1)
+
+
 def test_model_rejects_out_of_range_crisp_weight():
     with pytest.raises(gc.ValidationError):
         gc.Model("fcm", ("a",), ((1.5,),), (0.0,), 1.0)

@@ -148,6 +148,11 @@ def test_condition_matrix_rejects_mismatched_dimensions():
         gc.grey_condition_matrix(w, (1.0,), (0.1, 0.1), 1.0)
     with pytest.raises(gc.DimensionError, match="square"):
         gc.grey_condition_matrix(w, (1.0, 1.0), (0.1, 0.1), 1.0)
+    square = ((gc.Ggn(0.5, 0.1), gc.Ggn(0.5, 0.1)),) * 2
+    for a_grey in ((0.1, 0.1, 0.1), None):
+        with pytest.raises(gc.DimensionError,
+                           match=r"^state vectors have length 3, the matrix 2$"):
+            gc.grey_condition_matrix(square, (1.0, 1.0, 1.0), a_grey, 1.0)
 
 
 # Inputs of the wrong number family, which used to raise a bare
