@@ -9,14 +9,14 @@ codec, `Model`, `simulate`, the CLI's trajectory writer and `classify`.
 One number rule, `finite` (an int or a float, not a bool, finite), makes
 every float: the cell constructors `Ign` and `Ggn` apply it (`GreyUnion`
 reads its intervals through `Ign`), so the model-file parsers check only
-JSON shape. Crisp cells have no constructor; the fcm `parse` and `cell`
-entries apply it themselves.
+JSON shape. Crisp cells have no constructor: the fcm `parse` is `finite`
+raising MalformedInputError, and the fcm `cell` is `number`.
 
 A matrix or vector argument is read by `matrix` or `vector`, which check
 its shape and pass each entry through a family's `cell` or `number`
 (or, for a model file, `parse`), naming the place of one refused. A
 sequence whose entries are all what the rule would return (finite floats
-for `number` and the fcm `cell`, `Ign` or `Ggn` cells for the grey `cell`
+for `number`, the fcm `cell`, `Ign` or `Ggn` cells for the grey `cell`
 rules, tuples for the trajectory `state` rule) is taken whole, tested at
 C speed, so a criterion reads a `Model`'s rows without a call per cell
 and `Trajectory` takes `simulate`'s tuple states without one per state.
@@ -101,10 +101,10 @@ def number(x):
 
 
 def sequence(x, name, error=DimensionError):
-    """x as a tuple, a tuple as it is. A value that is no sequence, is
-    bytes-like (items read as ints), a set (hash order) or a mapping (its
-    keys) raises error."""
-    if not isinstance(x, (bytes, bytearray, memoryview, set, frozenset, Mapping)):
+    """x as a tuple, a tuple as it is. A value that is no sequence, is a
+    str (characters) or bytes-like (items read as ints), a set (hash
+    order) or a mapping (its keys) raises error."""
+    if not isinstance(x, (str, bytes, bytearray, memoryview, set, frozenset, Mapping)):
         try:
             return tuple(x)
         except TypeError:
@@ -113,10 +113,7 @@ def sequence(x, name, error=DimensionError):
 
 
 def state(s):
-    """A trajectory state as a tuple by `sequence`; a str is refused, not
-    read as characters."""
-    if isinstance(s, str):
-        raise ValidationError("a state must be a sequence, got str")
+    """A trajectory state as a tuple by `sequence`, raising ValidationError."""
     return sequence(s, "a state", ValidationError)
 
 
@@ -311,19 +308,11 @@ class Family(NamedTuple):
 
 
 def _crisp_parse(raw):
-    if not is_number(raw):
-        raise MalformedInputError("fcm cells must be plain numbers")
     return finite(raw, MalformedInputError)
 
 
-def _crisp_cell(x):
-    if not is_number(x):
-        raise ValidationError("fcm cells must be numbers")
-    return finite(x, MalformedInputError)
-
-
 def _crisp_weight(v):
-    v = _crisp_cell(v)
+    v = number(v)
     if abs(v) > 1.0:
         raise ValidationError(f"weight {v} outside [-1, 1]")
     return v
@@ -485,7 +474,7 @@ def _grey_dist(a, b) -> float:
 
 FAMILY = {
     "fcm": Family(
-        ("value",), _crisp_parse, float, _crisp_cell, _crisp_weight, _crisp_row,
+        ("value",), _crisp_parse, float, number, _crisp_weight, _crisp_row,
         _crisp_split, itemgetter(0), crisp_next, _crisp_dist,
     ),
     "fgcm": Family(
@@ -505,8 +494,7 @@ FAMILIES = tuple(FAMILY)
 
 # The rules `vector` skips for values all of one exact type (and finite,
 # for float), since the rule would return each such value as it is.
-_KEPT = {number: float, _crisp_cell: float, _interval_cell: Ign, _grey_cell: Ggn,
-         state: tuple}
+_KEPT = {number: float, _interval_cell: Ign, _grey_cell: Ggn, state: tuple}
 
 
 def family_of(name, error) -> Family:

@@ -23,6 +23,10 @@ values that are no finite number (`"0.5"`, `true`, `null`, `[0.5]`, an
 integer literal beyond the float range, `1e400`, `NaN`) are parse errors.
 A top-level key beyond the five above is ignored.
 
+A path is a str, bytes or `os.PathLike`; any other value (an int, which
+`open` would take as a file descriptor and close, a bool or None) raises
+InvalidParameterError before anything is opened.
+
 A document is read in one pass: each weight row by its family's `row`
 reader (see `_family`), the initial state through `parse`, then `Model`,
 which keeps the rows the reader took whole and range-checks the others.
@@ -34,10 +38,11 @@ names and shapes.
 from __future__ import annotations
 
 import json
+import os
 
 from ._family import FAMILY, family_of, finite, positive, vector
 from .cogmap import Model
-from .errors import MalformedInputError, ValidationError
+from .errors import InvalidParameterError, MalformedInputError, ValidationError
 
 __all__ = ["load_model", "model_to_doc", "parse_model", "save_doc"]
 
@@ -92,8 +97,18 @@ def model_to_doc(m: Model) -> dict:
     }
 
 
+def _path(path):
+    """path through `os.fspath`; a value it refuses raises InvalidParameterError."""
+    try:
+        return os.fspath(path)
+    except TypeError:
+        raise InvalidParameterError(
+            f"a path must be a str, bytes or os.PathLike, got {type(path).__name__}") from None
+
+
 def load_model(path, lam=None) -> Model:
     """The model in a model file; lam as in `parse_model`."""
+    path = _path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -107,6 +122,7 @@ def load_model(path, lam=None) -> Model:
 
 
 def save_doc(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """doc as indented JSON in the file at path (see `_path`)."""
+    with open(_path(path), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -149,8 +150,10 @@ def _write_trajectory(path, model: Model, traj) -> None:
 
 
 def _verdict_dict(v: convergence.Verdict) -> dict:
+    """A verdict as report JSON. A criterion that overflowed to inf is
+    written null, since JSON has no infinity; its display stays "inf"."""
     return {
-        "criterion": v.criterion_value,
+        "criterion": v.criterion_value if v.criterion_value < math.inf else None,
         "criterion_display": f"{v.criterion_value:.4f}",
         "threshold": v.threshold,
         "outcome": v.outcome,

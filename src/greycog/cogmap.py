@@ -49,8 +49,8 @@ class Model(Record):
     matrix, initial state, and sigmoid steepness. Immutable and validated
     on construction; n is the node count. Each weight row is read once,
     under the family's `weight` rule, here unless it is `_family._Read`. A
-    value that is no sequence (see `_family.sequence`), a str of node names
-    or a node name that is no str raises ValidationError."""
+    value that is no sequence (see `_family.sequence`; a str of node names
+    is none) or a node name that is no str raises ValidationError."""
 
     __slots__ = __match_args__ = ("family", "node_names", "weights", "initial", "lam")
 
@@ -62,8 +62,6 @@ class Model(Record):
                         for i, row in enumerate(sequence(weights, "weights", ValidationError), 1))
         initial = vector(initial, fam.cell, "initial", ValidationError)
         lam = positive(lam, ValidationError)
-        if isinstance(node_names, str):
-            raise ValidationError("node_names must be a sequence of names, got str")
         node_names = vector(node_names, _name, "node_names", ValidationError)
         n = len(node_names)
         if not n:
@@ -90,8 +88,8 @@ class Model(Record):
 class Trajectory(Record):
     """Recorded state sequence of one simulation, initial state included.
     states is read by `_family.vector` under `_family.state`, tuple states
-    taken whole: a value that is no sequence, or a state that is a str,
-    raises ValidationError, and so do states of unequal lengths."""
+    taken whole: a value that is no sequence (a str is none) raises
+    ValidationError, and so do states of unequal lengths."""
 
     __slots__ = __match_args__ = ("family", "states")
 

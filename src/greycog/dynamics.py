@@ -8,7 +8,7 @@ operational chaos criterion here beyond "neither of the other two".
 
 from __future__ import annotations
 
-from ._family import FAMILY, Record, at_least, family_of, positive
+from ._family import FAMILY, Record, at_least, family_of, positive, sequence
 from .cogmap import Trajectory
 from .errors import (
     DimensionError,
@@ -26,15 +26,13 @@ __all__ = [
 
 def state_distance(family: str, a, b) -> float:
     """Family metric: Euclidean over every float field of the cells (the
-    value; lo and hi; kernel and greyness). A state that is no sequence,
-    or states of different lengths, raise DimensionError, a cell of
-    another family ValidationError."""
+    value; lo and hi; kernel and greyness). A state that is no sequence
+    (see `_family.sequence`), or states of different lengths, raise
+    DimensionError, a cell of another family ValidationError."""
     fam = family_of(family, ValidationError)
-    try:
-        if len(a) != len(b):
-            raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
-    except TypeError:
-        raise DimensionError("states must be sequences") from None
+    a, b = sequence(a, "a state"), sequence(b, "a state")
+    if len(a) != len(b):
+        raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
     try:
         return fam.distance(a, b)
     except (AttributeError, TypeError):

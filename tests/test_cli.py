@@ -257,6 +257,37 @@ def test_check_ggn_report(tmp_path, capsys):
     assert len(report["evaluation_state"]["kernels"]) == 7
 
 
+def strict_json(text):
+    """text as JSON (RFC 8259), which has no Infinity or NaN."""
+    def refuse(name):
+        raise ValueError(f"{name} is no JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("variant, verdict", [("web_fcm", ()), ("web_fggcm", ("kernel",))])
+def test_check_writes_an_overflowed_criterion_as_null(tmp_path, capsys, variant, verdict):
+    # At lambda 1e308 the criterion overflows to inf, which JSON cannot hold.
+    model = export(tmp_path, variant)
+    assert main(["check", "--model", model, "--lambda", "1e308"]) == 0
+    report = strict_json(capsys.readouterr().out)
+    for key in verdict:
+        report = report[key]
+    assert (report["criterion"], report["criterion_display"], report["outcome"]) == (
+        None, "inf", gc.INCONCLUSIVE)
+
+
+def test_sweep_writes_an_overflowed_criterion_as_null(tmp_path):
+    model = export(tmp_path, "web_fggcm")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--model", model, "--lambdas", "1,1e308", "--out-dir", str(out)]) == 0
+    report = strict_json((out / "report_lam1e+308.json").read_text())
+    assert (report["kernel"]["criterion"], report["kernel"]["criterion_display"]) == (None, "inf")
+    assert report["greyness"]["criterion"] < 1.0
+    assert strict_json((out / "report_lam1.json").read_text())["kernel"]["criterion"] > 4.0
+    assert read_csv(out / "summary.csv")[2][:4] == [
+        "1e+308", "inf", repr(report["greyness"]["criterion"]), "LimitCycle"]
+
+
 def test_check_mixed_sign_weight_exits_four(tmp_path, capsys):
     doc = {
         "family": "fgcm",
@@ -595,6 +626,26 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert out.exists()
+
+
+# open takes a bool as the file descriptor 0 or 1, which it would read
+# or write, then close; run apart, so the closed descriptor is not this
+# process's.
+BOOL_PATHS = """
+import greycog as gc
+for call in (lambda: gc.load_model(True), lambda: gc.save_doc({"a": 1}, False)):
+    try:
+        call()
+    except gc.InvalidParameterError:
+        print("refused", flush=True)
+"""
+
+
+def test_a_bool_path_is_refused_not_taken_as_a_standard_stream():
+    proc = subprocess.run([sys.executable, "-c", BOOL_PATHS], capture_output=True,
+                          stdin=subprocess.DEVNULL, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["refused", "refused"]
 
 
 def test_cli_import_does_not_load_numpy():

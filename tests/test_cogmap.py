@@ -280,20 +280,28 @@ def test_model_rejects_a_shape_that_does_not_match_its_nodes(names, weights, ini
     (("a", "b"), ((0.5, 0.5), bytearray(b"ab")), (0.0, 0.0),
      r"weights\[2\] must be a sequence, got bytearray"),
     (("a",), ((0.5,),), memoryview(b"a"), "initial must be a sequence, got memoryview"),
-    ("ab", ((0.5, 0.5), (0.5, 0.5)), (0.1, 0.2), "node_names must be a sequence of names, got str"),
+    ("ab", ((0.5, 0.5), (0.5, 0.5)), (0.1, 0.2), "node_names must be a sequence, got str"),
     (("a", "b"), ((0.5, 0.5), (0.5, 0.5)), {0.2, 0.1}, "initial must be a sequence, got set"),
     (("a", "b"), ((0.5, 0.5), frozenset({0.5, 0.25})), (0.1, 0.2),
      r"weights\[2\] must be a sequence, got frozenset"),
     (("a", "b"), ((0.5, 0.5), (0.5, 0.5)), {0.2: 1, 0.1: 2},
      "initial must be a sequence, got dict"),
+    (("a", "b"), ((0.5, 0.5), (math.nan, 0.5)), (0.1, 0.2),
+     r"^weights\[2\]\[1\]: non-finite number nan$"),
+    (("a", "b"), ((0.5, 0.5), (-math.inf, 0.5)), (0.1, 0.2),
+     r"^weights\[2\]\[1\]: non-finite number -inf$"),
+    (("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (0.1, math.nan), r"^initial\[2\]: non-finite number nan$"),
+    (("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (0.1, math.inf), r"^initial\[2\]: non-finite number inf$"),
 ], ids=["row number", "initial number", "weights number", "names number", "initial bytes",
         "row bytearray", "initial memoryview", "names str", "initial set", "row frozenset",
-        "initial dict"])
+        "initial dict", "row nan", "row -inf", "initial nan", "initial inf"])
 def test_model_reads_rows_and_states_as_the_criteria_do(names, weights, initial, match):
     # The one sequence rule of `_family`, raising ValidationError: a
     # bytes-like value is refused, not read as ints, and so is a set or a
-    # mapping, whose order is not the caller's; a str of names is refused,
-    # not read as one name per character.
+    # mapping, whose order is not the caller's, and a str, which would read
+    # as one name per character. Each crisp cell then passes the number
+    # rule, so a NaN or an infinity is refused named by its place, as
+    # check_fcm and fcm_step refuse it.
     with pytest.raises(gc.ValidationError, match=match):
         gc.Model("fcm", names, weights, initial, 1.0)
 
@@ -325,7 +333,7 @@ def test_model_keeps_its_node_names_as_given():
 
 @pytest.mark.parametrize("x", ["0.5", True, None], ids=["str", "True", "None"])
 def test_model_rejects_a_crisp_cell_that_is_no_number(x):
-    with pytest.raises(gc.ValidationError, match="fcm cells must be numbers"):
+    with pytest.raises(gc.ValidationError, match="expected a number"):
         gc.Model("fcm", ("a",), ((0.0,),), (x,), 1.0)
 
 
@@ -341,7 +349,7 @@ def test_model_rejects_a_float_cell_in_a_grey_family(family, match):
     ("fcm", ((0.5,), (0.5, 0.5)), "ragged"),
     ("fcm", [1.0, 2.0], r"states\[1\]: a state must be a sequence, got float"),
     ("fcm", None, "states must be a sequence, got NoneType"),
-    ("fcm", "ab", r"states\[1\]: a state must be a sequence, got str"),
+    ("fcm", "ab", "states must be a sequence, got str"),
     ("fcm", [b"ab"], r"states\[1\]: a state must be a sequence, got bytes"),
     ("fcm", [(0.5,), {"a": 1}], r"states\[2\]: a state must be a sequence, got dict"),
     ("fcm", [{0.5, 0.25}], r"states\[1\]: a state must be a sequence, got set"),
@@ -378,7 +386,7 @@ OVERFLOW_SITES = {
     "GreyUnion": (lambda x: gc.GreyUnion(((x, 1.0),)), gc.MalformedInputError),
     "GreyUnion hi": (lambda x: gc.GreyUnion(((-1.0, x),)), gc.MalformedInputError),
     "Model fcm cell": (lambda x: gc.Model("fcm", ("a",), ((0.0,),), (x,), 1.0),
-                       gc.MalformedInputError),
+                       gc.ValidationError),
     "Model lambda": (lambda x: gc.Model("fcm", ("a",), ((0.0,),), (0.0,), x),
                      gc.ValidationError),
 }

@@ -189,7 +189,6 @@ WRONG_FAMILY_CALLS = {
     "norm of a bool entry": lambda: gc.frobenius_norm([[True]]),
     "norm of an integer too large for a float": lambda: gc.frobenius_norm([[10**400]]),
     "norm of a str entry": lambda: gc.frobenius_norm([["x"]]),
-    "norm of a str": lambda: gc.frobenius_norm("x"),
     "check_fcm of a NaN weight": lambda: gc.check_fcm([[math.nan]], 1.0),
     # fcm_step reads its arguments the same way; a str weight used to leak
     # a TypeError and a bool weight counted as 1.
@@ -229,6 +228,10 @@ NON_SEQUENCE_CALLS = {
     "fcm_step at a dict state": lambda: gc.fcm_step([[0.5, 0.5]], {0.2: 1, 0.1: 2}, 1.0),
     "fcm_step at a set state": lambda: gc.fcm_step([[0.5, 0.5]], {0.2, 0.1}, 1.0),
     "norm of a frozenset row": lambda: gc.frobenius_norm([frozenset({0.5, 0.25})]),
+    # A str is refused, not read as its characters.
+    "norm of a str": lambda: gc.frobenius_norm("x"),
+    "norm of a str row": lambda: gc.frobenius_norm(["ab"]),
+    "fcm_step at a str state": lambda: gc.fcm_step([[0.5]], "ab", 1.0),
 }
 
 

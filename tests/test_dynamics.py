@@ -63,9 +63,17 @@ def test_a_state_of_another_family_raises_a_validation_error(call):
         WRONG_FAMILY_CALLS[call]()
 
 
-@pytest.mark.parametrize("a, b", [(5, 5), ((0.5,), 5), (None, (0.5,))])
+# Containers the one sequence rule refuses: bytes-like values read as
+# ints, a str as characters, a set in hash order and a dict by its keys.
+REFUSED_STATES = {"bytes": b"ab", "bytearray": bytearray(b"ab"), "str": "ab",
+                  "set": {0.5, 0.25}, "dict": {0.5: 1, 0.25: 2}}
+
+
+@pytest.mark.parametrize("a, b", [(5, 5), ((0.5,), 5), (None, (0.5,))] + [
+    pytest.param(*((x, (0.5, 0.5)) if where == "a" else ((0.5, 0.5), x)), id=f"{kind} {where}")
+    for kind, x in REFUSED_STATES.items() for where in ("a", "b")])
 def test_a_state_that_is_no_sequence_raises_a_dimension_error(a, b):
-    with pytest.raises(gc.DimensionError, match="states must be sequences"):
+    with pytest.raises(gc.DimensionError, match="a state must be a sequence"):
         gc.state_distance("fcm", a, b)
 
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import os
 import pickle
 import random
 from collections import Counter
@@ -129,6 +130,26 @@ def test_load_model_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(gc.MalformedInputError):
         gc.load_model(str(p))
+
+
+@pytest.mark.parametrize("call", [gc.load_model, lambda fd: gc.save_doc({"a": 1}, fd),
+                                  lambda fd: gc.load_model(None)],
+                         ids=["load_model fd", "save_doc fd", "load_model None"])
+def test_a_path_that_is_no_path_is_refused_before_anything_opens(tmp_path, call):
+    # open would take an int as a file descriptor, read or write it, then
+    # close it. A bool is an int too; see test_cli for that case, which
+    # would name stdin, stdout or stderr.
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc_fcm()))
+    before = p.read_bytes()
+    fd = os.open(p, os.O_RDWR)
+    try:
+        with pytest.raises(gc.InvalidParameterError, match="a path must be"):
+            call(fd)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
+    assert p.read_bytes() == before
 
 
 def test_doc_round_trip(tmp_path):
@@ -384,7 +405,7 @@ def test_the_row_readers_agree_at_every_edge_number(site):
 MULTI_FAULT = {
     "range in row 1, malformed in row 2": (
         faults("fcm", (0, 1, 1.5), (1, 0, "x")),
-        gc.MalformedInputError, "weights[2][1]: fcm cells must be plain numbers"),
+        gc.MalformedInputError, "weights[2][1]: expected a number, got str"),
     "grey range in row 1, malformed union in row 2": (
         faults("fggcm", (0, 1, {"kernel": 1.5, "greyness": 0.0}), (1, 0, {"union": 0.5})),
         gc.MalformedInputError, "weights[2][1]: 'union' must be a list of [lo, hi]"),
