@@ -34,10 +34,10 @@ Every record of the package (the cells, `GreyUnion`, `Model`,
 equality, hash, repr and pickling from the base. `dataclasses` is not
 used: importing it loads `inspect` (with `ast`, `dis` and `tokenize`),
 and it compiles each generated method when a class is made, which
-together took most of the time of `import greycog.cli`. The fgcm `box`
-maps `Ign` over the planes, so `Ign` takes two finite floats in order
-without a `finite` call and sets its slots through the slots' own
-setters. The fggcm `box` builds its cells in one loop with `Ggn`'s slot
+together took most of the time of `import greycog.cli`. `Ign` and `Ggn`
+convert each number through `finite`, test their invariant and set their
+fields through `Record.__init__`; the fgcm `box` maps `Ign` over the
+planes. The fggcm `box` builds its cells in one loop with `Ggn`'s slot
 setters, without a constructor call: it tests each pair of floats
 against `Ggn`'s invariant (both finite, greyness >= 0) and, at the first
 pair that fails, maps `Ggn`, which raises its usual error.
@@ -199,12 +199,10 @@ class Ign(Record):
     __slots__ = __match_args__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        if not (type(lo) is type(hi) is float and -math.inf < lo <= hi < math.inf):
-            lo, hi = finite(lo, MalformedInputError), finite(hi, MalformedInputError)
-            if lo > hi:
-                raise MalformedInputError(f"interval [{lo}, {hi}] has lo > hi")
-        _set_lo(self, lo)
-        _set_hi(self, hi)
+        lo, hi = finite(lo, MalformedInputError), finite(hi, MalformedInputError)
+        if lo > hi:
+            raise MalformedInputError(f"interval [{lo}, {hi}] has lo > hi")
+        super().__init__(lo, hi)
 
     @property
     def width(self) -> float:

@@ -323,10 +323,10 @@ def test_only_the_family_module_trusts_an_exact_type():
 
 # The cell builders that skip a constructor call: `_family._new` and the
 # slot setters. Each fast path that uses them is one a workload pays for
-# (fgcm's `box` maps `Ign`; the fggcm `box` and the grey row readers build
+# (the interval and grey row readers and the fggcm `box`, which build
 # cells in a loop), and `_family`'s module level only defines them.
 BUILDERS = {"_new", "_set_lo", "_set_hi", "_set_kernel", "_set_greyness"}
-BUILDER_USERS = {"Ign.__init__", "_interval_row", "_grey_row", "_grey_box"}
+BUILDER_USERS = {"_interval_row", "_grey_row", "_grey_box"}
 
 
 def builder_sites(source):
@@ -339,8 +339,8 @@ def builder_sites(source):
 def test_only_the_paid_fast_paths_build_a_cell_without_its_constructor():
     # A cell built without its constructor skips the constructor's
     # checks, so each such builder is a fast path kept only while a
-    # workload pays for it; a deleted one (the fgcm slot loop, `Ggn`'s own
-    # setter calls) coming back would be a fork nobody measured.
+    # workload pays for it; a deleted one (the fgcm slot loop, `Ign`'s and
+    # `Ggn`'s own setter calls) coming back would be a fork nobody measured.
     found = {p.name: builder_sites(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     own = found.pop("_family.py")
     assert {name: sites for name, sites in found.items() if sites} == {}

@@ -374,6 +374,26 @@ def test_degenerate_interval_criterion_is_the_crisp_criterion(n, data, lam):
     assert gc.check_fgcm(boxed, lam) == gc.check_fcm(w, lam)
 
 
+@settings(max_examples=100)
+@given(st.integers(1, 10), st.data(), st.floats(0.0, 10.0, exclude_min=True))
+def test_the_kernel_criterion_of_an_interval_map_is_below_its_interval_criterion(n, data, lam):
+    """The abstract's special case, FGCM within FGGCM: each interval cell
+    reduced by `ggn_from_union` has the midpoint as its kernel, and |mid|
+    <= W*_ij entry by entry, which rounding keeps. So the crisp criterion
+    on the kernel matrix K is at most the interval criterion on W, float
+    for float, and an interval UniqueFixedPoint is a kernel one too."""
+    end = st.one_of(signed_zero, unit.map(abs))
+    cells = st.tuples(end, end, st.booleans()).map(
+        lambda p: gc.Ign(-max(p[:2]), -min(p[:2])) if p[2] else gc.Ign(min(p[:2]), max(p[:2])))
+    w = data.draw(mat(cells, n))
+    k = tuple(tuple(gc.ggn_from_union(gc.GreyUnion(((c.lo, c.hi),))).kernel for c in row)
+              for row in w)
+    kernel, interval = gc.check_fcm(k, lam), gc.check_fgcm(w, lam)
+    assert kernel.criterion_value <= interval.criterion_value
+    if interval.outcome == gc.UNIQUE:
+        assert kernel.outcome == gc.UNIQUE
+
+
 # Kernels away from zero, so that no row of the condition matrix is
 # degenerate.
 kernel_s = st.tuples(st.floats(0.01, 1.0), st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
