@@ -108,10 +108,10 @@ class Trajectory(Record):
 
 
 def fcm_step(w, a, lam: float):
-    """One synchronous crisp update: out_i = sigmoid(sum_j w_ij a_j), w and
-    a read by `_family.matrix` and `vector` under `number`."""
+    """One synchronous crisp update: out_i = sigmoid(sum_j w_ij a_j), w
+    (square) and a read by `_family.matrix` and `vector` under `number`."""
     lam = positive(lam, InvalidParameterError)
-    w = matrix(w, number, "w")
+    w = matrix(w, number, "w", square=True)
     a = vector(a, number, "a")
     if len(w[0]) != len(a):
         raise DimensionError("weight row length does not match state length")

@@ -73,9 +73,10 @@ def frobenius_norm(m) -> float:
     """Square root of the sum of squared entries of m, read by
     `_family.matrix` under `number`. fsum rounds the sum of squares once,
     so the value does not depend on the order of the entries. A sum of
-    squares beyond the float range is summed again over the entries
-    scaled by a power of two, which changes no rounding, so the result is
-    inf only for a norm beyond the float range."""
+    squares beyond the float range, or below 2**-969 (subnormal squares
+    lose bits), is summed again over the entries scaled by a power of two,
+    so the result is inf only for a norm beyond the float range and 0.0
+    only for a zero matrix."""
     return _frobenius(matrix(m, number, "matrix"))
 
 
@@ -85,7 +86,7 @@ def _frobenius(rows) -> float:
         total = math.fsum(x * x for row in rows for x in row)
     except OverflowError:
         total = math.inf
-    if total < math.inf:
+    if 2.0 ** -969 <= total < math.inf:
         return math.sqrt(total)
     e = math.frexp(max(abs(x) for row in rows for x in row))[1]
     scaled = math.sqrt(math.fsum(math.ldexp(x, -e) ** 2 for row in rows for x in row))
@@ -102,9 +103,9 @@ def w_star(w):
     interval straddling zero has no single dominant endpoint, which makes
     the interval criterion inapplicable; that raises MixedSignWeightError
     with 1-based indices. w is read by `_family.matrix` with the fgcm cell
-    rule. Returns row tuples.
+    rule, as a square matrix. Returns row tuples.
     """
-    w = matrix(w, FAMILY["fgcm"].cell, "w")
+    w = matrix(w, FAMILY["fgcm"].cell, "w", square=True)
     for i, row in enumerate(w, 1):
         for j, cell in enumerate(row, 1):
             if cell.lo < 0.0 < cell.hi:
@@ -118,9 +119,9 @@ def _banach(lam: float, rows) -> Verdict:
 
 
 def check_fcm(w, lam: float) -> Verdict:
-    """Crisp criterion: the Banach bound on W, read as by `frobenius_norm`."""
+    """Crisp criterion: the Banach bound on a square W, read as by `frobenius_norm`."""
     lam = positive(lam, InvalidParameterError)
-    return _banach(lam, matrix(w, number, "matrix"))
+    return _banach(lam, matrix(w, number, "matrix", square=True))
 
 
 def check_fgcm(w, lam: float) -> Verdict:
@@ -142,10 +143,11 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     dominates the weight greyness; those are the terms through which state
     uncertainty propagates to the next step.
 
-    With a_grey None every gate is open. That ungated matrix is the exact
-    greyness transition matrix wherever every state greyness is >= its
-    column's weight greyness; when its norm is below 1 at a kernel fixed
-    point, the greyness converges and its fixed point solves g = M g.
+    With a_grey None every state greyness is inf, so every gate is open.
+    That ungated matrix is the exact greyness transition matrix wherever
+    every state greyness is >= its column's weight greyness; when its norm
+    is below 1 at a kernel fixed point, the greyness converges and its
+    fixed point solves g = M g.
 
     The state vectors are read first, by `_family.vector` under `number`,
     then w, by `_family.matrix` as a square matrix of fggcm cells; state
@@ -154,35 +156,29 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     """
     lam = positive(lam, InvalidParameterError)
     a_hat = vector(a_hat, number, "a_hat")
-    if a_grey is not None:
-        a_grey = vector(a_grey, number, "a_grey")
-        if len(a_grey) != len(a_hat):
-            raise DimensionError(f"state vectors differ in length: {len(a_hat)} vs {len(a_grey)}")
+    a_grey = (math.inf,) * len(a_hat) if a_grey is None else vector(a_grey, number, "a_grey")
+    if len(a_grey) != len(a_hat):
+        raise DimensionError(f"state vectors differ in length: {len(a_hat)} vs {len(a_grey)}")
     w = matrix(w, FAMILY["fggcm"].cell, "w", square=True)
     if len(w) != len(a_hat):
         raise DimensionError(f"state vectors have length {len(a_hat)}, the matrix {len(w)}")
-    return _condition_rows(w, a_hat, a_grey, lam)
+    return _condition_rows(*zip(*map(FAMILY["fggcm"].split, w)), a_hat, a_grey, lam)
 
 
-def _condition_rows(w, a_hat, a_grey, lam):
-    """`grey_condition_matrix` over arguments already read."""
+def _condition_rows(kernels, greys, a_hat, a_grey, lam):
+    """`grey_condition_matrix` over arguments already read: the weight rows
+    as the kernel and greyness planes of `FAMILY["fggcm"].split`, then the state."""
     out = []
-    for i, row in enumerate(w, 1):
-        kernels = [cell.kernel for cell in row]
-        shares = [abs(k * a) for k, a in zip(kernels, a_hat)]
+    for i, (k_row, g_row) in enumerate(zip(kernels, greys), 1):
+        shares = [abs(k * a) for k, a in zip(k_row, a_hat)]
         denom = 0.0
         for share in shares:
             denom += share
         if denom <= 0.0:
             raise DegenerateRowError(i)
-        a_prime = sigmoids((dot_lr(kernels, a_hat),), lam)[0]
-        if a_grey is None:
-            out.append(tuple(a_prime * share / denom for share in shares))
-        else:
-            out.append(tuple(
-                a_prime * share / denom if g - cell.greyness >= 0.0 else 0.0
-                for share, cell, g in zip(shares, row, a_grey)
-            ))
+        a_prime = sigmoids((dot_lr(k_row, a_hat),), lam)[0]
+        out.append(tuple(a_prime * share / denom if g - wg >= 0.0 else 0.0
+                         for share, wg, g in zip(shares, g_row, a_grey)))
     return tuple(out)
 
 
@@ -212,8 +208,9 @@ class FggcmReport(Record):
 def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
     """Full report for a kernel/greyness model.
 
-    The kernel criterion is the crisp criterion on the kernel matrix. The
-    greyness condition matrix is evaluated at the final recorded state:
+    The model's weights are split once into kernel and greyness planes:
+    the kernel criterion is the crisp criterion on the kernel plane; both
+    build the greyness condition matrix at the final recorded state:
     the converged state when cls is a fixed point, otherwise a
     non-authoritative evaluation point, flagged by kernel_converged=False.
     That state is read by `_family.vector` with the fggcm cell rule, so a
@@ -223,11 +220,12 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
         raise ValidationError(f"expected an fggcm model, got {m.family}")
     if traj.family != "fggcm":
         raise ValidationError(f"expected an fggcm trajectory, got {traj.family}")
-    kernel_verdict = _banach(m.lam, [[cell.kernel for cell in row] for row in m.weights])
+    kernels, greys = zip(*map(FAMILY["fggcm"].split, m.weights))
+    kernel_verdict = _banach(m.lam, kernels)
     state = vector(traj.states[-1], FAMILY["fggcm"].cell, "state", ValidationError)
     if len(state) != m.n:
         raise DimensionError(f"state vectors have length {len(state)}, the matrix {m.n}")
-    cond = _condition_rows(m.weights, *FAMILY["fggcm"].split(state), m.lam)
+    cond = _condition_rows(kernels, greys, *FAMILY["fggcm"].split(state), m.lam)
     return FggcmReport(
         kernel_verdict=kernel_verdict,
         greyness_verdict=Verdict(_frobenius(cond), 1.0),

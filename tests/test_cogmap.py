@@ -73,8 +73,8 @@ def test_model_rejects_a_bad_lambda(lam):
 
 
 def test_step_rejects_row_length_mismatch():
-    with pytest.raises(gc.DimensionError):
-        gc.fcm_step(((0.5, 0.1),), (0.5,), 1.0)
+    with pytest.raises(gc.DimensionError, match="state length"):
+        gc.fcm_step(((0.5, 0.1), (0.2, 0.3)), (0.5,), 1.0)
 
 
 def test_web_first_iterate_crisp(web_fcm_05):

@@ -53,8 +53,18 @@ def test_frobenius_norm_is_inf_only_beyond_the_float_range():
     assert gc.frobenius_norm([[1e154, 1e154]]) == 1.414213562373095e154
     assert gc.frobenius_norm([[3.0 * 2.0 ** 1000, 4.0 * 2.0 ** 1000]]) == 5.0 * 2.0 ** 1000
     assert gc.frobenius_norm([[1.5e308, 1.5e308]]) == math.inf
-    v = gc.check_fcm([[1e154, 1e154]], 1.0)
+    v = gc.check_fcm([[1e154, 1e154], [0.0, 0.0]], 1.0)
     assert v.outcome == gc.INCONCLUSIVE and v.criterion_value == 1.414213562373095e154
+
+
+def test_frobenius_norm_is_zero_only_for_a_zero_matrix():
+    # Squares below the normal float range lose bits or vanish, so a sum
+    # that small is taken again over entries scaled by a power of two.
+    assert gc.frobenius_norm([[1e-200]]) == 1e-200
+    assert gc.frobenius_norm([[3e-162, 4e-162]]) == 5e-162
+    assert gc.frobenius_norm([[5e-324]]) == 5e-324
+    assert gc.frobenius_norm([[1e-160, 1e-160]]) == math.hypot(1e-160, 1e-160)
+    assert gc.frobenius_norm([[0.0, -0.0], [0.0, 0.0]]) == 0.0
 
 
 def test_w_star_takes_largest_endpoint_magnitude():
@@ -225,8 +235,8 @@ NON_SEQUENCE_CALLS = {
     "condition matrix at a memoryview state": lambda: gc.grey_condition_matrix(
         ((gc.Ggn(0.5, 0.1),),), memoryview(b"\x01"), None, 1.0),
     # A set or a mapping is refused, not read in hash order or by its keys.
-    "fcm_step at a dict state": lambda: gc.fcm_step([[0.5, 0.5]], {0.2: 1, 0.1: 2}, 1.0),
-    "fcm_step at a set state": lambda: gc.fcm_step([[0.5, 0.5]], {0.2, 0.1}, 1.0),
+    "fcm_step at a dict state": lambda: gc.fcm_step([[0.5, 0.5]] * 2, {0.2: 1, 0.1: 2}, 1.0),
+    "fcm_step at a set state": lambda: gc.fcm_step([[0.5, 0.5]] * 2, {0.2, 0.1}, 1.0),
     "norm of a frozenset row": lambda: gc.frobenius_norm([frozenset({0.5, 0.25})]),
     # A str is refused, not read as its characters.
     "norm of a str": lambda: gc.frobenius_norm("x"),
@@ -241,8 +251,28 @@ def test_a_criterion_given_no_sequence_raises_a_dimension_error(call):
         NON_SEQUENCE_CALLS[call]()
 
 
+# A criterion certifies a map and a step advances one, so each reads a
+# square matrix: a 1x2 matrix used to get UniqueFixedPoint, and fcm_step
+# took a 3-node state through a 2x3 matrix into 2 nodes. frobenius_norm
+# stays general (see test_frobenius_norm_is_order_independent).
+NON_SQUARE_CALLS = {
+    "check_fcm of a wide matrix": lambda: gc.check_fcm([[0.1, 0.2]], 1.0),
+    "check_fcm of a tall matrix": lambda: gc.check_fcm([[0.1], [0.2]], 1.0),
+    "check_fgcm of a wide matrix": lambda: gc.check_fgcm(
+        [[gc.Ign(0.1, 0.2), gc.Ign(0.1, 0.3)]], 1.0),
+    "w_star of a tall matrix": lambda: gc.w_star([[gc.Ign(0.1, 0.2)], [gc.Ign(0.1, 0.3)]]),
+    "fcm_step of a wide matrix": lambda: gc.fcm_step(((0.1, 0.2, 0.3),) * 2, (0.5,) * 3, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_SQUARE_CALLS))
+def test_a_map_reader_given_a_non_square_matrix_raises_a_dimension_error(call):
+    with pytest.raises(gc.DimensionError, match="must be square"):
+        NON_SQUARE_CALLS[call]()
+
+
 def test_a_refused_matrix_entry_is_named_by_its_place():
-    w = ((0.1, 0.2, 0.3), (0.1, 0.2, math.nan))
+    w = ((0.1, 0.2, 0.3), (0.1, 0.2, math.nan), (0.1, 0.2, 0.3))
     with pytest.raises(gc.ValidationError, match=r"matrix\[2\]\[3\]: non-finite"):
         gc.frobenius_norm(w)
     with pytest.raises(gc.ValidationError, match=r"w\[2\]\[3\]: non-finite"):

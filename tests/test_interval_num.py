@@ -173,6 +173,45 @@ def test_each_step_sums_each_row_as_the_four_product_search(case):
         assert bits((lo[i], hi[i])) == bits(four_product_dot(w_lo[i], w_hi[i], x_lo, x_hi))
 
 
+def interleaved_map(w_lo, w_hi):
+    """The crisp 2n x 2n matrix B of an interval map, for states
+    interleaved (lo_1, hi_1, lo_2, hi_2, ...): low row i holds l_ij in
+    column lo_j if l_ij >= 0, else in hi_j; high row i holds h_ij in
+    column hi_j if h_ij >= 0, else in lo_j; the other column holds +0.0."""
+    rows = []
+    for lo_row, hi_row in zip(w_lo, w_hi):
+        low = [0.0] * (2 * len(lo_row))
+        high = low[:]
+        for j, (l, h) in enumerate(zip(lo_row, hi_row)):
+            low[2 * j if l >= 0.0 else 2 * j + 1] = l
+            high[2 * j + 1 if h >= 0.0 else 2 * j] = h
+        rows += low, high
+    return rows
+
+
+# Ends of a state after step 0 (lo >= 0, -0.0 included), up to magnitudes
+# at which nine rows of weights in [-1, 1] cannot overflow a row sum.
+bounded_end = st.one_of(st.sampled_from(TINY + [-0.0]), st.floats(0.0, 1.0),
+                        st.floats(0.0, 1e300))
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(ordered(weight_mag), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.tuples(bounded_end, bounded_end).map(sorted), min_size=n, max_size=n))),
+    st.floats(0.01, 40.0))
+def test_the_interval_map_is_the_crisp_map_on_its_interleaved_matrix(case, lam):
+    # At a state whose every lo is >= 0, the interval update is the crisp
+    # update on B bit for bit: the nonzero terms keep their order, and the
+    # zero terms add +-0.0 to sums that start at +0.0.
+    w, x = case
+    w_lo, w_hi = [[c[0] for c in row] for row in w], [[c[1] for c in row] for row in w]
+    x_lo, x_hi = [c[0] for c in x], [c[1] for c in x]
+    lo, hi = _core.interval_next(_core.blocks(w_lo, w_hi), x_lo, x_hi, lam)
+    (both,) = _core.crisp_next(_core.blocks(interleaved_map(w_lo, w_hi)),
+                               [v for pair in x for v in pair], lam)
+    assert (bits(both[0::2]), bits(both[1::2])) == (bits(lo), bits(hi))
+
+
 def test_sigmoid_preserves_order_and_bounds():
     out = activate(Ign(-2.0, 3.0), 1.5)
     assert 0.0 < out.lo < out.hi < 1.0

@@ -186,6 +186,47 @@ def test_kernel_grey_update_equals_the_row_by_row_reference(rows, cols, data, la
                                       for row in planes[0]]
 
 
+def rate_slack(n):
+    """The rounding of n shares and of their sums: kernels and greyness
+    stay in [0, 1] here, so n + 1 ulps of 1.0 cover it."""
+    return (n + 1) * math.ulp(1.0)
+
+
+@given(st.integers(1, 9), st.data(), lam_s)
+def test_the_greyness_update_contracts_by_its_largest_new_kernel(n, data, lam):
+    """With the kernel state fixed, the greyness update moves two greyness
+    planes apart by at most max(k') times their distance, in the inf-norm:
+    each new greyness is a'_i times a share-weighted average of
+    max(G_ij, g_j), and max(G, .) is 1-Lipschitz."""
+    weights = blocks(data.draw(mat(unit, n)), data.draw(mat(grey_s, n)))
+    k = data.draw(vec(frac, n))
+    g, h = data.draw(vec(tied_grey, n)), data.draw(vec(tied_grey, n))
+    k_g, g_next = kernel_grey_next(weights, k, g, lam)
+    k_h, h_next = kernel_grey_next(weights, k, h, lam)
+    assert k_g == k_h
+    apart = max(abs(x - y) for x, y in zip(g, h))
+    assert max(abs(x - y) for x, y in zip(g_next, h_next)) <= max(k_g) * apart + rate_slack(n)
+
+
+@given(st.integers(1, 9), st.data(), lam_s)
+def test_each_condition_matrix_row_sums_to_at_most_its_new_kernel(n, data, lam):
+    """Row i of the gated condition matrix is a'_i times shares that sum to
+    at most 1, so its inf-norm is at most q_g = max_i a'_i."""
+    w = data.draw(mat(ggn_s(), n))
+    k = data.draw(vec(frac, n))
+    g = data.draw(vec(grey_s, n))
+    try:
+        rows = gc.grey_condition_matrix(w, k, g, lam)
+    except gc.DegenerateRowError:
+        assume(False)
+    kernels, _ = kernel_grey_next(blocks(*zip(*map(FAMILY["fggcm"].split, w))), k, g, lam)
+    for row, k_next in zip(rows, kernels):
+        total = 0.0
+        for x in row:
+            total += x
+        assert total <= k_next + rate_slack(n)
+
+
 def logistic(x, lam):
     """The engines' activation of one value, its two branches written out."""
     z = lam * x
