@@ -13,8 +13,8 @@ the logistic and its finite guard are written once, and every update
 returns tuple planes; the zero rows are neither activated nor returned.
 The interval product is `interval_dot_lr`, four endpoint products a
 term; the blocked loop takes one per end, which is the same at a state
-whose x_lo are all >= 0, as after step 0. Every row is summed left to
-right in the order of `dot_lr`, so degenerate cases coincide bitwise:
+whose x_lo are all >= 0, as after step 0. Each row is summed left to
+right from +0.0, one `+=` per term, so degenerate cases coincide bitwise:
 a kernel/greyness map with zero greyness, an interval map with
 zero-width intervals, and the crisp map all produce identical floating
 point trajectories. Every sum is a `+=` loop: `sum` (compensated since
@@ -55,22 +55,10 @@ def sigmoids(xs, lam):
     return tuple(out)
 
 
-def dot_lr(weights, values):
-    """Plain left-to-right accumulated dot product.
-
-    Summation order is part of the cross-engine bit-equality contract; do
-    not replace with pairwise or fused variants.
-    """
-    s = 0.0
-    for w, v in zip(weights, values):
-        s += w * v
-    return s
-
-
 def interval_dot_lr(w_lo, w_hi, x_lo, x_hi):
     """Interval dot product over endpoint planes, as (lo, hi): each term's
     ends are the min and the max of its four endpoint products (the first
-    on a tie), summed left to right as in `dot_lr`."""
+    on a tie), each end summed left to right from +0.0, one `+=` per term."""
     lo = hi = 0.0
     for wl, wh, xl, xh in zip(w_lo, w_hi, x_lo, x_hi):
         p = (wl * xl, wl * xh, wh * xl, wh * xh)
@@ -98,9 +86,9 @@ def blocks(*planes):
 
 def crisp_next(weights, a, lam):
     """One crisp update of every node, as (plane,): out_i =
-    sigmoid(w_i . a), each row summed as by `dot_lr` and the real rows'
-    sums activated by one `sigmoids` call. weights are the crisp weight
-    rows prepared by `blocks`."""
+    sigmoid(w_i . a), each row summed left to right from +0.0, one `+=`
+    per term, and the real rows' sums activated by one `sigmoids` call.
+    weights are the crisp weight rows prepared by `blocks`."""
     rows, wb = weights
     sums = []
     for block in wb:
@@ -116,9 +104,9 @@ def crisp_next(weights, a, lam):
 
 def interval_next(weights, x_lo, x_hi, lam):
     """One interval update of every node over endpoint planes, as (lo, hi)
-    tuple planes: each end's real row sums gathered in one list and
-    activated by one `sigmoids` call. weights are the low and high weight
-    rows prepared by `blocks`.
+    tuple planes: each end's row sums taken left to right from +0.0, one
+    `+=` per term, gathered in one list and activated by one `sigmoids`
+    call. weights are the low and high weight rows prepared by `blocks`.
 
     At a state whose x_lo are all >= 0, as after step 0, each end takes
     one product, not `interval_dot_lr`'s four: there w_lo * x <= w_hi * x,
@@ -159,11 +147,11 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     tuple planes. weights are the kernel and greyness weight rows prepared
     by `blocks`.
 
-    Each kernel sum reads only the kernel planes and accumulates exactly
-    as `dot_lr`. Each greyness is the activated kernel times the
-    |kernel product|-weighted average of max(weight greyness, state
-    greyness); with zero kernel mass it is 0, and an infinite mass or
-    weighted mass sum raises MalformedInputError. The sign flip stands in
+    Each kernel sum reads only the kernel planes and is summed left to
+    right from +0.0, one `+=` per term. Each greyness is the activated
+    kernel times the |kernel product|-weighted average of max(weight
+    greyness, state greyness); with zero kernel mass it is 0, and an
+    infinite mass or weighted mass sum raises MalformedInputError. The sign flip stands in
     for abs(p): it leaves -0.0 as it is, but the mass sums start at +0.0
     and add only terms >= 0 or -0.0, so they come out the same. The three
     sums of a row (kernel, mass, weighted mass) share one loop, and each

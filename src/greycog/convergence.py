@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ._core import dot_lr, sigmoids
+from ._core import blocks, crisp_next
 from ._family import FAMILY, Record, matrix, number, positive, vector
 from .cogmap import Model, Trajectory
 from .dynamics import Classification
@@ -137,8 +137,8 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
 
         a'_i * |a_hat_j * k_ij| * theta(a_grey_j - g_ij) / sum_j |k_ij * a_hat_j|
 
-    where k_ij / g_ij are weight kernel and greyness, a'_i is the logistic
-    image of row i's kernel dot product, and theta is the unit step with
+    where k_ij / g_ij are weight kernel and greyness, a'_i is the crisp
+    update of the kernel plane at a_hat, and theta is the unit step with
     theta(0) = 1. The gate keeps only columns whose state greyness still
     dominates the weight greyness; those are the terms through which state
     uncertainty propagates to the next step.
@@ -151,8 +151,9 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
 
     The state vectors are read first, by `_family.vector` under `number`,
     then w, by `_family.matrix` as a square matrix of fggcm cells; state
-    vectors of unequal lengths, or not of w's, raise DimensionError, a row
-    with no kernel activity DegenerateRowError (1-based). Returns row tuples.
+    vectors of unequal lengths, or not of w's, raise DimensionError, then
+    a row sum that overflows in a' MalformedInputError, then a row with
+    no kernel activity DegenerateRowError (1-based). Returns row tuples.
     """
     lam = positive(lam, InvalidParameterError)
     a_hat = vector(a_hat, number, "a_hat")
@@ -166,17 +167,17 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
 
 
 def _condition_rows(kernels, greys, a_hat, a_grey, lam):
-    """`grey_condition_matrix` over arguments already read: the weight rows
-    as the kernel and greyness planes of `FAMILY["fggcm"].split`, then the state."""
+    """`grey_condition_matrix` over arguments already read: the weights'
+    kernel and greyness planes, then the state; every a' from one `crisp_next` call."""
+    (a_primes,) = crisp_next(blocks(kernels), a_hat, lam)
     out = []
-    for i, (k_row, g_row) in enumerate(zip(kernels, greys), 1):
+    for i, (k_row, g_row, a_prime) in enumerate(zip(kernels, greys, a_primes), 1):
         shares = [abs(k * a) for k, a in zip(k_row, a_hat)]
         denom = 0.0
         for share in shares:
             denom += share
         if denom <= 0.0:
             raise DegenerateRowError(i)
-        a_prime = sigmoids((dot_lr(k_row, a_hat),), lam)[0]
         out.append(tuple(a_prime * share / denom if g - wg >= 0.0 else 0.0
                          for share, wg, g in zip(shares, g_row, a_grey)))
     return tuple(out)

@@ -292,6 +292,20 @@ def test_only_the_row_readers_model_and_sweep_name_the_read_row_marker():
         (1, "_Read"), (2, "_model_of_read_rows"), (3, "_model_of_read_rows"), (5, "_Read")]
 
 
+def test_only_the_core_module_names_the_logistic():
+    # The logistic is written once, `_core.sigmoids`, and reached through
+    # the engines' updates: any other module naming `sigmoids` or `exp`
+    # would be a second activation path, free to drift from their bits.
+    names = {"sigmoids", "exp"}
+    found = {p.name: name_sites(p.read_text(), names) for p in sorted(SRC.glob("*.py"))
+             if p.name != "_core.py"}
+    assert found and {name: sites for name, sites in found.items() if sites} == {}
+    assert name_sites((SRC / "_core.py").read_text(), names)
+    probe = ("from ._core import sigmoids as act\nimport math\nfrom math import exp\n"
+             "y = math.exp(1.0)\nprint('sigmoids')\nz = act((y,), 1.0)\n")
+    assert name_sites(probe, names) == [(1, "sigmoids"), (3, "exp"), (4, "exp")]
+
+
 def exact_type_sites(source):
     """(line, where, test) for each comparison in source that tests a
     `type(...)` call by `is` or `is not`; where is as in `walk`, and test

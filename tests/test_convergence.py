@@ -152,6 +152,17 @@ def test_condition_matrix_degenerate_row():
     assert exc.value.i == 1  # first row dies: its only live weight meets a zero state
 
 
+def test_an_overflowing_new_kernel_is_reported_before_a_degenerate_row():
+    # Every a' is computed before any row is built, so row 2's overflowing
+    # kernel sum raises ahead of row 1's zero kernel mass, in either order.
+    # Only a hand-built state can overflow: a simulated one lies in [0, 1].
+    zero, one = (gc.Ggn(0.0, 0.0),) * 2, (gc.Ggn(1.0, 0.0),) * 2
+    for w in ((zero, one), (one, zero)):
+        with pytest.raises(gc.MalformedInputError,
+                           match=r"^activation input must be finite, got inf$"):
+            gc.grey_condition_matrix(w, (1e308, 1e308), None, 1.0)
+
+
 def test_condition_matrix_rejects_mismatched_dimensions():
     w = ((gc.Ggn(0.5, 0.1), gc.Ggn(0.5, 0.1)), (gc.Ggn(0.5, 0.1),))
     with pytest.raises(gc.DimensionError, match="state vectors"):

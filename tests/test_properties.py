@@ -13,8 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import greycog as gc
-from greycog._core import (blocks, crisp_next, dot_lr, interval_dot_lr, kernel_grey_next,
-                           sigmoids)
+from greycog._core import blocks, crisp_next, interval_dot_lr, kernel_grey_next, sigmoids
 from greycog._family import FAMILY, number, vector
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
@@ -43,6 +42,14 @@ def mat(strategy, n):
 
 def bits(x):
     return struct.pack("<d", x)
+
+
+def dot_lr(weights, values):
+    """The engines' row sum: left to right from +0.0, one `+=` per term."""
+    s = 0.0
+    for w, v in zip(weights, values):
+        s += w * v
+    return s
 
 
 def run(family, w, a, lam, steps):
@@ -211,7 +218,10 @@ def test_the_greyness_update_contracts_by_its_largest_new_kernel(n, data, lam):
 @given(st.integers(1, 9), st.data(), lam_s)
 def test_each_condition_matrix_row_sums_to_at_most_its_new_kernel(n, data, lam):
     """Row i of the gated condition matrix is a'_i times shares that sum to
-    at most 1, so its inf-norm is at most q_g = max_i a'_i."""
+    at most 1, so its inf-norm is at most q_g = max_i a'_i. Its a'_i are
+    the engine's new kernels bit for bit: an open entry (g_j - G_ij >= 0)
+    is k'_i * |K_ij * k_j| / d_i, d_i the row's shares summed left to
+    right from +0.0, and every closed one is 0.0."""
     w = data.draw(mat(ggn_s(), n))
     k = data.draw(vec(frac, n))
     g = data.draw(vec(grey_s, n))
@@ -219,12 +229,19 @@ def test_each_condition_matrix_row_sums_to_at_most_its_new_kernel(n, data, lam):
         rows = gc.grey_condition_matrix(w, k, g, lam)
     except gc.DegenerateRowError:
         assume(False)
-    kernels, _ = kernel_grey_next(blocks(*zip(*map(FAMILY["fggcm"].split, w))), k, g, lam)
-    for row, k_next in zip(rows, kernels):
+    K, G = zip(*map(FAMILY["fggcm"].split, w))
+    kernels, _ = kernel_grey_next(blocks(K, G), k, g, lam)
+    for row, k_next, K_i, G_i in zip(rows, kernels, K, G):
         total = 0.0
         for x in row:
             total += x
         assert total <= k_next + rate_slack(n)
+        d = 0.0
+        for K_ij, k_j in zip(K_i, k):
+            d += abs(K_ij * k_j)
+        assert list(map(bits, row)) == [
+            bits(k_next * abs(K_ij * k_j) / d if g_j - G_ij >= 0.0 else 0.0)
+            for K_ij, G_ij, k_j, g_j in zip(K_i, G_i, k, g)]
 
 
 def logistic(x, lam):
