@@ -107,6 +107,8 @@ def interval_next(weights, x_lo, x_hi, lam):
     tuple planes: each end's row sums taken left to right from +0.0, one
     `+=` per term, gathered in one list and activated by one `sigmoids`
     call. weights are the low and high weight rows prepared by `blocks`.
+    The float logistic is not monotone, so two ends in order can cross
+    once activated: each hi is the larger of its node's two activated ends.
 
     At a state whose x_lo are all >= 0, as after step 0, each end takes
     one product, not `interval_dot_lr`'s four: there w_lo * x <= w_hi * x,
@@ -139,7 +141,8 @@ def interval_next(weights, x_lo, x_hi, lam):
                 hi3 += h3 * (xh if h3 >= 0.0 else xl)
             los += lo0, lo1, lo2, lo3
             his += hi0, hi1, hi2, hi3
-    return sigmoids(los[:rows], lam), sigmoids(his[:rows], lam)
+    lo = sigmoids(los[:rows], lam)
+    return lo, tuple(map(max, lo, sigmoids(his[:rows], lam)))
 
 
 def kernel_grey_next(weights, x_k, x_g, lam):

@@ -16,17 +16,18 @@ A matrix or vector argument is read by `matrix` or `vector`, which check
 its shape and pass each entry through a family's `cell` or `number`
 (or, for a model file, `parse`), naming the place of one refused. A
 sequence whose entries are all what the rule would return (finite floats
-for `number`, the fcm `cell`, `Ign` or `Ggn` cells for the grey `cell`
-rules, tuples for the trajectory `state` rule) is taken whole, tested at
-C speed, so a criterion reads a `Model`'s rows without a call per cell
-and `Trajectory` takes `simulate`'s tuple states without one per state.
+for `number` and the fcm `cell` and `parse`, `Ign` or `Ggn` cells for
+the grey `cell` rules, tuples for the trajectory `state` rule) is taken
+whole, tested at C speed, as are a `Model`'s rows in a criterion, a
+crisp model file's rows and `simulate`'s states in `Trajectory`.
 
-A model-file weight row is read once, by its family's `row` reader. A
-row it takes whole (JSON shape, number rule, cell invariant and range
-[-1, 1] applied, cells built as `box` builds them) comes back `_Read`,
-which `Model` keeps; any other row (an int, a union, a fault) it reads
-through `parse`, and `Model` range-checks it, so every error is the one
-the per-cell rules raise.
+A model-file weight row is read once, by its family's `row` reader: a
+crisp row through `vector` with the fcm `parse`, a grey row in one loop
+(JSON shape, number rule, cell invariant and range applied, cells built
+as `box` builds them) or, where that loop stops (an int, a union, a
+fault), through `parse`. A crisp row within [-1, 1] or a grey row the
+loop took comes back `_Read`, which `Model` keeps; `Model` range-checks
+any other row, so every error is the one the per-cell rules raise.
 
 Every record of the package (the cells, `GreyUnion`, `Model`,
 `Trajectory` and the analysis results) is a `Record`: declared
@@ -121,7 +122,8 @@ def vector(values, take, name, error=DimensionError):
     """take(v) for every v in values, as a tuple; values that is no sequence
     raises error. A v take refuses raises its error again, same type,
     prefixed with name[j] (1-based), which is built only then. When take
-    would return every v as it is (see `_KEPT`), values is returned so."""
+    would return every v as it is (see `_KEPT`: `number`, the fcm `parse`,
+    the grey `cell` rules and `state`), values is returned so."""
     values = sequence(values, name, error)
     kept = _KEPT.get(take)
     if (kept is not None and set(map(type, values)) == {kept}
@@ -317,14 +319,8 @@ def _crisp_weight(v):
 
 
 def _crisp_row(row, name):
-    if (set(map(type, row)) == {float} and all(map(math.isfinite, row))
-            and max(map(abs, row)) <= 1.0):
-        return _Read(row)
-    return vector(row, _crisp_parse, name, MalformedInputError)
-
-
-def _crisp_split(cells):
-    return (cells,)
+    row = vector(row, _crisp_parse, name, MalformedInputError)
+    return _Read(row) if max(map(abs, row), default=0.0) <= 1.0 else row
 
 
 def _crisp_dist(a, b) -> float:
@@ -473,7 +469,7 @@ def _grey_dist(a, b) -> float:
 FAMILY = {
     "fcm": Family(
         ("value",), _crisp_parse, float, number, _crisp_weight, _crisp_row,
-        _crisp_split, itemgetter(0), crisp_next, _crisp_dist,
+        lambda cells: (cells,), itemgetter(0), crisp_next, _crisp_dist,
     ),
     "fgcm": Family(
         ("lo", "hi"), _interval_parse, lambda c: {"interval": [c.lo, c.hi]},
@@ -492,7 +488,7 @@ FAMILIES = tuple(FAMILY)
 
 # The rules `vector` skips for values all of one exact type (and finite,
 # for float), since the rule would return each such value as it is.
-_KEPT = {number: float, _interval_cell: Ign, _grey_cell: Ggn, state: tuple}
+_KEPT = {number: float, _crisp_parse: float, _interval_cell: Ign, _grey_cell: Ggn, state: tuple}
 
 
 def family_of(name, error) -> Family:

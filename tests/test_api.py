@@ -335,6 +335,31 @@ def test_only_the_family_module_trusts_an_exact_type():
                                        (6, "C.g", "float is not type(x)")]
 
 
+def whole_row_type_sites(source):
+    """(line, where) for each `set(map(type, ...))` call in source, the test
+    that every entry of a row is of one exact type; where is as in `walk`."""
+    def called(node, name):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == name)
+    return sorted((node.lineno, where) for node, where in walk(ast.parse(source))
+                  if called(node, "set") and node.args and called(node.args[0], "map")
+                  and node.args[0].args and getattr(node.args[0].args[0], "id", None) == "type")
+
+
+def test_only_vector_tests_a_whole_row_for_one_exact_type():
+    # `_family.vector` takes a row whole when every entry is of the exact
+    # type its rule returns as it is (`_KEPT`); a row reader with its own
+    # copy of that test would be a second rule to keep in step with it.
+    found = {(p.name, where) for p in sorted(SRC.glob("*.py"))
+             for _, where in whole_row_type_sites(p.read_text())}
+    assert found == {("_family.py", "vector")}
+    probe = ("def f(row):\n    return set(map(type, row)) == {float}\n"
+             "class C:\n    def g(self, r):\n"
+             "        return builtins.set(map(type, r)), set(map(len, r)), set(r)\n"
+             "kinds = {type(v) for v in ()}\n")
+    assert whole_row_type_sites(probe) == [(2, "f"), (5, "C.g")]
+
+
 # The cell builders that skip a constructor call: `_family._new` and the
 # slot setters. Each fast path that uses them is one a workload pays for
 # (the interval and grey row readers and the fggcm `box`, which build

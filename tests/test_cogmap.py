@@ -236,6 +236,19 @@ def test_kernel_run_rejects_an_overflowing_weighted_greyness_mass(weight, initia
         gc.simulate(m, 1)
 
 
+def test_an_interval_run_keeps_each_end_in_order_where_the_float_logistic_crosses_them():
+    # The two-branch logistic is not monotone in floats: at step 81 this
+    # map's row sums are -0.1782899797899277 <= -0.17828997978992767, and it
+    # maps them to 0.2908107098342506 > 0.29081070983425056. Each high end
+    # is the larger of its node's two activated ends, so step 82 is a point.
+    w = -0.6130791396628591
+    m = gc.Model("fgcm", ("c0",), ((gc.Ign(w, w),),), (gc.Ign(0.0, 1.0),), 5.0)
+    states = gc.simulate(m, 200).states
+    assert len(states) == 201
+    assert all(c.lo <= c.hi for s in states for c in s)
+    assert states[82] == (gc.Ign(0.2908107098342506, 0.2908107098342506),)
+
+
 def test_model_rejects_out_of_range_crisp_weight():
     with pytest.raises(gc.ValidationError):
         gc.Model("fcm", ("a",), ((1.5,),), (0.0,), 1.0)

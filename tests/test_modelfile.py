@@ -481,6 +481,38 @@ def test_loading_and_checking_reads_no_weight_cell_by_cell(family, tmp_path, mon
     assert calls == {"parse": n}
 
 
+def test_an_in_range_crisp_row_read_cell_by_cell_is_kept(tmp_path, monkeypatch):
+    # The crisp reader reads every row through `vector`, which goes cell by
+    # cell past an int. Within [-1, 1] the row still comes back read, so
+    # Model reads no weight cell of it; out of range it stays plain, and
+    # Model raises the range error naming the cell.
+    n = 6
+    doc = seeded_doc("fcm", n, seed=34)
+    doc["weights"][1][2] = -1.0
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(doc))
+    doc["weights"][1][2] = -1
+    ints = tmp_path / "ints.json"
+    ints.write_text(json.dumps(doc))
+    doc["weights"][1][4] = 1.5
+    out = tmp_path / "out.json"
+    out.write_text(json.dumps(doc))
+    calls = Counter()
+    fam = FAMILY["fcm"]
+
+    def counting(x):
+        calls["weight"] += 1
+        return fam.weight(x)
+
+    monkeypatch.setitem(FAMILY, "fcm", fam._replace(weight=counting))
+    m = gc.load_model(ints)
+    assert calls == Counter()
+    assert m == gc.load_model(floats) and type(m.weights[1][2]) is float
+    with pytest.raises(gc.ValidationError, match=r"^weights\[2\]\[5\]: weight 1.5 outside"):
+        gc.load_model(out)
+    assert calls == {"weight": 5}
+
+
 @pytest.mark.parametrize("family", gc.FAMILIES)
 @pytest.mark.parametrize("declined", [False, True], ids=["whole rows", "an int in row 2"])
 def test_a_model_holds_plain_tuple_rows_however_it_was_built(family, declined, tmp_path,

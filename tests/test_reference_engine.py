@@ -3,7 +3,8 @@
 The reference below is written from README's update rules and imports
 nothing from `greycog._core`: per-row left-to-right `+=` sums, the
 two-branch logistic, interval ends as the min and the max of four
-endpoint products, and the greyness as the activated kernel times the
+endpoint products (each activated high end the larger of the node's two
+activated ends), and the greyness as the activated kernel times the
 |kernel product|-weighted average of max(weight greyness, state
 greyness), by `abs` and `max`. It runs every requested step, with no
 early stop, no blocks and no cycle copy. It calls the same `math.exp` as
@@ -49,7 +50,8 @@ def interval_step(w, x, lam):
             p = (wl * xl, wl * xh, wh * xl, wh * xh)
             lo += min(p)
             hi += max(p)
-        out.append((logistic(lam, lo), logistic(lam, hi)))
+        a_lo, a_hi = logistic(lam, lo), logistic(lam, hi)
+        out.append((a_lo, max(a_lo, a_hi)))
     return tuple(out)
 
 
