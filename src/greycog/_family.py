@@ -4,7 +4,7 @@ A family is the number type of a map's cells: crisp floats (`fcm`),
 intervals `Ign` (`fgcm`) and kernel/greyness pairs `Ggn` (`fggcm`).
 `FAMILY` holds one `Family` descriptor per family, and every module that
 handles cells reads it instead of branching on the family: the model-file
-codec, `Model`, `simulate`, the CLI's trajectory writer and `classify`.
+codec, `Model`, `Trajectory`, `simulate`, the CLI and `classify`.
 
 One number rule, `finite` (an int or a float, not a bool, finite), makes
 every float: the cell constructors `Ign` and `Ggn` apply it (`GreyUnion`
@@ -17,9 +17,9 @@ its shape and pass each entry through a family's `cell` or `number`
 (or, for a model file, `parse`), naming the place of one refused. A
 sequence whose entries are all what the rule would return (finite floats
 for `number` and the fcm `cell` and `parse`, `Ign` or `Ggn` cells for
-the grey `cell` rules, tuples for the trajectory `state` rule) is taken
-whole, tested at C speed, as are a `Model`'s rows in a criterion, a
-crisp model file's rows and `simulate`'s states in `Trajectory`.
+the grey `cell` rules) is taken whole, tested at C speed, as are a
+`Model`'s rows in a criterion, a crisp model file's rows and the states
+of a hand-built `Trajectory`.
 
 A model-file weight row is read once, by its family's `row` reader: a
 crisp row through `vector` with the fcm `parse`, a grey row in one loop
@@ -28,6 +28,7 @@ as `box` builds them) or, where that loop stops (an int, a union, a
 fault), through `parse`. A crisp row within [-1, 1] or a grey row the
 loop took comes back `_Read`, which `Model` keeps; `Model` range-checks
 any other row, so every error is the one the per-cell rules raise.
+`simulate` marks its state list `_Read` too, which `Trajectory` keeps.
 
 Every record of the package (the cells, `GreyUnion`, `Model`,
 `Trajectory` and the analysis results) is a `Record`: declared
@@ -113,17 +114,12 @@ def sequence(x, name, error=DimensionError):
     raise error(f"{name} must be a sequence, got {type(x).__name__}")
 
 
-def state(s):
-    """A trajectory state as a tuple by `sequence`, raising ValidationError."""
-    return sequence(s, "a state", ValidationError)
-
-
 def vector(values, take, name, error=DimensionError):
     """take(v) for every v in values, as a tuple; values that is no sequence
     raises error. A v take refuses raises its error again, same type,
     prefixed with name[j] (1-based), which is built only then. When take
-    would return every v as it is (see `_KEPT`: `number`, the fcm `parse`,
-    the grey `cell` rules and `state`), values is returned so."""
+    would return every v as it is (see `_KEPT`: `number`, the fcm `parse`
+    and the grey `cell` rules), values is returned so."""
     values = sequence(values, name, error)
     kept = _KEPT.get(take)
     if (kept is not None and set(map(type, values)) == {kept}
@@ -285,8 +281,8 @@ def ggn_from_union(u: GreyUnion) -> Ggn:
 
 
 class _Read(tuple):
-    """A weight row read under its family's `weight` rule already, which
-    `Model` keeps as a plain tuple."""
+    """A weight row or a state list read under its family's rule already,
+    which `Model` or `Trajectory` keeps as a plain tuple."""
 
     __slots__ = ()
 
@@ -488,7 +484,7 @@ FAMILIES = tuple(FAMILY)
 
 # The rules `vector` skips for values all of one exact type (and finite,
 # for float), since the rule would return each such value as it is.
-_KEPT = {number: float, _crisp_parse: float, _interval_cell: Ign, _grey_cell: Ggn, state: tuple}
+_KEPT = {number: float, _crisp_parse: float, _interval_cell: Ign, _grey_cell: Ggn}
 
 
 def family_of(name, error) -> Family:

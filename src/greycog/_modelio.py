@@ -98,12 +98,13 @@ def model_to_doc(m: Model) -> dict:
 
 
 def _path(path):
-    """path through `os.fspath`; a value it refuses raises InvalidParameterError."""
-    try:
-        return os.fspath(path)
-    except TypeError:
-        raise InvalidParameterError(
-            f"a path must be a str, bytes or os.PathLike, got {type(path).__name__}") from None
+    """path as `os.fspath` reads it; any other value raises InvalidParameterError."""
+    if isinstance(path, os.PathLike):
+        path = type(path).__fspath__(path)
+    if isinstance(path, (str, bytes)):
+        return path
+    raise InvalidParameterError(
+        f"a path must be a str, bytes or os.PathLike, got {type(path).__name__}")
 
 
 def load_model(path, lam=None) -> Model:

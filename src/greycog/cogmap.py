@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ._core import blocks, crisp_next
 from ._family import (FAMILIES, FAMILY, Record, _Read, at_least, family_of, matrix, number,
-                      positive, sequence, state, vector)
+                      positive, sequence, vector)
 from .errors import (
     DimensionError,
     InvalidParameterError,
@@ -87,17 +87,22 @@ class Model(Record):
 
 class Trajectory(Record):
     """Recorded state sequence of one simulation, initial state included.
-    states is read by `_family.vector` under `_family.state`, tuple states
-    taken whole: a value that is no sequence (a str is none) raises
-    ValidationError, and so do states of unequal lengths."""
+    Each state is read by `_family.vector` under the family's `cell` rule
+    (the family looked up first), unless states is `simulate`'s
+    `_family._Read` list. A value that is no sequence (a str is none), a
+    cell of another family (a bool, NaN or inf crisp cell too), no state
+    or a state of no cell, or ragged states raise ValidationError."""
 
     __slots__ = __match_args__ = ("family", "states")
 
     def __init__(self, family, states):
-        states = vector(states, state, "states", ValidationError)
-        family_of(family, ValidationError)
-        if len(states) < 1:
-            raise ValidationError("trajectory must contain at least the initial state")
+        cell = family_of(family, ValidationError).cell
+        states = (tuple(states) if type(states) is _Read
+                  else vector(states, lambda s: vector(s, cell, "state", ValidationError),
+                              "states", ValidationError))
+        if not states or not states[0]:
+            raise ValidationError("trajectory must contain at least the initial state, "
+                                  "of one cell or more")
         if len(set(map(len, states))) > 1:
             raise ValidationError("ragged trajectory states")
         super().__init__(family, states)
@@ -124,9 +129,9 @@ def simulate(m: Model, steps: int) -> Trajectory:
     Returns the full state history: steps + 1 states, the initial one
     first. Deterministic; identical inputs give bitwise identical output.
     The engine iterates tuple float planes and boxes each computed state
-    into cells; each computed cell satisfies its constructor's checks,
-    tested per value as it is built. A row sum that overflows raises
-    MalformedInputError.
+    into cells, each tested per value as its constructor tests it, so the
+    states go to `Trajectory` marked `_family._Read`, not read again. A
+    row sum that overflows raises MalformedInputError.
 
     Computing stops at the first exact repeat: the update is a pure
     function of the float planes, so once a computed state equals the one
@@ -152,4 +157,4 @@ def simulate(m: Model, steps: int) -> Trajectory:
                 states.append(states[-period])
             break
         states.append(box(x_planes))
-    return Trajectory(m.family, tuple(states))
+    return Trajectory(m.family, _Read(states))

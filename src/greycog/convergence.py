@@ -161,14 +161,15 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
     if len(a_grey) != len(a_hat):
         raise DimensionError(f"state vectors differ in length: {len(a_hat)} vs {len(a_grey)}")
     w = matrix(w, FAMILY["fggcm"].cell, "w", square=True)
-    if len(w) != len(a_hat):
-        raise DimensionError(f"state vectors have length {len(a_hat)}, the matrix {len(w)}")
     return _condition_rows(*zip(*map(FAMILY["fggcm"].split, w)), a_hat, a_grey, lam)
 
 
 def _condition_rows(kernels, greys, a_hat, a_grey, lam):
     """`grey_condition_matrix` over arguments already read: the weights'
-    kernel and greyness planes, then the state; every a' from one `crisp_next` call."""
+    kernel and greyness planes, then the state, which must have the
+    matrix's length (DimensionError); every a' from one `crisp_next` call."""
+    if len(kernels) != len(a_hat):
+        raise DimensionError(f"state vectors have length {len(a_hat)}, the matrix {len(kernels)}")
     (a_primes,) = crisp_next(blocks(kernels), a_hat, lam)
     out = []
     for i, (k_row, g_row, a_prime) in enumerate(zip(kernels, greys, a_primes), 1):
@@ -214,8 +215,8 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
     build the greyness condition matrix at the final recorded state:
     the converged state when cls is a fixed point, otherwise a
     non-authoritative evaluation point, flagged by kernel_converged=False.
-    That state is read by `_family.vector` with the fggcm cell rule, so a
-    cell that is no `Ggn` raises ValidationError naming state[j].
+    `Trajectory` read that state's cells, so it is not read again; a state
+    not of the model's length raises DimensionError.
     """
     if m.family != "fggcm":
         raise ValidationError(f"expected an fggcm model, got {m.family}")
@@ -223,9 +224,7 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
         raise ValidationError(f"expected an fggcm trajectory, got {traj.family}")
     kernels, greys = zip(*map(FAMILY["fggcm"].split, m.weights))
     kernel_verdict = _banach(m.lam, kernels)
-    state = vector(traj.states[-1], FAMILY["fggcm"].cell, "state", ValidationError)
-    if len(state) != m.n:
-        raise DimensionError(f"state vectors have length {len(state)}, the matrix {m.n}")
+    state = traj.states[-1]
     cond = _condition_rows(kernels, greys, *FAMILY["fggcm"].split(state), m.lam)
     return FggcmReport(
         kernel_verdict=kernel_verdict,

@@ -8,7 +8,7 @@ operational chaos criterion here beyond "neither of the other two".
 
 from __future__ import annotations
 
-from ._family import FAMILY, Record, at_least, family_of, positive, sequence
+from ._family import FAMILY, Record, at_least, family_of, positive, vector
 from .cogmap import Trajectory
 from .errors import (
     DimensionError,
@@ -26,17 +26,16 @@ __all__ = [
 
 def state_distance(family: str, a, b) -> float:
     """Family metric: Euclidean over every float field of the cells (the
-    value; lo and hi; kernel and greyness). A state that is no sequence
-    (see `_family.sequence`), or states of different lengths, raise
-    DimensionError, a cell of another family ValidationError."""
+    value; lo and hi; kernel and greyness). a, then b, is read by
+    `_family.vector` under the family's `cell` rule, which raises
+    DimensionError for a state that is no sequence and ValidationError
+    for a cell of another family (a bool, NaN or inf crisp cell too);
+    then states of different lengths raise DimensionError."""
     fam = family_of(family, ValidationError)
-    a, b = sequence(a, "a state"), sequence(b, "a state")
+    a, b = vector(a, fam.cell, "a state"), vector(b, fam.cell, "a state")
     if len(a) != len(b):
         raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
-    try:
-        return fam.distance(a, b)
-    except (AttributeError, TypeError):
-        raise ValidationError(f"states must hold {family} cells") from None
+    return fam.distance(a, b)
 
 
 class Classification(Record):
@@ -67,9 +66,10 @@ def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> C
     A fixed point is a period-1 cycle, so lag 1 is tested first and wins;
     the period search starts at 2. Each lag's tail is scanned backwards
     from the end and stops at the first gap above epsilon, so only the
-    tail is measured. A NaN gap never stops the backward scan, and a NaN
-    last gap never starts one. An epsilon or max_period its rule refuses
-    raises InvalidParameterError, a state cell of another family ValidationError.
+    tail is measured. `Trajectory` holds only finite cells of its family,
+    so every gap is a number >= 0 (inf where a difference overflows), never
+    NaN. An epsilon or max_period its rule refuses raises
+    InvalidParameterError.
     """
     epsilon = positive(epsilon, InvalidParameterError, "epsilon")
     at_least(max_period, 2, InvalidParameterError, "max_period")
@@ -79,20 +79,17 @@ def classify(traj: Trajectory, epsilon: float = 1e-8, max_period: int = 50) -> C
             f"need at least {max_period + 2} states to search periods up to "
             f"{max_period}, got {len(states)}"
         )
-    # Trajectory states all have one length, so the metric runs unchecked.
+    # Trajectory states hold cells of its family, all of one length, so the
+    # metric runs unchecked.
     dist = FAMILY[traj.family].distance
     end = len(states) - 1
-
-    try:
-        for lag in range(1, max_period + 1):
-            if not dist(states[end - lag], states[end]) <= epsilon:
-                continue
-            t = end - lag - 1
-            while t >= 0 and not dist(states[t], states[t + lag]) > epsilon:
-                t -= 1
-            if lag == 1:
-                return Classification("FixedPoint", t + 1, None, states[-1])
-            return Classification("LimitCycle", t + 1, lag, None)
-    except (AttributeError, TypeError):
-        raise ValidationError(f"states must hold {traj.family} cells") from None
+    for lag in range(1, max_period + 1):
+        if dist(states[end - lag], states[end]) > epsilon:
+            continue
+        t = end - lag - 1
+        while t >= 0 and dist(states[t], states[t + lag]) <= epsilon:
+            t -= 1
+        if lag == 1:
+            return Classification("FixedPoint", t + 1, None, states[-1])
+        return Classification("LimitCycle", t + 1, lag, None)
     return Classification("Chaotic", None, None, None)

@@ -321,12 +321,14 @@ def exact_type_sites(source):
 def test_only_the_family_module_trusts_an_exact_type():
     # A value of the exact type a rule returns as it is may skip the rule
     # only in `_family`: `vector`'s `_KEPT` table and the row readers. The
-    # one test elsewhere is Model's, which keeps a row a row reader marked
-    # `_Read`; another would be a second shortcut beside that table.
+    # two tests elsewhere are Model's, which keeps a row a row reader
+    # marked `_Read`, and Trajectory's, which keeps the state list simulate
+    # marked so; another would be a second shortcut beside that table.
     found = {p.name: [(where, test) for _, where, test in exact_type_sites(p.read_text())]
              for p in sorted(SRC.glob("*.py")) if p.name != "_family.py"}
     assert {name: sites for name, sites in found.items() if sites} == {
-        "cogmap.py": [("Model.__init__", "type(row) is _Read")]}
+        "cogmap.py": [("Model.__init__", "type(row) is _Read"),
+                      ("Trajectory.__init__", "type(states) is _Read")]}
     probe = ("def f(s):\n    if type(s) is tuple:\n        return s\n"
              "class C:\n    def g(self, x):\n"
              "        return float is not type(x) or type(x) == int\n"
@@ -461,10 +463,11 @@ def test_only_the_family_module_translates_shape_and_cell_errors():
     # A matrix or vector argument is read by `_family.matrix` or
     # `_family.vector`, which turn a value that is no sequence into
     # DimensionError and a refused entry into its rule's error; a
-    # criterion or step catching TypeError or AttributeError itself would
-    # be a second copy of that rule.
-    for name in ("convergence.py", "cogmap.py"):
-        assert not caught_names((SRC / name).read_text()) & {"TypeError", "AttributeError"}, name
+    # module catching TypeError or AttributeError itself would be a second
+    # copy of that rule.
+    found = {p.name: caught_names(p.read_text()) & {"TypeError", "AttributeError"}
+             for p in sorted(SRC.glob("*.py")) if p.name != "_family.py"}
+    assert "dynamics.py" in found and {name: c for name, c in found.items() if c} == {}
     probe = "try:\n    pass\nexcept (builtins.TypeError, KeyError):\n    pass\n"
     assert caught_names(probe) == {"TypeError", "KeyError"}
 

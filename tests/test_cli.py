@@ -657,6 +657,19 @@ def test_cli_import_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_cli_import_loads_only_the_standard_library():
+    # -S leaves out the site hooks of the interpreter running the suite
+    # (with what they import), so every top-level module then loaded is one
+    # that importing greycog.cli asked for.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import greycog.cli; "
+            "print(sorted({name.partition('.')[0] for name in sys.modules}"
+            " - set(sys.stdlib_module_names) - {'greycog', '__main__'}))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
+
+
 def test_cli_import_does_not_load_dataclasses_or_inspect():
     # dataclasses imports inspect (with ast, dis and tokenize), which with
     # it took most of the time of `import greycog.cli`.

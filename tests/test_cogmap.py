@@ -360,12 +360,12 @@ def test_model_rejects_a_float_cell_in_a_grey_family(family, match):
     ("fuzzy", ((0.5,),), "unknown family"),
     ("fcm", (), "at least the initial state"),
     ("fcm", ((0.5,), (0.5, 0.5)), "ragged"),
-    ("fcm", [1.0, 2.0], r"states\[1\]: a state must be a sequence, got float"),
+    ("fcm", [1.0, 2.0], r"states\[1\]: state must be a sequence, got float"),
     ("fcm", None, "states must be a sequence, got NoneType"),
     ("fcm", "ab", "states must be a sequence, got str"),
-    ("fcm", [b"ab"], r"states\[1\]: a state must be a sequence, got bytes"),
-    ("fcm", [(0.5,), {"a": 1}], r"states\[2\]: a state must be a sequence, got dict"),
-    ("fcm", [{0.5, 0.25}], r"states\[1\]: a state must be a sequence, got set"),
+    ("fcm", [b"ab"], r"states\[1\]: state must be a sequence, got bytes"),
+    ("fcm", [(0.5,), {"a": 1}], r"states\[2\]: state must be a sequence, got dict"),
+    ("fcm", [{0.5, 0.25}], r"states\[1\]: state must be a sequence, got set"),
 ], ids=["unknown family", "no states", "ragged", "numbers", "None", "str", "bytes state",
         "dict state", "set state"])
 def test_trajectory_rejects_a_bad_family_or_state_list(family, states, match):
@@ -374,6 +374,69 @@ def test_trajectory_rejects_a_bad_family_or_state_list(family, states, match):
     # and a str, bytes, set or mapping is refused, not read item by item.
     with pytest.raises(gc.ValidationError, match=match):
         gc.Trajectory(family, states)
+
+
+@pytest.mark.parametrize("x, match", [
+    (True, "expected a number, got bool"), (math.nan, "non-finite number nan"),
+    (math.inf, "non-finite number inf"), ("0.5", "expected a number, got str"),
+], ids=["bool", "nan", "inf", "str"])
+def test_a_hand_built_crisp_trajectory_refuses_a_cell_the_number_rule_refuses(x, match):
+    # The fcm cell rule is the number rule, as for a Model's cells; the
+    # error names the state, then the cell.
+    with pytest.raises(gc.ValidationError, match=rf"^states\[2\]: state\[2\]: {match}$"):
+        gc.Trajectory("fcm", ((0.5, 0.5), (0.5, x)))
+
+
+def test_a_hand_built_crisp_trajectory_makes_its_int_cells_floats():
+    traj = gc.Trajectory("fcm", [[1, 0], (0.5, -0.0)])
+    assert traj.states == ((1.0, 0.0), (0.5, -0.0))
+    assert [list(map(type, s)) for s in traj.states] == [[float, float]] * 2
+
+
+GOOD_CELL = {"fcm": 0.5, "fgcm": gc.Ign(0.25, 0.5), "fggcm": gc.Ggn(0.5, 0.25)}
+
+
+@pytest.mark.parametrize("family, cell, match", [
+    ("fgcm", 0.5, "fgcm cells must be intervals"),
+    ("fgcm", GOOD_CELL["fggcm"], "fgcm cells must be intervals"),
+    ("fggcm", 0.5, "fggcm cells must be kernel/greyness pairs"),
+    ("fggcm", GOOD_CELL["fgcm"], "fggcm cells must be kernel/greyness pairs"),
+    ("fcm", GOOD_CELL["fgcm"], "expected a number, got Ign"),
+], ids=["fgcm float", "fgcm Ggn", "fggcm float", "fggcm Ign", "fcm Ign"])
+def test_a_trajectory_refuses_a_cell_of_another_family(family, cell, match):
+    good = (GOOD_CELL[family],)
+    assert gc.Trajectory(family, (good, good)).states == (good, good)
+    with pytest.raises(gc.ValidationError, match=rf"^states\[2\]: state\[1\]: {match}$"):
+        gc.Trajectory(family, (good, (cell,)))
+
+
+def test_a_trajectory_state_holds_at_least_one_cell():
+    # No Model has zero nodes, so no run records an empty state.
+    with pytest.raises(gc.ValidationError, match="of one cell or more"):
+        gc.Trajectory("fcm", ((),) * 60)
+
+
+def test_a_trajectory_looks_its_family_up_before_its_states():
+    with pytest.raises(gc.ValidationError, match="unknown family 'fuzzy'"):
+        gc.Trajectory("fuzzy", 5)
+
+
+@pytest.mark.parametrize("family", gc.FAMILIES)
+def test_simulate_hands_its_states_to_trajectory_unread(monkeypatch, family):
+    # simulate marks its state list read, so Trajectory makes no vector
+    # call for it; a hand-built copy of the same list is read state by state.
+    model = gc.build(f"web_{family}", 2.0)
+    vector, calls = cogmap.vector, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return vector(*args, **kwargs)
+
+    monkeypatch.setattr(cogmap, "vector", counting)
+    traj = gc.simulate(model, 60)
+    assert calls == []
+    assert gc.Trajectory(family, list(traj.states)) == traj
+    assert calls == ["states"] + ["state"] * 61
 
 
 def test_model_rejects_bool_lambda(web_fcm_05):

@@ -49,18 +49,30 @@ def test_state_distance_rejects_states_of_different_lengths():
 
 
 # States whose cells are not of the named family, which used to raise a
-# bare AttributeError or TypeError from inside the metric.
+# bare AttributeError or TypeError from inside the metric; a Trajectory
+# refuses them when it is built, state_distance when it reads a state.
 WRONG_FAMILY_CALLS = {
-    "classify fgcm over floats": lambda: gc.classify(gc.Trajectory("fgcm", ((0.5,),) * 60)),
-    "classify fcm over strings": lambda: gc.classify(gc.Trajectory("fcm", (("a",),) * 60)),
-    "state_distance fggcm over floats": lambda: gc.state_distance("fggcm", (0.5,), (0.5,)),
+    "classify fgcm over floats": (lambda: gc.classify(gc.Trajectory("fgcm", ((0.5,),) * 60)),
+                                  r"states\[1\]: state\[1\]: fgcm cells"),
+    "classify fcm over strings": (lambda: gc.classify(gc.Trajectory("fcm", (("a",),) * 60)),
+                                  r"states\[1\]: state\[1\]: expected a number"),
+    "state_distance fggcm over floats": (lambda: gc.state_distance("fggcm", (0.5,), (0.5,)),
+                                         r"a state\[1\]: fggcm cells"),
 }
 
 
 @pytest.mark.parametrize("call", sorted(WRONG_FAMILY_CALLS))
 def test_a_state_of_another_family_raises_a_validation_error(call):
-    with pytest.raises(gc.ValidationError, match="states must hold"):
-        WRONG_FAMILY_CALLS[call]()
+    call, match = WRONG_FAMILY_CALLS[call]
+    with pytest.raises(gc.ValidationError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("a, b", [((True, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, math.nan)),
+                                  ((math.inf, 0.0), (0.0, 0.0))], ids=["bool", "nan", "inf"])
+def test_state_distance_reads_its_states_by_the_number_rule(a, b):
+    with pytest.raises(gc.ValidationError, match=r"^a state\[[12]\]: "):
+        gc.state_distance("fcm", a, b)
 
 
 # Containers the one sequence rule refuses: bytes-like values read as
@@ -229,9 +241,9 @@ def reference_classify(traj, epsilon, max_period):
     return ("Chaotic", None, None, None)
 
 
-# Near-equal values and NaN sit beside random ones: a NaN gap is neither
-# "<= epsilon" nor "> epsilon", the edge the two scans must agree on.
-cell_value = st.one_of(st.sampled_from([0.0, 0.5, 0.5 + 1e-9, 1.0, math.nan]),
+# Near-equal values sit beside random ones. A Trajectory refuses a NaN
+# cell, so no gap is NaN.
+cell_value = st.one_of(st.sampled_from([0.0, 0.5, 0.5 + 1e-9, 1.0]),
                        st.floats(min_value=0.0, max_value=1.0, width=64))
 
 
