@@ -31,6 +31,11 @@ from .errors import MalformedInputError
 # written out for four rows, and `blocks` groups the rows to match.
 BLOCK = 4
 
+# A greyness mass sum in (0, TINY_MASS) is made of products that lost bits
+# to the subnormal range, so its shares no longer sum to 1: that row's sums
+# are taken again over `scaled_products`, whose ratios are the same.
+TINY_MASS = 2.0 ** -969
+
 
 def sigmoids(xs, lam):
     """The logistic activation 1 / (1 + exp(-lam * x)) of every x in xs,
@@ -108,7 +113,8 @@ def interval_next(weights, x_lo, x_hi, lam):
     `+=` per term, gathered in one list and activated by one `sigmoids`
     call. weights are the low and high weight rows prepared by `blocks`.
     The float logistic is not monotone, so two ends in order can cross
-    once activated: each hi is the larger of its node's two activated ends.
+    once activated: each lo is the smaller of its node's two activated
+    ends, and each hi the larger.
 
     At a state whose x_lo are all >= 0, as after step 0, each end takes
     one product, not `interval_dot_lr`'s four: there w_lo * x <= w_hi * x,
@@ -141,8 +147,23 @@ def interval_next(weights, x_lo, x_hi, lam):
                 hi3 += h3 * (xh if h3 >= 0.0 else xl)
             los += lo0, lo1, lo2, lo3
             his += hi0, hi1, hi2, hi3
-    lo = sigmoids(los[:rows], lam)
-    return lo, tuple(map(max, lo, sigmoids(his[:rows], lam)))
+    lo, hi = sigmoids(los[:rows], lam), sigmoids(his[:rows], lam)
+    return tuple(map(min, lo, hi)), tuple(map(max, lo, hi))
+
+
+def scaled_products(k_row, x_k):
+    """|k_j * x_j| * 2**600 for each j, as a list, and their sum left to
+    right from +0.0. Each product is rounded once: its factor of smaller
+    magnitude is scaled by `math.ldexp`, which is exact, and in a row whose
+    mass sum is below TINY_MASS that factor is below 2**-484, so no term
+    overflows, while a term in the normal range keeps every bit."""
+    ldexp = math.ldexp
+    products = [abs(ldexp(k, 600) * x if abs(k) < abs(x) else k * ldexp(x, 600))
+                for k, x in zip(k_row, x_k)]
+    total = 0.0
+    for p in products:
+        total += p
+    return products, total
 
 
 def kernel_grey_next(weights, x_k, x_g, lam):
@@ -159,7 +180,9 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     and add only terms >= 0 or -0.0, so they come out the same. The three
     sums of a row (kernel, mass, weighted mass) share one loop, and each
     is gathered in its own list; the real rows' kernel sums are activated
-    by one `sigmoids` call.
+    by one `sigmoids` call. A row whose mass sum is above 0 and below
+    TINY_MASS has its mass and weighted mass summed again over its
+    `scaled_products`.
     """
     rows, wb = weights
     sums = []
@@ -198,5 +221,15 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     kernels = sigmoids(sums[:rows], lam)
     if math.inf in masses or math.inf in weighted:
         raise MalformedInputError("greyness mass sum must be finite, got inf")
+    masses = masses[:rows]
+    if min(masses) < TINY_MASS:  # a row of no mass passes too, and is left at 0
+        for i, denom in enumerate(masses):
+            if 0.0 < denom < TINY_MASS:
+                block, r = wb[i // BLOCK], i % BLOCK
+                products, denom = scaled_products([col[r] for col in block], x_k)
+                num = 0.0
+                for p, xg, col in zip(products, x_g, block):
+                    num += (xg if xg > col[BLOCK + r] else col[BLOCK + r]) * p
+                masses[i], weighted[i] = denom, num
     return kernels, tuple([k * (num / denom) if denom > 0.0 else 0.0
                            for k, denom, num in zip(kernels, masses, weighted)])

@@ -31,12 +31,12 @@ any other row, so every error is the one the per-cell rules raise.
 `simulate` marks its state list `_Read` too, which `Trajectory` keeps.
 
 Every record of the package (the cells, `GreyUnion`, `Model`,
-`Trajectory` and the analysis results) is a `Record`: declared
+`Trajectory`, the analysis results and `Family`) is a `Record`: declared
 `__slots__` and a written-out constructor, with read-only fields,
-equality, hash, repr and pickling from the base. `dataclasses` is not
-used: importing it loads `inspect` (with `ast`, `dis` and `tokenize`),
-and it compiles each generated method when a class is made, which
-together took most of the time of `import greycog.cli`. `Ign` and `Ggn`
+equality, hash, repr and pickling from the base. Importing `dataclasses`
+(with `inspect`, `ast`, `dis` and `tokenize`; it also compiles each made
+method) took most of the time of `import greycog.cli`, and `typing` (for
+a `NamedTuple`) milliseconds more; the package imports neither. `Ign` and `Ggn`
 convert each number through `finite`, test their invariant and set their
 fields through `Record.__init__`; the fgcm `box` maps `Ign` over the
 planes. The fggcm `box` builds its cells in one loop with `Ggn`'s slot
@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from operator import itemgetter
-from typing import Callable, NamedTuple
 
 from ._core import crisp_next, interval_next, kernel_grey_next
 from .errors import DimensionError, MalformedInputError, ValidationError
@@ -287,20 +286,22 @@ class _Read(tuple):
     __slots__ = ()
 
 
-class Family(NamedTuple):
+class Family(Record):
     """One family's cell rule. parse, cell and weight raise without a
     location; their callers add it through `vector`."""
 
-    fields: tuple[str, ...]  # a cell's float fields, in plane order
-    parse: Callable  # model-file JSON value -> cell; MalformedInputError
-    encode: Callable  # cell -> model-file JSON value
-    cell: Callable  # any value -> cell of this family, or an error
-    weight: Callable  # any value -> cell of this family within [-1, 1], or an error
-    row: Callable  # (model-file weight row, name) -> `_Read` cells, or its `parse` cells
-    split: Callable  # cells -> float planes, one per field
-    box: Callable  # float planes -> tuple of cells, each checked as its constructor checks it
-    advance: Callable  # (`_core.blocks` of the weight planes, *state planes, lam) -> next planes
-    distance: Callable  # Euclidean distance of two states of equal length
+    __slots__ = __match_args__ = (
+        "fields",  # a cell's float fields, in plane order
+        "parse", "encode",  # model-file JSON value -> cell (MalformedInputError), and back
+        "cell", "weight",  # any value -> cell of this family (within [-1, 1]), or an error
+        "row",  # (model-file weight row, name) -> `_Read` cells, or its `parse` cells
+        "split", "box",  # cells -> float planes, one per field; planes -> cells, each checked
+        "advance",  # (`_core.blocks` of the weight planes, *state planes, lam) -> next planes
+        "distance",  # Euclidean distance of two states of equal length
+    )
+
+    def __init__(self, fields, parse, encode, cell, weight, row, split, box, advance, distance):
+        super().__init__(fields, parse, encode, cell, weight, row, split, box, advance, distance)
 
 
 def _crisp_parse(raw):

@@ -25,8 +25,8 @@ import csv
 import io
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 from . import _modelio, convergence, corpus
 from ._family import FAMILY, _Read, at_least, positive
@@ -160,21 +160,24 @@ def _verdict_dict(v: convergence.Verdict) -> dict:
     }
 
 
-def _report(model: Model, model_label: str, steps: int, eps: float, max_period: int):
+def _report(model: Model, args):
     """A run's check report, trajectory, classification and criterion
-    verdicts (the family's one, or fggcm's kernel and greyness ones)."""
-    traj = simulate(model, steps)
-    cls = classify(traj, epsilon=eps, max_period=max_period)
+    verdicts (the family's one, or fggcm's kernel and greyness ones), under
+    the model file's stem as `pathlib` takes it (".x" and "x." are stems)."""
+    traj = simulate(model, args.steps)
+    cls = classify(traj, epsilon=args.eps, max_period=args.max_period)
+    name = os.path.basename(args.model)
+    dot = name.rfind(".")
     report = {
-        "model": model_label,
+        "model": name[:dot] if 0 < dot < len(name) - 1 else name,
         "family": model.family,
         "lambda": model.lam,
         "classification": {
             "verdict": cls.verdict,
             "t_alpha": cls.t_alpha,
             "period": cls.period,
-            "epsilon": eps,
-            "max_period": max_period,
+            "epsilon": args.eps,
+            "max_period": args.max_period,
         },
     }
     if model.family == "fggcm":
@@ -202,9 +205,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check(args) -> int:
     model = _modelio.load_model(args.model, args.lam)
-    label = Path(args.model).stem
     try:
-        report, *_ = _report(model, label, args.steps, args.eps, args.max_period)
+        report, *_ = _report(model, args)
     except MixedSignWeightError as exc:
         print(json.dumps({
             "error": "MixedSignWeight",
@@ -221,9 +223,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _modelio.load_model(args.model, next(iter(args.lambdas.values())))
-    label = Path(args.model).stem
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
 
     worst = 0
     rows = []
@@ -234,20 +234,19 @@ def _cmd_sweep(args) -> int:
             model = Model(model.family, model.node_names, tuple(map(_Read, model.weights)),
                           model.initial, lam)
         try:
-            report, traj, cls, verdicts = _report(model, label, args.steps, args.eps,
-                                                  args.max_period)
+            report, traj, cls, verdicts = _report(model, args)
         except GreycogError as exc:
             name = (f"MixedSignWeight {exc.i},{exc.j}"
                     if isinstance(exc, MixedSignWeightError) else type(exc).__name__)
             rows.append([tag, "", "", f"error({name})", ""])
             worst = max(worst, _error_code(exc)[0])
             continue
-        _write_trajectory(out_dir / f"trajectory_lam{tag}.csv", model, traj)
-        _modelio.save_doc(report, out_dir / f"report_lam{tag}.json")
+        _write_trajectory(os.path.join(args.out_dir, f"trajectory_lam{tag}.csv"), model, traj)
+        _modelio.save_doc(report, os.path.join(args.out_dir, f"report_lam{tag}.json"))
         kernel_crit, grey_crit, *_ = [repr(v.criterion_value) for v in verdicts] + [""]
         period = cls.period if cls.period is not None else ""
         rows.append([tag, kernel_crit, grey_crit, cls.verdict, period])
-    with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(os.path.join(args.out_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "lambda", "criterion_kernel", "criterion_greyness",

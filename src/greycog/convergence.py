@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ._core import blocks, crisp_next
+from ._core import TINY_MASS, blocks, crisp_next, scaled_products
 from ._family import FAMILY, Record, matrix, number, positive, vector
 from .cogmap import Model, Trajectory
 from .dynamics import Classification
@@ -167,7 +167,9 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
 def _condition_rows(kernels, greys, a_hat, a_grey, lam):
     """`grey_condition_matrix` over arguments already read: the weights'
     kernel and greyness planes, then the state, which must have the
-    matrix's length (DimensionError); every a' from one `crisp_next` call."""
+    matrix's length (DimensionError); every a' from one `crisp_next` call.
+    A row whose shares sum above 0 and below `_core.TINY_MASS` takes them
+    again from `_core.scaled_products`, so they keep their bits."""
     if len(kernels) != len(a_hat):
         raise DimensionError(f"state vectors have length {len(a_hat)}, the matrix {len(kernels)}")
     (a_primes,) = crisp_next(blocks(kernels), a_hat, lam)
@@ -179,6 +181,8 @@ def _condition_rows(kernels, greys, a_hat, a_grey, lam):
             denom += share
         if denom <= 0.0:
             raise DegenerateRowError(i)
+        if denom < TINY_MASS:
+            shares, denom = scaled_products(k_row, a_hat)
         out.append(tuple(a_prime * share / denom if g - wg >= 0.0 else 0.0
                          for share, wg, g in zip(shares, g_row, a_grey)))
     return tuple(out)

@@ -29,10 +29,11 @@ def state_distance(family: str, a, b) -> float:
     value; lo and hi; kernel and greyness). a, then b, is read by
     `_family.vector` under the family's `cell` rule, which raises
     DimensionError for a state that is no sequence and ValidationError
-    for a cell of another family (a bool, NaN or inf crisp cell too);
-    then states of different lengths raise DimensionError."""
+    for a cell of another family (a bool, NaN or inf crisp cell too), each
+    error naming the argument (`b[2]: ...`); then states of different
+    lengths raise DimensionError."""
     fam = family_of(family, ValidationError)
-    a, b = vector(a, fam.cell, "a state"), vector(b, fam.cell, "a state")
+    a, b = vector(a, fam.cell, "a"), vector(b, fam.cell, "b")
     if len(a) != len(b):
         raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
     return fam.distance(a, b)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import Phase, settings
 
 import greycog as gc
+from greycog._family import Family
 
 # Every phase but explain, which reruns a shrunk failing example under a
 # tracer and can take minutes and hundreds of MB before the failure shows.
@@ -188,3 +189,9 @@ def web_fggcm_05():
 def crisp_trajectory(states):
     """Wrap raw crisp state tuples in a Trajectory."""
     return gc.Trajectory("fcm", tuple(tuple(s) for s in states))
+
+
+def family_with(fam, **rules):
+    """The `Family` fam rebuilt through its constructor, with the given
+    rules in place of its own (a test's counting wrapper, say)."""
+    return Family(**{name: rules.get(name, getattr(fam, name)) for name in Family.__match_args__})

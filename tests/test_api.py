@@ -134,17 +134,21 @@ def test_records_are_immutable_values(record, text):
 
 
 def test_no_module_uses_dataclasses_exec_eval_or_a_metaclass():
-    # A record is a `_family.Record` with a written-out constructor.
+    # A record is a `_family.Record` with a written-out constructor, the
+    # family table's `Family` too, so no module imports typing (for a
+    # NamedTuple, say) or dataclasses.
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                assert "dataclasses" not in {a.name for a in node.names}, path.name
+                assert {"dataclasses", "typing"}.isdisjoint(a.name for a in node.names), path.name
             elif isinstance(node, ast.ImportFrom):
-                assert node.module != "dataclasses", path.name
+                assert node.module not in {"dataclasses", "typing"}, path.name
             elif isinstance(node, ast.Call):
                 assert getattr(node.func, "id", None) not in {"exec", "eval"}, path.name
             elif isinstance(node, ast.ClassDef):
                 assert "metaclass" not in {k.arg for k in node.keywords}, path.name
+                bases = {getattr(b, "attr", getattr(b, "id", None)) for b in node.bases}
+                assert "NamedTuple" not in bases, path.name
 
 
 def test_cli_calls_simulate_with_the_model_and_steps_positionally(tmp_path, monkeypatch):

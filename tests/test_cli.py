@@ -9,7 +9,7 @@ import os
 import random
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
 
@@ -17,6 +17,7 @@ import greycog as gc
 from greycog import cli
 from greycog._family import FAMILY
 from greycog.cli import main
+from conftest import family_with
 
 
 BIG = "9" * 401  # an integer literal no float can hold
@@ -509,7 +510,7 @@ def test_sweep_reads_no_weight_after_the_first_build(tmp_path, monkeypatch, per_
         calls.append(cell)
         return fam.weight(cell)
 
-    monkeypatch.setitem(FAMILY, "fggcm", fam._replace(weight=counting))
+    monkeypatch.setitem(FAMILY, "fggcm", family_with(fam, weight=counting))
     tags = ["0.5", "1", "2", "4"]
     summary = []
     for tag in tags:
@@ -668,6 +669,49 @@ def test_cli_import_loads_only_the_standard_library():
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "[]"
+
+
+def test_cli_import_loads_neither_typing_nor_pathlib():
+    # -S leaves out the site hooks, which may import either module for
+    # packages of their own; greycog's records are all `Record`s, and the
+    # CLI keeps its paths as strings.
+    code = "import greycog.cli, sys; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
+
+
+# Checks each model file given, then prints each report's label and which
+# of typing and pathlib the process has loaded.
+CHECK_LABELS = """
+import contextlib, io, json, sys
+from greycog import cli
+labels = []
+for path in sys.argv[1:]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["check", "--model", path])
+    labels.append((code, json.loads(buf.getvalue())["model"]))
+print(json.dumps({"labels": labels, "loaded": sorted({"typing", "pathlib"} & set(sys.modules))}))
+"""
+
+
+def test_check_labels_each_report_by_its_file_stem_without_pathlib(tmp_path):
+    # A report's label is the file name without its last suffix, where a
+    # dot that begins or ends the name starts none: `PurePath(p).stem` up
+    # to Python 3.13 (3.14 takes a final "." as a suffix). A CLI process
+    # under -S loads neither typing nor pathlib while it checks the files.
+    (tmp_path / "d.e").mkdir()
+    paths = [str(tmp_path / "d.e" / name) for name in ("x.", ".x", "a.b.json")]
+    for path in paths:
+        gc.save_doc(gc.export_variant("web_fcm"), path)
+    proc = subprocess.run([sys.executable, "-S", "-c", CHECK_LABELS, *paths],
+                          capture_output=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr.decode()
+    result = json.loads(proc.stdout)
+    assert result == {"labels": [[0, "x."], [0, ".x"], [0, "a.b"]], "loaded": []}
+    if sys.version_info < (3, 14):
+        assert [label for _, label in result["labels"]] == [PurePath(p).stem for p in paths]
 
 
 def test_cli_import_does_not_load_dataclasses_or_inspect():

@@ -239,14 +239,29 @@ def test_kernel_run_rejects_an_overflowing_weighted_greyness_mass(weight, initia
 def test_an_interval_run_keeps_each_end_in_order_where_the_float_logistic_crosses_them():
     # The two-branch logistic is not monotone in floats: at step 81 this
     # map's row sums are -0.1782899797899277 <= -0.17828997978992767, and it
-    # maps them to 0.2908107098342506 > 0.29081070983425056. Each high end
-    # is the larger of its node's two activated ends, so step 82 is a point.
+    # maps them to 0.2908107098342506 > 0.29081070983425056. Each low end is
+    # the smaller of its node's two activated ends and each high end the
+    # larger, so step 82 holds the two, in order.
     w = -0.6130791396628591
     m = gc.Model("fgcm", ("c0",), ((gc.Ign(w, w),),), (gc.Ign(0.0, 1.0),), 5.0)
     states = gc.simulate(m, 200).states
     assert len(states) == 201
     assert all(c.lo <= c.hi for s in states for c in s)
-    assert states[82] == (gc.Ign(0.2908107098342506, 0.2908107098342506),)
+    assert states[82] == (gc.Ign(0.29081070983425056, 0.2908107098342506),)
+
+
+def test_the_crisp_runs_from_both_interval_ends_stay_inside_the_interval_run():
+    # Each end's crisp image is one of the node's two activated ends, which
+    # the interval step orders, so where they cross (step 82 of this map)
+    # the run still holds both. A member strictly inside an interval can
+    # still escape, since the float logistic is not monotone.
+    w = -0.6130791396628591
+    m = gc.Model("fgcm", ("c0",), ((gc.Ign(w, w),),), (gc.Ign(0.0, 1.0),), 5.0)
+    interval = gc.simulate(m, 200).states
+    for end in (0.0, 1.0):
+        crisp = gc.simulate(gc.Model("fcm", ("c0",), ((w,),), (end,), 5.0), 200).states
+        assert len(crisp) == len(interval) == 201
+        assert all(i.lo <= c <= i.hi for (c,), (i,) in zip(crisp, interval))
 
 
 def test_model_rejects_out_of_range_crisp_weight():

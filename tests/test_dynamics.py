@@ -57,7 +57,7 @@ WRONG_FAMILY_CALLS = {
     "classify fcm over strings": (lambda: gc.classify(gc.Trajectory("fcm", (("a",),) * 60)),
                                   r"states\[1\]: state\[1\]: expected a number"),
     "state_distance fggcm over floats": (lambda: gc.state_distance("fggcm", (0.5,), (0.5,)),
-                                         r"a state\[1\]: fggcm cells"),
+                                         r"^a\[1\]: fggcm cells"),
 }
 
 
@@ -68,10 +68,13 @@ def test_a_state_of_another_family_raises_a_validation_error(call):
         call()
 
 
-@pytest.mark.parametrize("a, b", [((True, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, math.nan)),
-                                  ((math.inf, 0.0), (0.0, 0.0))], ids=["bool", "nan", "inf"])
-def test_state_distance_reads_its_states_by_the_number_rule(a, b):
-    with pytest.raises(gc.ValidationError, match=r"^a state\[[12]\]: "):
+@pytest.mark.parametrize("a, b, where", [
+    ((True, 0.0), (0.0, 0.0), r"a\[1\]"), ((0.0, 0.0), (0.0, math.nan), r"b\[2\]"),
+    ((math.inf, 0.0), (0.0, 0.0), r"a\[1\]"), ((0.0, math.nan), (0.0, 0.0), r"a\[2\]"),
+], ids=["bool", "nan", "inf", "nan in a"])
+def test_state_distance_reads_its_states_by_the_number_rule(a, b, where):
+    # A refused cell is named by its argument, a or b, and its place.
+    with pytest.raises(gc.ValidationError, match=rf"^{where}: "):
         gc.state_distance("fcm", a, b)
 
 
@@ -85,7 +88,8 @@ REFUSED_STATES = {"bytes": b"ab", "bytearray": bytearray(b"ab"), "str": "ab",
     pytest.param(*((x, (0.5, 0.5)) if where == "a" else ((0.5, 0.5), x)), id=f"{kind} {where}")
     for kind, x in REFUSED_STATES.items() for where in ("a", "b")])
 def test_a_state_that_is_no_sequence_raises_a_dimension_error(a, b):
-    with pytest.raises(gc.DimensionError, match="a state must be a sequence"):
+    where = "b" if isinstance(a, tuple) else "a"  # the first argument refused
+    with pytest.raises(gc.DimensionError, match=f"^{where} must be a sequence"):
         gc.state_distance("fcm", a, b)
 
 

@@ -203,15 +203,16 @@ def test_the_interval_map_is_the_crisp_map_on_its_interleaved_matrix(case, lam):
     # At a state whose every lo is >= 0, the interval update is the crisp
     # update on B bit for bit: the nonzero terms keep their order, and the
     # zero terms add +-0.0 to sums that start at +0.0. The crisp map
-    # activates each end alone, so its high end is the larger of the two.
+    # activates each end alone, so its low end is the smaller of the two
+    # and its high end the larger.
     w, x = case
     w_lo, w_hi = [[c[0] for c in row] for row in w], [[c[1] for c in row] for row in w]
     x_lo, x_hi = [c[0] for c in x], [c[1] for c in x]
     lo, hi = _core.interval_next(_core.blocks(w_lo, w_hi), x_lo, x_hi, lam)
     (both,) = _core.crisp_next(_core.blocks(interleaved_map(w_lo, w_hi)),
                                [v for pair in x for v in pair], lam)
-    assert ((bits(both[0::2]), bits(tuple(map(max, both[0::2], both[1::2]))))
-            == (bits(lo), bits(hi)))
+    assert ((bits(tuple(map(min, both[0::2], both[1::2]))),
+             bits(tuple(map(max, both[0::2], both[1::2])))) == (bits(lo), bits(hi)))
 
 
 def test_sigmoid_preserves_order_and_bounds():

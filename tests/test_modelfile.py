@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import greycog as gc
 from greycog import cli
 from greycog._family import FAMILY, family_of, finite, positive, vector
+from conftest import family_with
 
 
 def doc_fcm():
@@ -474,8 +475,8 @@ def test_loading_and_checking_reads_no_weight_cell_by_cell(family, tmp_path, mon
             return rule(x)
         return wrapper
 
-    monkeypatch.setitem(FAMILY, family, fam._replace(parse=counting(fam.parse, "parse"),
-                                                     weight=counting(fam.weight, "weight")))
+    monkeypatch.setitem(FAMILY, family, family_with(fam, parse=counting(fam.parse, "parse"),
+                                                    weight=counting(fam.weight, "weight")))
     assert cli.main(["check", "--model", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["family"] == family
     assert calls == {"parse": n}
@@ -504,7 +505,7 @@ def test_an_in_range_crisp_row_read_cell_by_cell_is_kept(tmp_path, monkeypatch):
         calls["weight"] += 1
         return fam.weight(x)
 
-    monkeypatch.setitem(FAMILY, "fcm", fam._replace(weight=counting))
+    monkeypatch.setitem(FAMILY, "fcm", family_with(fam, weight=counting))
     m = gc.load_model(ints)
     assert calls == Counter()
     assert m == gc.load_model(floats) and type(m.weights[1][2]) is float

@@ -156,15 +156,30 @@ def test_gated_condition_matrix_masks_the_ungated_one(n, data, lam):
     assert [bits(x) for row in gated for x in row] == [bits(x) for row in ungated for x in row]
 
 
+def shares(k_row, x_k, scale=0):
+    """|k_j * x_j| for each j, with x_j scaled by 2**scale (exact for the
+    state kernels drawn here), and their sum left to right from +0.0."""
+    products = [abs(k * math.ldexp(x, scale)) for k, x in zip(k_row, x_k)]
+    total = 0.0
+    for p in products:
+        total += p
+    return products, total
+
+
 def kernel_grey_reference(w_k, w_g, x_k, x_g, lam):
-    """The kernel/greyness update written out row by row, with abs and max."""
+    """The kernel/greyness update written out row by row, with abs and max;
+    a row whose mass sum is above 0 and below 2**-969 is summed again with
+    the state kernels scaled by 2**600."""
     kernels, greyness = [], []
     for wk_row, wg_row in zip(w_k, w_g):
-        s = denom = num = 0.0
-        for wk, wg, xk, xg in zip(wk_row, wg_row, x_k, x_g):
+        s = num = 0.0
+        for wk, xk in zip(wk_row, x_k):
             s += wk * xk
-            denom += abs(wk * xk)
-            num += max(wg, xg) * abs(wk * xk)
+        products, denom = shares(wk_row, x_k)
+        if 0.0 < denom < 2.0 ** -969:
+            products, denom = shares(wk_row, x_k, 600)
+        for p, wg, xg in zip(products, wg_row, x_g):
+            num += max(wg, xg) * p
         k = sigmoids([s], lam)[0]
         kernels.append(k)
         greyness.append(k * (num / denom) if denom > 0.0 else 0.0)
@@ -221,7 +236,8 @@ def test_each_condition_matrix_row_sums_to_at_most_its_new_kernel(n, data, lam):
     at most 1, so its inf-norm is at most q_g = max_i a'_i. Its a'_i are
     the engine's new kernels bit for bit: an open entry (g_j - G_ij >= 0)
     is k'_i * |K_ij * k_j| / d_i, d_i the row's shares summed left to
-    right from +0.0, and every closed one is 0.0."""
+    right from +0.0 (both with k_j scaled by 2**600 where d_i is above 0 and
+    below 2**-969), and every closed one is 0.0."""
     w = data.draw(mat(ggn_s(), n))
     k = data.draw(vec(frac, n))
     g = data.draw(vec(grey_s, n))
@@ -236,12 +252,44 @@ def test_each_condition_matrix_row_sums_to_at_most_its_new_kernel(n, data, lam):
         for x in row:
             total += x
         assert total <= k_next + rate_slack(n)
-        d = 0.0
-        for K_ij, k_j in zip(K_i, k):
-            d += abs(K_ij * k_j)
+        products, d = shares(K_i, k)
+        if d < 2.0 ** -969:
+            products, d = shares(K_i, k, 600)
         assert list(map(bits, row)) == [
-            bits(k_next * abs(K_ij * k_j) / d if g_j - G_ij >= 0.0 else 0.0)
-            for K_ij, G_ij, k_j, g_j in zip(K_i, G_i, k, g)]
+            bits(k_next * p / d if g_j - G_ij >= 0.0 else 0.0)
+            for p, G_ij, g_j in zip(products, G_i, g)]
+
+
+# Condition matrices with a row of subnormal kernel products, each as
+# (w, a_hat, a_grey, lam, matrix). The first two are draws on which the
+# row-sum property above failed while such products lost bits; in the
+# last, a_hat[1] scaled by 2**600 would overflow, so only the smaller
+# factor of a product may be scaled.
+SUBNORMAL_SHARES = [
+    (((gc.Ggn(0, 0), gc.Ggn(1, 0)), (gc.Ggn(0, 0), gc.Ggn(0.125, 0))),
+     (0.0, 2.225073858507203e-309), (0.0, 0.0), 1.0, ((0.0, 0.5), (0.0, 0.5))),
+    (((gc.Ggn(2.2250738585e-313, 0.0),),), (0.203125,), (0.0,), 1.0, ((0.5,),)),
+    (((gc.Ggn(0.0, 0.0), gc.Ggn(1e-310, 0.0)), (gc.Ggn(1.0, 0.0), gc.Ggn(0.0, 0.0))),
+     (1e300, 1e-5), None, 1.0, ((0.0, 0.5), (1.0, 0.0))),
+]
+
+
+@pytest.mark.parametrize("w, a_hat, a_grey, lam, matrix", SUBNORMAL_SHARES)
+def test_a_condition_matrix_row_of_subnormal_shares_keeps_its_bits(w, a_hat, a_grey, lam,
+                                                                    matrix):
+    # Summed as they were, row 2 of the first came to 0.5000000000000089
+    # against a' = 0.5, and row 1 of the last to 0.4999999975296718.
+    assert gc.grey_condition_matrix(w, a_hat, a_grey, lam) == matrix
+
+
+def test_a_greyness_update_over_subnormal_products_contracts_by_its_new_kernel():
+    # Summed as they were, the two greyness planes came out
+    # 0.12500000000019737 apart, against max(k') * 0.25 = 0.125.
+    weights = blocks([[2.225073858507e-311]], [[0.0]])
+    k_g, g_next = kernel_grey_next(weights, [0.28125], [0.25], 1.0)
+    k_h, h_next = kernel_grey_next(weights, [0.28125], [0.0], 1.0)
+    assert k_g == k_h == (0.5,)
+    assert (g_next, h_next) == ((0.125,), (0.0,))
 
 
 def logistic(x, lam):

@@ -3,10 +3,12 @@
 The reference below is written from README's update rules and imports
 nothing from `greycog._core`: per-row left-to-right `+=` sums, the
 two-branch logistic, interval ends as the min and the max of four
-endpoint products (each activated high end the larger of the node's two
-activated ends), and the greyness as the activated kernel times the
-|kernel product|-weighted average of max(weight greyness, state
-greyness), by `abs` and `max`. It runs every requested step, with no
+endpoint products (each activated low end the smaller of the node's two
+activated ends, each high end the larger), and the greyness as the
+activated kernel times the |kernel product|-weighted average of
+max(weight greyness, state greyness), by `abs` and `max`, a row whose
+mass sum is above 0 and below 2**-969 summed again with the state kernels
+scaled by 2**600. It runs every requested step, with no
 early stop, no blocks and no cycle copy. It calls the same `math.exp` as
 the package, so the property holds bit for bit on every platform, where
 the md5 pins of whole runs hold for one `exp` only.
@@ -51,20 +53,31 @@ def interval_step(w, x, lam):
             lo += min(p)
             hi += max(p)
         a_lo, a_hi = logistic(lam, lo), logistic(lam, hi)
-        out.append((a_lo, max(a_lo, a_hi)))
+        out.append((min(a_lo, a_hi), max(a_lo, a_hi)))
     return tuple(out)
+
+
+def grey_masses(row, x, scale):
+    """A row's mass and weighted mass, each |kernel product| taken with the
+    state kernel scaled by 2**scale (exact here, as every kernel is in [-1, 1])."""
+    mass = weighted = 0.0
+    for (wk, wg), (xk, xg) in zip(row, x):
+        p = abs(wk * math.ldexp(xk, scale))
+        mass += p
+        weighted += max(wg, xg) * p
+    return mass, weighted
 
 
 def grey_step(w, x, lam):
     """w and x hold (kernel, greyness) pairs."""
     out = []
     for row in w:
-        s = mass = weighted = 0.0
-        for (wk, wg), (xk, xg) in zip(row, x):
-            p = wk * xk
-            s += p
-            mass += abs(p)
-            weighted += max(wg, xg) * abs(p)
+        s = 0.0
+        for (wk, _), (xk, _) in zip(row, x):
+            s += wk * xk
+        mass, weighted = grey_masses(row, x, 0)
+        if 0.0 < mass < 2.0 ** -969:
+            mass, weighted = grey_masses(row, x, 600)
         k = logistic(lam, s)
         out.append((k, k * (weighted / mass) if mass > 0.0 else 0.0))
     return tuple(out)
