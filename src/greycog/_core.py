@@ -31,9 +31,10 @@ from .errors import MalformedInputError
 # written out for four rows, and `blocks` groups the rows to match.
 BLOCK = 4
 
-# A greyness mass sum in (0, TINY_MASS) is made of products that lost bits
-# to the subnormal range, so its shares no longer sum to 1: that row's sums
-# are taken again over `scaled_products`, whose ratios are the same.
+# A greyness mass sum below TINY_MASS, 0 included, is made of products that
+# lost bits to the subnormal range or underflowed to 0, so its shares no
+# longer sum to 1: that row's sums are taken again over `scaled_products`,
+# whose ratios are the same.
 TINY_MASS = 2.0 ** -969
 
 
@@ -153,16 +154,23 @@ def interval_next(weights, x_lo, x_hi, lam):
 
 def scaled_products(k_row, x_k):
     """|k_j * x_j| * 2**600 for each j, as a list, and their sum left to
-    right from +0.0. Each product is rounded once: its factor of smaller
-    magnitude is scaled by `math.ldexp`, which is exact, and in a row whose
-    mass sum is below TINY_MASS that factor is below 2**-484, so no term
-    overflows, while a term in the normal range keeps every bit."""
+    right from +0.0; where that sum is still below TINY_MASS, the same at
+    2**1200. Each product is rounded once: its factor of smaller magnitude
+    is scaled by `math.ldexp`, which is exact. A nonzero product of two
+    finite floats is at least 2**-2148, so at 2**1200 each is a normal
+    float and keeps every bit. Every product taken is below 2**-368 (the
+    row's sum below TINY_MASS bounds the products, and so the smaller
+    factor, before each scale), so no factor, product or greyness-weighted
+    product overflows."""
     ldexp = math.ldexp
-    products = [abs(ldexp(k, 600) * x if abs(k) < abs(x) else k * ldexp(x, 600))
-                for k, x in zip(k_row, x_k)]
-    total = 0.0
-    for p in products:
-        total += p
+    for scale in 600, 1200:
+        products = [abs(ldexp(k, scale) * x if abs(k) < abs(x) else k * ldexp(x, scale))
+                    for k, x in zip(k_row, x_k)]
+        total = 0.0
+        for p in products:
+            total += p
+        if total >= TINY_MASS:
+            break
     return products, total
 
 
@@ -180,9 +188,9 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     and add only terms >= 0 or -0.0, so they come out the same. The three
     sums of a row (kernel, mass, weighted mass) share one loop, and each
     is gathered in its own list; the real rows' kernel sums are activated
-    by one `sigmoids` call. A row whose mass sum is above 0 and below
-    TINY_MASS has its mass and weighted mass summed again over its
-    `scaled_products`.
+    by one `sigmoids` call. A row whose mass sum is below TINY_MASS, 0
+    included, has its mass and weighted mass summed again over its
+    `scaled_products`; a row of truly zero products keeps a greyness of 0.
     """
     rows, wb = weights
     sums = []
@@ -222,9 +230,9 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     if math.inf in masses or math.inf in weighted:
         raise MalformedInputError("greyness mass sum must be finite, got inf")
     masses = masses[:rows]
-    if min(masses) < TINY_MASS:  # a row of no mass passes too, and is left at 0
+    if min(masses) < TINY_MASS:
         for i, denom in enumerate(masses):
-            if 0.0 < denom < TINY_MASS:
+            if denom < TINY_MASS:
                 block, r = wb[i // BLOCK], i % BLOCK
                 products, denom = scaled_products([col[r] for col in block], x_k)
                 num = 0.0

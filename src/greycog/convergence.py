@@ -168,8 +168,9 @@ def _condition_rows(kernels, greys, a_hat, a_grey, lam):
     """`grey_condition_matrix` over arguments already read: the weights'
     kernel and greyness planes, then the state, which must have the
     matrix's length (DimensionError); every a' from one `crisp_next` call.
-    A row whose shares sum above 0 and below `_core.TINY_MASS` takes them
-    again from `_core.scaled_products`, so they keep their bits."""
+    A row whose shares sum below `_core.TINY_MASS`, 0 included, takes them
+    again from `_core.scaled_products`, so they keep their bits; a row whose
+    scaled shares still sum to 0 has no kernel activity."""
     if len(kernels) != len(a_hat):
         raise DimensionError(f"state vectors have length {len(a_hat)}, the matrix {len(kernels)}")
     (a_primes,) = crisp_next(blocks(kernels), a_hat, lam)
@@ -179,10 +180,10 @@ def _condition_rows(kernels, greys, a_hat, a_grey, lam):
         denom = 0.0
         for share in shares:
             denom += share
-        if denom <= 0.0:
-            raise DegenerateRowError(i)
         if denom < TINY_MASS:
             shares, denom = scaled_products(k_row, a_hat)
+        if denom <= 0.0:
+            raise DegenerateRowError(i)
         out.append(tuple(a_prime * share / denom if g - wg >= 0.0 else 0.0
                          for share, wg, g in zip(shares, g_row, a_grey)))
     return tuple(out)

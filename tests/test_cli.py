@@ -649,36 +649,22 @@ def test_a_bool_path_is_refused_not_taken_as_a_standard_stream():
     assert proc.stdout.decode().split() == ["refused", "refused"]
 
 
-def test_cli_import_does_not_load_numpy():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import greycog.cli, sys; assert 'numpy' not in sys.modules"],
-        capture_output=True, env=SRC_ENV,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-
-
 def test_cli_import_loads_only_the_standard_library():
     # -S leaves out the site hooks of the interpreter running the suite
     # (with what they import), so every top-level module then loaded is one
-    # that importing greycog.cli asked for.
+    # that importing greycog.cli asked for: each must be standard library,
+    # and none numpy, typing, pathlib, dataclasses or inspect. greycog's
+    # records are all `Record`s and the CLI keeps its paths as strings;
+    # dataclasses imports inspect (with ast, dis and tokenize), which with
+    # it took most of the time of `import greycog.cli`.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import greycog.cli; "
-            "print(sorted({name.partition('.')[0] for name in sys.modules}"
-            " - set(sys.stdlib_module_names) - {'greycog', '__main__'}))")
+            "top = {name.partition('.')[0] for name in sys.modules}; "
+            "print(sorted(top - set(sys.stdlib_module_names) - {'greycog', '__main__'}), "
+            "sorted(top & {'numpy', 'typing', 'pathlib', 'dataclasses', 'inspect'}))")
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "[]"
-
-
-def test_cli_import_loads_neither_typing_nor_pathlib():
-    # -S leaves out the site hooks, which may import either module for
-    # packages of their own; greycog's records are all `Record`s, and the
-    # CLI keeps its paths as strings.
-    code = "import greycog.cli, sys; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=SRC_ENV)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "[]"
+    assert proc.stdout.decode().strip() == "[] []"
 
 
 # Checks each model file given, then prints each report's label and which
@@ -712,19 +698,6 @@ def test_check_labels_each_report_by_its_file_stem_without_pathlib(tmp_path):
     assert result == {"labels": [[0, "x."], [0, ".x"], [0, "a.b"]], "loaded": []}
     if sys.version_info < (3, 14):
         assert [label for _, label in result["labels"]] == [PurePath(p).stem for p in paths]
-
-
-def test_cli_import_does_not_load_dataclasses_or_inspect():
-    # dataclasses imports inspect (with ast, dis and tokenize), which with
-    # it took most of the time of `import greycog.cli`.
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import greycog.cli, sys; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        capture_output=True, env=SRC_ENV,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "[]"
 
 
 # A caller that replays CLI calls in-process under redirect_stdout prints

@@ -6,6 +6,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from greycog import Ign, MalformedInputError, Model, _core, simulate
 from greycog._core import interval_dot_lr
 
@@ -72,24 +73,6 @@ def test_mul_negative_or_straddling_state_is_exact(w, x, expected):
     assert interval_dot_lr([w[0]], [w[1]], [x[0]], [x[1]]) == expected
 
 
-def four_product_dot(w_lo, w_hi, x_lo, x_hi):
-    """The reference: each term is the min and max of its four endpoint
-    products, first extreme kept on ties, summed left to right from +0.0."""
-    lo = 0.0
-    hi = 0.0
-    for wl, wh, xl, xh in zip(w_lo, w_hi, x_lo, x_hi):
-        p = (wl * xl, wl * xh, wh * xl, wh * xh)
-        mn = mx = p[0]
-        for q in p[1:]:
-            if q < mn:
-                mn = q
-            if q > mx:
-                mx = q
-        lo += mn
-        hi += mx
-    return lo, hi
-
-
 # Magnitudes: the zeros, subnormals and the normal floor beside ordinary
 # values; states reach the largest finite doubles.
 TINY = [0.0, 5e-324, 2.2250738585072014e-308]
@@ -122,7 +105,7 @@ def bits(pair):
 def test_endpoint_selection_is_the_four_product_min_max_bit_for_bit(terms):
     planes = ([w[0] for w, _ in terms], [w[1] for w, _ in terms],
               [x[0] for _, x in terms], [x[1] for _, x in terms])
-    assert bits(interval_dot_lr(*planes)) == bits(four_product_dot(*planes))
+    assert bits(interval_dot_lr(*planes)) == bits(reference.interval_dot(*zip(*terms)))
 
 
 # A state interval with 0 <= lo <= hi, as every state after step 0 is:
@@ -142,7 +125,7 @@ def test_one_product_per_end_is_the_four_product_min_max_bit_for_bit(terms):
         mp.setattr(_core, "sigmoids", lambda xs, lam: list(xs))
         (lo,), (hi,) = _core.interval_next(_core.blocks([planes[0]], [planes[1]]), *planes[2:],
                                            1.0)
-    assert bits((lo, hi)) == bits(four_product_dot(*planes))
+    assert bits((lo, hi)) == bits(reference.interval_dot(*zip(*terms)))
 
 
 @settings(max_examples=300)
@@ -170,7 +153,7 @@ def test_each_step_sums_each_row_as_the_four_product_search(case):
     assert bool(general) == (min(x_lo) < 0.0)
     assert len(lo) == len(hi) == len(w)
     for i in range(len(w)):
-        assert bits((lo[i], hi[i])) == bits(four_product_dot(w_lo[i], w_hi[i], x_lo, x_hi))
+        assert bits((lo[i], hi[i])) == bits(reference.interval_dot(w[i], x))
 
 
 def interleaved_map(w_lo, w_hi):

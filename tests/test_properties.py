@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import greycog as gc
+import reference
 from greycog._core import blocks, crisp_next, interval_dot_lr, kernel_grey_next, sigmoids
 from greycog._family import FAMILY, number, vector
 
@@ -42,14 +43,6 @@ def mat(strategy, n):
 
 def bits(x):
     return struct.pack("<d", x)
-
-
-def dot_lr(weights, values):
-    """The engines' row sum: left to right from +0.0, one `+=` per term."""
-    s = 0.0
-    for w, v in zip(weights, values):
-        s += w * v
-    return s
 
 
 def run(family, w, a, lam, steps):
@@ -87,7 +80,7 @@ def test_interval_dot_contains_every_member_dot(pairs):
     As = [c.lo + f * (c.hi - c.lo) for c, f in zip(a, (p[3] for p in pairs))]
     ws = [min(max(x, c.lo), c.hi) for x, c in zip(ws, w)]
     As = [min(max(x, c.lo), c.hi) for x, c in zip(As, a)]
-    d = dot_lr(ws, As)
+    d = reference.dot_lr(ws, As)
     assert lo <= d <= hi
 
 
@@ -109,7 +102,7 @@ def test_row_update_kernel_is_the_crisp_update(n, data, lam):
     w = data.draw(vec(ggn_s(), n))
     a = data.draw(vec(ggn_s(), n))
     out = row_update(w, a, lam)
-    crisp = sigmoids([dot_lr([c.kernel for c in w], [c.kernel for c in a])], lam)[0]
+    (crisp,) = reference.crisp_step(([c.kernel for c in w],), [c.kernel for c in a], lam)
     assert out.kernel == crisp
 
 
@@ -156,36 +149,6 @@ def test_gated_condition_matrix_masks_the_ungated_one(n, data, lam):
     assert [bits(x) for row in gated for x in row] == [bits(x) for row in ungated for x in row]
 
 
-def shares(k_row, x_k, scale=0):
-    """|k_j * x_j| for each j, with x_j scaled by 2**scale (exact for the
-    state kernels drawn here), and their sum left to right from +0.0."""
-    products = [abs(k * math.ldexp(x, scale)) for k, x in zip(k_row, x_k)]
-    total = 0.0
-    for p in products:
-        total += p
-    return products, total
-
-
-def kernel_grey_reference(w_k, w_g, x_k, x_g, lam):
-    """The kernel/greyness update written out row by row, with abs and max;
-    a row whose mass sum is above 0 and below 2**-969 is summed again with
-    the state kernels scaled by 2**600."""
-    kernels, greyness = [], []
-    for wk_row, wg_row in zip(w_k, w_g):
-        s = num = 0.0
-        for wk, xk in zip(wk_row, x_k):
-            s += wk * xk
-        products, denom = shares(wk_row, x_k)
-        if 0.0 < denom < 2.0 ** -969:
-            products, denom = shares(wk_row, x_k, 600)
-        for p, wg, xg in zip(products, wg_row, x_g):
-            num += max(wg, xg) * p
-        k = sigmoids([s], lam)[0]
-        kernels.append(k)
-        greyness.append(k * (num / denom) if denom > 0.0 else 0.0)
-    return kernels, greyness
-
-
 # Signed zeros in every plane, and greyness drawn often from a few values
 # so that weight and state greyness tie (0.0 against -0.0 too).
 zero_or_unit = st.one_of(st.sampled_from([0.0, -0.0]), unit)
@@ -195,17 +158,18 @@ tied_grey = st.one_of(st.sampled_from([0.0, -0.0, 0.25]), grey_s)
 @given(st.integers(1, 9), st.integers(1, 5), st.data(), lam_s)
 def test_kernel_grey_update_equals_the_row_by_row_reference(rows, cols, data, lam):
     # Up to nine rows: several row blocks and every remainder. The crisp
-    # update of the kernel planes is each row's `dot_lr`, activated.
+    # update of the kernel planes is the reference's crisp step.
     planes = (data.draw(vec(vec(zero_or_unit, cols), rows)),
               data.draw(vec(vec(tied_grey, cols), rows)),
               data.draw(vec(zero_or_unit, cols)),
               data.draw(vec(tied_grey, cols)))
     got = kernel_grey_next(blocks(*planes[:2]), *planes[2:], lam)
-    want = kernel_grey_reference(*planes, lam)
+    w = [tuple(zip(k_row, g_row)) for k_row, g_row in zip(*planes[:2])]
+    want = tuple(zip(*reference.grey_step(w, tuple(zip(*planes[2:])), lam)))
     assert [list(map(bits, p)) for p in got] == [list(map(bits, p)) for p in want]
     (crisp,) = crisp_next(blocks(planes[0]), planes[2], lam)
-    assert list(map(bits, crisp)) == [bits(sigmoids([dot_lr(row, planes[2])], lam)[0])
-                                      for row in planes[0]]
+    assert list(map(bits, crisp)) == list(map(bits, reference.crisp_step(planes[0], planes[2],
+                                                                           lam)))
 
 
 def rate_slack(n):
@@ -236,8 +200,8 @@ def test_each_condition_matrix_row_sums_to_at_most_its_new_kernel(n, data, lam):
     at most 1, so its inf-norm is at most q_g = max_i a'_i. Its a'_i are
     the engine's new kernels bit for bit: an open entry (g_j - G_ij >= 0)
     is k'_i * |K_ij * k_j| / d_i, d_i the row's shares summed left to
-    right from +0.0 (both with k_j scaled by 2**600 where d_i is above 0 and
-    below 2**-969), and every closed one is 0.0."""
+    right from +0.0 (both taken as `reference.shares` takes them where d_i
+    is below 2**-969), and every closed one is 0.0."""
     w = data.draw(mat(ggn_s(), n))
     k = data.draw(vec(frac, n))
     g = data.draw(vec(grey_s, n))
@@ -252,9 +216,7 @@ def test_each_condition_matrix_row_sums_to_at_most_its_new_kernel(n, data, lam):
         for x in row:
             total += x
         assert total <= k_next + rate_slack(n)
-        products, d = shares(K_i, k)
-        if d < 2.0 ** -969:
-            products, d = shares(K_i, k, 600)
+        products, d = reference.shares(K_i, k)
         assert list(map(bits, row)) == [
             bits(k_next * p / d if g_j - G_ij >= 0.0 else 0.0)
             for p, G_ij, g_j in zip(products, G_i, g)]
@@ -263,14 +225,17 @@ def test_each_condition_matrix_row_sums_to_at_most_its_new_kernel(n, data, lam):
 # Condition matrices with a row of subnormal kernel products, each as
 # (w, a_hat, a_grey, lam, matrix). The first two are draws on which the
 # row-sum property above failed while such products lost bits; in the
-# last, a_hat[1] scaled by 2**600 would overflow, so only the smaller
-# factor of a product may be scaled.
+# third, a_hat[1] scaled by 2**600 or 2**1200 would overflow, so only the
+# smaller factor of a product may be scaled; in the last two every product
+# underflows to 0, which is no row of zero kernel mass.
 SUBNORMAL_SHARES = [
     (((gc.Ggn(0, 0), gc.Ggn(1, 0)), (gc.Ggn(0, 0), gc.Ggn(0.125, 0))),
      (0.0, 2.225073858507203e-309), (0.0, 0.0), 1.0, ((0.0, 0.5), (0.0, 0.5))),
     (((gc.Ggn(2.2250738585e-313, 0.0),),), (0.203125,), (0.0,), 1.0, ((0.5,),)),
     (((gc.Ggn(0.0, 0.0), gc.Ggn(1e-310, 0.0)), (gc.Ggn(1.0, 0.0), gc.Ggn(0.0, 0.0))),
      (1e300, 1e-5), None, 1.0, ((0.0, 0.5), (1.0, 0.0))),
+    (((gc.Ggn(1e-200, 0.0),),), (1e-200,), None, 1.0, ((0.5,),)),
+    (((gc.Ggn(1e-300, 0.0),),), (1e-300,), None, 1.0, ((0.5,),)),
 ]
 
 
@@ -292,13 +257,16 @@ def test_a_greyness_update_over_subnormal_products_contracts_by_its_new_kernel()
     assert (g_next, h_next) == ((0.125,), (0.0,))
 
 
-def logistic(x, lam):
-    """The engines' activation of one value, its two branches written out."""
-    z = lam * x
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+@pytest.mark.parametrize("kernel, greyness", [
+    (1e-150, 0.25), (1e-200, 0.25), (1e-300, 0.25), (1e-160, 2.0 ** 1000)])
+def test_a_greyness_update_over_underflowed_products_is_their_weighted_average(kernel,
+                                                                                greyness):
+    # At 1e-200 and 1e-300 the one kernel product underflows to 0, which
+    # read as a row of no mass gave a greyness of 0.0. At 1e-160 the
+    # product scaled by 2**1200 would overflow once weighted by 2**1000.
+    weights = blocks([[kernel]], [[0.5]])
+    assert kernel_grey_next(weights, [kernel], [greyness], 1.0) == ((0.5,),
+                                                                     (max(0.5, greyness) / 2,))
 
 
 # Any finite float, often one of the edge values: signed zeros, the
@@ -317,7 +285,7 @@ non_finite_s = st.sampled_from([math.inf, -math.inf, math.nan])
 def test_sigmoids_is_the_two_branch_logistic_bit_for_bit(xs, lam):
     got = sigmoids(xs, lam)
     assert type(got) is tuple
-    assert list(map(bits, got)) == [bits(logistic(x, lam)) for x in xs]
+    assert list(map(bits, got)) == [bits(reference.logistic(x, lam)) for x in xs]
 
 
 @given(st.lists(finite_s, max_size=12), st.data(), non_finite_s, non_finite_s, steep_any_s)
@@ -638,50 +606,6 @@ def test_interval_trajectory_encloses_member_trajectories(n, data, lam):
     for cs, iss in zip(crisp, run("fgcm", w, a, lam, 60)):
         for c, i in zip(cs, iss):
             assert i.lo <= c <= i.hi
-
-
-@st.composite
-def repeating_runs(draw):
-    """Maps that reach an exact float fixed point (small lambda) or an
-    exact cycle (lambda 5; with inhibitory weights mostly a 2-cycle), with
-    initial cells of both zero signs, over horizons up to 400."""
-    family = draw(st.sampled_from(gc.FAMILIES))
-    regime = draw(st.sampled_from(["contract", "inhibit", "steep"]))
-    if regime == "contract":
-        n, lam, weight = draw(st.integers(1, 6)), draw(st.floats(0.01, 1.0)), unit
-    else:
-        n, lam = draw(st.integers(1, 12)), 5.0
-        weight = st.floats(-1.0, 0.0) if regime == "inhibit" else unit
-    value = st.one_of(signed_zero, unit)
-
-    def cell(x):
-        if family == "fcm":
-            return x
-        if family == "fgcm":
-            return gc.Ign(*sorted((x, draw(value))))
-        return gc.Ggn(x, draw(st.one_of(signed_zero, grey_s)))
-
-    w = tuple(tuple(cell(draw(weight)) for _ in range(n)) for _ in range(n))
-    a = tuple(cell(draw(value)) for _ in range(n))
-    m = gc.Model(family, tuple(f"c{i}" for i in range(n)), w, a, lam)
-    return m, draw(st.one_of(st.integers(1, 400), st.integers(200, 400)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(repeating_runs())
-def test_simulate_equals_the_step_by_step_run_bitwise(case):
-    """Stopping at the first exact repeat and copying the cycle gives the
-    trajectory that T chained one-step runs give. A one-step run records a
-    single computed state, so it never reaches the cycle copy."""
-    m, steps = case
-    ref = [m.initial]
-    for _ in range(steps):
-        step = gc.Model(m.family, m.node_names, m.weights, ref[-1], m.lam)
-        ref.append(gc.simulate(step, 1).states[1])
-    got = gc.simulate(m, steps).states
-    assert len(got) == len(ref) == steps + 1
-    for s, r in zip(got, ref):
-        assert [cell_bits(m.family, c) for c in s] == [cell_bits(m.family, c) for c in r]
 
 
 # Below a criterion's threshold the map is a contraction, so it has one
