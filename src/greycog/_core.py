@@ -33,8 +33,7 @@ BLOCK = 4
 
 # A greyness mass sum below TINY_MASS, 0 included, is made of products that
 # lost bits to the subnormal range or underflowed to 0, so its shares no
-# longer sum to 1: that row's sums are taken again over `scaled_products`,
-# whose ratios are the same.
+# longer sum to 1: `row_masses` takes that row's products again, scaled.
 TINY_MASS = 2.0 ** -969
 
 
@@ -152,25 +151,27 @@ def interval_next(weights, x_lo, x_hi, lam):
     return tuple(map(min, lo, hi)), tuple(map(max, lo, hi))
 
 
-def scaled_products(k_row, x_k):
-    """|k_j * x_j| * 2**600 for each j, as a list, and their sum left to
-    right from +0.0; where that sum is still below TINY_MASS, the same at
-    2**1200. Each product is rounded once: its factor of smaller magnitude
-    is scaled by `math.ldexp`, which is exact. A nonzero product of two
-    finite floats is at least 2**-2148, so at 2**1200 each is a normal
-    float and keeps every bit. Every product taken is below 2**-368 (the
-    row's sum below TINY_MASS bounds the products, and so the smaller
-    factor, before each scale), so no factor, product or greyness-weighted
-    product overflows."""
+def row_masses(k_row, x_k):
+    """Each |k_j * x_j|, as a list, and their sum left to right from +0.0.
+    Where that sum is below TINY_MASS, 0 included, the products are taken
+    again times 2**600 and, where still below, times 2**1200, which leaves
+    their ratios as they are. Each scaled product is rounded once: its
+    factor of smaller magnitude is scaled by `math.ldexp`, which is exact.
+    A nonzero product of two finite floats is at least 2**-2148, so at
+    2**1200 each is a normal float and keeps every bit. Every product
+    scaled is below 2**-368 (the row's sum below TINY_MASS bounds the
+    products, and so the smaller factor, before each scale), so no factor,
+    product or greyness-weighted product overflows."""
     ldexp = math.ldexp
-    for scale in 600, 1200:
-        products = [abs(ldexp(k, scale) * x if abs(k) < abs(x) else k * ldexp(x, scale))
-                    for k, x in zip(k_row, x_k)]
+    products = [abs(k * x) for k, x in zip(k_row, x_k)]
+    for scale in 600, 1200, None:
         total = 0.0
         for p in products:
             total += p
-        if total >= TINY_MASS:
+        if total >= TINY_MASS or scale is None:
             break
+        products = [abs(ldexp(k, scale) * x if abs(k) < abs(x) else k * ldexp(x, scale))
+                    for k, x in zip(k_row, x_k)]
     return products, total
 
 
@@ -190,7 +191,7 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     is gathered in its own list; the real rows' kernel sums are activated
     by one `sigmoids` call. A row whose mass sum is below TINY_MASS, 0
     included, has its mass and weighted mass summed again over its
-    `scaled_products`; a row of truly zero products keeps a greyness of 0.
+    `row_masses`; a row of truly zero products keeps a greyness of 0.
     """
     rows, wb = weights
     sums = []
@@ -234,7 +235,7 @@ def kernel_grey_next(weights, x_k, x_g, lam):
         for i, denom in enumerate(masses):
             if denom < TINY_MASS:
                 block, r = wb[i // BLOCK], i % BLOCK
-                products, denom = scaled_products([col[r] for col in block], x_k)
+                products, denom = row_masses([col[r] for col in block], x_k)
                 num = 0.0
                 for p, xg, col in zip(products, x_g, block):
                     num += (xg if xg > col[BLOCK + r] else col[BLOCK + r]) * p

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ._core import TINY_MASS, blocks, crisp_next, scaled_products
+from ._core import blocks, crisp_next, row_masses
 from ._family import FAMILY, Record, matrix, number, positive, vector
 from .cogmap import Model, Trajectory
 from .dynamics import Classification
@@ -167,21 +167,16 @@ def grey_condition_matrix(w, a_hat, a_grey, lam: float):
 def _condition_rows(kernels, greys, a_hat, a_grey, lam):
     """`grey_condition_matrix` over arguments already read: the weights'
     kernel and greyness planes, then the state, which must have the
-    matrix's length (DimensionError); every a' from one `crisp_next` call.
-    A row whose shares sum below `_core.TINY_MASS`, 0 included, takes them
-    again from `_core.scaled_products`, so they keep their bits; a row whose
-    scaled shares still sum to 0 has no kernel activity."""
+    matrix's length (DimensionError); every a' from one `crisp_next` call,
+    and each row's shares and their sum from `_core.row_masses`, as the
+    greyness update takes them; a row whose shares sum to 0 has no kernel
+    activity."""
     if len(kernels) != len(a_hat):
         raise DimensionError(f"state vectors have length {len(a_hat)}, the matrix {len(kernels)}")
     (a_primes,) = crisp_next(blocks(kernels), a_hat, lam)
     out = []
     for i, (k_row, g_row, a_prime) in enumerate(zip(kernels, greys, a_primes), 1):
-        shares = [abs(k * a) for k, a in zip(k_row, a_hat)]
-        denom = 0.0
-        for share in shares:
-            denom += share
-        if denom < TINY_MASS:
-            shares, denom = scaled_products(k_row, a_hat)
+        shares, denom = row_masses(k_row, a_hat)
         if denom <= 0.0:
             raise DegenerateRowError(i)
         out.append(tuple(a_prime * share / denom if g - wg >= 0.0 else 0.0

@@ -310,6 +310,22 @@ def test_only_the_core_module_names_the_logistic():
     assert name_sites(probe, names) == [(1, "sigmoids"), (3, "exp"), (4, "exp")]
 
 
+def test_only_the_core_module_names_the_subnormal_greyness_redo():
+    # The greyness update and the condition matrix take a row's shares by
+    # one rule, `_core.row_masses`, which alone decides when a row's
+    # products lost bits: any other module naming the threshold or the
+    # folded-away `scaled_products` would be a second redo beside it.
+    names = {"TINY_MASS", "scaled_products"}
+    found = {p.name: name_sites(p.read_text(), names) for p in sorted(SRC.glob("*.py"))
+             if p.name != "_core.py"}
+    assert found and {name: sites for name, sites in found.items() if sites} == {}
+    assert name_sites((SRC / "_core.py").read_text(), names)
+    probe = ("from ._core import TINY_MASS, blocks\nimport x.scaled_products\n"
+             "print('TINY_MASS')\nif d < _core.TINY_MASS:\n    s = scaled_products(r, a)\n")
+    assert name_sites(probe, names) == [(1, "TINY_MASS"), (2, "scaled_products"),
+                                        (4, "TINY_MASS"), (5, "scaled_products")]
+
+
 def exact_type_sites(source):
     """(line, where, test) for each comparison in source that tests a
     `type(...)` call by `is` or `is not`; where is as in `walk`, and test

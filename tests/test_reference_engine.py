@@ -43,14 +43,17 @@ def runs(draw):
     which (with inhibitory weights mostly a 2-cycle) reaches an exact cycle
     or none, so `simulate` stops early and copies in some runs and computes
     every step in others. Weight ends and initial cells take both zero
-    signs; initial intervals may be negative or straddle zero."""
+    signs; initial intervals may be negative or straddle zero. Initial
+    cells may be tiny (1e-160, -1e-200), so a row's kernel products fall
+    to the subnormal range or to 0, and a greyness may be 2**1000 beside
+    them, which a scaled greyness-weighted product must not overflow."""
     family = draw(st.sampled_from(gc.FAMILIES))
     regime = draw(st.sampled_from(["contract", "inhibit", "steep"]))
     n = draw(st.integers(1, 9 if regime == "contract" else 12))
     lam = draw(st.floats(0.01, 1.0)) if regime == "contract" else 5.0
     end = st.one_of(signed_zero, st.floats(-1.0, 0.0) if regime == "inhibit" else unit)
-    value = st.one_of(signed_zero, st.floats(-2.0, 2.0))
-    greyness = st.one_of(signed_zero, st.floats(0.0, 2.0))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1e-160, -1e-200]), st.floats(-2.0, 2.0))
+    greyness = st.one_of(st.sampled_from([0.0, -0.0, 2.0 ** 1000]), st.floats(0.0, 2.0))
 
     def cell(x):
         if family == "fcm":
@@ -68,11 +71,22 @@ def runs(draw):
 # Kernel products that underflow to 0: the greyness is still the weighted
 # average, 0.25 here, not that of a row of no mass.
 TINY_KERNELS = gc.Model("fggcm", ("a",), ((gc.Ggn(1e-200, 0.5),),), (gc.Ggn(1e-200, 0.25),), 1.0)
+# A kernel product of 1e-320, about 2**-1063: scaled by 2**1200 alone it
+# is about 2**137, and times its greyness of 2**1000 it overflows. The
+# redo scales by 2**600 first, which is enough.
+LARGE_GREYNESS = gc.Model("fggcm", ("a",), ((gc.Ggn(1e-160, 0.5),),),
+                          (gc.Ggn(1e-160, 2.0 ** 1000),), 1.0)
+# The float logistic maps this map's row sums at step 81, in order, to
+# ends out of order: each low end must be the smaller activated end.
+CROSSING = gc.Model("fgcm", ("c0",), ((gc.Ign(-0.6130791396628591, -0.6130791396628591),),),
+                    (gc.Ign(0.0, 1.0),), 5.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(runs())
 @example((TINY_KERNELS, 1))
+@example((LARGE_GREYNESS, 3))
+@example((CROSSING, 100))
 def test_simulate_equals_the_reference_engine_bitwise(case):
     m, steps = case
     got = gc.simulate(m, steps).states
