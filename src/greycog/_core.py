@@ -3,23 +3,23 @@
 Every engine's arithmetic lives here, one float-only state update per
 family, from float planes to float planes: `crisp_next`, `interval_next`
 and `kernel_grey_next` (its kernel and greyness sums fused). The weights
-do not change during a run, so `blocks` prepares them once: BLOCK rows at
-a time, the last block filled with zero rows, each block stored as the
-tuple of its columns. An update zips the state planes with a block,
-reading a state value and one column tuple per step, and keeps one
-accumulator per row and quantity, gathering each quantity's sums in its
-own list. `sigmoids` then activates a plane's real rows in one call, so
-the logistic and its finite guard are written once, and every update
-returns tuple planes; the zero rows are neither activated nor returned.
-The interval product is `interval_dot_lr`, four endpoint products a
-term; the blocked loop takes one per end, which is the same at a state
-whose x_lo are all >= 0, as after step 0. Each row is summed left to
-right from +0.0, one `+=` per term, so degenerate cases coincide bitwise:
-a kernel/greyness map with zero greyness, an interval map with
-zero-width intervals, and the crisp map all produce identical floating
-point trajectories. Every sum is a `+=` loop: `sum` (compensated since
-CPython 3.12), `fsum`, `sumprod` and `reduce` would tie the bits to the
-interpreter.
+do not change during a run, so `blocks` prepares them once: the weight
+planes, and beside them their rows BLOCK at a time, the last block
+filled with zero rows, each block stored as the tuple of its columns. An
+update zips the state planes with a block, reading a state value and one
+column tuple per step, and keeps one accumulator per row and quantity,
+gathering each quantity's sums in its own list. `sigmoids` then
+activates a plane's real rows in one call, so the logistic and its
+finite guard are written once, and every update returns tuple planes;
+the zero rows are neither activated nor returned. The interval product
+is `interval_dot_lr`, four endpoint products a term; the blocked loop
+takes one per end, which is the same at a state whose x_lo are all
+>= 0, as after step 0. Each row is summed left to right from +0.0, one
+`+=` per term, so degenerate cases coincide bitwise: a kernel/greyness
+map with zero greyness, an interval map with zero-width intervals, and
+the crisp map all produce identical floating point trajectories. Every
+sum is a `+=` loop: `sum` (compensated since CPython 3.12), `fsum`,
+`sumprod` and `reduce` would tie the bits to the interpreter.
 """
 
 import math
@@ -73,20 +73,25 @@ def interval_dot_lr(w_lo, w_hi, x_lo, x_hi):
 
 
 def blocks(*planes):
-    """A run's weights, prepared once, as (rows, blocks).
+    """A run's weights, prepared once, as (planes, blocks).
 
     planes are the weight rows of each plane, all of one shape: the crisp
-    rows, the low and the high rows, or the kernel and the greyness rows.
-    Their rows are taken BLOCK at a time, the last block filled up with
-    zero rows, and each block is stored as the tuple of its columns:
-    column j holds entry j of the block's rows, plane after plane. rows is
-    the real row count, which the updates activate and return.
+    rows, the low and the high rows, or the kernel, |kernel| and greyness
+    rows. They come back as given, for a path that reads whole rows, and
+    beside them their rows BLOCK at a time, the last block filled up with
+    zero rows, each block stored as the tuple of its columns: column j
+    holds entry j of the block's rows, plane after plane.
     """
     rows = len(planes[0])
     zero = (0.0,) * len(planes[0][0])
-    planes = [[*p, *[zero] * (-rows % BLOCK)] for p in planes]
-    return rows, tuple(tuple(zip(*[row for p in planes for row in p[i:i + BLOCK]]))
-                       for i in range(0, len(planes[0]), BLOCK))
+    padded = [[*p, *[zero] * (-rows % BLOCK)] for p in planes]
+    return planes, tuple(tuple(zip(*[row for p in padded for row in p[i:i + BLOCK]]))
+                         for i in range(0, len(padded[0]), BLOCK))
+
+
+def grey_blocks(kernels, greys):
+    """The `blocks` of the kernel, |kernel| and greyness weight rows."""
+    return blocks(kernels, [tuple(map(abs, row)) for row in kernels], greys)
 
 
 def crisp_next(weights, a, lam):
@@ -94,7 +99,7 @@ def crisp_next(weights, a, lam):
     sigmoid(w_i . a), each row summed left to right from +0.0, one `+=`
     per term, and the real rows' sums activated by one `sigmoids` call.
     weights are the crisp weight rows prepared by `blocks`."""
-    rows, wb = weights
+    (w,), wb = weights
     sums = []
     for block in wb:
         s0 = s1 = s2 = s3 = 0.0
@@ -104,7 +109,7 @@ def crisp_next(weights, a, lam):
             s2 += w2 * v
             s3 += w3 * v
         sums += s0, s1, s2, s3
-    return (sigmoids(sums[:rows], lam),)
+    return (sigmoids(sums[:len(w)], lam),)
 
 
 def interval_next(weights, x_lo, x_hi, lam):
@@ -121,19 +126,14 @@ def interval_next(weights, x_lo, x_hi, lam):
     so the low end is w_lo times x_lo (x_hi if w_lo < 0) and the high end
     w_hi times x_hi (x_lo if w_hi < 0), the min and the max of the four up
     to the sign of a zero, which a sum from +0.0 never shows. Any other
-    state takes `interval_dot_lr` per row, read back from the columns.
+    state takes `interval_dot_lr` over each low and high weight row.
     """
-    rows, wb = weights
-    los = []
-    his = []
+    (w_lo, w_hi), wb = weights
     if min(x_lo) < 0.0:
-        for block in wb:
-            w = tuple(zip(*block))
-            for wl, wh in zip(w[:BLOCK], w[BLOCK:]):
-                lo, hi = interval_dot_lr(wl, wh, x_lo, x_hi)
-                los.append(lo)
-                his.append(hi)
+        los, his = zip(*[interval_dot_lr(wl, wh, x_lo, x_hi) for wl, wh in zip(w_lo, w_hi)])
     else:
+        los = []
+        his = []
         for block in wb:
             lo0 = lo1 = lo2 = lo3 = hi0 = hi1 = hi2 = hi3 = 0.0
             for xl, xh, (l0, l1, l2, l3, h0, h1, h2, h3) in zip(x_lo, x_hi, block):
@@ -147,7 +147,7 @@ def interval_next(weights, x_lo, x_hi, lam):
                 hi3 += h3 * (xh if h3 >= 0.0 else xl)
             los += lo0, lo1, lo2, lo3
             his += hi0, hi1, hi2, hi3
-    lo, hi = sigmoids(los[:rows], lam), sigmoids(his[:rows], lam)
+    lo, hi = sigmoids(los[:len(w_lo)], lam), sigmoids(his[:len(w_lo)], lam)
     return tuple(map(min, lo, hi)), tuple(map(max, lo, hi))
 
 
@@ -177,51 +177,48 @@ def row_masses(k_row, x_k):
 
 def kernel_grey_next(weights, x_k, x_g, lam):
     """One kernel/greyness update of every node, as (kernels, greyness)
-    tuple planes. weights are the kernel and greyness weight rows prepared
-    by `blocks`.
+    tuple planes. weights are prepared by `grey_blocks`.
 
     Each kernel sum reads only the kernel planes and is summed left to
     right from +0.0, one `+=` per term. Each greyness is the activated
-    kernel times the |kernel product|-weighted average of max(weight
-    greyness, state greyness); with zero kernel mass it is 0, and an
-    infinite mass or weighted mass sum raises MalformedInputError. The sign flip stands in
-    for abs(p): it leaves -0.0 as it is, but the mass sums start at +0.0
-    and add only terms >= 0 or -0.0, so they come out the same. The three
-    sums of a row (kernel, mass, weighted mass) share one loop, and each
-    is gathered in its own list; the real rows' kernel sums are activated
-    by one `sigmoids` call. A row whose mass sum is below TINY_MASS, 0
-    included, has its mass and weighted mass summed again over its
-    `row_masses`; a row of truly zero products keeps a greyness of 0.
+    kernel times the kernel-mass-weighted average of max(weight greyness,
+    state greyness); with zero kernel mass it is 0, and an infinite mass
+    or weighted mass sum raises MalformedInputError. A term's mass is
+    |k| * |x|, the float |k * x| (rounding to nearest is even in sign),
+    from the |kernel| weights and an |x| plane: x_k itself where every x
+    is > 0, as in each computed state, so a step builds no tuple for the
+    garbage collector to count. The three sums of a row (kernel, mass,
+    weighted mass) share one loop, and each is gathered in its own list;
+    the real rows' kernel sums are activated by one `sigmoids` call. A
+    row whose mass sum is below TINY_MASS, 0 included, has its mass and
+    weighted mass summed again over the `row_masses` of its kernel weight
+    row, against its greyness weight row; a row of truly zero products
+    keeps a greyness of 0.
     """
-    rows, wb = weights
+    (k_rows, _, g_rows), wb = weights
+    rows = len(k_rows)
+    x_a = x_k if min(x_k) > 0.0 else tuple(map(abs, x_k))
     sums = []
     masses = []
     weighted = []
     for block in wb:
         s0 = s1 = s2 = s3 = d0 = d1 = d2 = d3 = m0 = m1 = m2 = m3 = 0.0
-        for xk, xg, (k0, k1, k2, k3, g0, g1, g2, g3) in zip(x_k, x_g, block):
-            p = k0 * xk
-            s0 += p
-            if p < 0.0:
-                p = -p
+        for xk, xa, xg, (k0, k1, k2, k3, a0, a1, a2, a3, g0, g1, g2, g3) in zip(
+                x_k, x_a, x_g, block):
+            s0 += k0 * xk
+            p = a0 * xa
             d0 += p
             m0 += (xg if xg > g0 else g0) * p
-            p = k1 * xk
-            s1 += p
-            if p < 0.0:
-                p = -p
+            s1 += k1 * xk
+            p = a1 * xa
             d1 += p
             m1 += (xg if xg > g1 else g1) * p
-            p = k2 * xk
-            s2 += p
-            if p < 0.0:
-                p = -p
+            s2 += k2 * xk
+            p = a2 * xa
             d2 += p
             m2 += (xg if xg > g2 else g2) * p
-            p = k3 * xk
-            s3 += p
-            if p < 0.0:
-                p = -p
+            s3 += k3 * xk
+            p = a3 * xa
             d3 += p
             m3 += (xg if xg > g3 else g3) * p
         sums += s0, s1, s2, s3
@@ -234,11 +231,10 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     if min(masses) < TINY_MASS:
         for i, denom in enumerate(masses):
             if denom < TINY_MASS:
-                block, r = wb[i // BLOCK], i % BLOCK
-                products, denom = row_masses([col[r] for col in block], x_k)
+                products, denom = row_masses(k_rows[i], x_k)
                 num = 0.0
-                for p, xg, col in zip(products, x_g, block):
-                    num += (xg if xg > col[BLOCK + r] else col[BLOCK + r]) * p
+                for p, xg, g in zip(products, x_g, g_rows[i]):
+                    num += (xg if xg > g else g) * p
                 masses[i], weighted[i] = denom, num
     return kernels, tuple([k * (num / denom) if denom > 0.0 else 0.0
                            for k, denom, num in zip(kernels, masses, weighted)])

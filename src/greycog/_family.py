@@ -55,7 +55,7 @@ import math
 from collections.abc import Mapping
 from operator import itemgetter
 
-from ._core import crisp_next, interval_next, kernel_grey_next
+from ._core import blocks, crisp_next, grey_blocks, interval_next, kernel_grey_next
 from .errors import DimensionError, MalformedInputError, ValidationError
 
 
@@ -296,12 +296,15 @@ class Family(Record):
         "cell", "weight",  # any value -> cell of this family (within [-1, 1]), or an error
         "row",  # (model-file weight row, name) -> `_Read` cells, or its `parse` cells
         "split", "box",  # cells -> float planes, one per field; planes -> cells, each checked
-        "advance",  # (`_core.blocks` of the weight planes, *state planes, lam) -> next planes
+        "prepare",  # (*weight planes) -> what advance reads, built once per run
+        "advance",  # (prepared weights, *state planes, lam) -> next planes
         "distance",  # Euclidean distance of two states of equal length
     )
 
-    def __init__(self, fields, parse, encode, cell, weight, row, split, box, advance, distance):
-        super().__init__(fields, parse, encode, cell, weight, row, split, box, advance, distance)
+    def __init__(self, fields, parse, encode, cell, weight, row, split, box, prepare, advance,
+                 distance):
+        super().__init__(fields, parse, encode, cell, weight, row, split, box, prepare, advance,
+                         distance)
 
 
 def _crisp_parse(raw):
@@ -466,18 +469,18 @@ def _grey_dist(a, b) -> float:
 FAMILY = {
     "fcm": Family(
         ("value",), _crisp_parse, float, number, _crisp_weight, _crisp_row,
-        lambda cells: (cells,), itemgetter(0), crisp_next, _crisp_dist,
+        lambda cells: (cells,), itemgetter(0), blocks, crisp_next, _crisp_dist,
     ),
     "fgcm": Family(
         ("lo", "hi"), _interval_parse, lambda c: {"interval": [c.lo, c.hi]},
         _interval_cell, _interval_weight, _interval_row, _interval_split,
-        lambda planes: tuple(map(Ign, *planes)), interval_next, _interval_dist,
+        lambda planes: tuple(map(Ign, *planes)), blocks, interval_next, _interval_dist,
     ),
     "fggcm": Family(
         ("kernel", "greyness"), _grey_parse,
         lambda c: {"kernel": c.kernel, "greyness": c.greyness},
         _grey_cell, _grey_weight, _grey_row,
-        _grey_split, _grey_box, kernel_grey_next, _grey_dist,
+        _grey_split, _grey_box, grey_blocks, kernel_grey_next, _grey_dist,
     ),
 }
 

@@ -12,9 +12,9 @@ flowing through the update:
 
 Each family's arithmetic is one float-only state update in `_core`; the
 family table in `_family` splits cells into float planes and boxes them
-back. `simulate` prepares the weights once per run (`_core.blocks`) and
-builds cells only for the states it records. `fcm_step` is the crisp
-update on tuples; a grey model's is `simulate(m, 1).states[1]`.
+back. `simulate` prepares the weights once per run (the family's
+`prepare`) and builds cells only for the states it records. `fcm_step`
+is the crisp update on tuples; a grey model's is `simulate(m, 1).states[1]`.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def simulate(m: Model, steps: int) -> Trajectory:
     at_least(steps, 1, InvalidParameterError, "steps")
     fam = FAMILY[m.family]
     split, advance, box = fam.split, fam.advance, fam.box
-    weights = blocks(*zip(*map(split, m.weights)))
+    weights = fam.prepare(*zip(*map(split, m.weights)))
     x_planes = split(m.initial)
     states = [m.initial]
     seen = {}

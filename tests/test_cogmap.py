@@ -16,6 +16,7 @@ from conftest import (
     FGCM_FIRST_05_LO,
     FGGCM_FIRST_05_G,
     FGGCM_FIRST_05_K,
+    family_with,
 )
 
 
@@ -163,26 +164,31 @@ def test_each_update_activates_and_returns_exactly_the_real_rows(family, n, monk
     weights = [[cell(rng.uniform(-0.5, 0.5)) for _ in range(n)] for _ in range(n)]
     state = [cell(rng.uniform(0.0, 0.5)) for _ in range(n)]
     calls = count_activations(monkeypatch)
-    planes = fam.advance(_core.blocks(*zip(*map(fam.split, weights))), *fam.split(state), 1.0)
+    planes = fam.advance(fam.prepare(*zip(*map(fam.split, weights))), *fam.split(state), 1.0)
     assert len(calls) == SIGMOIDS_PER_ROW[family] * n
     assert [len(p) for p in planes] == [n] * len(fam.fields)
 
 
 @pytest.mark.parametrize("steps", [1, 3, 200])
 def test_the_weights_are_prepared_once_per_run_and_per_fcm_step(steps, monkeypatch):
-    # The weights do not change during a run: `simulate` builds their
-    # blocks once, whatever the horizon, and `fcm_step` once per call.
+    # The weights do not change during a run: `simulate` calls its
+    # family's `prepare` once, whatever the horizon, and `fcm_step` builds
+    # the blocks once per call.
     calls = []
 
-    def counting(*planes):
-        calls.append(None)
-        return _core.blocks(*planes)
+    def counting(prepare):
+        def wrapped(*planes):
+            calls.append(None)
+            return prepare(*planes)
+        return wrapped
 
-    monkeypatch.setattr(cogmap, "blocks", counting)
-    for variant in ("web_fcm", "web_fgcm", "web_fggcm"):
+    for family in gc.FAMILIES:
+        fam = FAMILY[family]
+        monkeypatch.setitem(FAMILY, family, family_with(fam, prepare=counting(fam.prepare)))
         calls.clear()
-        gc.simulate(gc.build(variant, 5.0), steps)
-        assert len(calls) == 1, variant
+        gc.simulate(gc.build(f"web_{family}", 5.0), steps)
+        assert len(calls) == 1, family
+    monkeypatch.setattr(cogmap, "blocks", counting(_core.blocks))
     m = gc.build("web_fcm", 5.0)
     calls.clear()
     for _ in range(steps):

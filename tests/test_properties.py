@@ -17,6 +17,8 @@ import reference
 from greycog._core import blocks, crisp_next, interval_dot_lr, kernel_grey_next, sigmoids
 from greycog._family import FAMILY, number, vector
 
+prepare = FAMILY["fggcm"].prepare
+
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
 frac = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=64)
 lam_s = st.floats(min_value=0.1, max_value=8.0, allow_nan=False, width=64)
@@ -63,7 +65,7 @@ def activate(cell, lam):
 
 def row_update(w, a, lam):
     """The kernel/greyness engine's update of one node, from cells to a cell."""
-    weights = blocks([[c.kernel for c in w]], [[c.greyness for c in w]])
+    weights = prepare([[c.kernel for c in w]], [[c.greyness for c in w]])
     (k,), (g,) = kernel_grey_next(weights, [c.kernel for c in a], [c.greyness for c in a], lam)
     return gc.Ggn(k, g)
 
@@ -163,7 +165,7 @@ def test_kernel_grey_update_equals_the_row_by_row_reference(rows, cols, data, la
               data.draw(vec(vec(tied_grey, cols), rows)),
               data.draw(vec(zero_or_unit, cols)),
               data.draw(vec(tied_grey, cols)))
-    got = kernel_grey_next(blocks(*planes[:2]), *planes[2:], lam)
+    got = kernel_grey_next(prepare(*planes[:2]), *planes[2:], lam)
     w = [tuple(zip(k_row, g_row)) for k_row, g_row in zip(*planes[:2])]
     want = tuple(zip(*reference.grey_step(w, tuple(zip(*planes[2:])), lam)))
     assert [list(map(bits, p)) for p in got] == [list(map(bits, p)) for p in want]
@@ -184,7 +186,7 @@ def test_the_greyness_update_contracts_by_its_largest_new_kernel(n, data, lam):
     planes apart by at most max(k') times their distance, in the inf-norm:
     each new greyness is a'_i times a share-weighted average of
     max(G_ij, g_j), and max(G, .) is 1-Lipschitz."""
-    weights = blocks(data.draw(mat(unit, n)), data.draw(mat(grey_s, n)))
+    weights = prepare(data.draw(mat(unit, n)), data.draw(mat(grey_s, n)))
     k = data.draw(vec(frac, n))
     g, h = data.draw(vec(tied_grey, n)), data.draw(vec(tied_grey, n))
     k_g, g_next = kernel_grey_next(weights, k, g, lam)
@@ -210,7 +212,7 @@ def test_each_condition_matrix_row_sums_to_at_most_its_new_kernel(n, data, lam):
     except gc.DegenerateRowError:
         assume(False)
     K, G = zip(*map(FAMILY["fggcm"].split, w))
-    kernels, _ = kernel_grey_next(blocks(K, G), k, g, lam)
+    kernels, _ = kernel_grey_next(prepare(K, G), k, g, lam)
     for row, k_next, K_i, G_i in zip(rows, kernels, K, G):
         total = 0.0
         for x in row:
@@ -250,7 +252,7 @@ def test_a_condition_matrix_row_of_subnormal_shares_keeps_its_bits(w, a_hat, a_g
 def test_a_greyness_update_over_subnormal_products_contracts_by_its_new_kernel():
     # Summed as they were, the two greyness planes came out
     # 0.12500000000019737 apart, against max(k') * 0.25 = 0.125.
-    weights = blocks([[2.225073858507e-311]], [[0.0]])
+    weights = prepare([[2.225073858507e-311]], [[0.0]])
     k_g, g_next = kernel_grey_next(weights, [0.28125], [0.25], 1.0)
     k_h, h_next = kernel_grey_next(weights, [0.28125], [0.0], 1.0)
     assert k_g == k_h == (0.5,)
@@ -264,7 +266,7 @@ def test_a_greyness_update_over_underflowed_products_is_their_weighted_average(k
     # At 1e-200 and 1e-300 the one kernel product underflows to 0, which
     # read as a row of no mass gave a greyness of 0.0. At 1e-160 the
     # product scaled by 2**1200 would overflow once weighted by 2**1000.
-    weights = blocks([[kernel]], [[0.5]])
+    weights = prepare([[kernel]], [[0.5]])
     assert kernel_grey_next(weights, [kernel], [greyness], 1.0) == ((0.5,),
                                                                      (max(0.5, greyness) / 2,))
 

@@ -80,6 +80,39 @@ LARGE_GREYNESS = gc.Model("fggcm", ("a",), ((gc.Ggn(1e-160, 0.5),),),
 # ends out of order: each low end must be the smaller activated end.
 CROSSING = gc.Model("fgcm", ("c0",), ((gc.Ign(-0.6130791396628591, -0.6130791396628591),),),
                     (gc.Ign(0.0, 1.0),), 5.0)
+# Kernel masses at every sign: -0.0, negative and positive weight kernels
+# times negative, -0.0 and positive initial kernels. The last row's kernels
+# are 1e-200, so at step 0 its products underflow to 0 and its greyness
+# is taken again from its own weight rows, in the second row block.
+SIGNED_MASSES = gc.Model("fggcm", tuple(f"c{i}" for i in range(6)), (
+    (gc.Ggn(-0.0, 0.3), gc.Ggn(-0.5, 0.1), gc.Ggn(0.25, 0.0), gc.Ggn(1.0, 0.2),
+     gc.Ggn(-1.0, 0.4), gc.Ggn(-0.0, 0.0)),
+    (gc.Ggn(0.5, 0.0), gc.Ggn(-0.0, 0.6), gc.Ggn(-0.75, 0.1), gc.Ggn(0.0, 0.0),
+     gc.Ggn(0.3, 0.2), gc.Ggn(-0.25, 0.5)),
+    (gc.Ggn(-1.0, 0.2), gc.Ggn(0.125, 0.0), gc.Ggn(-0.0, 0.9), gc.Ggn(-0.5, 0.3),
+     gc.Ggn(0.75, 0.0), gc.Ggn(0.5, 0.1)),
+    (gc.Ggn(0.0, 0.1), gc.Ggn(-0.375, 0.2), gc.Ggn(1.0, 0.0), gc.Ggn(-0.0, 0.4),
+     gc.Ggn(-0.625, 0.3), gc.Ggn(0.875, 0.0)),
+    (gc.Ggn(-0.5, 0.0), gc.Ggn(0.25, 0.5), gc.Ggn(-0.0, 0.0), gc.Ggn(0.75, 0.1),
+     gc.Ggn(-0.0, 0.2), gc.Ggn(-1.0, 0.6)),
+    tuple(gc.Ggn(1e-200, g) for g in (0.1, 0.7, 0.0, 0.3, 0.2, 0.4)),
+), (gc.Ggn(-1e-200, 0.25), gc.Ggn(1e-200, 0.5), gc.Ggn(-0.0, 0.1), gc.Ggn(-1e-200, 0.0),
+    gc.Ggn(1e-200, 0.75), gc.Ggn(-1e-200, 0.35)), 1.0)
+# Negative and straddling initial intervals over -0.0 and mixed-sign weight
+# ends: step 0 takes `interval_dot_lr` over each pair of weight rows.
+NEGATIVE_START = gc.Model("fgcm", tuple(f"c{i}" for i in range(5)), (
+    (gc.Ign(-0.0, 0.5), gc.Ign(-0.75, -0.25), gc.Ign(-1.0, 1.0), gc.Ign(0.0, 0.0),
+     gc.Ign(-0.5, -0.0)),
+    (gc.Ign(0.25, 0.75), gc.Ign(-0.0, -0.0), gc.Ign(-0.5, 0.125), gc.Ign(-1.0, -0.5),
+     gc.Ign(0.5, 1.0)),
+    (gc.Ign(-0.25, 0.25), gc.Ign(0.5, 0.5), gc.Ign(-0.0, 0.75), gc.Ign(-0.375, 0.0),
+     gc.Ign(-1.0, -0.75)),
+    (gc.Ign(-0.625, -0.125), gc.Ign(0.0, 1.0), gc.Ign(0.25, 0.5), gc.Ign(-0.0, 0.0),
+     gc.Ign(-0.25, 0.875)),
+    (gc.Ign(1.0, 1.0), gc.Ign(-0.5, 0.25), gc.Ign(-0.75, -0.0), gc.Ign(0.125, 0.25),
+     gc.Ign(-0.0, 0.5)),
+), (gc.Ign(-0.5, 0.25), gc.Ign(-1.5, -0.75), gc.Ign(-0.0, 0.5), gc.Ign(0.25, 2.0),
+    gc.Ign(-2.0, -0.0)), 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -87,6 +120,8 @@ CROSSING = gc.Model("fgcm", ("c0",), ((gc.Ign(-0.6130791396628591, -0.6130791396
 @example((TINY_KERNELS, 1))
 @example((LARGE_GREYNESS, 3))
 @example((CROSSING, 100))
+@example((SIGNED_MASSES, 60))
+@example((NEGATIVE_START, 60))
 def test_simulate_equals_the_reference_engine_bitwise(case):
     m, steps = case
     got = gc.simulate(m, steps).states
