@@ -1,4 +1,4 @@
-"""Shared frozen expectations.
+"""Shared frozen expectations, and the helpers more than one test file uses.
 
 Every numeric constant here was produced by an independent oracle (plain
 numpy matrix arithmetic, written before the package) or transcribed from
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import Phase, settings
 
 import greycog as gc
-from greycog._family import Family
+from greycog._core import kernel_grey_next
+from greycog._family import FAMILY, Family
 
 # Every phase but explain, which reruns a shrunk failing example under a
 # tracer and can take minutes and hundreds of MB before the failure shows.
@@ -195,3 +196,26 @@ def family_with(fam, **rules):
     """The `Family` fam rebuilt through its constructor, with the given
     rules in place of its own (a test's counting wrapper, say)."""
     return Family(**{name: rules.get(name, getattr(fam, name)) for name in Family.__match_args__})
+
+
+def activate(cell, lam):
+    """The interval engine's activation of one cell: a one-step run of the
+    one-node map whose weight is [1, 1], so the row sum is the cell."""
+    m = gc.Model("fgcm", ("a",), ((gc.Ign(1.0, 1.0),),), (cell,), lam)
+    return gc.simulate(m, 1).states[1][0]
+
+
+def row_update(w_row, a, lam):
+    """The kernel/greyness engine's update of one node, from cells to a cell."""
+    weights = FAMILY["fggcm"].prepare([[w.kernel for w in w_row]], [[w.greyness for w in w_row]])
+    (k,), (g,) = kernel_grey_next(weights, [x.kernel for x in a], [x.greyness for x in a], lam)
+    return gc.Ggn(k, g)
+
+
+def cell_fields(family, cell):
+    """A cell's float fields: the value; lo and hi; kernel and greyness."""
+    if family == "fcm":
+        return (cell,)
+    if family == "fgcm":
+        return (cell.lo, cell.hi)
+    return (cell.kernel, cell.greyness)

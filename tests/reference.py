@@ -1,5 +1,5 @@
-"""The one test-side copy of each engine rule, written from README's update
-rules with nothing taken from the package.
+"""The one test-side copy of each engine rule and of the classifier, written
+from README's rules with nothing taken from the package.
 
 Cells are plain: a float (fcm), a (lo, hi) pair (fgcm) or a (kernel,
 greyness) pair (fggcm). Every row is summed left to right from +0.0, one
@@ -11,6 +11,8 @@ average of max(weight greyness, state greyness). A row whose mass sum is
 below 2**-969, 0 included, is summed again with each product scaled by
 2**600, and if that sum is still below, by 2**1200. `run` takes every
 requested step, with no early stop, no blocks and no cycle copy.
+`classify` builds every gap of a lag, each with its own `distance`, and
+then scans the tail backwards.
 
 It imports only `math` and reads `math.exp` at each call, as the engines
 do, so a patched `exp` reaches both and the comparisons hold bit for bit on
@@ -104,3 +106,37 @@ def run(family, w, x, lam, steps):
         x = STEP[family](w, x, lam)
         states.append(x)
     return states
+
+
+def distance(a, b):
+    """The Euclidean distance of two states: each cell's squared field
+    differences summed, then that added to the running sum, left to right
+    from +0.0."""
+    s = 0.0
+    for x, y in zip(a, b):
+        d = [u - v for u, v in zip(x, y)] if isinstance(x, tuple) else [x - y]
+        cell = d[0] * d[0]
+        for e in d[1:]:
+            cell += e * e
+        s += cell
+    return math.sqrt(s)
+
+
+def classify(states, epsilon, max_period):
+    """(verdict, t_alpha, period, final state) of a run, every gap of a lag
+    built before its tail is scanned backwards; None for fewer than
+    max_period + 2 states."""
+    if len(states) < max_period + 2:
+        return None
+    for lag in range(1, max_period + 1):
+        gaps = [distance(states[t], states[t + lag]) for t in range(len(states) - lag)]
+        if gaps[-1] <= epsilon:
+            t_alpha = 0
+            for t in range(len(gaps) - 1, -1, -1):
+                if gaps[t] > epsilon:
+                    t_alpha = t + 1
+                    break
+            if lag == 1:
+                return ("FixedPoint", t_alpha, None, states[-1])
+            return ("LimitCycle", t_alpha, lag, None)
+    return ("Chaotic", None, None, None)

@@ -312,8 +312,12 @@ def test_criterion_7_interval_containment():
     """Monte-Carlo members never escape interval results. Zero slack.
 
     Members are evaluated with the same scalar operations in the same
-    order as the interval engine; rounding is monotone, so containment
-    must be exact rather than approximate.
+    order as the interval engine. Products and `+=` round monotonically,
+    so a member's row sum lies inside the interval row sum exactly. The
+    two-branch float logistic is not (README's fgcm paragraph): a member
+    strictly inside the box can map an ulp outside the activated box where
+    the logistic inverts two neighbouring sums, which these seeded draws
+    do not reach.
     """
     from greycog._core import interval_dot_lr, sigmoids
 

@@ -16,6 +16,7 @@ from conftest import (
     FGCM_FIRST_05_LO,
     FGGCM_FIRST_05_G,
     FGGCM_FIRST_05_K,
+    cell_fields,
     family_with,
 )
 
@@ -595,20 +596,12 @@ def test_ggn_kernel_track_ignores_greyness_track(web_fggcm_05):
             assert fc.kernel == bc.kernel
 
 
-def _cell_fields(family, cell):
-    if family == "fcm":
-        return (cell,)
-    if family == "fgcm":
-        return (cell.lo, cell.hi)
-    return (cell.kernel, cell.greyness)
-
-
 def trajectory_digest(traj):
     """sha256 over the little-endian double bits of every recorded field."""
     h = hashlib.sha256()
     for state in traj.states:
         for cell in state:
-            for v in _cell_fields(traj.family, cell):
+            for v in cell_fields(traj.family, cell):
                 h.update(struct.pack("<d", v))
     return h.hexdigest()
 

@@ -7,18 +7,9 @@ import pickle
 import pytest
 
 from greycog import Ggn, GreyUnion, Ign, MalformedInputError, ggn_from_union
-from greycog._core import kernel_grey_next
-from greycog._family import FAMILY
-from conftest import CASE2_REDUCED
+from conftest import CASE2_REDUCED, row_update
 
 from greycog.corpus import CASE2_UNIONS
-
-
-def row_update(w_row, a, lam):
-    """The engine's update of one node, from cells to a cell."""
-    weights = FAMILY["fggcm"].prepare([[w.kernel for w in w_row]], [[w.greyness for w in w_row]])
-    (k,), (g,) = kernel_grey_next(weights, [x.kernel for x in a], [x.greyness for x in a], lam)
-    return Ggn(k, g)
 
 
 def test_cells_equal_only_within_their_class():

@@ -7,15 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from greycog import Ign, MalformedInputError, Model, _core, simulate
+from greycog import Ign, MalformedInputError, _core
 from greycog._core import interval_dot_lr
-
-
-def activate(cell, lam):
-    """The interval engine's activation of one cell: a one-step run of the
-    one-node map whose weight is [1, 1], so the row sum is the cell."""
-    m = Model("fgcm", ("a",), ((Ign(1.0, 1.0),),), (cell,), lam)
-    return simulate(m, 1).states[1][0]
+from conftest import activate
 
 
 def test_interval_orders_endpoints_strictly():

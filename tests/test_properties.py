@@ -1,8 +1,15 @@
 """Property tests for the numeric invariants the engines rely on.
 
-The containment properties deliberately use zero slack: member samples
-evaluated with the same left-to-right accumulation as the engines must
-land inside interval results exactly, because float rounding is monotone.
+The containment properties use zero slack. Products and `+=` round
+monotonically, so a member's row sum, taken with the engine's
+left-to-right accumulation, lies inside the interval row sum exactly. The
+two-branch float logistic is not monotone (README's fgcm paragraph,
+ROADMAP item 14): an interval step holds the activated images of both of
+its ends, but a member strictly inside can escape by an ulp where the
+logistic inverts two neighbouring sums. So
+`test_interval_sigmoid_contains_every_member_value` and
+`test_interval_trajectory_encloses_member_trajectories`, which draw
+interior members, can fail on a rare draw.
 """
 
 import json
@@ -16,6 +23,7 @@ import greycog as gc
 import reference
 from greycog._core import blocks, crisp_next, interval_dot_lr, kernel_grey_next, sigmoids
 from greycog._family import FAMILY, number, vector
+from conftest import activate, cell_fields, row_update
 
 prepare = FAMILY["fggcm"].prepare
 
@@ -55,19 +63,6 @@ def run(family, w, a, lam, steps):
 
 def member(cell, f):
     return min(max(cell.lo + f * (cell.hi - cell.lo), cell.lo), cell.hi)
-
-
-def activate(cell, lam):
-    """The interval engine's activation of one cell: a one-step run of the
-    one-node map whose weight is [1, 1], so the row sum is the cell."""
-    return run("fgcm", ((gc.Ign(1.0, 1.0),),), (cell,), lam, 1)[1][0]
-
-
-def row_update(w, a, lam):
-    """The kernel/greyness engine's update of one node, from cells to a cell."""
-    weights = prepare([[c.kernel for c in w]], [[c.greyness for c in w]])
-    (k,), (g,) = kernel_grey_next(weights, [c.kernel for c in a], [c.greyness for c in a], lam)
-    return gc.Ggn(k, g)
 
 
 @given(st.lists(st.tuples(interval_s(), interval_s(), frac, frac),
@@ -541,17 +536,10 @@ def any_models(draw):
     return gc.Model(family, tuple(f"n{i}" for i in range(n)), w, a, lam)
 
 
-def cell_bits(family, cell):
-    if family == "fcm":
-        return bits(cell)
-    if family == "fgcm":
-        return bits(cell.lo) + bits(cell.hi)
-    return bits(cell.kernel) + bits(cell.greyness)
-
-
 def model_bits(m):
     cells = [c for row in m.weights for c in row] + list(m.initial)
-    return (m.family, m.node_names, bits(m.lam), [cell_bits(m.family, c) for c in cells])
+    return (m.family, m.node_names, bits(m.lam),
+            [b"".join(map(bits, cell_fields(m.family, c))) for c in cells])
 
 
 @settings(max_examples=150)
