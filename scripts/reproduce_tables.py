@@ -5,11 +5,15 @@ Sections:
   1. lambda * Frobenius norm for the five weight matrices of the web map
      corpus, over the standard steepness grid.
   2. Greyness condition norms at the final simulated state, both the
-     gated matrix and the ungated one (every gate open), with whether the
-     ungated one applies there.
+     gated matrix (the greyness verdict of the analysis) and the ungated
+     one (every gate open), with whether the ungated one applies there.
   3. Verdict table for the three engines, at the standard 100-step
      horizon and again at a longer horizon (the slow transients near the
      bifurcation need roughly 110-160 steps to settle).
+
+Each run goes through the CLI's one analysis chain (simulate, classify,
+the family's criterion) at eps 1e-8 and period cap 50, so each horizon
+must be at least 51 steps; a smaller one exits 2 before any table.
 
 Usage: python3 scripts/reproduce_tables.py [--steps N] [--long N]
 """
@@ -17,8 +21,11 @@ Usage: python3 scripts/reproduce_tables.py [--steps N] [--long N]
 import argparse
 
 import greycog as gc
+from greycog._family import at_least
+from greycog.cli import _analyze, _flag
 
 LAMS = (0.5, 1.0, 2.0, 4.0)
+EPS, MAX_PERIOD = 1e-8, 50
 
 
 def kernels(model):
@@ -46,10 +53,11 @@ def condition_norms(steps):
     print(f"{'lambda':>8}{'gated':>12}{'ungated':>12}{'ungated applies':>18}")
     for lam in LAMS:
         m = gc.build("web_fggcm", lam)
-        state = gc.simulate(m, steps).states[-1]
+        *_, verdicts, report = _analyze(m, steps, EPS, MAX_PERIOD)
+        state = report.evaluation_state
         ks = tuple(c.kernel for c in state)
         gs = tuple(c.greyness for c in state)
-        gated = gc.frobenius_norm(gc.grey_condition_matrix(m.weights, ks, gs, lam))
+        gated = verdicts["greyness"].criterion_value
         ungated = gc.frobenius_norm(gc.grey_condition_matrix(m.weights, ks, None, lam))
         # The ungated matrix applies when no weight greyness exceeds its
         # column's state greyness.
@@ -64,7 +72,7 @@ def regimes(steps):
     for vid in ("web_fcm", "web_fgcm", "web_fggcm"):
         cells = []
         for lam in LAMS:
-            cls = gc.classify(gc.simulate(gc.build(vid, lam), steps))
+            cls = _analyze(gc.build(vid, lam), steps, EPS, MAX_PERIOD)[1]
             if cls.verdict == "FixedPoint":
                 cells.append(f"FixedPoint(t={cls.t_alpha})")
             elif cls.verdict == "LimitCycle":
@@ -77,10 +85,11 @@ def regimes(steps):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--steps", type=int, default=100,
-                    help="standard horizon (default 100)")
-    ap.add_argument("--long", type=int, default=200,
-                    help="extended horizon for the slow transients (default 200)")
+    # classify needs MAX_PERIOD + 2 states, so a horizon of at least MAX_PERIOD + 1 steps.
+    ap.add_argument("--steps", type=_flag(int, at_least, MAX_PERIOD + 1, name="steps"),
+                    default=100, help="standard horizon (default 100)")
+    ap.add_argument("--long", type=_flag(int, at_least, MAX_PERIOD + 1, name="long"),
+                    default=200, help="extended horizon for the slow transients (default 200)")
     args = ap.parse_args()
 
     norm_grid()

@@ -34,14 +34,18 @@ def main():
         if rc != 0:
             worst = max(worst, rc)
             continue
+        # A sweep that refuses its flags writes no summary; drop an earlier
+        # run's, so that only this sweep's is printed.
+        summary = out / vid / "summary.csv"
+        summary.unlink(missing_ok=True)
         rc = cli([
             "sweep", "--model", str(model), "--lambdas", args.lambdas,
             "--steps", str(args.steps), "--out-dir", str(out / vid),
         ])
         worst = max(worst, rc)
-        summary = (out / vid / "summary.csv").read_text().rstrip()
-        print(f"--- {vid} ---")
-        print(summary)
+        if summary.exists():
+            print(f"--- {vid} ---")
+            print(summary.read_text().rstrip())
     return worst
 
 

@@ -160,12 +160,24 @@ def _verdict_dict(v: convergence.Verdict) -> dict:
     }
 
 
+def _analyze(model: Model, steps, eps, max_period):
+    """A model's run, its classification, the family's criterion verdicts by
+    report name ("criterion", or fggcm's "kernel" and "greyness") and fggcm's
+    `FggcmReport` (else None): the one place that pairs a family with its criterion."""
+    traj = simulate(model, steps)
+    cls = classify(traj, epsilon=eps, max_period=max_period)
+    if model.family == "fggcm":
+        full = convergence.check_fggcm(model, traj, cls)
+        return traj, cls, {"kernel": full.kernel_verdict, "greyness": full.greyness_verdict}, full
+    check = convergence.check_fcm if model.family == "fcm" else convergence.check_fgcm
+    return traj, cls, {"criterion": check(model.weights, model.lam)}, None
+
+
 def _report(model: Model, args):
-    """A run's check report, trajectory, classification and criterion
-    verdicts (the family's one, or fggcm's kernel and greyness ones), under
-    the model file's stem as `pathlib` takes it (".x" and "x." are stems)."""
-    traj = simulate(model, args.steps)
-    cls = classify(traj, epsilon=args.eps, max_period=args.max_period)
+    """A run's check report and its `_analyze` trajectory, classification
+    and verdicts, under the model file's stem as `pathlib` takes it (".x"
+    and "x." are stems)."""
+    traj, cls, verdicts, full = _analyze(model, args.steps, args.eps, args.max_period)
     name = os.path.basename(args.model)
     dot = name.rfind(".")
     report = {
@@ -180,19 +192,14 @@ def _report(model: Model, args):
             "max_period": args.max_period,
         },
     }
-    if model.family == "fggcm":
-        full = convergence.check_fggcm(model, traj, cls)
-        verdicts = (full.kernel_verdict, full.greyness_verdict)
-        report["kernel"] = _verdict_dict(full.kernel_verdict)
-        report["greyness"] = _verdict_dict(full.greyness_verdict)
+    if full is None:
+        report.update(_verdict_dict(verdicts["criterion"]))
+    else:
+        report.update({key: _verdict_dict(v) for key, v in verdicts.items()})
         kernels, greyness = FAMILY["fggcm"].split(full.evaluation_state)
         report["evaluation_state"] = {"kernels": kernels, "greyness": greyness,
                                       "kernel_converged": full.kernel_converged}
         report["overall"] = full.overall
-    else:
-        check = convergence.check_fcm if model.family == "fcm" else convergence.check_fgcm
-        verdicts = (check(model.weights, model.lam),)
-        report.update(_verdict_dict(verdicts[0]))
     return report, traj, cls, verdicts
 
 
@@ -243,9 +250,9 @@ def _cmd_sweep(args) -> int:
             continue
         _write_trajectory(os.path.join(args.out_dir, f"trajectory_lam{tag}.csv"), model, traj)
         _modelio.save_doc(report, os.path.join(args.out_dir, f"report_lam{tag}.json"))
-        kernel_crit, grey_crit, *_ = [repr(v.criterion_value) for v in verdicts] + [""]
-        period = cls.period if cls.period is not None else ""
-        rows.append([tag, kernel_crit, grey_crit, cls.verdict, period])
+        crit = {key: repr(v.criterion_value) for key, v in verdicts.items()}
+        kernel = crit.get("criterion") or crit["kernel"]
+        rows.append([tag, kernel, crit.get("greyness", ""), cls.verdict, cls.period or ""])
     with open(os.path.join(args.out_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([

@@ -208,7 +208,8 @@ class FggcmReport(Record):
 
 
 def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
-    """Full report for a kernel/greyness model.
+    """Full report for a kernel/greyness model, of its run traj and of
+    cls = `classify(traj)`.
 
     The model's weights are split once into kernel and greyness planes:
     the kernel criterion is the crisp criterion on the kernel plane; both
@@ -216,16 +217,28 @@ def check_fggcm(m: Model, traj: Trajectory, cls: Classification) -> FggcmReport:
     the converged state when cls is a fixed point, otherwise a
     non-authoritative evaluation point, flagged by kernel_converged=False.
     `Trajectory` read that state's cells, so it is not read again; a state
-    not of the model's length raises DimensionError.
+    not of the model's length raises DimensionError. Then another run
+    raises ValidationError: a final state that is not one update of m from
+    the state before it (m.initial in a one-state trajectory), or a cls
+    whose final_state is not the final state for a FixedPoint, or is set
+    for another verdict. A cycle verdict of another run passes unseen.
     """
     if m.family != "fggcm":
         raise ValidationError(f"expected an fggcm model, got {m.family}")
     if traj.family != "fggcm":
         raise ValidationError(f"expected an fggcm trajectory, got {traj.family}")
-    kernels, greys = zip(*map(FAMILY["fggcm"].split, m.weights))
+    fam = FAMILY["fggcm"]
+    kernels, greys = zip(*map(fam.split, m.weights))
     kernel_verdict = _banach(m.lam, kernels)
     state = traj.states[-1]
-    cond = _condition_rows(kernels, greys, *FAMILY["fggcm"].split(state), m.lam)
+    cond = _condition_rows(kernels, greys, *fam.split(state), m.lam)
+    ran = (state == m.initial if len(traj.states) == 1 else
+           fam.advance(fam.prepare(kernels, greys), *fam.split(traj.states[-2]), m.lam)
+           == tuple(map(tuple, fam.split(state))))
+    if not ran:
+        raise ValidationError("the trajectory is not a run of the model")
+    if cls.final_state != (state if cls.verdict == "FixedPoint" else None):
+        raise ValidationError("the classification is not of the trajectory's final state")
     return FggcmReport(
         kernel_verdict=kernel_verdict,
         greyness_verdict=Verdict(_frobenius(cond), 1.0),

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import greycog as gc
+from greycog.cli import _analyze
 from conftest import (
     LAMBDAS,
     PRINTED_GGN,
@@ -223,10 +224,9 @@ def test_criterion_4_reduction_properties():
                 assert cell.lo == cv and cell.hi == cv
 
         mg = gc.build("web_fggcm", lam)
-        traj = gc.simulate(mg, 100)
-        rep = gc.check_fggcm(mg, traj, gc.classify(traj))
+        verdicts = _analyze(mg, 100, 1e-8, 50)[2]
         want = gc.check_fcm(_kernels(mg), lam).criterion_value
-        assert abs(rep.kernel_verdict.criterion_value - want) <= 1e-12
+        assert abs(verdicts["kernel"].criterion_value - want) <= 1e-12
     print("criterion 4: PASS - zero-greyness and degenerate-interval runs "
           "are bit-equal to the crisp run at all four steepness values")
 
@@ -282,8 +282,7 @@ def test_criterion_6_greyness_stationarity():
     )
     models = [gc.build(vid, lam) for vid, lam in runs] + [synthetic]
     for m in models:
-        traj = gc.simulate(m, 100)
-        cls = gc.classify(traj)
+        traj, cls, *_ = _analyze(m, 100, 1e-8, 50)
         if cls.verdict != "FixedPoint":
             continue
         fixed_points += 1

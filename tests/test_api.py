@@ -348,6 +348,11 @@ RULES = {
         "The bit-equality contract holds on every interpreter only while `_core` sums by "
         "`+=` loops: builtin sum is compensated from CPython 3.12, fsum and sumprod round "
         "otherwise, and reduce hides the add."),
+    "analysis-chain": (
+        r"name check_(fcm|fgcm|fggcm)", r"(convergence|__init__)(:.*)?|cli:_analyze",
+        ("cli:_analyze",),
+        "`cli._analyze` alone chains simulate, classify and the family's criterion, so one "
+        "place knows which criterion belongs to which family; the CLI and the scripts call it."),
 }
 # The sites a rule's row leaves out: each is its rule's one copy, held
 # exactly once where it is (a row judges places, so it would pass a second

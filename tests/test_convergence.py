@@ -485,3 +485,44 @@ def test_the_report_refuses_a_final_state_of_another_length(web_fggcm_05):
         with pytest.raises(gc.DimensionError, match=f"state vectors have length {len(state)}, "
                                                     "the matrix 7"):
             gc.check_fggcm(web_fggcm_05, gc.Trajectory("fggcm", (state,)), cls)
+
+
+def test_the_report_refuses_another_models_run():
+    # web_fggcm at lambda 1 has greyness norm 0.349070 on its own run; the
+    # lambda 4 run gave 0.637181 and a web_case2_fggcm run 0.666571, silently.
+    m = gc.build("web_fggcm", 1.0)
+    for other in (gc.build("web_fggcm", 4.0), gc.build("web_case2_fggcm", 1.0)):
+        traj = gc.simulate(other, 100)
+        with pytest.raises(gc.ValidationError, match="not a run of the model"):
+            gc.check_fggcm(m, traj, gc.classify(traj))
+    chaotic = gc.Classification("Chaotic", None, None, None)
+    assert gc.check_fggcm(m, gc.Trajectory("fggcm", (m.initial,)), chaotic).greyness_value > 0.0
+    state = gc.simulate(m, 1).states[1]
+    with pytest.raises(gc.ValidationError, match="not a run of the model"):
+        gc.check_fggcm(m, gc.Trajectory("fggcm", (state,)), chaotic)
+
+
+def test_the_report_refuses_a_classification_of_another_run():
+    m = gc.build("web_fggcm", 1.0)
+    traj = gc.simulate(m, 100)
+    own = gc.classify(traj)
+    assert own.verdict == "FixedPoint"
+    other = gc.classify(gc.simulate(gc.build("web_fggcm", 0.5), 100))
+    assert other.verdict == "FixedPoint" and other.final_state != own.final_state
+    for cls in (other, gc.Classification("FixedPoint", 1, None, None),
+                gc.Classification("LimitCycle", 3, 2, own.final_state),
+                gc.Classification("Chaotic", None, None, own.final_state)):
+        with pytest.raises(gc.ValidationError, match="classification is not of the trajectory"):
+            gc.check_fggcm(m, traj, cls)
+
+
+def test_the_report_takes_every_corpus_run_with_its_own_classification():
+    # Cycle copies included: simulate appends a recorded cycle once it repeats.
+    for vid in ("web_fggcm", "web_case1_fggcm", "web_case2_fggcm"):
+        for lam in (0.5, 1.0, 1.5, 2.0, 4.0, 8.0):
+            m = gc.build(vid, lam)
+            for steps in (60, 100, 200, 400):
+                traj = gc.simulate(m, steps)
+                cls = gc.classify(traj)
+                rep = gc.check_fggcm(m, traj, cls)
+                assert rep.kernel_converged == (cls.verdict == "FixedPoint")

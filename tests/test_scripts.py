@@ -50,3 +50,21 @@ def test_run_web_sweeps_writes_a_summary_per_variant(tmp_path):
         assert f"--- {vid} ---" in proc.stdout
         rows = (tmp_path / vid / "summary.csv").read_text().splitlines()
         assert len(rows) == 1 + 4
+
+
+def test_reproduce_tables_refuses_a_horizon_too_short_to_classify():
+    # classify's period cap of 50 needs 52 states, so 51 steps at least.
+    for args in (["--steps", "0"], ["--steps", "30"], ["--long", "50"], ["--steps", "abc"]):
+        proc = run_script("reproduce_tables.py", *args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stdout == "" and "Traceback" not in proc.stderr, args
+        assert f"error: argument {args[0]}: " in proc.stderr, args
+
+
+def test_run_web_sweeps_exits_with_the_sweep_code_when_the_sweep_refuses_its_flags(tmp_path):
+    for args in (["--steps", "0"], ["--lambdas", "1,abc"]):
+        out = tmp_path / args[0].strip("-")
+        proc = run_script("run_web_sweeps.py", "--out-dir", str(out), *args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr and f"argument {args[0]}: " in proc.stderr, args
+        assert proc.stdout == "" and not list(out.glob("*/summary.csv")), args
