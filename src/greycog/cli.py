@@ -15,7 +15,9 @@ MixedSignWeightError, 3 for any other. `sweep` records a lambda whose run
 raises as an `error(...)` summary row, goes on with the next lambda, and
 exits with the largest code among its rows (0 when none failed). Each flag
 value is checked by argparse, with the library's rule, before any file is
-read or written; `main` returns the code of every failure, argparse's too.
+read or written, and so is the floor `check` and `sweep` put on `--steps`:
+`--max-period` + 1, the run `classify` needs. `main` returns the code of
+every failure, argparse's too.
 """
 
 from __future__ import annotations
@@ -32,12 +34,7 @@ from . import _modelio, convergence, corpus
 from ._family import FAMILY, _Read, at_least, positive
 from .cogmap import Model, simulate
 from .dynamics import classify
-from .errors import (
-    GreycogError,
-    InsufficientDataError,
-    MalformedInputError,
-    MixedSignWeightError,
-)
+from .errors import GreycogError, MalformedInputError, MixedSignWeightError
 
 __all__ = ["entrypoint", "main"]
 
@@ -94,13 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate", parents=[run, lam, out],
                    help="run a model and write its trajectory CSV")
 
-    sub.add_parser("check", parents=[run, lam, tail],
-                   help="print the convergence report as JSON")
+    check = sub.add_parser("check", parents=[run, lam, tail],
+                           help="print the convergence report as JSON")
 
-    p = sub.add_parser("sweep", parents=[run, tail], help="run several lambdas and summarize")
-    p.add_argument("--lambdas", required=True, type=_lambda_list,
-                   help="comma-separated steepness values, e.g. 0.5,1,2,4")
-    p.add_argument("--out-dir", required=True)
+    sweep = sub.add_parser("sweep", parents=[run, tail], help="run several lambdas and summarize")
+    sweep.add_argument("--lambdas", required=True, type=_lambda_list,
+                       help="comma-separated steepness values, e.g. 0.5,1,2,4")
+    sweep.add_argument("--out-dir", required=True)
+    # `main` refuses a --steps too short for --max-period with this usage.
+    for p in (check, sweep):
+        p.set_defaults(refuse=p.error)
 
     p = sub.add_parser("corpus", parents=[out], help="export a built-in benchmark variant")
     p.add_argument("variant", choices=corpus.VARIANTS, help="variant id")
@@ -113,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
 _ERRORS = (
     (MalformedInputError, 2, "parse error: "),
     (MixedSignWeightError, 4, "criterion inapplicable: "),
-    (InsufficientDataError, 3, ""),
     (GreycogError, 3, "validation error: "),
 )
 
@@ -280,6 +279,10 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # classify needs max_period + 2 states, so max_period + 1 steps.
+        if "max_period" in args and args.steps <= args.max_period:
+            args.refuse(f"argument --steps: steps must be an integer >= {args.max_period + 1} "
+                        f"(--max-period + 1), got {args.steps}")
     except SystemExit as exc:  # argparse: 2 for a rejected flag, 0 after --help
         return exc.code
     try:

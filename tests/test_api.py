@@ -13,8 +13,10 @@ import pytest
 
 import greycog as gc
 from greycog import _modelio, cli, cogmap, convergence, dynamics
+import golden
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "greycog"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "greycog"
 
 PUBLIC = {
     "AT_LEAST_ONE", "Classification", "DegenerateRowError",
@@ -414,3 +416,18 @@ def unused_imports(source):
 def test_no_module_imports_a_name_it_never_uses():
     found = {p.name: unused_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert found and {name: names for name, names in found.items() if names} == {}
+
+
+def test_each_bit_pin_is_written_once_in_the_golden_table():
+    # An md5 or sha256 literal anywhere in the suite but tests/golden.py is
+    # a second copy of a pin, and a group of its table (the pin names before
+    # their first "/") that no test module names is read by no test.
+    strings = {p.name: [n.value for n in ast.walk(ast.parse(p.read_text()))
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+               for p in sorted(TESTS.glob("*.py")) if p.name != "golden.py"}
+    digests = {name: [s for s in found if re.fullmatch(r"[0-9a-f]{32}|[0-9a-f]{64}", s)]
+               for name, found in strings.items()}
+    assert {name: found for name, found in digests.items() if found} == {}
+    named = [s for name, found in strings.items() if name.startswith("test_") for s in found]
+    groups = {pin.split("/")[0] for pin in golden.GOLDEN}
+    assert sorted(g for g in groups if not any(s.startswith(g + "/") for s in named)) == []

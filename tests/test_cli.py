@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import hashlib
 import inspect
 import json
 import os
@@ -18,6 +17,7 @@ from greycog import cli
 from greycog._family import FAMILY
 from greycog.cli import main
 from conftest import family_with
+import golden
 
 
 BIG = "9" * 401  # an integer literal no float can hold
@@ -39,41 +39,20 @@ def test_corpus_export_parses_back(tmp_path):
     assert gc.load_model(path) == gc.build("web_fggcm", 1.0)
 
 
-# md5 of each variant's `simulate --lambda 2 --steps 200` trajectory CSV, of
-# its `sweep --lambdas 0.5,1,2,4` summary.csv, and of that sweep's
-# trajectory_lam4.csv and report_lam4.json (None: no file, the run failed):
-# a change to the engines, the classifier, the criteria or the writers that
-# moves one byte fails here.
-CSV_MD5 = {
-    "web_fcm": ("5fc26fb59cb7f252671f2fca000ece33", "c77c2cc4b27ceaa1d0e7aa653f8744e6",
-                "49e92b5a14c676f850cfba2e684fc9e8", "2b9e785ae7beac167135f412f0ce5372"),
-    "web_fgcm": ("4e0ef443ffc307399ef64939b3f7927b", "7d007b9d17ffa006ecba1ed1407ae6dc",
-                 "5a8f49bf4d48fc41e98fb4a37a285efc", "6c6b60990c72b4cf91a39c67e037a9e3"),
-    "web_fggcm": ("5c6eb8a941570b6d00c07d083f505444", "47485b7ee7fc3ee082f21e5074d1af53",
-                  "0b9b8193f6796141cf77cc99d0945dc8", "9ae72c0518be9ebec12c5f64d77647a1"),
-    "web_case1_fgcm": ("7eb490fdd5f3e9b22ab53034a36cf893", "bf40b76cf8e392c7e568b016e74c80e0",
-                       None, None),
-    "web_case1_fggcm": ("5c6eb8a941570b6d00c07d083f505444", "47485b7ee7fc3ee082f21e5074d1af53",
-                        "0b9b8193f6796141cf77cc99d0945dc8", "f3f84280a3b50f6c6c8c53518cdb8c21"),
-    "web_case2_fggcm": ("6e036cb55b375990a1500bfd51c9c95f", "d9e1e7aeb44775c6fb062aa1d985cd3a",
-                        "1b32bf1800d65dbe87c1e2dae8c85e40", "706e503b893a90926abb320ac2c9205b"),
-}
-
-
-@pytest.mark.parametrize("variant", sorted(CSV_MD5))
+@pytest.mark.parametrize("variant", sorted(gc.VARIANTS))
 def test_trajectory_and_summary_csvs_are_pinned(tmp_path, variant):
     model = export(tmp_path, variant)
-    traj = tmp_path / "traj.csv"
+    traj = tmp_path / "simulate.csv"
     assert main(["simulate", "--model", model, "--lambda", "2", "--steps", "200",
                  "--out", str(traj)]) == 0
     # Case 1 fgcm's mixed-sign weight makes every summary row an error, exit 4.
     assert main(["sweep", "--model", model, "--lambdas", "0.5,1,2,4",
                  "--out-dir", str(tmp_path / "sweep")]) == (4 if variant == "web_case1_fgcm" else 0)
     sweep = tmp_path / "sweep"
-    got = tuple(hashlib.md5(path.read_bytes()).hexdigest() if path.exists() else None
-                for path in (traj, sweep / "summary.csv", sweep / "trajectory_lam4.csv",
-                             sweep / "report_lam4.json"))
-    assert got == CSV_MD5[variant]
+    golden.check({f"variant_files/{variant}/{path.name}":
+                  golden.md5(path.read_bytes()) if path.exists() else None
+                  for path in (traj, sweep / "summary.csv", sweep / "trajectory_lam4.csv",
+                               sweep / "report_lam4.json")})
 
 
 def dense_fgcm_doc(negative):
@@ -95,12 +74,6 @@ def dense_fgcm_doc(negative):
             "weights": weights, "initial": initial}
 
 
-# md5 of `simulate --steps 100` on each dense_fgcm_doc: the interval kernel
-# on a dense map, from a state with every lo >= 0 and from one with lo < 0.
-DENSE_FGCM_MD5 = {False: "a6010cd13c36963156c152b07e304bd4",
-                  True: "92a2c55afda41a73a78319056392d22c"}
-
-
 @pytest.mark.parametrize("negative", [False, True])
 def test_dense_interval_trajectory_csvs_are_pinned(tmp_path, negative):
     model = tmp_path / "dense.json"
@@ -108,7 +81,8 @@ def test_dense_interval_trajectory_csvs_are_pinned(tmp_path, negative):
     assert any(c["interval"][0] < 0.0 for c in dense_fgcm_doc(negative)["initial"]) == negative
     traj = tmp_path / "traj.csv"
     assert main(["simulate", "--model", str(model), "--steps", "100", "--out", str(traj)]) == 0
-    assert hashlib.md5(traj.read_bytes()).hexdigest() == DENSE_FGCM_MD5[negative]
+    name = "negative_lo" if negative else "nonnegative_lo"
+    golden.check({f"dense_fgcm/{name}": golden.md5(traj.read_bytes())})
 
 
 def survey_docs(seed):
@@ -124,25 +98,17 @@ def survey_docs(seed):
     return dict(base, family="fcm", weights=w), dict(base, family="fggcm", weights=grey)
 
 
-# md5 of `simulate --steps 200` on each survey_docs pair, fcm then fggcm.
-# Seed 26 runs a chaotic tail with activations within 2e-10 of 1; seed 12
-# is a fixed point whose kernels repeat exactly from step 31 while the
-# greyness moves on until step 116.
-SURVEY_MD5 = {26: ("ff8b3538b782587604a1d0e48d358646", "5dc12f73bcaf9992afcab19106546fc2"),
-              12: ("e9823d6d30c2d4f07ba1b19feca6fc1d", "fe2fe3a55eae8cc9abdbe56a44fa444a")}
-
-
-@pytest.mark.parametrize("seed", sorted(SURVEY_MD5))
+@pytest.mark.parametrize("seed", [12, 26])
 def test_survey_map_trajectory_csvs_are_pinned(tmp_path, seed):
-    got = []
+    got = {}
     for doc in survey_docs(seed):
         model = tmp_path / f"{doc['family']}.json"
         model.write_text(json.dumps(doc), encoding="utf-8")
         traj = tmp_path / f"{doc['family']}.csv"
         assert main(["simulate", "--model", str(model), "--steps", "200",
                      "--out", str(traj)]) == 0
-        got.append(hashlib.md5(traj.read_bytes()).hexdigest())
-    assert tuple(got) == SURVEY_MD5[seed]
+        got[f"survey/{seed}/{traj.name}"] = golden.md5(traj.read_bytes())
+    golden.check(got)
 
 
 def write_rows_oracle(path, model, traj):
@@ -308,9 +274,10 @@ def test_check_mixed_sign_weight_exits_four(tmp_path, capsys):
 
 
 def test_check_too_few_steps_for_period_cap(tmp_path, capsys):
+    # classify's period cap of 50 needs 52 states: a usage error, exit 2.
     model = export(tmp_path, "web_fcm")
     rc = main(["check", "--model", model, "--steps", "10"])
-    assert rc == 3
+    assert rc == 2
 
 
 @pytest.mark.parametrize("eps", ["inf", "1e400", "nan"])
@@ -382,6 +349,10 @@ BAD_FLAGS = [
     ("sweep", "--lambdas", "1.0000001,1.0000002,1.0000001",
      "1.0000001, 1.0000002, 1.0000001 share the file tags 1"),
     ("corpus", "variant", "web_nope", "invalid choice: 'web_nope' (choose from 'web_fcm'"),
+    # classify needs --max-period + 2 states, so at the default cap of 50
+    # check and sweep take at least 51 steps.
+    *((command, "--steps", "50", "steps must be an integer >= 51 (--max-period + 1), got 50")
+      for command in ("check", "sweep")),
 ]
 
 

@@ -1,9 +1,7 @@
 """Model validation and the three update engines."""
 
-import hashlib
 import math
 import random
-import struct
 
 import pytest
 
@@ -16,9 +14,10 @@ from conftest import (
     FGCM_FIRST_05_LO,
     FGGCM_FIRST_05_G,
     FGGCM_FIRST_05_K,
-    cell_fields,
+    LAMBDAS,
     family_with,
 )
+import golden
 
 
 def test_unit_crisp_step():
@@ -596,16 +595,6 @@ def test_ggn_kernel_track_ignores_greyness_track(web_fggcm_05):
             assert fc.kernel == bc.kernel
 
 
-def trajectory_digest(traj):
-    """sha256 over the little-endian double bits of every recorded field."""
-    h = hashlib.sha256()
-    for state in traj.states:
-        for cell in state:
-            for v in cell_fields(traj.family, cell):
-                h.update(struct.pack("<d", v))
-    return h.hexdigest()
-
-
 def seeded_map(family, seed, n=20, lam=1.5):
     """Dense map whose weights and initial cells take both signs, so every
     branch of the interval min/max and the greyness max runs."""
@@ -623,48 +612,14 @@ def seeded_map(family, seed, n=20, lam=1.5):
     return gc.Model(family, names, weights, initial, lam)
 
 
-# Digests of trajectories computed by the object-level engines these
-# replaced; any drift in accumulation order or min/max tie handling shows.
-GOLDEN_CORPUS = {
-    ("web_fcm", 0.5): "83b27e9407092bd156bbb476d983b59f06da40fd88b890fbe9a5580f79f2c683",
-    ("web_fcm", 1.0): "86077d2429921641793807c2df310e0424ad2b0da8c94dbbf63cfd54bebc304f",
-    ("web_fcm", 2.0): "e615d71c251ec26e2311244a8e68a23dc03a43348485de5a404a6e7d03196283",
-    ("web_fcm", 4.0): "56086ec5d7fd5c21adffe0e7def3fb16fc8c89d8296cc230823bd3100fc69fbd",
-    ("web_fgcm", 0.5): "9ead599326b784c09bc58db6718b3fe5166c404822361cb3e64b7f29187aee76",
-    ("web_fgcm", 1.0): "1fad7ccb212398d1237592b07c202b89231654f5e1d41e6f93dd020a77ecdad3",
-    ("web_fgcm", 2.0): "b484af4ae7f21aa722de963678684a30e0b441c8524cafec493220039743d934",
-    ("web_fgcm", 4.0): "020e8d43267f591d3ce444be3f5aecf0b79403b86df18819bf1e0a879781f353",
-    ("web_fggcm", 0.5): "17d430aee976e2234c49cc4b8a8a9ffbe0ec5ec7bace35550048022af83769f8",
-    ("web_fggcm", 1.0): "d08b37b821162c12d1aa9c946e76d2bb60ebfad8ecd4ab8cb89f4ac68975a5d0",
-    ("web_fggcm", 2.0): "8767ef55c9a5c7ad625a50d92ab88c2017e803e67835ced445cb8c16905823b5",
-    ("web_fggcm", 4.0): "269fe4c9a4589c8bb1a64a00d4dff33ba735f2ed3f052915249374b4f734750e",
-    ("web_case1_fgcm", 0.5): "3fcf8d42f6c400abbb94402f6d298b3b68f7c28680156658d257f11d4901faf1",
-    ("web_case1_fgcm", 1.0): "6b9c52bd1fe1cebe6904718b56127e5054c2e00ed281154942294fd080d8b55b",
-    ("web_case1_fgcm", 2.0): "3f30e6215fc8a4ff6428faebd1ae2c886838eee671b777dd774b2f8eff0b8f7a",
-    ("web_case1_fgcm", 4.0): "c836f262142e1fe896f7c9bddfce9731be39212a156ed2daa247920024046f9b",
-    ("web_case1_fggcm", 0.5): "17d430aee976e2234c49cc4b8a8a9ffbe0ec5ec7bace35550048022af83769f8",
-    ("web_case1_fggcm", 1.0): "d08b37b821162c12d1aa9c946e76d2bb60ebfad8ecd4ab8cb89f4ac68975a5d0",
-    ("web_case1_fggcm", 2.0): "8767ef55c9a5c7ad625a50d92ab88c2017e803e67835ced445cb8c16905823b5",
-    ("web_case1_fggcm", 4.0): "269fe4c9a4589c8bb1a64a00d4dff33ba735f2ed3f052915249374b4f734750e",
-    ("web_case2_fggcm", 0.5): "34bae93d2f8499daf42c4ffad521e17b3d632e3b6c7cfd49db7743528a5b9e8a",
-    ("web_case2_fggcm", 1.0): "5683eec4581d14de4aa51fe62b4a7d7f94985b72b93cccaeefc73a2f3e5c4deb",
-    ("web_case2_fggcm", 2.0): "b223e811ef12db15175f014553781cf666cfb8ed30093ddc5cd65a4a54d4434b",
-    ("web_case2_fggcm", 4.0): "9d789701849c4e80098f31964d361507b171f3d9cea73837c55bdbd8b768b5ad",
-}
-
-GOLDEN_SEEDED = {
-    ("fgcm", 11): "1c3429aa78f48d22ce670ba2487a52ac1040d1969d9c7b40cafd613b5cdd57bd",
-    ("fggcm", 12): "8bd54f97ad6624b9ba63b351cb76bfc18cf9f669f31cb4ad07d2d9b897054500",
-}
-
-
-@pytest.mark.parametrize("variant,lam", sorted(GOLDEN_CORPUS))
+@pytest.mark.parametrize("variant,lam", [(v, lam) for v in sorted(gc.VARIANTS)
+                                         for lam in LAMBDAS])
 def test_corpus_trajectories_are_pinned_bitwise(variant, lam):
     traj = gc.simulate(gc.build(variant, lam), 200)
-    assert trajectory_digest(traj) == GOLDEN_CORPUS[variant, lam]
+    golden.check({f"corpus_runs/{variant}/{lam}": golden.trajectory_digest(traj)})
 
 
-@pytest.mark.parametrize("family,seed", sorted(GOLDEN_SEEDED))
+@pytest.mark.parametrize("family,seed", [("fgcm", 11), ("fggcm", 12)])
 def test_seeded_dense_trajectories_are_pinned_bitwise(family, seed):
     traj = gc.simulate(seeded_map(family, seed), 100)
-    assert trajectory_digest(traj) == GOLDEN_SEEDED[family, seed]
+    golden.check({f"seeded_runs/{family}/{seed}": golden.trajectory_digest(traj)})

@@ -1,8 +1,8 @@
 """The verdict table under another `exp`.
 
 `_core.sigmoids` reads `math.exp` at call time, so patching it runs the
-engines on another libm's logistic. The trajectory-bit pins elsewhere in
-the suite hold for one `exp` (glibc's) only; the verdicts and `t_alpha`
+engines on another libm's logistic. The trajectory-bit pins in
+tests/golden.py hold for one `exp` (glibc's) only; the verdicts and `t_alpha`
 in `EXPECTED_CLASS` and every number `reproduce_tables.py` prints must
 hold under a correctly rounded `exp` and under one that is 1 ulp off on
 a quarter of its arguments.
@@ -10,7 +10,6 @@ a quarter of its arguments.
 
 import contextlib
 import decimal
-import hashlib
 import io
 import math
 import runpy
@@ -22,9 +21,9 @@ import pytest
 
 import greycog as gc
 from conftest import EXPECTED_CLASS
+import golden
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
-REPRODUCE_MD5 = "7bf10426bb7ed6cdf490146c90bd573a"
 LIBM_EXP = math.exp
 
 
@@ -88,4 +87,5 @@ def test_the_verdict_table_holds_under_another_exp(monkeypatch, name):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(SCRIPT), run_name="__main__")
-    assert hashlib.md5(out.getvalue().encode()).hexdigest() == REPRODUCE_MD5, out.getvalue()
+    golden.check({"reproduce_tables/stdout": golden.md5(out.getvalue().encode())},
+                 out.getvalue())

@@ -1,10 +1,11 @@
 """Smoke tests: the two scripts run end to end as separate processes."""
 
-import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import golden
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,8 +40,7 @@ def test_reproduce_tables_default_output_is_pinned():
     # of the criteria or the engines that moves any of them fails here.
     proc = run_script("reproduce_tables.py")
     assert proc.returncode == 0, proc.stderr
-    digest = hashlib.md5(proc.stdout.encode()).hexdigest()
-    assert digest == "7bf10426bb7ed6cdf490146c90bd573a", proc.stdout
+    golden.check({"reproduce_tables/stdout": golden.md5(proc.stdout.encode())}, proc.stdout)
 
 
 def test_run_web_sweeps_writes_a_summary_per_variant(tmp_path):
