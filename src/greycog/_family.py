@@ -9,25 +9,26 @@ codec, `Model`, `Trajectory`, `simulate`, the CLI and `classify`.
 One number rule, `finite` (an int or a float, not a bool, finite), makes
 every float: the cell constructors `Ign` and `Ggn` apply it (`GreyUnion`
 reads its intervals through `Ign`), so the model-file parsers check only
-JSON shape. Crisp cells have no constructor: the fcm `parse` is `finite`
-raising MalformedInputError, and the fcm `cell` is `number`.
+JSON shape. Crisp cells have no constructor: the fcm model-file rule is
+`finite` raising MalformedInputError, and the fcm `cell` is `number`.
 
 A matrix or vector argument is read by `matrix` or `vector`, which check
 its shape and pass each entry through a family's `cell` or `number`
-(or, for a model file, `parse`), naming the place of one refused. A
-sequence whose entries are all what the rule would return (finite floats
-for `number` and the fcm `cell` and `parse`, `Ign` or `Ggn` cells for
+(or, for a model file, a `_parse` rule), naming the place of one refused.
+A sequence whose entries are all what the rule would return (finite floats
+for `number`, the fcm `cell` and `_crisp_parse`, `Ign` or `Ggn` cells for
 the grey `cell` rules) is taken whole, tested at C speed, as are a
 `Model`'s rows in a criterion, a crisp model file's rows and the states
 of a hand-built `Trajectory`.
 
-A model-file weight row is read once, by its family's `row` reader: a
-crisp row through `vector` with the fcm `parse`, a grey row in one loop
-(JSON shape, number rule, cell invariant and range applied, cells built
-as `box` builds them) or, where that loop stops (an int, a union, a
-fault), through `parse`. A crisp row within [-1, 1] or a grey row the
-loop took comes back `_Read`, which `Model` keeps; `Model` range-checks
-any other row, so every error is the one the per-cell rules raise.
+A model-file weight row or initial state is read once, by its family's
+`row` reader: a crisp row through `vector` with `_crisp_parse`, a grey row
+in one loop (JSON shape, number rule, cell invariant and range applied,
+cells built as `box` builds them) or, where that loop stops (an int, a
+union, a fault), cell by cell through `_interval_parse` or `_grey_parse`.
+A crisp row within [-1, 1] or a grey row the loop took comes back
+`_Read`, which `Model` keeps; `Model` range-checks any other row, so
+every error is the one the per-cell rules raise.
 `simulate` marks its state list `_Read` too, which `Trajectory` keeps.
 
 Every record of the package (the cells, `GreyUnion`, `Model`,
@@ -117,7 +118,7 @@ def vector(values, take, name, error=DimensionError):
     """take(v) for every v in values, as a tuple; values that is no sequence
     raises error. A v take refuses raises its error again, same type,
     prefixed with name[j] (1-based), which is built only then. When take
-    would return every v as it is (see `_KEPT`: `number`, the fcm `parse`
+    would return every v as it is (see `_KEPT`: `number`, `_crisp_parse`
     and the grey `cell` rules), values is returned so."""
     values = sequence(values, name, error)
     kept = _KEPT.get(take)
@@ -287,24 +288,22 @@ class _Read(tuple):
 
 
 class Family(Record):
-    """One family's cell rule. parse, cell and weight raise without a
-    location; their callers add it through `vector`."""
+    """One family's cell rule. cell and weight raise without a location;
+    their callers add it through `vector`."""
 
     __slots__ = __match_args__ = (
         "fields",  # a cell's float fields, in plane order
-        "parse", "encode",  # model-file JSON value -> cell (MalformedInputError), and back
+        "encode",  # cell -> model-file JSON value
         "cell", "weight",  # any value -> cell of this family (within [-1, 1]), or an error
-        "row",  # (model-file weight row, name) -> `_Read` cells, or its `parse` cells
+        "row",  # (model-file row, name) -> `_Read` cells, or cells read one by one
         "split", "box",  # cells -> float planes, one per field; planes -> cells, each checked
         "prepare",  # (*weight planes) -> what advance reads, built once per run
         "advance",  # (prepared weights, *state planes, lam) -> next planes
         "distance",  # Euclidean distance of two states of equal length
     )
 
-    def __init__(self, fields, parse, encode, cell, weight, row, split, box, prepare, advance,
-                 distance):
-        super().__init__(fields, parse, encode, cell, weight, row, split, box, prepare, advance,
-                         distance)
+    def __init__(self, fields, encode, cell, weight, row, split, box, prepare, advance, distance):
+        super().__init__(fields, encode, cell, weight, row, split, box, prepare, advance, distance)
 
 
 def _crisp_parse(raw):
@@ -468,17 +467,16 @@ def _grey_dist(a, b) -> float:
 
 FAMILY = {
     "fcm": Family(
-        ("value",), _crisp_parse, float, number, _crisp_weight, _crisp_row,
+        ("value",), float, number, _crisp_weight, _crisp_row,
         lambda cells: (cells,), itemgetter(0), blocks, crisp_next, _crisp_dist,
     ),
     "fgcm": Family(
-        ("lo", "hi"), _interval_parse, lambda c: {"interval": [c.lo, c.hi]},
+        ("lo", "hi"), lambda c: {"interval": [c.lo, c.hi]},
         _interval_cell, _interval_weight, _interval_row, _interval_split,
         lambda planes: tuple(map(Ign, *planes)), blocks, interval_next, _interval_dist,
     ),
     "fggcm": Family(
-        ("kernel", "greyness"), _grey_parse,
-        lambda c: {"kernel": c.kernel, "greyness": c.greyness},
+        ("kernel", "greyness"), lambda c: {"kernel": c.kernel, "greyness": c.greyness},
         _grey_cell, _grey_weight, _grey_row,
         _grey_split, _grey_box, grey_blocks, kernel_grey_next, _grey_dist,
     ),

@@ -27,9 +27,9 @@ A path is a str, bytes or `os.PathLike`; any other value (an int, which
 `open` would take as a file descriptor and close, a bool or None) raises
 InvalidParameterError before anything is opened.
 
-A document is read in one pass: each weight row by its family's `row`
-reader (see `_family`), the initial state through `parse`, then `Model`,
-which keeps the rows the reader took whole and range-checks the others.
+A document is read in one pass: each weight row, then the initial state,
+by its family's `row` reader (see `_family`), then `Model`, which keeps
+the rows the reader took whole and range-checks the others.
 So the first error is the one the per-cell rules raise: malformed
 weights, malformed initial cells, the weight range, then lambda, node
 names and shapes.
@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import os
 
-from ._family import FAMILY, family_of, finite, positive, vector
+from ._family import FAMILY, family_of, finite, positive
 from .cogmap import Model
 from .errors import InvalidParameterError, MalformedInputError, ValidationError
 
@@ -79,7 +79,7 @@ def parse_model(doc, lam=None) -> Model:
     rows = tuple(fam.row(row, f"weights[{i}]") for i, row in enumerate(weights, 1))
     if not isinstance(doc["initial"], list):
         raise MalformedInputError("'initial' must be a list")
-    initial = vector(doc["initial"], fam.parse, "initial", MalformedInputError)
+    initial = fam.row(doc["initial"], "initial")
     m = Model(family, tuple(nodes), rows, initial, file_lam if lam is None else lam)
     positive(file_lam, ValidationError)
     return m

@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage or parse failure or an output path that
 cannot be written, 3 model or parameter validation failure, 4 criterion
-structurally inapplicable (mixed-sign interval weight). A library error
+structurally inapplicable (mixed-sign interval weight), 141 stdout
+closed by its reader, with nothing on stderr (128 + SIGPIPE, the code a
+shell reports when a closed pipe stops a writer). A library error
 maps to its code by type: 2 for MalformedInputError, 4 for
 MixedSignWeightError, 3 for any other. `sweep` records a lambda whose run
 raises as an `error(...)` summary row, goes on with the next lambda, and
@@ -115,6 +117,9 @@ _ERRORS = (
     (MixedSignWeightError, 4, "criterion inapplicable: "),
     (GreycogError, 3, "validation error: "),
 )
+
+
+_CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
 
 def _error_code(exc: GreycogError) -> tuple[int, str]:
@@ -286,15 +291,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 2 for a rejected flag, 0 after --help
         return exc.code
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except GreycogError as exc:
         code, prefix = _error_code(exc)
         print(f"greycog: {prefix}{exc}", file=sys.stderr)
         return code
+    except BrokenPipeError:  # stdout's reader is gone: no output path is at fault
+        return _CLOSED_STDOUT
     except OSError as exc:
         print(f"greycog: error: {exc}", file=sys.stderr)
         return 2
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    if code == _CLOSED_STDOUT:
+        # The interpreter's last flush of stdout's buffer must not meet the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

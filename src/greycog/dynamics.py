@@ -30,10 +30,12 @@ def state_distance(family: str, a, b) -> float:
     `_family.vector` under the family's `cell` rule, which raises
     DimensionError for a state that is no sequence and ValidationError
     for a cell of another family (a bool, NaN or inf crisp cell too), each
-    error naming the argument (`b[2]: ...`); then states of different
-    lengths raise DimensionError."""
+    error naming the argument (`b[2]: ...`); then a state of no cell, a
+    first, and states of different lengths raise DimensionError."""
     fam = family_of(family, ValidationError)
     a, b = vector(a, fam.cell, "a"), vector(b, fam.cell, "b")
+    if not (a and b):
+        raise DimensionError(f"{'b' if a else 'a'} is a state of no cell")
     if len(a) != len(b):
         raise DimensionError(f"state lengths differ: {len(a)} vs {len(b)}")
     return fam.distance(a, b)

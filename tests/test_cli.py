@@ -600,6 +600,26 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, unbuffered):
+    # A report written to a pipe whose reader has gone stops the run as
+    # SIGPIPE would (128 + 13), not as an unwritable output path (2). A
+    # buffered stdout meets the closed pipe at main's flush, an unbuffered
+    # one at the report's print.
+    model = export(tmp_path, "web_fggcm")
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "greycog", "check", "--model", model],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (141, "")
+
+
 # open takes a bool as the file descriptor 0 or 1, which it would read
 # or write, then close; run apart, so the closed descriptor is not this
 # process's.

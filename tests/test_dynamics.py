@@ -49,6 +49,18 @@ def test_state_distance_rejects_states_of_different_lengths():
         gc.state_distance("fcm", (1.0,), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("family, x", [("fcm", 0.5), ("fgcm", gc.Ign(0.0, 0.5)),
+                                       ("fggcm", gc.Ggn(0.5, 0.0))], ids=gc.FAMILIES)
+def test_state_distance_rejects_a_state_of_no_cell(family, x):
+    # As Trajectory refuses one: a is named first, and only once both
+    # states are read.
+    for a, b, where in (((), (), "a"), ((), (x,), "a"), ((x,), (), "b")):
+        with pytest.raises(gc.DimensionError, match=f"^{where} is a state of no cell$"):
+            gc.state_distance(family, a, b)
+    with pytest.raises(gc.ValidationError, match=r"^b\[1\]: "):
+        gc.state_distance(family, (), (None,))
+
+
 # States whose cells are not of the named family, which used to raise a
 # bare AttributeError or TypeError from inside the metric; a Trajectory
 # refuses them when it is built, state_distance when it reads a state.
