@@ -115,9 +115,9 @@ def load_model(path, lam=None) -> Model:
             doc = json.load(fh)
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        # JSONDecodeError, or an integer literal past the interpreter's
-        # digit limit for int().
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal past the interpreter's digit
+        # limit for int(), or arrays or objects nested past the decoder's depth.
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
     return parse_model(doc, lam)
 

@@ -53,12 +53,14 @@ def _flag(parse, rule, *bounds, name):
     return check
 
 
+_lambda = _flag(float, positive, name="lambda")  # --lambda, and each --lambdas value
+
+
 def _lambda_list(text):
     """The --lambdas list, blanks skipped, as {file tag: lambda} in the
     order given. A run's files and summary row are tagged f"{lam:g}", so
     two lambdas sharing a tag would overwrite each other's files."""
-    check = _flag(float, positive, name="lambda")
-    lams = [check(s) for s in text.split(",") if s.strip()]
+    lams = [_lambda(s) for s in text.split(",") if s.strip()]
     if not lams:
         raise argparse.ArgumentTypeError("expected at least one value")
     tags = [f"{lam:g}" for lam in lams]
@@ -82,30 +84,33 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model", required=True, help="model file (JSON)")
     run.add_argument("--steps", type=_flag(int, at_least, 1, name="steps"), default=100)
     lam = argparse.ArgumentParser(add_help=False)
-    lam.add_argument("--lambda", dest="lam", type=_flag(float, positive, name="lambda"),
-                     default=None, help="override the model file steepness")
+    lam.add_argument("--lambda", dest="lam", type=_lambda, default=None,
+                     help="override the model file steepness")
     tail = argparse.ArgumentParser(add_help=False)
     tail.add_argument("--eps", type=_flag(float, positive, name="epsilon"), default=1e-8)
     tail.add_argument("--max-period", type=_flag(int, at_least, 2, name="max_period"), default=50)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True, help="file to write")
 
-    sub.add_parser("simulate", parents=[run, lam, out],
-                   help="run a model and write its trajectory CSV")
+    # Each subparser's `run` default is its command; `main` refuses a --steps
+    # too short for --max-period with the `refuse` usage of check and sweep.
+    p = sub.add_parser("simulate", parents=[run, lam, out],
+                       help="run a model and write its trajectory CSV")
+    p.set_defaults(run=_cmd_simulate)
 
-    check = sub.add_parser("check", parents=[run, lam, tail],
-                           help="print the convergence report as JSON")
+    p = sub.add_parser("check", parents=[run, lam, tail],
+                       help="print the convergence report as JSON")
+    p.set_defaults(run=_cmd_check, refuse=p.error)
 
-    sweep = sub.add_parser("sweep", parents=[run, tail], help="run several lambdas and summarize")
-    sweep.add_argument("--lambdas", required=True, type=_lambda_list,
-                       help="comma-separated steepness values, e.g. 0.5,1,2,4")
-    sweep.add_argument("--out-dir", required=True)
-    # `main` refuses a --steps too short for --max-period with this usage.
-    for p in (check, sweep):
-        p.set_defaults(refuse=p.error)
+    p = sub.add_parser("sweep", parents=[run, tail], help="run several lambdas and summarize")
+    p.add_argument("--lambdas", required=True, type=_lambda_list,
+                   help="comma-separated steepness values, e.g. 0.5,1,2,4")
+    p.add_argument("--out-dir", required=True)
+    p.set_defaults(run=_cmd_sweep, refuse=p.error)
 
     p = sub.add_parser("corpus", parents=[out], help="export a built-in benchmark variant")
     p.add_argument("variant", choices=corpus.VARIANTS, help="variant id")
+    p.set_defaults(run=_cmd_corpus)
 
     return parser
 
@@ -216,20 +221,21 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check(args) -> int:
     model = _modelio.load_model(args.model, args.lam)
+    code = 0
     try:
-        report, *_ = _report(model, args)
+        doc, *_ = _report(model, args)
     except MixedSignWeightError as exc:
-        print(json.dumps({
+        code = _error_code(exc)[0]
+        doc = {
             "error": "MixedSignWeight",
             "i": exc.i,
             "j": exc.j,
             "message": str(exc),
             "hint": "the interval criterion cannot rank a weight straddling "
                     "zero; model it as kernel/greyness (fggcm) instead",
-        }, indent=2))
-        return _error_code(exc)[0]
-    print(json.dumps(report, indent=2))
-    return 0
+        }
+    print(json.dumps(doc, indent=2))
+    return code
 
 
 def _cmd_sweep(args) -> int:
@@ -273,26 +279,18 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "check": _cmd_check,
-    "sweep": _cmd_sweep,
-    "corpus": _cmd_corpus,
-}
-
-
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        # classify needs max_period + 2 states, so max_period + 1 steps.
-        if "max_period" in args and args.steps <= args.max_period:
-            args.refuse(f"argument --steps: steps must be an integer >= {args.max_period + 1} "
-                        f"(--max-period + 1), got {args.steps}")
-    except SystemExit as exc:  # argparse: 2 for a rejected flag, 0 after --help
-        return exc.code
-    try:
-        code = _HANDLERS[args.command](args)
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        try:
+            args = build_parser().parse_args(argv)
+            # classify needs max_period + 2 states, so max_period + 1 steps.
+            if "max_period" in args and args.steps <= args.max_period:
+                args.refuse(f"argument --steps: steps must be an integer >= "
+                            f"{args.max_period + 1} (--max-period + 1), got {args.steps}")
+            code = args.run(args)
+        except SystemExit as exc:  # argparse: 2 for a rejected flag, 0 after --help
+            code = exc.code
+        sys.stdout.flush()  # a closed stdout raises here, not at exit, whatever the outcome
         return code
     except GreycogError as exc:
         code, prefix = _error_code(exc)

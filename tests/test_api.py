@@ -316,6 +316,10 @@ RULES = {
     "folded-row-rebuild": (
         r"name _model_of_read_rows", NOWHERE, (),
         "Model rebuilds a `_Read` row itself, not a folded-away second path for reading a row."),
+    "command-table": (
+        r"name _HANDLERS", NOWHERE, (),
+        "Each subparser's `run` default is its command, not a folded-away `_HANDLERS` table "
+        "that names each command a second time."),
     "logistic": (
         r"name (sigmoids|exp)", r"_core(:.*)?", ("_core:sigmoids",),
         "The logistic is written once, `_core.sigmoids`; a second one could drift from its bits."),

@@ -600,24 +600,46 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, unbuffered):
-    # A report written to a pipe whose reader has gone stops the run as
+@pytest.mark.parametrize("argv, unbuffered", [
+    (argv, unbuffered) for argv in (["check", "--model", "web_fggcm.json"], ["--help"],
+                                    ["check", "--help"]) for unbuffered in (False, True)
+], ids=["buffered", "unbuffered", "help-buffered", "help-unbuffered", "check-help-buffered",
+        "check-help-unbuffered"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, argv, unbuffered):
+    # Output written to a pipe whose reader has gone stops the run as
     # SIGPIPE would (128 + 13), not as an unwritable output path (2). A
-    # buffered stdout meets the closed pipe at main's flush, an unbuffered
-    # one at the report's print.
-    model = export(tmp_path, "web_fggcm")
+    # buffered stdout meets the closed pipe at main's one flush, which a
+    # report and argparse's --help exit both reach; an unbuffered one at
+    # the write: a report's print raises there, while argparse drops the
+    # error of its --help write and exits 0.
+    export(tmp_path, "web_fggcm")
     env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "greycog", "check", "--model", model],
+        proc = subprocess.run([sys.executable, "-m", "greycog", *argv], cwd=tmp_path,
                               stdout=write_end, stderr=subprocess.PIPE, env=env)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr.decode()) == (141, "")
+    code = 0 if unbuffered and "--help" in argv else 141
+    assert (proc.returncode, proc.stderr.decode()) == (code, "")
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["simulate", "--out", "out.csv"], ["sweep", "--lambdas", "1", "--out-dir", "out"],
+], ids=lambda argv: argv[0])
+def test_a_model_file_nested_past_the_decoder_depth_is_a_parse_error(tmp_path, command):
+    # Run apart, so a RecursionError would show as the traceback it prints.
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    proc = subprocess.run([sys.executable, "-m", "greycog", *command, "--model", "deep.json"],
+                          cwd=tmp_path, capture_output=True, env=SRC_ENV)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("greycog: parse error: deep.json is not valid JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["deep.json"]
 
 
 # open takes a bool as the file descriptor 0 or 1, which it would read

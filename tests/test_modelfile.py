@@ -215,6 +215,16 @@ def test_lambda_that_is_no_finite_float_is_malformed():
             gc.parse_model(doc)
 
 
+def test_a_document_nested_past_the_decoder_depth_is_malformed(tmp_path):
+    # json's decoder raises RecursionError, not a ValueError, on arrays
+    # nested past its depth; 100,000 levels is past it from CPython 3.10
+    # to 3.13.
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(gc.MalformedInputError, match="deep.json is not valid JSON: "):
+        gc.load_model(str(p))
+
+
 def test_integer_past_the_digit_limit_is_malformed(tmp_path):
     # json itself refuses an int literal this long (ValueError, not a
     # JSONDecodeError) under the interpreter's int digit limit.
