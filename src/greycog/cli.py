@@ -7,11 +7,12 @@ Subcommands:
     sweep      run several lambdas, write per-run files plus a summary CSV
     corpus     export a built-in benchmark variant as a model file
 
-Exit codes: 0 success, 2 usage or parse failure or an output path that
-cannot be written, 3 model or parameter validation failure, 4 criterion
-structurally inapplicable (mixed-sign interval weight), 141 stdout
-closed by its reader, with nothing on stderr (128 + SIGPIPE, the code a
-shell reports when a closed pipe stops a writer). A library error
+Exit codes: 0 success, 2 usage or parse failure or an output that cannot
+be written (a path, or a stdout on a full device), 3 model or parameter
+validation failure, 4 criterion structurally inapplicable (mixed-sign
+interval weight), 141 stdout closed by its reader, with nothing on
+stderr (128 + SIGPIPE, the code a shell reports when a closed pipe stops
+a writer). A library error
 maps to its code by type: 2 for MalformedInputError, 4 for
 MixedSignWeightError, 3 for any other. `sweep` records a lambda whose run
 raises as an `error(...)` summary row, goes on with the next lambda, and
@@ -304,8 +305,24 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    """The `greycog` console script and `python -m greycog`: `main` on the
+    process's arguments, then the end of the process with its code.
+
+    When `main` returns, each file it wrote has been closed by its `with`
+    block, and stdout has been flushed or its failure reported (141 for a
+    closed pipe, 2 for a device that refuses the bytes). So the process
+    ends there, through `os._exit`, and skips the interpreter's teardown:
+    the final garbage collection, the clearing of every loaded module, and
+    a second flush of stdout, which would meet the same closed pipe or
+    full device again. `atexit` hooks that the environment installed do
+    not run either (coverage's subprocess hook, for one). `main(argv)` is
+    the in-process entry: it returns the code and never ends its caller's
+    process.
+    """
     code = main()
-    if code == _CLOSED_STDOUT:
-        # The interpreter's last flush of stdout's buffer must not meet the closed pipe.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    if sys.stderr is not None:  # None when descriptor 2 was closed at start
+        try:
+            sys.stderr.flush()
+        except OSError:  # a stderr that cannot be written keeps the code main returned
+            pass
+    os._exit(code)

@@ -359,6 +359,10 @@ RULES = {
         ("cli:_analyze",),
         "`cli._analyze` alone chains simulate, classify and the family's criterion, so one "
         "place knows which criterion belongs to which family; the CLI and the scripts call it."),
+    "process-exit": (
+        r"name _exit", "cli:entrypoint", ("cli:entrypoint",),
+        "`cli.entrypoint` alone ends the process, once `main` has returned with its output "
+        "out; `main`, the library and the scripts return to their caller, which may run on."),
 }
 # The sites a rule's row leaves out: each is its rule's one copy, held
 # exactly once where it is (a row judges places, so it would pass a second
@@ -369,7 +373,8 @@ PINNED = [
     ("type-is", "type(states) is _Read", "cogmap:Trajectory.__init__"),
     *(("name", b, "_family") for b in "_new _set_lo _set_hi _set_kernel _set_greyness".split()),
 ]
-SITES = [site for p in sorted(SRC.glob("*.py"))
+# The package's modules and the scripts beside it, which call it in-process.
+SITES = [site for p in sorted([*SRC.glob("*.py"), *(TESTS.parent / "scripts").glob("*.py")])
          for site in sites(ast.parse(p.read_text()), p.stem)]
 
 

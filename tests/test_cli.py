@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import errno
 import inspect
 import json
 import os
@@ -588,6 +589,9 @@ def test_check_output_is_deterministic(tmp_path, capsys):
 # The environment of a child interpreter that imports this checkout's
 # package, installed or not.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+# The same with stdout buffered, as it is unless PYTHONUNBUFFERED is set:
+# a process's output then waits in a buffer until a flush.
+BUFFERED_ENV = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
 
 
 def test_module_entry_point(tmp_path):
@@ -625,6 +629,137 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, argv, unbuff
         os.close(write_end)
     code = 0 if unbuffered and "--help" in argv else 141
     assert (proc.returncode, proc.stderr.decode()) == (code, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["check", "--model", "web_fggcm.json"], ["--help"]],
+                         ids=["check", "help"])
+def test_a_full_stdout_exits_2_with_one_line_on_stderr(tmp_path, argv, unbuffered):
+    # A stdout whose device refuses the bytes is an output that cannot be
+    # written (2), reported once: the process ends without the
+    # interpreter's own flush of stdout, which would fail a second time.
+    # Unbuffered, argparse drops the error of its --help write and exits
+    # 0, as it does into a closed pipe.
+    export(tmp_path, "web_fggcm")
+    env = dict(BUFFERED_ENV, PYTHONUNBUFFERED="1") if unbuffered else BUFFERED_ENV
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "greycog", *argv], cwd=tmp_path,
+                              stdout=full, stderr=subprocess.PIPE, env=env)
+    if unbuffered and argv == ["--help"]:
+        assert (proc.returncode, proc.stderr.decode()) == (0, "")
+    else:
+        enospc = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert (proc.returncode, proc.stderr.decode()) == (2, f"greycog: error: {enospc}\n")
+
+
+def run_both(tmp_path, monkeypatch, capsys, commands, stdout, files=None):
+    """Each command's (exit code, stdout, stderr), the streams as bytes,
+    from in-process `main` and from a `python -m greycog` process whose
+    stdout, buffered, is a "pipe" or a regular "file", and every file each
+    side wrote. Each side runs in its own directory, which starts with files
+    ({name: text})."""
+    runs, trees = {}, {}
+    for side in ("main", "process"):
+        cwd = tmp_path / side
+        cwd.mkdir()
+        for name, text in (files or {}).items():
+            (cwd / name).write_text(text)
+        monkeypatch.chdir(cwd)
+        runs[side] = []
+        for argv in commands:
+            if side == "main":
+                code = main(argv)
+                out, err = (text.encode() for text in capsys.readouterr())
+            else:
+                with open(tmp_path / "stdout", "w+b") as sink:
+                    proc = subprocess.run([sys.executable, "-m", "greycog", *argv],
+                                          stdout=sink if stdout == "file" else subprocess.PIPE,
+                                          stderr=subprocess.PIPE, env=BUFFERED_ENV)
+                    sink.seek(0)
+                    out = sink.read() if stdout == "file" else proc.stdout
+                code, err = proc.returncode, proc.stderr
+            runs[side].append((code, out, err))
+        trees[side] = {p.relative_to(cwd).as_posix(): p.read_bytes()
+                       for p in sorted(cwd.rglob("*")) if p.is_file()}
+    return runs, trees
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+@pytest.mark.parametrize("variant", ["web_fcm", "web_fgcm", "web_fggcm"])
+def test_a_process_writes_what_main_writes(tmp_path, monkeypatch, capsys, variant, stdout):
+    # A process ends as soon as main returns, without the interpreter's
+    # teardown, so every byte main writes must be out by then.
+    runs, trees = run_both(tmp_path, monkeypatch, capsys, [
+        ["corpus", variant, "--out", "m.json"], ["check", "--model", "m.json"],
+        ["simulate", "--model", "m.json", "--out", "t.csv"],
+        ["sweep", "--model", "m.json", "--lambdas", "0.5,1", "--out-dir", "sweep"],
+    ], stdout)
+    assert runs["process"] == runs["main"]
+    assert [(code, err) for code, _, err in runs["main"]] == [(0, b"")] * 4
+    assert json.loads(runs["main"][1][1])["family"] == variant[4:]
+    assert trees["process"] == trees["main"]
+    assert sorted(trees["main"]) == ["m.json", "sweep/report_lam0.5.json", "sweep/report_lam1.json",
+                                     "sweep/summary.csv", "sweep/trajectory_lam0.5.csv",
+                                     "sweep/trajectory_lam1.csv", "t.csv"]
+
+
+RUN = [["check", "--model", "m.json"], ["simulate", "--model", "m.json", "--out", "t.csv"],
+       ["sweep", "--model", "m.json", "--lambdas", "0.5,1", "--out-dir", "sweep"]]
+
+
+# Each failure: the model file it starts from, the commands run on it and
+# each one's exit code.
+FAILURES = {
+    "malformed": ({"m.json": '{"family": "fcm"'}, RUN, [2, 2, 2]),
+    "validation": ({"m.json": json.dumps({"family": "fcm", "lambda": -1, "nodes": ["a"],
+                                          "weights": [[0.5]], "initial": [0.5]})},
+                   RUN, [3, 3, 3]),
+    "mixed-sign": ({}, [["corpus", "web_case1_fgcm", "--out", "m.json"], RUN[0], RUN[2]],
+                   [0, 4, 4]),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_a_failing_process_writes_what_main_writes(tmp_path, monkeypatch, capsys, case):
+    # A parse or validation failure is one complete stderr line; a check
+    # whose criterion is inapplicable prints its refusal as JSON.
+    files, commands, codes = FAILURES[case]
+    runs, trees = run_both(tmp_path, monkeypatch, capsys, commands, "pipe", files)
+    assert runs["process"] == runs["main"]
+    assert trees["process"] == trees["main"]
+    assert [code for code, *_ in runs["main"]] == codes
+    for code, out, err in runs["main"]:
+        if code in (2, 3):
+            assert out == b"" and err.startswith(b"greycog: ") and err.count(b"\n") == 1
+            assert err.endswith(b"\n")
+        else:
+            assert err == b""
+    if case == "mixed-sign":
+        assert json.loads(runs["main"][1][1])["error"] == "MixedSignWeight"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("stderr, argv, code", [
+    ("closed", ["check", "--model", "web_fggcm.json"], 0),
+    ("closed", ["check", "--model", "missing.json"], 2),
+    ("full", ["check", "--model", "web_fggcm.json"], 0),
+    ("full", ["check", "--model", "web_fggcm.json", "--steps", "0"], 2),
+], ids=["closed-ok", "closed-parse-error", "full-ok", "full-usage-error"])
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(tmp_path, stderr, argv, code):
+    # Started with descriptor 2 closed, the interpreter sets sys.stderr to
+    # None. On /dev/full, argparse drops the error of its usage write, and
+    # the bytes stay in stderr's buffer for the flush before the process
+    # ends, which fails again. Neither may replace the code main returned.
+    export(tmp_path, "web_fggcm")
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "greycog", *argv], cwd=tmp_path,
+                              stdout=subprocess.PIPE, env=BUFFERED_ENV,
+                              **({"preexec_fn": lambda: os.close(2)} if stderr == "closed"
+                                 else {"stderr": full}))
+    assert proc.returncode == code
+    if code == 0:
+        assert json.loads(proc.stdout)["model"] == "web_fggcm"
 
 
 @pytest.mark.parametrize("command", [
