@@ -363,6 +363,10 @@ RULES = {
         r"name _exit", "cli:entrypoint", ("cli:entrypoint",),
         "`cli.entrypoint` alone ends the process, once `main` has returned with its output "
         "out; `main`, the library and the scripts return to their caller, which may run on."),
+    "stderr-writer": (
+        r"name stderr", "cli:(_say|main)", ("cli:_say", "cli:main"),
+        "`cli._say` alone writes stderr, guarded, so a stderr that refuses its line keeps "
+        "the exit code; `main` alone points a closed one at os.devnull, never at stdout."),
 }
 # The sites a rule's row leaves out: each is its rule's one copy, held
 # exactly once where it is (a row judges places, so it would pass a second

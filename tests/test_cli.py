@@ -740,26 +740,38 @@ def test_a_failing_process_writes_what_main_writes(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
-@pytest.mark.parametrize("stderr, argv, code", [
-    ("closed", ["check", "--model", "web_fggcm.json"], 0),
-    ("closed", ["check", "--model", "missing.json"], 2),
-    ("full", ["check", "--model", "web_fggcm.json"], 0),
-    ("full", ["check", "--model", "web_fggcm.json", "--steps", "0"], 2),
-], ids=["closed-ok", "closed-parse-error", "full-ok", "full-usage-error"])
-def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(tmp_path, stderr, argv, code):
+@pytest.mark.parametrize("stderr, unbuffered, argv, code", [
+    ("closed", False, ["check", "--model", "web_fggcm.json"], 0),
+    ("closed", False, ["check", "--model", "missing.json"], 2),
+    ("closed", True, ["check", "--model", "missing.json"], 2),
+    ("closed", False, ["check", "--steps", "0"], 2),
+    ("closed", False, ["frobnicate"], 2),
+    ("full", False, ["check", "--model", "web_fggcm.json"], 0),
+    ("full", False, ["check", "--model", "web_fggcm.json", "--steps", "0"], 2),
+    ("full", False, ["check", "--model", "missing.json"], 2),
+    ("full", True, ["check", "--model", "missing.json"], 2),
+], ids=["closed-ok", "closed-parse-error", "closed-parse-error-unbuffered", "closed-usage-error",
+        "closed-unknown-command", "full-ok", "full-usage-error", "full-parse-error",
+        "full-parse-error-unbuffered"])
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(tmp_path, stderr, unbuffered,
+                                                             argv, code):
     # Started with descriptor 2 closed, the interpreter sets sys.stderr to
-    # None. On /dev/full, argparse drops the error of its usage write, and
-    # the bytes stay in stderr's buffer for the flush before the process
-    # ends, which fails again. Neither may replace the code main returned.
+    # None, and main points it at os.devnull, so neither argparse's usage
+    # text nor a library error line lands on stdout. On /dev/full, a write
+    # to stderr fails, at once unbuffered or at the flush that follows
+    # buffered. None of these may replace the code main chose.
     export(tmp_path, "web_fggcm")
+    env = dict(BUFFERED_ENV, PYTHONUNBUFFERED="1") if unbuffered else BUFFERED_ENV
     with open("/dev/full", "wb") as full:
         proc = subprocess.run([sys.executable, "-m", "greycog", *argv], cwd=tmp_path,
-                              stdout=subprocess.PIPE, env=BUFFERED_ENV,
+                              stdout=subprocess.PIPE, env=env,
                               **({"preexec_fn": lambda: os.close(2)} if stderr == "closed"
                                  else {"stderr": full}))
     assert proc.returncode == code
     if code == 0:
         assert json.loads(proc.stdout)["model"] == "web_fggcm"
+    else:
+        assert proc.stdout == b""
 
 
 @pytest.mark.parametrize("command", [

@@ -426,6 +426,38 @@ def test_crisp_step_is_a_contraction_under_the_norm_bound(data):
     assert gc.state_distance("fcm", fx, fy) <= k * dx + 1e-12
 
 
+# A weight: zero three times in ten, else a number in [-1, 1].
+sparse = st.tuples(frac, unit).map(lambda p: 0.0 if p[0] < 0.3 else p[1])
+
+
+@settings(deadline=None)
+@pytest.mark.parametrize("family", ["fcm", "fggcm"])
+@given(st.integers(2, 12), st.data(), st.floats(min_value=0.05, max_value=0.999))
+def test_t_alpha_is_within_the_banach_bound_below_the_criterion(family, n, data, k):
+    # Below lambda ||W||_F < 4 the crisp update contracts in the Euclidean
+    # norm, classify's fcm metric, at the rate q = lambda ||W||_F / 4, so
+    # the gap after step t is at most q**t ||x1 - x0||, and t_alpha is at
+    # most t* = ceil(ln(eps / ||x1 - x0||) / ln q), floored at 0. An fggcm
+    # run's kernel plane is that update on K, classified as an fcm run.
+    steps, eps = 400, 1e-8
+    w = data.draw(mat(sparse, n))
+    norm = gc.frobenius_norm(w)
+    lam = 4.0 * k / norm if norm else math.inf
+    assume(lam < math.inf)  # no weight, or too little for a finite lambda
+    a = data.draw(vec(frac, n))
+    if family == "fggcm":
+        w = tuple(tuple(gc.Ggn(x, data.draw(grey_s)) for x in row) for row in w)
+        a = tuple(gc.Ggn(x, data.draw(grey_s)) for x in a)
+    states = run(family, w, a, lam, steps)
+    kernels = [FAMILY[family].split(s)[0] for s in states]
+    d = gc.state_distance("fcm", kernels[1], kernels[0])
+    q = lam * norm / 4.0
+    bound = math.ceil(math.log(eps / d) / math.log(q)) if d > eps else 0
+    assume(bound <= steps - 2)
+    cls = gc.classify(gc.Trajectory("fcm", kernels), epsilon=eps)
+    assert cls.verdict == "FixedPoint" and cls.t_alpha <= bound, (cls, bound)
+
+
 @given(st.integers(1, 4), st.data())
 def test_w_star_of_degenerate_intervals_is_the_magnitude_matrix(n, data):
     w = tuple(tuple(data.draw(unit) for _ in range(n)) for _ in range(n))
