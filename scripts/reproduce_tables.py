@@ -53,10 +53,8 @@ def condition_norms(steps):
     print(f"{'lambda':>8}{'gated':>12}{'ungated':>12}{'ungated applies':>18}")
     for lam in LAMS:
         m = gc.build("web_fggcm", lam)
-        *_, verdicts, report = _analyze(m, steps, EPS, MAX_PERIOD)
-        state = report.evaluation_state
-        ks = tuple(c.kernel for c in state)
-        gs = tuple(c.greyness for c in state)
+        *_, verdicts, fields = _analyze(m, steps, EPS, MAX_PERIOD)
+        ks, gs = fields["evaluation_state"]["kernels"], fields["evaluation_state"]["greyness"]
         gated = verdicts["greyness"].criterion_value
         ungated = gc.frobenius_norm(gc.grey_condition_matrix(m.weights, ks, None, lam))
         # The ungated matrix applies when no weight greyness exceeds its

@@ -8,19 +8,19 @@ Subcommands:
     corpus     export a built-in benchmark variant as a model file
 
 Exit codes, all from one table, `_ERRORS`: 0 success, 2 usage or parse
-failure or an output that cannot be written (a path, or a stdout on a
-full device), 3 model or parameter validation failure, 4 criterion
-structurally inapplicable (mixed-sign interval weight), 141 stdout closed
-by its reader, with nothing on stderr (128 + SIGPIPE, the code a shell
-reports when a closed pipe stops a writer). A library error maps to its
-code by type: 2 MalformedInputError, 4 MixedSignWeightError, 3 any other.
-A stderr closed at start is a sink, and one that refuses its line keeps
-the code: nothing diagnostic ever reaches stdout. `sweep` records a lambda
-whose run raises as an `error(...)` summary row, goes on, and exits with
-the largest code among its rows (0 when none failed). argparse checks
-each flag value with the library's rule before any file is read or
-written, and the floor `check` and `sweep` put on `--steps` too:
-`--max-period` + 1, the run `classify` needs. `main` returns every code.
+failure or an output that cannot be written (a path, or a stdout on a full
+device), 3 model or parameter validation failure, 4 criterion structurally
+inapplicable, 141 stdout closed by its reader, with nothing on stderr (128
++ SIGPIPE, the code a shell reports when a closed pipe stops a writer). A
+library error maps to its code by type: 2 MalformedInputError, 4
+MixedSignWeightError and DegenerateRowError, 3 any other. A stderr closed
+at start is a sink, and one that refuses its line keeps the code: nothing
+diagnostic ever reaches stdout. `sweep` records a lambda whose run raises
+as an `error(...)` summary row, goes on, and exits with the largest code
+among its rows (0 when none failed). argparse checks each flag value with
+the library's rule before any file is read or written, and the floor
+`check` and `sweep` put on `--steps` too: `--max-period` + 1, the run
+`classify` needs. `main` returns every code.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import _modelio, convergence, corpus
 from ._family import FAMILY, _Read, at_least, positive
 from .cogmap import Model, simulate
 from .dynamics import classify
-from .errors import GreycogError, MalformedInputError, MixedSignWeightError
+from .errors import DegenerateRowError, GreycogError, MalformedInputError, MixedSignWeightError
 
 __all__ = ["entrypoint", "main"]
 
@@ -122,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 _ERRORS = (
     (MalformedInputError, 2, "parse error: "),
     (MixedSignWeightError, 4, "criterion inapplicable: "),
+    (DegenerateRowError, 4, "criterion inapplicable: "),
     (GreycogError, 3, "validation error: "),
     (BrokenPipeError, 141, ""),
     (OSError, 2, "error: "),
@@ -180,26 +181,32 @@ def _verdict_dict(v: convergence.Verdict) -> dict:
 
 
 def _analyze(model: Model, steps, eps, max_period):
-    """A model's run, its classification, the family's criterion verdicts by
-    report name ("criterion", or fggcm's "kernel" and "greyness") and fggcm's
-    `FggcmReport` (else None): the one place that pairs a family with its criterion."""
+    """A model's run, its classification, its criterion verdicts in report order
+    ("criterion", or "kernel" then "greyness") and their report fields, by family."""
     traj = simulate(model, steps)
     cls = classify(traj, epsilon=eps, max_period=max_period)
-    if model.family == "fggcm":
-        full = convergence.check_fggcm(model, traj, cls)
-        return traj, cls, {"kernel": full.kernel_verdict, "greyness": full.greyness_verdict}, full
-    check = convergence.check_fcm if model.family == "fcm" else convergence.check_fgcm
-    return traj, cls, {"criterion": check(model.weights, model.lam)}, None
+    if model.family != "fggcm":
+        check = convergence.check_fcm if model.family == "fcm" else convergence.check_fgcm
+        verdict = check(model.weights, model.lam)
+        return traj, cls, {"criterion": verdict}, _verdict_dict(verdict)
+    full = convergence.check_fggcm(model, traj, cls)
+    verdicts = {"kernel": full.kernel_verdict, "greyness": full.greyness_verdict}
+    kernels, greyness = FAMILY["fggcm"].split(full.evaluation_state)
+    return traj, cls, verdicts, {
+        **{key: _verdict_dict(v) for key, v in verdicts.items()},
+        "evaluation_state": {"kernels": kernels, "greyness": greyness,
+                             "kernel_converged": full.kernel_converged},
+        "overall": full.overall}
 
 
 def _report(model: Model, args):
     """A run's check report and its `_analyze` trajectory, classification
     and verdicts, under the model file's stem as `pathlib` takes it (".x"
     and "x." are stems)."""
-    traj, cls, verdicts, full = _analyze(model, args.steps, args.eps, args.max_period)
+    traj, cls, verdicts, fields = _analyze(model, args.steps, args.eps, args.max_period)
     name = os.path.basename(args.model)
     dot = name.rfind(".")
-    report = {
+    return {
         "model": name[:dot] if 0 < dot < len(name) - 1 else name,
         "family": model.family,
         "lambda": model.lam,
@@ -210,16 +217,8 @@ def _report(model: Model, args):
             "epsilon": args.eps,
             "max_period": args.max_period,
         },
-    }
-    if full is None:
-        report.update(_verdict_dict(verdicts["criterion"]))
-    else:
-        report.update({key: _verdict_dict(v) for key, v in verdicts.items()})
-        kernels, greyness = FAMILY["fggcm"].split(full.evaluation_state)
-        report["evaluation_state"] = {"kernels": kernels, "greyness": greyness,
-                                      "kernel_converged": full.kernel_converged}
-        report["overall"] = full.overall
-    return report, traj, cls, verdicts
+        **fields,
+    }, traj, cls, verdicts
 
 
 def _cmd_simulate(args) -> int:
@@ -270,9 +269,8 @@ def _cmd_sweep(args) -> int:
             continue
         _write_trajectory(os.path.join(args.out_dir, f"trajectory_lam{tag}.csv"), model, traj)
         _modelio.save_doc(report, os.path.join(args.out_dir, f"report_lam{tag}.json"))
-        crit = {key: repr(v.criterion_value) for key, v in verdicts.items()}
-        kernel = crit.get("criterion") or crit["kernel"]
-        rows.append([tag, kernel, crit.get("greyness", ""), cls.verdict, cls.period or ""])
+        crit = [repr(v.criterion_value) for v in verdicts.values()] + [""]
+        rows.append([tag, *crit[:2], cls.verdict, cls.period or ""])
     with open(os.path.join(args.out_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([

@@ -8,13 +8,16 @@ read by no test, or when a 32- or 64-hex literal appears in another test
 module.
 
 The digests hold for glibc's `exp`; tests/test_exp_drift.py checks which
-results hold under another. Nothing writes this file. A change that moves
-bits on purpose is one run of `pytest -k pinned`, whose failures print the
-libc they ran on and each moved pin as a line of `GOLDEN`, then an edit of
-those lines by hand, logged in CHANGES.md with that printout.
+results hold under another. `GOLDEN["libm/exp"]` fingerprints the `exp` they
+were taken with, so a failure says whether the libm or the code moved them.
+Nothing writes this file. A change that moves bits on purpose is one run of
+`pytest -k pinned`, whose failures print the libc they ran on, whether its
+`exp` matches the fingerprint, and each moved pin as a line of `GOLDEN`,
+then an edit of those lines by hand, logged in CHANGES.md with that printout.
 """
 
 import hashlib
+import math
 import platform
 import struct
 
@@ -111,6 +114,10 @@ GOLDEN = {
     # horizons: a refactor of the criteria or the engines that moves any
     # number fails here.
     "reproduce_tables/stdout": "7bf10426bb7ed6cdf490146c90bd573a",
+
+    # `exp_fingerprint()`: the libm's `exp` that every pin above was taken
+    # with (glibc 2.36's).
+    "libm/exp": "1fc0fb9aaf2f4061",
 }
 
 
@@ -134,11 +141,31 @@ def trajectory_digest(traj) -> str:
     return h.hexdigest()
 
 
+def exp_fingerprint() -> str:
+    """The first 16 hex digits of the sha256 over the little-endian double
+    bits of `math.exp(x)` then `math.exp(-x)` for x = 40k/10,000, k = 1 to
+    10,000: a libm that rounds one of those 20,000 results otherwise moves
+    it. `math.exp` is looked up at the call, so a patched one is taken."""
+    xs = [40.0 * k / 10_000 for k in range(1, 10_001)]
+    values = [v for x in xs for v in (math.exp(x), math.exp(-x))]
+    return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()[:16]
+
+
+def libm_verdict() -> str:
+    """Whether this `exp` is the one the pins were taken with."""
+    got, want = exp_fingerprint(), GOLDEN["libm/exp"]
+    if got == want:
+        return f"exp fingerprint {got} matches the pinned one, so the code moved them"
+    return f"exp fingerprint {got} is not the pinned {want}, so the libm may have moved them"
+
+
 def check(got, output=""):
     """Each {pin name: digest} in got must be its `GOLDEN` digest. The
-    message names the libc and prints each moved pin as a `GOLDEN` line,
-    then output, the text the digests were taken of, if given."""
+    message names the libc and says whether its `exp` has the pinned
+    fingerprint, prints each moved pin as a `GOLDEN` line, then output,
+    the text the digests were taken of, if given."""
     want = {name: GOLDEN.get(name, "no such pin") for name in got}
     moved = "".join(f'\n    "{name}": ' + (f'"{digest}",' if digest else "None,")
                     for name, digest in got.items() if digest != want[name])
-    assert got == want, f"pins moved on {platform.libc_ver()}:{moved}\n{output}"
+    assert got == want, (f"pins moved on {platform.libc_ver()} ({libm_verdict()}):"
+                         f"{moved}\n{output}")

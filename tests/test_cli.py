@@ -244,16 +244,24 @@ def test_check_writes_an_overflowed_criterion_as_null(tmp_path, capsys, variant,
         None, "inf", gc.INCONCLUSIVE)
 
 
-def test_sweep_writes_an_overflowed_criterion_as_null(tmp_path):
-    model = export(tmp_path, "web_fggcm")
+@pytest.mark.parametrize("variant", ["web_fcm", "web_fgcm", "web_fggcm"])
+def test_sweep_writes_an_overflowed_criterion_as_null(tmp_path, variant):
+    # A one-verdict row pads the greyness cell empty; fggcm's holds its
+    # finite greyness criterion beside the overflowed kernel one.
+    model = export(tmp_path, variant)
     out = tmp_path / "sweep"
     assert main(["sweep", "--model", model, "--lambdas", "1,1e308", "--out-dir", str(out)]) == 0
     report = strict_json((out / "report_lam1e+308.json").read_text())
+    row = read_csv(out / "summary.csv")[2][:4]
+    if variant != "web_fggcm":
+        assert (report["criterion"], report["criterion_display"], report["outcome"]) == (
+            None, "inf", gc.INCONCLUSIVE)
+        assert row == ["1e+308", "inf", "", "LimitCycle"]
+        return
     assert (report["kernel"]["criterion"], report["kernel"]["criterion_display"]) == (None, "inf")
     assert report["greyness"]["criterion"] < 1.0
     assert strict_json((out / "report_lam1.json").read_text())["kernel"]["criterion"] > 4.0
-    assert read_csv(out / "summary.csv")[2][:4] == [
-        "1e+308", "inf", repr(report["greyness"]["criterion"]), "LimitCycle"]
+    assert row == ["1e+308", "inf", repr(report["greyness"]["criterion"]), "LimitCycle"]
 
 
 def test_check_mixed_sign_weight_exits_four(tmp_path, capsys):
@@ -557,6 +565,25 @@ def test_sweep_records_inapplicable_lambda_and_exits_four(tmp_path):
     assert rc == 4
     rows = read_csv(out / "summary.csv")
     assert rows[1][3] == "error(MixedSignWeight 1,1)"
+
+
+def test_a_degenerate_greyness_row_is_criterion_inapplicable(tmp_path, capsys):
+    # A valid map whose kernel row 1 is all zero: it runs, but the
+    # greyness condition matrix has no row 1, so the criterion cannot be
+    # taken (exit 4), as with a mixed-sign interval weight.
+    zero = [{"kernel": 0.0, "greyness": 0.2}, {"kernel": 0.0, "greyness": 0.1}]
+    doc = {"family": "fggcm", "lambda": 1.0, "nodes": ["a", "b"],
+           "weights": [zero, [{"kernel": 0.5, "greyness": 0.1}, {"kernel": -0.4, "greyness": 0.0}]],
+           "initial": [{"kernel": 0.5, "greyness": 0.1}, {"kernel": 0.2, "greyness": 0.0}]}
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--model", str(path)]) == 4
+    assert capsys.readouterr() == ("", "greycog: criterion inapplicable: row 1 has zero "
+                                       "kernel mass; condition matrix undefined\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--model", str(path), "--lambdas", "1,2", "--out-dir", str(out)]) == 4
+    assert [r[3] for r in read_csv(out / "summary.csv")[1:]] == ["error(DegenerateRowError)"] * 2
+    assert main(["simulate", "--model", str(path), "--out", str(tmp_path / "t.csv")]) == 0
 
 
 @pytest.mark.parametrize("command, parent", [

@@ -5,7 +5,8 @@ engines on another libm's logistic. The trajectory-bit pins in
 tests/golden.py hold for one `exp` (glibc's) only; the verdicts and `t_alpha`
 in `EXPECTED_CLASS` and every number `reproduce_tables.py` prints must
 hold under a correctly rounded `exp` and under one that is 1 ulp off on
-a quarter of its arguments.
+a quarter of its arguments, and `golden.exp_fingerprint` must tell each
+of them from the libm's.
 """
 
 import contextlib
@@ -62,6 +63,20 @@ def test_the_drifting_exp_moves_a_quarter_of_its_results_by_one_ulp():
     moved = [x for x in xs if drifting_exp(x) != LIBM_EXP(x)]
     assert 0.2 < len(moved) / len(xs) < 0.3
     assert all(abs(drifting_exp(x) - LIBM_EXP(x)) == math.ulp(LIBM_EXP(x)) for x in moved)
+
+
+def test_the_exp_fingerprint_is_pinned():
+    golden.check({"libm/exp": golden.exp_fingerprint()})
+    # A pin that moves under the pinned exp is the code's doing, and says so.
+    with pytest.raises(AssertionError, match="matches the pinned one, so the code moved them"):
+        golden.check({"reproduce_tables/stdout": None})
+
+
+@pytest.mark.parametrize("name", sorted(EXPS))
+def test_the_exp_fingerprint_moves_under_another_exp(monkeypatch, name):
+    monkeypatch.setattr(math, "exp", EXPS[name])
+    with pytest.raises(AssertionError, match="is not the pinned .*, so the libm may have"):
+        golden.check({"libm/exp": golden.exp_fingerprint()})
 
 
 @pytest.mark.parametrize("name", sorted(EXPS))

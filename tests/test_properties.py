@@ -719,3 +719,46 @@ def test_greyness_contracts_by_q_g_once_the_kernels_have_converged(n, data, u):
     for end in ends:
         assert tuple(c.kernel for c in end) == fixed
     assert max(abs(x.greyness - y.greyness) for x, y in zip(*ends)) <= UNIQUE_TOL
+
+
+# A map whose kernel criterion certifies (lambda ||K||_F = 3.7996 < 4)
+# while the paper's greyness condition cannot (||C||_F = 1.1349 at the
+# evaluation state): found by a seeded search over n = 3 maps.
+RATE_LAM = 2.374670927576722
+RATE_K = ((0.5062647823034059, 0.8761918880689004, 0.08515623310222376),
+          (0.0, 0.0, 0.8735559475663939),
+          (0.45267818907554624, -0.14613533071892637, 0.7345575511741531))
+RATE_G = ((0.9566878480296992, 1.8606496360743183, 1.349183510970628),
+          (0.17867248975111072, 0.0896645518456306, 1.0357286151520961),
+          (1.3700639710926188, 1.9227663474121797, 2.868116998183623))
+RATE_INITIAL = ((0.6361380682559389, 1.2109200352946474),
+                (0.676692796391907, 2.8467294257622577),
+                (0.9381122358877382, 2.8995555542833635))
+
+
+def test_the_greyness_rate_settles_what_the_greyness_norm_cannot():
+    """Each new greyness is a'_i times a share-weighted average of
+    max(G_ij, g_j), and a'_i <= q = sigmoid(lambda max_i sum_j |K_ij|)
+    while every kernel lies in [0, 1]. So two runs that share their
+    kernel planes hold their greyness inf-gap within q^t times its start
+    at every step t, with no slack, whatever the condition norm says."""
+    w = tuple(tuple(map(gc.Ggn, k_row, g_row)) for k_row, g_row in zip(RATE_K, RATE_G))
+    kernels, greyness = zip(*RATE_INITIAL)
+    m = gc.Model("fggcm", ("a", "b", "c"), w, tuple(map(gc.Ggn, kernels, greyness)), RATE_LAM)
+    for steps in (100, 400):
+        traj = gc.simulate(m, steps)
+        cls = gc.classify(traj)
+        report = gc.check_fggcm(m, traj, cls)
+        assert cls.verdict == "FixedPoint"
+        assert (report.kernel_verdict.outcome, report.greyness_verdict.outcome) == (
+            gc.UNIQUE, gc.INCONCLUSIVE)
+    q = 1.0 / (1.0 + math.exp(-RATE_LAM * max(sum(map(abs, row)) for row in RATE_K)))
+    assert q < 1.0
+    starts = [greyness, (0.0,) * 3, (10.0,) * 3]
+    runs = [run("fggcm", w, tuple(map(gc.Ggn, kernels, g)), RATE_LAM, 400) for g in starts]
+    planes = [[tuple(c.kernel for c in state) for state in states] for states in runs]
+    assert planes[1] == planes[0] and planes[2] == planes[0]
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        gaps = [max(abs(x.greyness - y.greyness) for x, y in zip(a, b))
+                for a, b in zip(runs[i], runs[j])]
+        assert all(gap <= q ** t * gaps[0] for t, gap in enumerate(gaps)), (i, j)
