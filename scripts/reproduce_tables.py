@@ -20,7 +20,7 @@ Usage: python3 scripts/reproduce_tables.py [--steps N] [--long N]
 
 import argparse
 
-import greycog as gc
+import greycog
 from greycog._family import at_least
 from greycog.cli import _analyze, _flag
 
@@ -34,12 +34,12 @@ def kernels(model):
 
 def norm_grid():
     rows = (
-        ("||W||", gc.frobenius_norm(gc.corpus.WEB_WEIGHTS)),
-        ("||W*||", gc.frobenius_norm(
-            gc.w_star(gc.inject_greyness(gc.corpus.WEB_WEIGHTS, 0.01)))),
-        ("||K||", gc.frobenius_norm(kernels(gc.build("web_fggcm", 1.0)))),
-        ("||K case1||", gc.frobenius_norm(kernels(gc.build("web_case1_fggcm", 1.0)))),
-        ("||K case2||", gc.frobenius_norm(kernels(gc.build("web_case2_fggcm", 1.0)))),
+        ("||W||", greycog.frobenius_norm(greycog.corpus.WEB_WEIGHTS)),
+        ("||W*||", greycog.frobenius_norm(
+            greycog.w_star(greycog.inject_greyness(greycog.corpus.WEB_WEIGHTS, 0.01)))),
+        ("||K||", greycog.frobenius_norm(kernels(greycog.build("web_fggcm", 1.0)))),
+        ("||K case1||", greycog.frobenius_norm(kernels(greycog.build("web_case1_fggcm", 1.0)))),
+        ("||K case2||", greycog.frobenius_norm(kernels(greycog.build("web_case2_fggcm", 1.0)))),
     )
     print("criterion grid lambda*||.||_F (threshold 4)")
     print(f"{'matrix':<14}" + "".join(f"{lam:>10g}" for lam in LAMS))
@@ -52,11 +52,11 @@ def condition_norms(steps):
     print(f"greyness condition norms at the state after {steps} steps (threshold 1)")
     print(f"{'lambda':>8}{'gated':>12}{'ungated':>12}{'ungated applies':>18}")
     for lam in LAMS:
-        m = gc.build("web_fggcm", lam)
+        m = greycog.build("web_fggcm", lam)
         *_, verdicts, fields = _analyze(m, steps, EPS, MAX_PERIOD)
         ks, gs = fields["evaluation_state"]["kernels"], fields["evaluation_state"]["greyness"]
         gated = verdicts["greyness"].criterion_value
-        ungated = gc.frobenius_norm(gc.grey_condition_matrix(m.weights, ks, None, lam))
+        ungated = greycog.frobenius_norm(greycog.grey_condition_matrix(m.weights, ks, None, lam))
         # The ungated matrix applies when no weight greyness exceeds its
         # column's state greyness.
         applies = all(g >= c.greyness for row in m.weights for g, c in zip(gs, row))
@@ -70,7 +70,7 @@ def regimes(steps):
     for vid in ("web_fcm", "web_fgcm", "web_fggcm"):
         cells = []
         for lam in LAMS:
-            cls = _analyze(gc.build(vid, lam), steps, EPS, MAX_PERIOD)[1]
+            cls = _analyze(greycog.build(vid, lam), steps, EPS, MAX_PERIOD)[1]
             if cls.verdict == "FixedPoint":
                 cells.append(f"FixedPoint(t={cls.t_alpha})")
             elif cls.verdict == "LimitCycle":

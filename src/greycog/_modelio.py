@@ -41,12 +41,13 @@ import json
 import os
 
 from ._family import FAMILY, family_of, finite, positive
-from .cogmap import Model
+from .cogmap import Model, _paused
 from .errors import InvalidParameterError, MalformedInputError, ValidationError
 
 __all__ = ["load_model", "model_to_doc", "parse_model", "save_doc"]
 
 
+@_paused
 def parse_model(doc, lam=None) -> Model:
     """Parse a model document into a validated Model.
 
@@ -107,6 +108,7 @@ def _path(path):
         f"a path must be a str, bytes or os.PathLike, got {type(path).__name__}")
 
 
+@_paused
 def load_model(path, lam=None) -> Model:
     """The model in a model file; lam as in `parse_model`."""
     path = _path(path)

@@ -19,6 +19,9 @@ is the crisp update on tuples; a grey model's is `simulate(m, 1).states[1]`.
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
+
 from ._core import blocks, crisp_next
 from ._family import (FAMILIES, FAMILY, Record, _Read, at_least, family_of, matrix, number,
                       positive, sequence, vector)
@@ -123,6 +126,26 @@ def fcm_step(w, a, lam: float):
     return crisp_next(blocks(w), a, lam)[0]
 
 
+def _paused(fn):
+    """fn with the cyclic garbage collector paused for the call, for the
+    bulk builders (a model file's dict tree, a model's cells, a run's
+    states): they make no reference cycle, so nothing waits for the
+    collector, while tens of its passes would scan what they build. The
+    collector is enabled again as the call returns or raises, unless the
+    caller had disabled it."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+@_paused
 def simulate(m: Model, steps: int) -> Trajectory:
     """Iterate a model for the given number of steps.
 

@@ -6,6 +6,10 @@ the benchmark's published tables. Unit tests compare the package against
 these constants rather than against itself.
 """
 
+import gc as collector
+import random
+import sys
+
 import pytest
 from hypothesis import Phase, settings
 
@@ -219,3 +223,36 @@ def cell_fields(family, cell):
     if family == "fgcm":
         return (cell.lo, cell.hi)
     return (cell.kernel, cell.greyness)
+
+
+def dense_fggcm_doc(seed, n=100):
+    """A seeded dense fggcm model document of n nodes: every weight a
+    kernel in [-1, 1] with a greyness in [0, 0.05]."""
+    rng = random.Random(seed)
+
+    def cell(lo):
+        return {"kernel": rng.uniform(lo, 1.0), "greyness": rng.uniform(0.0, 0.05)}
+    return {"family": "fggcm", "lambda": 1.0, "nodes": [f"N{i}" for i in range(1, n + 1)],
+            "weights": [[cell(-1.0) for _ in range(n)] for _ in range(n)],
+            "initial": [cell(0.0) for _ in range(n)]}
+
+
+def collections_inside(fn, *args):
+    """fn(*args), and the generation of each cyclic collection that a
+    `gc.callbacks` recorder saw start while fn's body ran (for a decorated
+    fn, the body of the function it wraps, so a collection its wrapper
+    starts while packing the arguments is not counted)."""
+    body = getattr(fn, "__wrapped__", fn).__code__
+    started = []
+
+    def record(phase, info):
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not body:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            started.append(info["generation"])
+    collector.callbacks.append(record)
+    try:
+        return fn(*args), started
+    finally:
+        collector.callbacks.remove(record)

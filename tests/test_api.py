@@ -363,6 +363,11 @@ RULES = {
         r"name _exit", "cli:entrypoint", ("cli:entrypoint",),
         "`cli.entrypoint` alone ends the process, once `main` has returned with its output "
         "out; `main`, the library and the scripts return to their caller, which may run on."),
+    "collector-pause": (
+        r"name gc", r"cogmap(:_paused\.paused)?", ("cogmap", "cogmap:_paused.paused"),
+        "`cogmap._paused` alone switches the cyclic collector, around the bulk builders it "
+        "wraps; a second pause (in `cli.main`, say) would nest inside it unseen, and a "
+        "collect, threshold or freeze elsewhere would be a second collector policy."),
     "stderr-writer": (
         r"name stderr", "cli:(_say|main)", ("cli:_say", "cli:main"),
         "`cli._say` alone writes stderr, guarded, so a stderr that refuses its line keeps "

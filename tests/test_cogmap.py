@@ -1,5 +1,6 @@
 """Model validation and the three update engines."""
 
+import json
 import math
 import random
 
@@ -15,6 +16,8 @@ from conftest import (
     FGGCM_FIRST_05_G,
     FGGCM_FIRST_05_K,
     LAMBDAS,
+    collections_inside,
+    dense_fggcm_doc,
     family_with,
 )
 import golden
@@ -217,6 +220,22 @@ def test_interval_run_rejects_an_overflowing_dot_product():
             gc.simulate(m, 1)
     with pytest.raises(gc.MalformedInputError):
         gc.fcm_step(((1.0, 1.0), (-1.0, 1.0)), (1e308, 1e308), 1.0)
+
+
+@pytest.mark.parametrize("entry", ["load_model", "parse_model", "simulate"])
+def test_no_collection_starts_inside_a_dense_build(tmp_path, entry):
+    # A dense n = 100 fggcm document is about 10,000 JSON dicts, its model
+    # as many cells, and a 100-step run adds n cells a state: tens of young
+    # collections' worth, but none of it is a reference cycle, so the
+    # collector is paused for these calls.
+    doc = dense_fggcm_doc(4)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    call, *args = {"load_model": (gc.load_model, path),
+                   "parse_model": (gc.parse_model, doc),
+                   "simulate": (gc.simulate, gc.parse_model(doc), 100)}[entry]
+    _, started = collections_inside(call, *args)
+    assert started == []
 
 
 def test_kernel_run_rejects_an_overflowing_greyness_mass():

@@ -1,6 +1,7 @@
 """JSON model files: parsing, lifting, rejection."""
 
 import copy
+import gc as collector
 import json
 import math
 import os
@@ -131,6 +132,32 @@ def test_load_model_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(gc.MalformedInputError):
         gc.load_model(str(p))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("entry", ["load_model", "parse_model", "simulate"])
+def test_the_collector_is_left_as_the_call_found_it(tmp_path, entry, raises, enabled):
+    # load_model, parse_model and simulate pause the cyclic collector; a
+    # return or a raise enables it again, and a caller's own disable stays.
+    path = tmp_path / "m.json"
+    path.write_text("{not json" if raises else json.dumps(doc_fcm()))
+    # Row 1 of the overflowing model sums to inf (MalformedInputError).
+    initial = (1e308, 1e308) if raises else (1.0, 0.0)
+    m = gc.Model("fcm", ("a", "b"), ((1.0, 1.0), (-1.0, 1.0)), initial, 1.0)
+    call = {"load_model": lambda: gc.load_model(path),
+            "parse_model": lambda: gc.parse_model({} if raises else doc_fcm()),
+            "simulate": lambda: gc.simulate(m, 5)}[entry]
+    (collector.enable if enabled else collector.disable)()
+    try:
+        if raises:
+            with pytest.raises(gc.MalformedInputError):
+                call()
+        else:
+            call()
+        assert collector.isenabled() is enabled
+    finally:
+        collector.enable()
 
 
 @pytest.mark.parametrize("call", [gc.load_model, lambda fd: gc.save_doc({"a": 1}, fd),
