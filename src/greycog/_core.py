@@ -186,14 +186,14 @@ def kernel_grey_next(weights, x_k, x_g, lam):
     or weighted mass sum raises MalformedInputError. A term's mass is
     |k| * |x|, the float |k * x| (rounding to nearest is even in sign),
     from the |kernel| weights and an |x| plane: x_k itself where every x
-    is > 0, as in each computed state, so a step builds no tuple for the
-    garbage collector to count. The three sums of a row (kernel, mass,
-    weighted mass) share one loop, and each is gathered in its own list;
-    the real rows' kernel sums are activated by one `sigmoids` call. A
-    row whose mass sum is below TINY_MASS, 0 included, has its mass and
-    weighted mass summed again over the `row_masses` of its kernel weight
-    row, against its greyness weight row; a row of truly zero products
-    keeps a greyness of 0.
+    is > 0, as in each computed state, which saves one tuple per step
+    (not a collection: `simulate` pauses the collector). The three sums
+    of a row (kernel, mass, weighted mass) share one loop, each gathered
+    in its own list; the real rows' kernel sums are activated by one
+    `sigmoids` call. A row whose mass sum is below TINY_MASS, 0 included,
+    has its mass and weighted mass summed again over the `row_masses` of
+    its kernel weight row, against its greyness weight row; a row of
+    truly zero products keeps a greyness of 0.
     """
     (k_rows, _, g_rows), wb = weights
     rows = len(k_rows)

@@ -163,7 +163,7 @@ def _write_trajectory(path, model: Model, traj) -> None:
             parts = rows.get(id(state))
             if parts is None:
                 values = (v for node in zip(*fam.split(state)) for v in node)
-                parts = rows[id(state)] = [f",{pair},{repr(float(v))}\r\n"
+                parts = rows[id(state)] = [f",{pair},{repr(v)}\r\n"
                                            for pair, v in zip(pairs, values)]
             tag = str(t)
             fh.write(tag + tag.join(parts))

@@ -567,19 +567,23 @@ def test_sweep_records_inapplicable_lambda_and_exits_four(tmp_path):
     assert rows[1][3] == "error(MixedSignWeight 1,1)"
 
 
+# A valid map whose kernel row 1 is all zero: it runs, but the greyness
+# condition matrix has no row 1, so the criterion cannot be taken (exit 4),
+# as with a mixed-sign interval weight; check says so in one stderr line.
+DEGENERATE = json.dumps({
+    "family": "fggcm", "lambda": 1.0, "nodes": ["a", "b"],
+    "weights": [[{"kernel": 0.0, "greyness": 0.2}, {"kernel": 0.0, "greyness": 0.1}],
+                [{"kernel": 0.5, "greyness": 0.1}, {"kernel": -0.4, "greyness": 0.0}]],
+    "initial": [{"kernel": 0.5, "greyness": 0.1}, {"kernel": 0.2, "greyness": 0.0}]})
+DEGENERATE_LINE = ("greycog: criterion inapplicable: row 1 has zero kernel mass; "
+                   "condition matrix undefined\n")
+
+
 def test_a_degenerate_greyness_row_is_criterion_inapplicable(tmp_path, capsys):
-    # A valid map whose kernel row 1 is all zero: it runs, but the
-    # greyness condition matrix has no row 1, so the criterion cannot be
-    # taken (exit 4), as with a mixed-sign interval weight.
-    zero = [{"kernel": 0.0, "greyness": 0.2}, {"kernel": 0.0, "greyness": 0.1}]
-    doc = {"family": "fggcm", "lambda": 1.0, "nodes": ["a", "b"],
-           "weights": [zero, [{"kernel": 0.5, "greyness": 0.1}, {"kernel": -0.4, "greyness": 0.0}]],
-           "initial": [{"kernel": 0.5, "greyness": 0.1}, {"kernel": 0.2, "greyness": 0.0}]}
     path = tmp_path / "degenerate.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(DEGENERATE)
     assert main(["check", "--model", str(path)]) == 4
-    assert capsys.readouterr() == ("", "greycog: criterion inapplicable: row 1 has zero "
-                                       "kernel mass; condition matrix undefined\n")
+    assert capsys.readouterr() == ("", DEGENERATE_LINE)
     out = tmp_path / "sweep"
     assert main(["sweep", "--model", str(path), "--lambdas", "1,2", "--out-dir", str(out)]) == 4
     assert [r[3] for r in read_csv(out / "summary.csv")[1:]] == ["error(DegenerateRowError)"] * 2
@@ -621,12 +625,16 @@ SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent
 BUFFERED_ENV = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
 
 
+def run_greycog(argv, unbuffered=False, **kwargs):
+    """`python -m greycog *argv` on this checkout's package, through
+    subprocess.run with kwargs; stdout is buffered unless unbuffered."""
+    env = dict(BUFFERED_ENV, PYTHONUNBUFFERED="1") if unbuffered else BUFFERED_ENV
+    return subprocess.run([sys.executable, "-m", "greycog", *argv], env=env, **kwargs)
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "m.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "greycog", "corpus", "web_fcm", "--out", str(out)],
-        capture_output=True, env=SRC_ENV,
-    )
+    proc = run_greycog(["corpus", "web_fcm", "--out", str(out)], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     assert out.exists()
 
@@ -644,14 +652,11 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, argv, unbuff
     # the write: a report's print raises there, while argparse drops the
     # error of its --help write and exits 0.
     export(tmp_path, "web_fggcm")
-    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "greycog", *argv], cwd=tmp_path,
-                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+        proc = run_greycog(argv, unbuffered, cwd=tmp_path, stdout=write_end,
+                           stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     code = 0 if unbuffered and "--help" in argv else 141
@@ -669,10 +674,8 @@ def test_a_full_stdout_exits_2_with_one_line_on_stderr(tmp_path, argv, unbuffere
     # Unbuffered, argparse drops the error of its --help write and exits
     # 0, as it does into a closed pipe.
     export(tmp_path, "web_fggcm")
-    env = dict(BUFFERED_ENV, PYTHONUNBUFFERED="1") if unbuffered else BUFFERED_ENV
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run([sys.executable, "-m", "greycog", *argv], cwd=tmp_path,
-                              stdout=full, stderr=subprocess.PIPE, env=env)
+        proc = run_greycog(argv, unbuffered, cwd=tmp_path, stdout=full, stderr=subprocess.PIPE)
     if unbuffered and argv == ["--help"]:
         assert (proc.returncode, proc.stderr.decode()) == (0, "")
     else:
@@ -700,9 +703,8 @@ def run_both(tmp_path, monkeypatch, capsys, commands, stdout, files=None):
                 out, err = (text.encode() for text in capsys.readouterr())
             else:
                 with open(tmp_path / "stdout", "w+b") as sink:
-                    proc = subprocess.run([sys.executable, "-m", "greycog", *argv],
-                                          stdout=sink if stdout == "file" else subprocess.PIPE,
-                                          stderr=subprocess.PIPE, env=BUFFERED_ENV)
+                    proc = run_greycog(argv, stdout=sink if stdout == "file" else subprocess.PIPE,
+                                       stderr=subprocess.PIPE)
                     sink.seek(0)
                     out = sink.read() if stdout == "file" else proc.stdout
                 code, err = proc.returncode, proc.stderr
@@ -744,22 +746,26 @@ FAILURES = {
                    RUN, [3, 3, 3]),
     "mixed-sign": ({}, [["corpus", "web_case1_fgcm", "--out", "m.json"], RUN[0], RUN[2]],
                    [0, 4, 4]),
+    "degenerate": ({"m.json": DEGENERATE}, RUN, [4, 0, 4]),
 }
 
 
 @pytest.mark.parametrize("case", FAILURES)
 def test_a_failing_process_writes_what_main_writes(tmp_path, monkeypatch, capsys, case):
     # A parse or validation failure is one complete stderr line; a check
-    # whose criterion is inapplicable prints its refusal as JSON.
+    # refused for a mixed-sign weight prints its refusal as JSON, one for a
+    # zero kernel row the one stderr line of main's handler.
     files, commands, codes = FAILURES[case]
     runs, trees = run_both(tmp_path, monkeypatch, capsys, commands, "pipe", files)
     assert runs["process"] == runs["main"]
     assert trees["process"] == trees["main"]
     assert [code for code, *_ in runs["main"]] == codes
-    for code, out, err in runs["main"]:
+    for argv, (code, out, err) in zip(commands, runs["main"]):
         if code in (2, 3):
             assert out == b"" and err.startswith(b"greycog: ") and err.count(b"\n") == 1
             assert err.endswith(b"\n")
+        elif case == "degenerate" and argv[0] == "check":
+            assert (out, err) == (b"", DEGENERATE_LINE.encode())
         else:
             assert err == b""
     if case == "mixed-sign":
@@ -772,14 +778,15 @@ def test_a_failing_process_writes_what_main_writes(tmp_path, monkeypatch, capsys
     ("closed", False, ["check", "--model", "missing.json"], 2),
     ("closed", True, ["check", "--model", "missing.json"], 2),
     ("closed", False, ["check", "--steps", "0"], 2),
+    ("closed", True, ["check", "--steps", "0"], 2),
     ("closed", False, ["frobnicate"], 2),
     ("full", False, ["check", "--model", "web_fggcm.json"], 0),
     ("full", False, ["check", "--model", "web_fggcm.json", "--steps", "0"], 2),
     ("full", False, ["check", "--model", "missing.json"], 2),
     ("full", True, ["check", "--model", "missing.json"], 2),
 ], ids=["closed-ok", "closed-parse-error", "closed-parse-error-unbuffered", "closed-usage-error",
-        "closed-unknown-command", "full-ok", "full-usage-error", "full-parse-error",
-        "full-parse-error-unbuffered"])
+        "closed-usage-error-unbuffered", "closed-unknown-command", "full-ok", "full-usage-error",
+        "full-parse-error", "full-parse-error-unbuffered"])
 def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(tmp_path, stderr, unbuffered,
                                                              argv, code):
     # Started with descriptor 2 closed, the interpreter sets sys.stderr to
@@ -788,12 +795,10 @@ def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(tmp_path, stderr, u
     # to stderr fails, at once unbuffered or at the flush that follows
     # buffered. None of these may replace the code main chose.
     export(tmp_path, "web_fggcm")
-    env = dict(BUFFERED_ENV, PYTHONUNBUFFERED="1") if unbuffered else BUFFERED_ENV
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run([sys.executable, "-m", "greycog", *argv], cwd=tmp_path,
-                              stdout=subprocess.PIPE, env=env,
-                              **({"preexec_fn": lambda: os.close(2)} if stderr == "closed"
-                                 else {"stderr": full}))
+        proc = run_greycog(argv, unbuffered, cwd=tmp_path, stdout=subprocess.PIPE,
+                           **({"preexec_fn": lambda: os.close(2)} if stderr == "closed"
+                              else {"stderr": full}))
     assert proc.returncode == code
     if code == 0:
         assert json.loads(proc.stdout)["model"] == "web_fggcm"
@@ -807,8 +812,7 @@ def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(tmp_path, stderr, u
 def test_a_model_file_nested_past_the_decoder_depth_is_a_parse_error(tmp_path, command):
     # Run apart, so a RecursionError would show as the traceback it prints.
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
-    proc = subprocess.run([sys.executable, "-m", "greycog", *command, "--model", "deep.json"],
-                          cwd=tmp_path, capture_output=True, env=SRC_ENV)
+    proc = run_greycog([*command, "--model", "deep.json"], cwd=tmp_path, capture_output=True)
     err = proc.stderr.decode()
     assert proc.returncode == 2, err
     assert err.startswith("greycog: parse error: deep.json is not valid JSON: ")

@@ -762,3 +762,31 @@ def test_the_greyness_rate_settles_what_the_greyness_norm_cannot():
         gaps = [max(abs(x.greyness - y.greyness) for x, y in zip(a, b))
                 for a, b in zip(runs[i], runs[j])]
         assert all(gap <= q ** t * gaps[0] for t, gap in enumerate(gaps)), (i, j)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 12), st.data(), st.floats(min_value=0.05, max_value=0.999))
+def test_every_computed_kernel_is_within_the_greyness_rate_below_the_kernel_criterion(n, data, k):
+    """Below the kernel criterion (lambda ||K||_F < 4), the greyness rate
+    q = sigmoid(lambda r), r = max_i sum_j |K_ij|, is < 1 and bounds every
+    kernel of every computed state, so every new kernel a'_i, the factor
+    by which a greyness update contracts. Each |x_j| <= 1, so each
+    product's float is at most |K_ij|, and a sum rounds monotonically, so
+    a row's kernel sum, taken left to right as r's row sums are, is at
+    most r; a negative sum activates to at most 1/2 <= q."""
+    kernels = data.draw(mat(sparse, n))
+    norm = gc.frobenius_norm(kernels)
+    lam = 4.0 * k / norm if norm else math.inf
+    assume(lam < math.inf)  # no weight, or too little for a finite lambda
+    r = 0.0
+    for row in kernels:
+        total = 0.0
+        for x in row:
+            total += abs(x)
+        r = max(r, total)
+    (q,) = sigmoids((r,), lam)
+    assert q < 1.0
+    w = tuple(tuple(gc.Ggn(x, data.draw(grey_s)) for x in row) for row in kernels)
+    a = tuple(gc.Ggn(data.draw(unit), data.draw(grey_s)) for _ in range(n))
+    for state in run("fggcm", w, a, lam, 100)[1:]:
+        assert max(c.kernel for c in state) <= q
